@@ -23,6 +23,7 @@ from .data import (
 from .dgp import DeepGPModel, MixturePredictive, mixture_moments
 from .dspp import DSPPModel, init_sigma_points
 from .experiment import (
+    ConfigDataMismatch,
     ExperimentConfig,
     ExperimentResult,
     GridSearchResult,
@@ -87,6 +88,7 @@ __all__ = [
     "mixture_moments",
     "DSPPModel",
     "init_sigma_points",
+    "ConfigDataMismatch",
     "ExperimentConfig",
     "ExperimentResult",
     "GridSearchResult",

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import svgp
 from .autodiff import Tensor
-from .mathcore import GaussianDist, Kernel, kernel_eval, cholesky_jittered
+from .mathcore import Kernel, kernel_eval, cholesky_jittered
 from .params import IDENTITY, POSITIVE, CholeskyFactor, ParamVector, ParamView, RngStream, value_and_grad
 from .svgp import (
     DEFAULT_JITTER,
@@ -67,13 +67,6 @@ class MixturePredictive:
     @property
     def num_components(self) -> int:
         return self.weights.shape[0]
-
-    @property
-    def components(self) -> list[tuple[float, GaussianDist]]:
-        return [
-            (float(w), GaussianDist(m, v))
-            for w, m, v in zip(self.weights, self.means, self.variances)
-        ]
 
 
 def mixture_moments(p: MixturePredictive) -> tuple[float, float]:

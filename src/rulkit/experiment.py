@@ -19,16 +19,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import FleetDataset, NormalizationStats, SplitSpec, normalize, stack_rows
-from .dgp import DeepGPModel, MixturePredictive, mixture_moments
+from .dgp import DeepGPModel
 from .dspp import DSPPModel
-from .mathcore import GaussianDist, NumericalError
+from .mathcore import NumericalError
 from .mcd import MCDModel
-from .metrics import (
-    MetricsReport,
-    PointPredictive,
-    PredictionRecord,
-    compute_report,
-)
+from .metrics import MetricsReport, PredictionRecord, _gather, compute_report
 from .params import GradientError, OptimizerState, RngStream, adam_step, minibatch_iter
 from .svgp import ObjectiveSpec, SVGPModel
 
@@ -36,6 +31,7 @@ __all__ = [
     "MODEL_KINDS",
     "KEEP_PROB_GRID",
     "TrainingDiverged",
+    "ConfigDataMismatch",
     "ExperimentConfig",
     "default_config",
     "default_grid",
@@ -76,6 +72,11 @@ class TrainingDiverged(RuntimeError):
         super().__init__(message)
         self.epoch = epoch
         self.epoch_objectives = list(epoch_objectives)
+
+
+class ConfigDataMismatch(ValueError):
+    """A config that is valid on its own does not fit the training data; the
+    message names the config field."""
 
 
 # -- configuration -----------------------------------------------------------------
@@ -365,10 +366,13 @@ def run_experiment(
     if config.rul_cap is not None:
         y_tr = np.minimum(y_tr, config.rul_cap)
 
+    n = X_tr.shape[0]
+    if config.kind in ("svgp", "ppgpr", "dgp", "dspp") and config.num_inducing > n:
+        raise ConfigDataMismatch(f"num_inducing={config.num_inducing} exceeds {n} training rows")
+
     rng = RngStream(config.seed)
     model = build_model(config, X_tr, y_tr, rng.derive(0))
 
-    n = X_tr.shape[0]
     batch_size = min(config.batch_size, n)
     state = OptimizerState(learning_rate=config.learning_rate)
     epoch_objectives: list = []
@@ -498,42 +502,23 @@ def checkpoint_records(
 def write_predictions(path, records: list):
     """Delimited predictions, one row per (unit, t); mixture components are
     appended as extra columns when every record carries the same count."""
-    comp_count = {
-        r.predictive.num_components
-        for r in records
-        if isinstance(r.predictive, MixturePredictive)
-    }
-    with_components = len(comp_count) == 1 and all(
-        isinstance(r.predictive, MixturePredictive) for r in records
-    )
+    c = _gather(records)
+    n = len(records)
+    with_components = n > 0 and c.mixture.all() and (c.counts == c.counts[0]).all()
     header = ["unit_id", "t", "rul_true", "pred_mean", "pred_variance"]
     if with_components:
-        k = comp_count.pop()
-        for j in range(1, k + 1):
+        for j in range(1, c.weights.shape[1] + 1):
             header += [f"w_{j}", f"mean_{j}", f"var_{j}"]
+        comps = np.stack([c.weights, c.means, c.variances], axis=2).reshape(n, -1)
     lines = [",".join(header)]
-    for r in records:
-        p = r.predictive
-        cells = [r.unit_id, str(r.time_index), repr(float(r.rul_true))]
-        if isinstance(p, PointPredictive):
-            cells += [repr(float(p.value)), "-"]
-        else:
-            mean, var = _moments(p)
-            cells += [repr(mean), repr(var)]
+    rows = zip(records, c.rul.tolist(), c.mean.tolist(), c.var.tolist(), c.point.tolist())
+    for i, (r, rul, mean, var, point) in enumerate(rows):
+        var = "-" if point else repr(var)
+        line = f"{r.unit_id},{r.time_index},{rul!r},{mean!r},{var}"
         if with_components:
-            for w, m, v in zip(p.weights, p.means, p.variances):
-                cells += [repr(float(w)), repr(float(m)), repr(float(v))]
-        lines.append(",".join(cells))
+            line = ",".join([line, *map(repr, comps[i].tolist())])
+        lines.append(line)
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _moments(p):
-    if isinstance(p, MixturePredictive):
-        m, v = mixture_moments(p)
-        return float(m), float(v)
-    if isinstance(p, GaussianDist):
-        return float(p.mean), float(p.variance)
-    raise TypeError(f"unsupported predictive type {type(p).__name__}")
 
 
 # -- grid search -------------------------------------------------------------------
@@ -650,7 +635,7 @@ def grid_search(
                 test_prob_alpha_lambda=tr.prob_alpha_lambda,
                 checkpoint_path=res.checkpoint_path,
             ))
-        except (TrainingDiverged, NumericalError, GradientError) as exc:
+        except (ConfigDataMismatch, TrainingDiverged, NumericalError, GradientError) as exc:
             runs.append(GridRun(i, overrides, cfg, f"failed: {exc}"))
 
     def key(r: GridRun):

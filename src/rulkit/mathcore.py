@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import erf
-from scipy.special import logsumexp as _logsumexp
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -234,11 +233,6 @@ def gaussian_cdf(x, mean=0.0, std=1.0):
         raise ValueError("std must be positive")
     z = (np.asarray(x, dtype=np.float64) - mean) / (std * math.sqrt(2.0))
     return 0.5 * (1.0 + erf(z))
-
-
-def log_sum_exp(a, axis=None, b=None):
-    """Stable log(sum(b * exp(a))); thin wrapper over scipy."""
-    return _logsumexp(a, axis=axis, b=b)
 
 
 # -- dense GP reference -------------------------------------------------------

@@ -21,6 +21,7 @@ from rulkit.experiment import (
     KEEP_PROB_GRID,
     MODEL_KINDS,
     TABLE_FAMILIES,
+    ConfigDataMismatch,
     ExperimentConfig,
     TrainingDiverged,
     _child_seed,
@@ -390,6 +391,19 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="val_fraction"):
             grid_search(tiny_mcd(), {"hidden_units": [4]}, small_fleet(), split)
 
+    def test_inducing_count_beyond_training_rows_fails_its_cell(self):
+        fleet = synth_fleet(4, 40, seed=0)
+        ids = fleet.unit_ids
+        split = SplitSpec(ids[:3], ids[3:], val_fraction=0.1)
+        base = default_config("svgp").replace(epochs=1)
+        with pytest.raises(ConfigDataMismatch, match="num_inducing=200 exceeds 94 training rows"):
+            run_experiment(base.replace(num_inducing=200), fleet, split)
+        gs = grid_search(base, {"num_inducing": [8, 200]}, fleet, split)
+        assert [r.status for r in gs.runs] == [
+            "ok", "failed: num_inducing=200 exceeds 94 training rows",
+        ]
+        assert gs.order == [0]
+
     def test_child_seeds_are_frozen(self):
         assert _child_seed(0, 0) == 2617721224
         assert _child_seed(0, 1) == 1749781631
@@ -430,6 +444,49 @@ class TestWritePredictions:
         path = tmp_path / "preds.csv"
         write_predictions(path, records)
         assert "w_1" not in path.read_text().splitlines()[0]
+
+
+    def test_gaussian_rows_bytes(self, tmp_path):
+        records = [
+            PredictionRecord("u1", 0, 3.0, GaussianDist(0.30000000000000004, 0.25)),
+            PredictionRecord("u2", 7, 0.0, GaussianDist(-1.0, 1e-3)),
+        ]
+        path = tmp_path / "preds.csv"
+        write_predictions(path, records)
+        assert path.read_text() == (
+            "unit_id,t,rul_true,pred_mean,pred_variance\n"
+            "u1,0,3.0,0.30000000000000004,0.25\n"
+            "u2,7,0.0,-1.0,0.001\n"
+        )
+
+    def test_mixed_gaussian_and_mixture_bytes(self, tmp_path):
+        # mixture moments: mean 0.75 * 4 = 3, variance 0.25 + 0.75 * 17 - 9 = 4
+        records = [
+            PredictionRecord("u1", 0, 3.0, GaussianDist(2.0, 1.0)),
+            PredictionRecord("u1", 1, 2.0, MixturePredictive([0.25, 0.75], [0.0, 4.0], [1.0, 1.0])),
+            PredictionRecord("u2", 0, 1.5, MixturePredictive([1.0], [2.5], [0.5])),
+        ]
+        path = tmp_path / "preds.csv"
+        write_predictions(path, records)
+        assert path.read_text() == (
+            "unit_id,t,rul_true,pred_mean,pred_variance\n"
+            "u1,0,3.0,2.0,1.0\n"
+            "u1,1,2.0,3.0,4.0\n"
+            "u2,0,1.5,2.5,0.5\n"
+        )
+
+    def test_mixture_rows_bytes(self, tmp_path):
+        records = [
+            PredictionRecord("u1", 0, 3.0, MixturePredictive([0.25, 0.75], [0.0, 4.0], [1.0, 1.0])),
+            PredictionRecord("u1", 1, 2.0, MixturePredictive([0.5, 0.5], [1.0, 3.0], [2.0, 2.0])),
+        ]
+        path = tmp_path / "preds.csv"
+        write_predictions(path, records)
+        assert path.read_text() == (
+            "unit_id,t,rul_true,pred_mean,pred_variance,w_1,mean_1,var_1,w_2,mean_2,var_2\n"
+            "u1,0,3.0,3.0,4.0,0.25,0.0,1.0,0.75,4.0,1.0\n"
+            "u1,1,2.0,2.0,3.0,0.5,1.0,2.0,0.5,3.0,2.0\n"
+        )
 
 
 class TestFamilyTable:

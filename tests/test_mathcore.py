@@ -26,7 +26,6 @@ from rulkit.mathcore import (
     gaussian_nll,
     kernel_diag,
     kernel_eval,
-    log_sum_exp,
     mvn_kl,
 )
 
@@ -289,21 +288,6 @@ class TestGaussianCdf:
     def test_nonpositive_std_rejected(self):
         with pytest.raises(ValueError):
             gaussian_cdf(0.0, std=0.0)
-
-
-# -- log-sum-exp --------------------------------------------------------------
-
-
-class TestLogSumExp:
-    def test_weighted_two_densities(self):
-        # mean of densities 0.1 and 0.3 is 0.2
-        out = log_sum_exp(np.log([0.1, 0.3]), b=np.array([0.5, 0.5]))
-        assert out == pytest.approx(math.log(0.2), rel=1e-14)
-
-    def test_extreme_values_stay_finite(self):
-        out = log_sum_exp(np.array([-1e4, -1e4 + 1.0]))
-        assert math.isfinite(out)
-        assert out == pytest.approx(-1e4 + math.log(1 + math.e), rel=1e-12)
 
 
 # -- dense GP reference -------------------------------------------------------

@@ -9,19 +9,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from rulkit.dgp import MixturePredictive, mixture_moments
-from rulkit.mathcore import GaussianDist, NumericalError
+from rulkit.mathcore import GaussianDist, NumericalError, gaussian_cdf, gaussian_logpdf
 from rulkit.metrics import (
     MetricsReport,
     PointPredictive,
     PredictionRecord,
     alpha_lambda,
     compute_report,
-    moment_gaussian,
     nll,
-    point_estimate,
-    predictive_logpdf,
     prob_alpha_lambda,
     rmse,
 )
@@ -45,22 +43,26 @@ def peak_variance(density):
 
 class TestPointEstimate:
     def test_each_predictive_kind(self):
-        assert point_estimate(PointPredictive(4.5)) == 4.5
-        assert point_estimate(GaussianDist(2.0, 9.0)) == 2.0
+        # at true RUL 0 the rmse of one record is its point estimate
+        def estimate(pred):
+            return rmse([PredictionRecord("u1", 0, 0.0, pred)])
+
+        assert estimate(PointPredictive(4.5)) == 4.5
+        assert estimate(GaussianDist(2.0, 9.0)) == 2.0
         mix = MixturePredictive([0.25, 0.75], [0.0, 4.0], [1.0, 1.0])
-        assert point_estimate(mix) == pytest.approx(3.0, abs=1e-15)
+        assert estimate(mix) == pytest.approx(3.0, abs=1e-15)
 
     def test_moment_gaussian_matches_mixture_moments(self):
         mix = MixturePredictive([0.5, 0.5], [90.0, 110.0], [1.0, 1.0])
-        g = moment_gaussian(mix)
         mean, var = mixture_moments(mix)
-        assert g.mean == mean
-        assert g.variance == var
+        as_mix = prob_alpha_lambda([PredictionRecord("u1", 0, 100.0, mix)])
+        assert as_mix == prob_alpha_lambda([gauss_rec(100.0, mean, var)])
+        assert rmse([PredictionRecord("u1", 0, 0.0, mix)]) == mean
         assert var == pytest.approx(101.0, rel=1e-12)
 
     def test_moment_gaussian_rejects_point(self):
         with pytest.raises(TypeError):
-            moment_gaussian(PointPredictive(1.0))
+            prob_alpha_lambda([point_rec(1.0, 1.0)])
 
 
 class TestRmse:
@@ -118,7 +120,7 @@ class TestNll:
 
     def test_point_predictive_has_no_density(self):
         with pytest.raises(TypeError, match="no density"):
-            predictive_logpdf(PointPredictive(1.0), 1.0)
+            nll([point_rec(1.0, 1.0)])
 
     def test_vanished_density_raises(self):
         far = gauss_rec(1e200, 0.0, 1.0)
@@ -314,6 +316,104 @@ class TestComputeReport:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             compute_report([])
+
+
+def reference_blocks(records, alpha=0.2):
+    """Fleet and per-unit metrics from the per-record loops that the array
+    expressions replaced, kept as the oracle for them."""
+
+    def point_estimate(p):
+        if isinstance(p, PointPredictive):
+            return p.value
+        if isinstance(p, MixturePredictive):
+            return mixture_moments(p)[0]
+        return p.mean
+
+    def moment_gaussian(p):
+        if isinstance(p, GaussianDist):
+            return p
+        mean, var = mixture_moments(p)
+        return GaussianDist(mean, var)
+
+    def logpdf(p, y):
+        if isinstance(p, GaussianDist):
+            return float(gaussian_logpdf(y, p.mean, p.variance))
+        return float(logsumexp(gaussian_logpdf(y, p.means, p.variances), b=p.weights))
+
+    def block(rs):
+        errs = np.array([point_estimate(r.predictive) - r.rul_true for r in rs])
+        out = {
+            "rmse": float(np.sqrt(np.mean(errs * errs))),
+            "nll": float(np.mean([-logpdf(r.predictive, r.rul_true) for r in rs])),
+            "alpha_lambda": None,
+            "prob_alpha_lambda": None,
+        }
+        valid = [r for r in rs if r.rul_true > 0.0]
+        if valid:
+            hits, total = 0, 0.0
+            for r in valid:
+                lo, hi = (1.0 - alpha) * r.rul_true, (1.0 + alpha) * r.rul_true
+                hits += lo <= point_estimate(r.predictive) <= hi
+                g = moment_gaussian(r.predictive)
+                total += float(gaussian_cdf(hi, g.mean, g.std) - gaussian_cdf(lo, g.mean, g.std))
+            out["alpha_lambda"] = hits / len(valid)
+            out["prob_alpha_lambda"] = total / len(valid)
+        return out
+
+    units = sorted({r.unit_id for r in records})
+    return block(records), {u: block([r for r in records if r.unit_id == u]) for u in units}
+
+
+def mixed_records():
+    """Interleaved units, Gaussian rows among mixtures of 2 to 11 components,
+    zero-RUL rows, and a unit ("d4") that is all end of life."""
+    rng = np.random.default_rng(5)
+    records = []
+    for t in range(10):
+        for unit in ("c3", "a1", "d4", "b2"):
+            rul = 0.0 if unit == "d4" or t == 9 else float(rng.uniform(5.0, 150.0))
+            if (t + len(records)) % 3 == 0:
+                pred = GaussianDist(rul + rng.normal(0.0, 10.0), rng.uniform(1.0, 400.0))
+            else:
+                k = int(rng.integers(2, 12))
+                w = rng.uniform(0.1, 1.0, k)
+                pred = MixturePredictive(
+                    w / w.sum(), rul + rng.normal(0.0, 15.0, k), rng.uniform(1.0, 300.0, k)
+                )
+            records.append(PredictionRecord(unit, t, rul, pred))
+    return records
+
+
+class TestAgainstPerRecordReference:
+    KEYS = ("rmse", "nll", "alpha_lambda", "prob_alpha_lambda")
+
+    def assert_block_close(self, got, want):
+        for key in self.KEYS:
+            if want[key] is None:
+                assert got[key] is None, key
+            else:
+                assert math.isclose(got[key], want[key], rel_tol=1e-12, abs_tol=0.0), key
+
+    def test_fleet_and_per_unit_match(self):
+        records = mixed_records()
+        report = compute_report(records)
+        fleet, per_unit = reference_blocks(records)
+        self.assert_block_close(report.to_dict(), fleet)
+        assert list(report.per_unit) == ["a1", "b2", "c3", "d4"]
+        for unit, want in per_unit.items():
+            self.assert_block_close(report.per_unit[unit], want)
+        assert report.per_unit["d4"]["alpha_lambda"] is None
+        assert report.excluded_eol == 13
+
+    def test_cancelled_moment_variance_rejected(self):
+        # a valid mixture whose moment-matched variance cancels to zero
+        mix = MixturePredictive([0.5, 0.5], [1e8, 1e8], [1e-10, 1e-10])
+        assert mixture_moments(mix)[1] <= 0.0
+        records = [gauss_rec(50.0, 55.0, 4.0), PredictionRecord("u1", 1, 1e8, mix)]
+        with pytest.raises(ValueError, match="variance must be positive"):
+            compute_report(records)
+        with pytest.raises(ValueError, match="variance must be positive"):
+            prob_alpha_lambda(records)
 
 
 class TestRecordValidation:
