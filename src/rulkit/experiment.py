@@ -440,7 +440,8 @@ def run_experiment(
 
 # -- checkpoints -------------------------------------------------------------------
 
-FORMAT_VERSION = 1
+# 2: sparse-GP layers store the whitened posterior q(v) = N(m, S S^T)
+FORMAT_VERSION = 2
 
 _MODEL_CLASSES = {
     "svgp": SVGPModel,
@@ -469,7 +470,10 @@ def load_checkpoint(path):
     with np.load(path, allow_pickle=False) as z:
         version = int(z["format_version"])
         if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format_version {version}")
+            raise ValueError(
+                f"unsupported checkpoint format_version {version}; "
+                f"this rulkit reads format_version {FORMAT_VERSION}"
+            )
         exp_cfg = ExperimentConfig.from_dict(json.loads(str(z["experiment_config"])))
         model_cfg = json.loads(str(z["model_config"]))
         arrays = {

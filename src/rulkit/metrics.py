@@ -191,7 +191,7 @@ def _nll(neg_logpdf: np.ndarray) -> float:
 
 
 def _fraction(hits: np.ndarray) -> float:
-    return np.count_nonzero(hits) / len(hits)
+    return float(np.count_nonzero(hits) / len(hits))
 
 
 # -- public metrics --------------------------------------------------------------

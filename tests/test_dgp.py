@@ -1,7 +1,8 @@
 """Doubly-stochastic deep GP: propagation, reductions, Monte-Carlo behavior.
 
 The heavy oracle here is a from-scratch numpy/scipy implementation of the
-sparse-GP predictive equations, chained by hand through the hidden layer with
+unwhitened sparse-GP predictive equations (``gp_oracle``), fed each layer's
+posterior mapped to u-space and chained by hand through the hidden layer with
 a large reparametrized sample; the model's T-sample mixture must agree with
 it within combined Monte-Carlo standard errors.
 """
@@ -10,9 +11,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
+from gp_oracle import np_latent, u_space
 from rulkit import svgp
 from rulkit.dgp import (
     DeepGPModel,
@@ -25,24 +26,6 @@ from rulkit.params import RngStream, fd_check
 from rulkit.svgp import ObjectiveSpec, SVGPModel, latent_predict
 
 RNG = np.random.default_rng(401)
-
-
-def np_latent(layer, X):
-    """Sparse-GP latent moments, written independently of the library graph."""
-    Z = layer.inducing_points
-    ls = layer.kernel.lengthscales
-    kv = layer.kernel.variance
-
-    def k(a, b):
-        d2 = ((a[:, None, :] - b[None, :, :]) / ls) ** 2
-        return kv * np.exp(-0.5 * d2.sum(axis=2))
-
-    L = np.linalg.cholesky(k(Z, Z))
-    B = solve_triangular(L, k(X, Z).T, lower=True)
-    C = solve_triangular(L.T, B, lower=False)
-    mu = C.T @ layer.variational_mean
-    var = kv - (B * B).sum(axis=0) + ((layer.variational_cov_factor.T @ C) ** 2).sum(axis=0)
-    return mu, np.maximum(var, 1e-12)
 
 
 def _toy_dgp(depth=1, width=2, seed=2, objective_kind="elbo", **kwargs):
@@ -103,11 +86,11 @@ class TestForwardSample:
         model, X, _ = _toy_dgp()
         eps = np.zeros((1, X.shape[0], model.depth * model.width))
         mus, vars_ = forward_sample(model, X, eps=eps)
-        hidden = model.hidden_layers[0]
+        hidden = [u_space(gp) for gp in model.hidden_layers[0]]
         feats = np.column_stack(
             [np_latent(gp, X)[0] for gp in hidden] + [X]
         )
-        mu_ref, var_ref = np_latent(model.output_layer, feats)
+        mu_ref, var_ref = np_latent(u_space(model.output_layer), feats)
         np.testing.assert_allclose(mus[0], mu_ref, atol=1e-9)
         np.testing.assert_allclose(vars_[0], var_ref, atol=1e-9)
 
@@ -233,7 +216,8 @@ class TestMonteCarlo:
         se_mean = mus[:, 0].std() / math.sqrt(t)
         se_m2 = m2_samples.std() / math.sqrt(t)
 
-        hidden = model.hidden_layers[0]
+        hidden = [u_space(gp) for gp in model.hidden_layers[0]]
+        output = u_space(model.output_layer)
         stats = [np_latent(gp, xstar) for gp in hidden]
         draws = 1_000_000
         rng = np.random.default_rng(8)
@@ -246,7 +230,7 @@ class TestMonteCarlo:
                 [mu[0] + math.sqrt(var[0]) * eps[:, w] for w, (mu, var) in enumerate(stats)]
             )
             feats = np.hstack([g, np.repeat(xstar, m, axis=0)])
-            mu_f, var_f = np_latent(model.output_layer, feats)
+            mu_f, var_f = np_latent(output, feats)
             ref_mu[start : start + m] = mu_f
             ref_m2[start : start + m] = var_f + mu_f**2
         ref_se_mean = ref_mu.std() / math.sqrt(draws)

@@ -2,7 +2,8 @@
 
 The quadrature itself is validated against a 10^6-draw Monte-Carlo estimate
 and the Gaussian closed form on a linear-in-g toy integrand; the model
-objective is recomputed from predictive moments plus an independent KL oracle.
+objective is recomputed from predictive moments plus an independent KL oracle
+on each layer's posterior mapped to u-space.
 """
 
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from gp_oracle import u_space
 from rulkit import autodiff as ad
 from rulkit.dgp import DeepGPModel, forward_sample, mixture_moments
 from rulkit.dgp import objective as dgp_objective
@@ -193,7 +195,8 @@ class TestObjective:
             data_term += logsumexp(log_w + gaussian_logpdf(y_std, mu_std, var_std))
 
         kl = 0.0
-        for gp in [g for group in model.hidden_layers for g in group] + [model.output_layer]:
+        layers = [g for group in model.hidden_layers for g in group] + [model.output_layer]
+        for gp in map(u_space, layers):
             kmm = kernel_eval(gp.kernel, gp.inducing_points, gp.inducing_points)
             kl += mvn_kl(
                 MultivariateNormal(gp.variational_mean, gp.variational_cov_factor),

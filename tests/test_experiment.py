@@ -318,14 +318,16 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="already normalized"):
             checkpoint_records(model, cfg, stats, normed)
 
-    def test_format_version_enforced(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_format_version_enforced(self, tmp_path, version):
         run_experiment(tiny_mcd(), small_fleet(), small_split(), out_dir=tmp_path)
         path = tmp_path / "checkpoint.npz"
         with np.load(path) as z:
             arrays = dict(z)
-        arrays["format_version"] = np.asarray(99)
+        arrays["format_version"] = np.asarray(version)
         np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="format_version"):
+        # the message names the file's version and the one this code reads
+        with pytest.raises(ValueError, match=rf"format_version {version};.*format_version 2$"):
             load_checkpoint(path)
 
 

@@ -302,6 +302,12 @@ class TestComputeReport:
         assert "per_unit.a1.rmse" in first
         assert first.index("per_unit.a1.rmse") < first.index("per_unit.b2.rmse")
 
+    def test_alpha_lambda_values_are_builtin_floats(self):
+        report = compute_report(toy_records())
+        assert "np." not in report.to_text()
+        values = [report.alpha_lambda] + [u["alpha_lambda"] for u in report.per_unit.values()]
+        assert all(type(v) is float for v in values)
+
     def test_to_text_renders_missing_as_dash(self):
         report = compute_report([point_rec(10.0, 10.0)])
         assert "nll -" in report.to_text()

@@ -3,7 +3,9 @@
 Hand instances are built so every quantity has a closed form: inducing points
 separated by many lengthscales make K_MM the identity to float precision, so
 the latent variance reduces to the variational S_ii and the KL term to the
-standard Gaussian expression checked against mvn_kl.
+standard Gaussian expression checked against mvn_kl. The layer posterior is
+whitened; on general layers the unwhitened formulas in ``gp_oracle`` serve as
+the oracle, fed the posterior mapped to u-space.
 """
 
 import math
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gp_oracle import np_latent, u_space
 from rulkit.mathcore import (
     Kernel,
     MultivariateNormal,
@@ -27,7 +30,9 @@ from rulkit.svgp import (
     SVGPModel,
     VariationalGPLayer,
     init_inducing,
+    kl_graph,
     latent_predict,
+    layer_constants,
     objective,
     predict,
 )
@@ -122,6 +127,25 @@ class TestPredict:
         lik = LikelihoodParams(0.4)
         (dist,) = predict(layer, lik, np.array([coords]))
         assert dist.variance >= lik.obs_variance
+
+
+class TestWhitening:
+    def test_moments_and_kl_match_unwhitened_oracle(self):
+        # q(v) = N(m, S S^T) is q(u) = N(L m, L S (L S)^T) with L = chol(Kmm)
+        layer = _random_layer(seed=5)
+        unwhitened = u_space(layer)
+        X = RNG.standard_normal((7, 2))
+        mu, var = latent_predict(layer, X)
+        mu_ref, var_ref = np_latent(unwhitened, X)
+        np.testing.assert_allclose(mu, mu_ref, rtol=1e-10)
+        np.testing.assert_allclose(var, var_ref, rtol=1e-10)
+        z = layer.inducing_points
+        kl_ref = mvn_kl(
+            MultivariateNormal(unwhitened.variational_mean, unwhitened.variational_cov_factor),
+            MultivariateNormal(np.zeros(4), np.linalg.cholesky(kernel_eval(layer.kernel, z, z))),
+        )
+        kl = float(kl_graph(layer_constants(layer)).data)
+        assert kl == pytest.approx(kl_ref, rel=1e-10)
 
 
 # -- the training objectives -------------------------------------------------------
@@ -292,7 +316,7 @@ class TestSVGPModel:
         # created at q(u) = p(u): the objective must equal the pure data term,
         # which batch additivity lets us read off from singleton calls
         model, X, y = self._toy()
-        layer = model.layer()
+        layer = u_space(model.layer())
         kmm = kernel_eval(layer.kernel, layer.inducing_points, layer.inducing_points)
         kl = mvn_kl(
             MultivariateNormal(layer.variational_mean, layer.variational_cov_factor),
