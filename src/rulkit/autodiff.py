@@ -8,7 +8,14 @@ objectives actually need are implemented (dense linear algebra, reductions,
 elementwise transforms). Everything is float64.
 
 Operations whose parents all have ``requires_grad=False`` return detached
-constants, so prediction paths pay no graph overhead.
+constants, so prediction paths pay no graph overhead. Within a graph, a VJP
+returns ``None`` for a parent that needs no gradient instead of computing a
+product that would be thrown away.
+
+Gradient arrays are never changed in place. A VJP may hand back its incoming
+gradient, or a view of it, as a parent's gradient (``add`` does), so the
+backward pass takes the first contribution to a node as-is and sums later
+ones out of place.
 """
 
 from __future__ import annotations
@@ -81,9 +88,7 @@ class Tensor:
             for parent, pg in zip(node._parents, node._vjp(node.grad)):
                 if pg is None or not parent.requires_grad:
                     continue
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += pg
+                parent.grad = pg if parent.grad is None else parent.grad + pg
 
     # -- operator sugar --------------------------------------------------
 
@@ -175,14 +180,20 @@ def _unbroadcast(g: Array, shape: tuple) -> Array:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
 
     return _make(a.data + b.data, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.data.shape) if b.requires_grad else None,
+        )
 
     return _make(a.data - b.data, (a, b), vjp)
 
@@ -190,8 +201,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         )
 
     return _make(a.data * b.data, (a, b), vjp)
@@ -200,8 +211,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def div(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
+            _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
+            (
+                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+                if b.requires_grad
+                else None
+            ),
         )
 
     return _make(a.data / b.data, (a, b), vjp)
@@ -221,14 +236,49 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         if ad.ndim == 2 and bd.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        if ad.ndim == 2 and bd.ndim == 1:
-            return np.outer(g, bd), ad.T @ g
-        if ad.ndim == 1 and bd.ndim == 2:
-            return bd @ g, np.outer(ad, g)
-        return g * bd, g * ad
+            ga = g @ bd.T if a.requires_grad else None
+            gb = ad.T @ g if b.requires_grad else None
+        elif ad.ndim == 2 and bd.ndim == 1:
+            ga = np.outer(g, bd) if a.requires_grad else None
+            gb = ad.T @ g if b.requires_grad else None
+        elif ad.ndim == 1 and bd.ndim == 2:
+            ga = bd @ g if a.requires_grad else None
+            gb = np.outer(ad, g) if b.requires_grad else None
+        else:
+            ga = g * bd if a.requires_grad else None
+            gb = g * ad if b.requires_grad else None
+        return ga, gb
 
     return _make(out, (a, b), vjp)
+
+
+def dense_relu(x: Tensor, w: Tensor, b: Tensor, mask: Optional[Array] = None) -> Tensor:
+    """One hidden layer, ``relu(x @ w + b) * mask``, as a single node.
+
+    ``mask`` is a constant array (or None for no mask). The bias, relu and
+    mask are applied in place on the fresh matmul output, and the VJP forms
+    the same products in the same order as the composed graph
+    ``relu(x @ w + b) * constant(mask)``, so values and gradients match it
+    bit for bit.
+    """
+    xd, wd = x.data, w.data
+    out = xd @ wd
+    out += b.data
+    np.maximum(out, 0.0, out=out)
+    if mask is not None:
+        out *= mask
+
+    def vjp(g):
+        if mask is not None:
+            g = g * mask
+        gz = g * (out > 0.0)
+        return (
+            gz @ wd.T if x.requires_grad else None,
+            xd.T @ gz if w.requires_grad else None,
+            gz.sum(axis=0) if b.requires_grad else None,
+        )
+
+    return _make(out, (x, w, b), vjp)
 
 
 # -- reductions and shape -------------------------------------------------

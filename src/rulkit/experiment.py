@@ -23,7 +23,7 @@ from .dgp import DeepGPModel
 from .dspp import DSPPModel
 from .mathcore import NumericalError
 from .mcd import MCDModel
-from .metrics import MetricsReport, PredictionRecord, _gather, compute_report
+from .metrics import MetricsReport, PredictionRecord, _columns, _gather, compute_report
 from .params import GradientError, OptimizerState, RngStream, adam_step, minibatch_iter
 from .svgp import ObjectiveSpec, SVGPModel
 
@@ -397,17 +397,21 @@ def run_experiment(
             batch_losses.append(loss)
         epoch_objectives.append(float(np.mean(batch_losses)))
 
-    val_report, val_records = None, []
+    # each record list is gathered into columns once, for its report and
+    # its predictions file
+    val_report, val_records, val_cols = None, [], None
     if val is not None:
         X_v, y_v, uid_v, t_v = val
         preds = model.predictive(X_v, rng=rng.derive(3))
         val_records = _records(preds, y_v, uid_v, t_v, config.rul_cap)
-        val_report = compute_report(val_records, config.alpha)
+        val_cols = _gather(val_records)
+        val_report = compute_report(val_cols, config.alpha)
 
     X_te, y_te, uid_te, t_te = stack_rows(normed, list(split.test_ids))
     preds = model.predictive(X_te, rng=rng.derive(4))
     test_records = _records(preds, y_te, uid_te, t_te, config.rul_cap)
-    test_report = compute_report(test_records, config.alpha)
+    test_cols = _gather(test_records)
+    test_report = compute_report(test_cols, config.alpha)
 
     result = ExperimentResult(
         config, val_report, test_report, epoch_objectives, val_records, test_records
@@ -433,8 +437,8 @@ def run_experiment(
             for e, v in enumerate(epoch_objectives):
                 fh.write(f"{e},{repr(v)}\n")
         if val_records:
-            write_predictions(out / "predictions_val.csv", val_records)
-        write_predictions(out / "predictions_test.csv", test_records)
+            write_predictions(out / "predictions_val.csv", val_cols)
+        write_predictions(out / "predictions_test.csv", test_cols)
     return result
 
 
@@ -505,9 +509,10 @@ def checkpoint_records(
 
 def write_predictions(path, records: list):
     """Delimited predictions, one row per (unit, t); mixture components are
-    appended as extra columns when every record carries the same count."""
-    c = _gather(records)
-    n = len(records)
+    appended as extra columns when every record carries the same count.
+    ``records`` may also be the columns ``metrics._gather`` made of them."""
+    c = _columns(records)
+    n = len(c)
     with_components = n > 0 and c.mixture.all() and (c.counts == c.counts[0]).all()
     header = ["unit_id", "t", "rul_true", "pred_mean", "pred_variance"]
     if with_components:
@@ -515,10 +520,10 @@ def write_predictions(path, records: list):
             header += [f"w_{j}", f"mean_{j}", f"var_{j}"]
         comps = np.stack([c.weights, c.means, c.variances], axis=2).reshape(n, -1)
     lines = [",".join(header)]
-    rows = zip(records, c.rul.tolist(), c.mean.tolist(), c.var.tolist(), c.point.tolist())
-    for i, (r, rul, mean, var, point) in enumerate(rows):
+    rows = zip(c.unit, c.time, c.rul.tolist(), c.mean.tolist(), c.var.tolist(), c.point.tolist())
+    for i, (unit, t, rul, mean, var, point) in enumerate(rows):
         var = "-" if point else repr(var)
-        line = f"{r.unit_id},{r.time_index},{rul!r},{mean!r},{var}"
+        line = f"{unit},{t},{rul!r},{mean!r},{var}"
         if with_components:
             line = ",".join([line, *map(repr, comps[i].tolist())])
         lines.append(line)

@@ -1,8 +1,10 @@
 """MC-dropout multilayer perceptron baselines.
 
 A rectifier MLP trained with inverted dropout: each hidden activation is
-multiplied by a Bernoulli(p) mask and divided by the keep probability p, so
-the masked pass is unbiased for the maskless one. Training minimizes
+multiplied by a Bernoulli(p) mask divided by the keep probability p, so the
+masked pass is unbiased for the maskless one. Masks carry that 1/p: a drawn
+mask holds 0 for a dropped unit and 1/p for a kept one. Each hidden layer is
+one ``autodiff.dense_relu`` node. Training minimizes
 
     1/N sum_i E(y_i, f(x_i)) + lambda_wd sum_l ||W_l||^2
 
@@ -64,35 +66,26 @@ class MLP:
 
 @dataclass
 class DropoutMask:
-    """Per-hidden-layer binary masks; row-shaped to the batch they apply to."""
+    """Per-hidden-layer inverted-dropout multipliers in {0, 1/p}; row-shaped
+    to the batch they apply to."""
 
     layer_masks: list
 
 
-@dataclass
-class MCPredictive:
-    """Moments plus the raw (mean, noise variance) pairs behind them."""
-
-    mean: float
-    variance: float
-    raw_draws: np.ndarray
-
-
 def sample_mask(net: MLP, n: int, rng: RngStream) -> DropoutMask:
-    """Fresh Bernoulli(keep_prob) masks for every hidden unit of an n-row batch."""
-    return DropoutMask(
-        [rng.bernoulli(net.keep_prob, size=(n, h)) for h in net.hidden_sizes]
-    )
+    """Fresh masks for every hidden unit of an n-row batch: 1/keep_prob where
+    a Bernoulli(keep_prob) draw keeps the unit, 0 where it drops it."""
+    p = net.keep_prob
+    return DropoutMask([(rng.random((n, h)) < p) * (1.0 / p) for h in net.hidden_sizes])
 
 
-def _forward_graph(weights, biases, x: Tensor, masks, keep_prob: float, heteroscedastic: bool):
-    """Shared forward pass; weights/biases/x are Tensors, masks numpy or None."""
+def _forward_graph(weights, biases, x: Tensor, masks, heteroscedastic: bool):
+    """Shared forward pass; weights/biases/x are Tensors, masks a
+    ``DropoutMask`` of pre-scaled numpy arrays or None."""
     h = x
-    hidden = len(weights) - 1
-    for i in range(hidden):
-        h = ad.relu(h @ weights[i] + biases[i])
-        if masks is not None:
-            h = h * ad.constant(masks.layer_masks[i]) * (1.0 / keep_prob)
+    for i in range(len(weights) - 1):
+        mask = None if masks is None else masks.layer_masks[i]
+        h = ad.dense_relu(h, weights[i], biases[i], mask)
     out = h @ weights[-1] + biases[-1]
     mean = out[:, 0]
     if heteroscedastic:
@@ -113,7 +106,7 @@ def forward(net: MLP, x: np.ndarray, mask: Optional[DropoutMask] = None):
     masks = None
     if mask is not None:
         masks = DropoutMask([np.atleast_2d(m) for m in mask.layer_masks])
-    mean, noise = _forward_graph(wts, bts, ad.constant(xb), masks, net.keep_prob, net.heteroscedastic)
+    mean, noise = _forward_graph(wts, bts, ad.constant(xb), masks, net.heteroscedastic)
     mean = mean.data
     noise = noise.data if noise is not None else None
     if single:
@@ -133,7 +126,7 @@ def loss(net: MLP, X: np.ndarray, y: np.ndarray, weight_decay: float, rng: RngSt
 
 
 def _loss_graph(weights, biases, x, y, masks, net_cfg, weight_decay: float) -> Tensor:
-    mean, noise = _forward_graph(weights, biases, x, masks, net_cfg.keep_prob, net_cfg.heteroscedastic)
+    mean, noise = _forward_graph(weights, biases, x, masks, net_cfg.heteroscedastic)
     if net_cfg.heteroscedastic:
         resid = y - mean
         fit = ((ad.log(noise) + resid * resid / noise + np.log(2.0 * np.pi)) * 0.5).mean()
@@ -145,30 +138,6 @@ def _loss_graph(weights, biases, x, y, masks, net_cfg, weight_decay: float) -> T
         term = (w * w).sum()
         penalty = term if penalty is None else penalty + term
     return fit + penalty * weight_decay
-
-
-def mc_predict(net: MLP, x: np.ndarray, num_samples: int, rng: RngStream) -> MCPredictive:
-    """Dropout-averaged predictive moments at a single input."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("mc_predict takes a single input vector")
-    if num_samples < 1:
-        raise ValueError("need at least one sample")
-    draws = np.zeros((num_samples, 2))
-    for t in range(num_samples):
-        mask = sample_mask(net, 1, rng)
-        f, tau = forward(net, x[None, :], mask)
-        draws[t, 0] = f[0]
-        draws[t, 1] = tau[0] if tau is not None else net.noise_variance
-    mean = float(draws[:, 0].mean())
-    epistemic = float(np.mean((draws[:, 0] - mean) ** 2))
-    return MCPredictive(mean=mean, variance=float(draws[:, 1].mean()) + epistemic, raw_draws=draws)
-
-
-def ffnn_predict(net: MLP, x: np.ndarray):
-    """Point prediction from the maskless pass."""
-    mean, _ = forward(net, x)
-    return mean
 
 
 class MCDModel:
@@ -327,6 +296,8 @@ class MCDModel:
     def predictive(self, X, rng: Optional[RngStream] = None):
         """Per-row predictive: Gaussians from MC moments, or point estimates."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        if X.ndim != 2 or X.shape[1] != self.input_dim:
+            raise ValueError(f"expected inputs of shape (n, {self.input_dim}), got {X.shape}")
         net = self.net()
         s = self.target_scale
         if self.point_baseline:

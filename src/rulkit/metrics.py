@@ -17,7 +17,9 @@ the per-sample mean, stated in the report header.
 
 Scoring gathers the records into columns once (``_gather``) and evaluates
 every metric as an array expression over them; the per-unit breakdown
-reduces the same per-row terms over each unit's rows.
+reduces the same per-row terms over each unit's rows. ``compute_report`` and
+``experiment.write_predictions`` also accept columns already gathered, so a
+caller that does both gathers once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dgp import MixturePredictive
 from .mathcore import GaussianDist, NumericalError, gaussian_cdf, gaussian_logpdf
@@ -77,6 +78,7 @@ class _Columns:
 
     rul: np.ndarray  # (n,)
     unit: list  # (n,) unit ids
+    time: list  # (n,) time indices
     counts: np.ndarray  # (n,) components per row
     weights: np.ndarray  # (n, K)
     means: np.ndarray  # (n, K)
@@ -86,16 +88,20 @@ class _Columns:
     mean: np.ndarray  # (n,)
     var: np.ndarray  # (n,)
 
+    def __len__(self) -> int:
+        return len(self.rul)
+
 
 def _gather(records: list[PredictionRecord]) -> _Columns:
     """One pass over the records into columns; moments computed once."""
     n = len(records)
-    rul, unit, mean, var = [], [], [], []
+    rul, unit, time, mean, var = [], [], [], [], []
     mix_rows, point_rows, ws, ms, vs = [], [], [], [], []
     for i, r in enumerate(records):
         p = r.predictive
         rul.append(r.rul_true)
         unit.append(r.unit_id)
+        time.append(r.time_index)
         if isinstance(p, MixturePredictive):
             mix_rows.append(i)
             ws.append(p.weights)
@@ -142,9 +148,14 @@ def _gather(records: list[PredictionRecord]) -> _Columns:
         second = np.matmul(W[:, None, :], (V + M * M)[:, :, None])[:, 0, 0]
         mean[mixture], var[mixture] = mu[mixture], (second - mu * mu)[mixture]
     return _Columns(
-        np.array(rul, dtype=np.float64), unit, counts,
+        np.array(rul, dtype=np.float64), unit, time, counts,
         W, M, V, point, mixture, mean, var,
     )
+
+
+def _columns(records) -> _Columns:
+    """Records gathered into columns; columns gathered already pass through."""
+    return records if isinstance(records, _Columns) else _gather(records)
 
 
 # -- per-row terms and their reductions ------------------------------------------
@@ -158,8 +169,24 @@ def _neg_logpdf(c: _Columns) -> np.ndarray:
     for start in range(0, len(out), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         comp = gaussian_logpdf(c.rul[rows, None], c.means[rows], c.variances[rows])
-        out[rows] = -logsumexp(comp, axis=1, b=c.weights[rows])
+        out[rows] = -_log_mix(comp, c.weights[rows])
     return out
+
+
+def _log_mix(comp: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per row, log sum_k w_k exp(comp_k), overwriting ``comp``.
+
+    The stable form: each row is shifted by its largest component among those
+    of nonzero weight, so zero-padded components cannot set the shift.
+    """
+    np.copyto(comp, -np.inf, where=weights == 0.0)
+    top = comp.max(axis=1, keepdims=True)
+    top[np.isneginf(top)] = 0.0  # every density vanished: the log of 0 is -inf
+    comp -= top
+    np.exp(comp, out=comp)
+    comp *= weights
+    with np.errstate(divide="ignore"):
+        return np.log(comp.sum(axis=1)) + top[:, 0]
 
 
 def _band_hits(c: _Columns, alpha: float) -> np.ndarray:
@@ -289,9 +316,12 @@ def _fmt(value) -> str:
 
 
 def compute_report(records: list[PredictionRecord], alpha: float = 0.2) -> MetricsReport:
-    """Metrics over all records plus a per-unit breakdown."""
+    """Metrics over all records plus a per-unit breakdown.
+
+    ``records`` may also be the columns ``_gather`` made of them.
+    """
     _require_records(records)
-    c = _gather(records)
+    c = _columns(records)
     has_dist = not c.point.any()
     band = c.rul > 0.0
     errors = c.mean - c.rul

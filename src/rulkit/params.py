@@ -292,34 +292,31 @@ class RngStream:
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((self.seed,) + self.path))
         )
-        self.draw_count = 0
 
     def derive(self, *indices: int) -> "RngStream":
         return RngStream(self.seed, self.path + tuple(indices))
 
     def normal(self, size=None) -> np.ndarray:
-        self.draw_count += 1
         return self._gen.standard_normal(size)
 
     def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
-        self.draw_count += 1
         return self._gen.uniform(low, high, size)
 
+    def random(self, size=None) -> np.ndarray:
+        """Uniform [0, 1) draws; the same values ``uniform(size=size)`` gives."""
+        return self._gen.random(size)
+
     def integers(self, low, high=None, size=None) -> np.ndarray:
-        self.draw_count += 1
         return self._gen.integers(low, high, size)
 
     def permutation(self, n: int) -> np.ndarray:
-        self.draw_count += 1
         return self._gen.permutation(n)
 
     def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
-        self.draw_count += 1
         return self._gen.choice(n, size=size, replace=replace)
 
     def bernoulli(self, p: float, size) -> np.ndarray:
-        self.draw_count += 1
-        return (self._gen.uniform(size=size) < p).astype(np.float64)
+        return (self._gen.random(size) < p).astype(np.float64)
 
 
 # -- minibatching ------------------------------------------------------------------

@@ -235,3 +235,109 @@ class TestGraphMechanics:
         out = ad.total(sq + sq)
         out.backward()
         assert t.grad.tolist() == [12.0]
+
+    def test_shared_node_keeps_every_gradient(self):
+        # add hands its incoming gradient to both parents as the same array;
+        # summing later contributions out of place leaves each node's own
+        # gradient as the reference value after the pass
+        x = ad.leaf(np.array([3.0, -1.0]))
+        y = x * x
+        doubled = y + y
+        out = ad.total(doubled)
+        out.backward()
+        assert x.grad.tolist() == [12.0, -4.0]
+        assert y.grad.tolist() == [2.0, 2.0]
+        assert doubled.grad.tolist() == [1.0, 1.0]
+
+    def test_pass_through_add_gradient_is_not_changed(self):
+        # x's first contribution is u's gradient itself (add passes it
+        # through); x's second contribution must not be summed into it
+        x = ad.leaf(np.array([1.0, 2.0]))
+        v = ad.leaf(np.array([0.5, -0.5]))
+        c = ad.constant(np.array([3.0, 4.0]))
+        d = ad.constant(np.array([10.0, 20.0]))
+        u = x + v
+        out = ad.total(u * c) + ad.total(x * d)
+        out.backward()
+        assert x.grad.tolist() == [13.0, 24.0]
+        assert v.grad.tolist() == [3.0, 4.0]
+        assert u.grad.tolist() == [3.0, 4.0]
+
+    def test_constant_parents_get_no_gradient(self):
+        # binary VJPs skip parents that need no gradient
+        t = ad.leaf(np.ones((2, 3)))
+        c = ad.constant(np.full((3, 2), 2.0))
+        out = ad.total(ad.matmul(t, c) * ad.constant(3.0) - ad.constant(1.0))
+        stack, binary = [out], 0
+        while stack:
+            node = stack.pop()
+            if node._vjp is None:
+                continue
+            grads = node._vjp(np.ones_like(node.data))
+            binary += len(node._parents) == 2
+            for parent, pg in zip(node._parents, grads):
+                assert (pg is None) == (not parent.requires_grad)
+            stack.extend(node._parents)
+        assert binary == 3
+
+
+class TestDenseRelu:
+    """The fused layer against the composed graph it replaces."""
+
+    P = 0.6
+
+    def _inputs(self, n=5, d=3, h=4, seed=0):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d))
+        w = rng.standard_normal((d, h))
+        b = rng.standard_normal(h)
+        mask = (rng.random((n, h)) < self.P) * (1.0 / self.P)
+        return x, w, b, mask
+
+    @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize("x_is_leaf", [True, False])
+    def test_bit_identical_to_composed_graph(self, masked, x_is_leaf):
+        x0, w0, b0, mask = self._inputs()
+        mask = mask if masked else None
+        up = np.random.default_rng(1).standard_normal((5, 4))  # a downstream weighting
+
+        def run(fused):
+            x = ad.leaf(x0) if x_is_leaf else ad.constant(x0)
+            w, b = ad.leaf(w0), ad.leaf(b0)
+            if fused:
+                h = ad.dense_relu(x, w, b, mask)
+            else:
+                h = ad.relu(x @ w + b)
+                if mask is not None:
+                    h = h * ad.constant(mask)
+            out = ad.total(h * ad.constant(up))
+            out.backward()
+            return h.data, [t.grad for t in (x, w, b)]
+
+        (h_f, g_f), (h_c, g_c) = run(True), run(False)
+        np.testing.assert_array_equal(h_f, h_c)
+        for gf, gc in zip(g_f, g_c):
+            if gc is None:
+                assert gf is None
+            else:
+                assert gf.tobytes() == gc.tobytes()
+        assert (g_f[0] is None) == (not x_is_leaf)
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_against_fd(self, masked):
+        x0, w0, b0, mask = self._inputs(n=4, d=2, h=3)
+        mask = mask if masked else None
+        sizes = np.cumsum([x0.size, w0.size])
+
+        def build(t):
+            x = ad.reshape(ad.take(t, np.arange(sizes[0])), x0.shape)
+            w = ad.reshape(ad.take(t, np.arange(sizes[0], sizes[1])), w0.shape)
+            b = ad.take(t, np.arange(sizes[1], sizes[1] + b0.size))
+            h = ad.dense_relu(x, w, b, mask)
+            return ad.total(h * h)
+
+        # finite differences need pre-activations away from the relu kink
+        theta = np.concatenate([x0.ravel(), w0.ravel(), b0])
+        pre = x0 @ w0 + b0
+        assert np.min(np.abs(pre)) > 1e-3
+        check_grad(build, theta)

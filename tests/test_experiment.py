@@ -15,7 +15,7 @@ import pytest
 from rulkit.data import FleetDataset, SplitSpec, UnitSeries, load_fleet, normalize, synth_fleet
 from rulkit.dgp import MixturePredictive
 from rulkit.mathcore import GaussianDist
-from rulkit.metrics import PointPredictive, PredictionRecord, compute_report
+from rulkit.metrics import PointPredictive, PredictionRecord, _gather, compute_report
 from rulkit.params import RngStream
 from rulkit.experiment import (
     KEEP_PROB_GRID,
@@ -489,6 +489,20 @@ class TestWritePredictions:
             "u1,0,3.0,3.0,4.0,0.25,0.0,1.0,0.75,4.0,1.0\n"
             "u1,1,2.0,2.0,3.0,0.5,1.0,2.0,0.5,3.0,2.0\n"
         )
+
+    def test_gathered_columns_give_the_same_outputs(self, tmp_path):
+        # run_experiment and evaluate gather a record list once and hand the
+        # columns to both compute_report and write_predictions
+        records = [
+            PredictionRecord("u2", 3, 3.0, GaussianDist(2.0, 1.0)),
+            PredictionRecord("u1", 1, 0.0, MixturePredictive([0.25, 0.75], [0.0, 4.0], [1.0, 1.0])),
+            PredictionRecord("u1", 2, 1.5, MixturePredictive([1.0], [2.5], [0.5])),
+        ]
+        cols = _gather(records)
+        write_predictions(tmp_path / "records.csv", records)
+        write_predictions(tmp_path / "columns.csv", cols)
+        assert (tmp_path / "records.csv").read_bytes() == (tmp_path / "columns.csv").read_bytes()
+        assert compute_report(cols).to_text() == compute_report(records).to_text()
 
 
 class TestFamilyTable:

@@ -11,18 +11,18 @@ import math
 import numpy as np
 import pytest
 
+import rulkit.autodiff as ad
 from rulkit.mcd import (
     MCDModel,
     MLP,
+    NOISE_FLOOR,
     DropoutMask,
-    ffnn_predict,
     forward,
     loss,
-    mc_predict,
     sample_mask,
 )
 from rulkit.metrics import PointPredictive
-from rulkit.params import OptimizerState, RngStream, adam_step, fd_check
+from rulkit.params import OptimizerState, RngStream, adam_step, fd_check, value_and_grad
 
 RNG = np.random.default_rng(900)
 
@@ -50,6 +50,27 @@ def _rigged_net(keep_prob=0.5):
         keep_prob=keep_prob,
         heteroscedastic=True,
     )
+
+
+def _model_of(net: MLP, test_samples: int) -> MCDModel:
+    """A model in raw target space (shift 0, scale 1) carrying net's weights;
+    every hidden layer of net must have the same width."""
+    widths = set(net.hidden_sizes)
+    assert len(widths) == 1
+    model = MCDModel.create(
+        np.zeros((1, net.weights[0].shape[0])),
+        np.zeros(1),
+        hidden_layers=net.num_hidden,
+        hidden_units=widths.pop(),
+        keep_prob=net.keep_prob,
+        heteroscedastic=net.heteroscedastic,
+        test_samples=test_samples,
+        standardize_targets=False,
+    )
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        model.params.set_value(f"w{i}", w)
+        model.params.set_value(f"b{i}", b)
+    return model
 
 
 def _random_net(input_dim=2, hidden=(8, 6), heteroscedastic=True, keep_prob=0.7, seed=0):
@@ -163,38 +184,141 @@ class TestLoss:
 
 
 class TestMcPredict:
+    """MCDModel.predictive on models carrying hand-set weights."""
+
     def test_rigged_two_draw_moments(self):
         # find a stream whose first two Bernoulli(1/2) draws are keep, drop:
         # the two passes then give exactly 3 and 1, tau constant 1/2, so
         # mean = 2 and variance = 0.5 + 1.0 = 1.5
         net = _rigged_net()
+        model = _model_of(net, test_samples=2)
+        x = np.array([[0.0]])
 
         def first_two(s):
             r = RngStream(s)
-            return tuple(r.bernoulli(0.5, (1, 1))[0, 0] for _ in range(2))
+            return tuple(sample_mask(net, 1, r).layer_masks[0][0, 0] > 0.0 for _ in range(2))
 
-        seed = next(s for s in range(1000) if first_two(s) == (1.0, 0.0))
-        pred = mc_predict(net, np.array([0.0]), num_samples=2, rng=RngStream(seed))
-        np.testing.assert_array_equal(np.sort(pred.raw_draws[:, 0]), [1.0, 3.0])
+        seed = next(s for s in range(1000) if first_two(s) == (True, False))
+        r = RngStream(seed)
+        raw = [forward(net, x, sample_mask(net, 1, r))[0][0] for _ in range(2)]
+        np.testing.assert_array_equal(np.sort(raw), [1.0, 3.0])
+        (pred,) = model.predictive(x, rng=RngStream(seed))
         assert pred.mean == pytest.approx(2.0, abs=1e-14)
         assert pred.variance == pytest.approx(1.5, abs=1e-14)
 
     def test_full_keep_leaves_only_noise_variance(self):
-        net = _rigged_net(keep_prob=1.0)
-        pred = mc_predict(net, np.array([0.0]), num_samples=16, rng=RngStream(3))
+        model = _model_of(_rigged_net(keep_prob=1.0), test_samples=16)
+        (pred,) = model.predictive(np.array([[0.0]]), rng=RngStream(3))
         assert pred.mean == pytest.approx(2.0, abs=1e-14)
         assert pred.variance == pytest.approx(0.5, abs=1e-14)
 
     def test_variance_at_least_smallest_noise_draw(self):
-        net = _random_net(seed=11, keep_prob=0.5)
+        net = _random_net(hidden=(8, 8), seed=11, keep_prob=0.5)
+        model = _model_of(net, test_samples=32)
         for _ in range(5):
-            x = RNG.standard_normal(2)
-            pred = mc_predict(net, x, num_samples=32, rng=RngStream(int(abs(x[0]) * 1e6)))
-            assert pred.variance >= pred.raw_draws[:, 1].min() - 1e-9
+            x = RNG.standard_normal((1, 2))
+            seed = int(abs(x[0, 0]) * 1e6)
+            (pred,) = model.predictive(x, rng=RngStream(seed))
+            r = RngStream(seed)
+            taus = [forward(net, x, sample_mask(net, 1, r))[1][0] for _ in range(32)]
+            assert pred.variance >= min(taus) - 1e-9
 
-    def test_rejects_batch_input(self):
-        with pytest.raises(ValueError):
-            mc_predict(_rigged_net(), np.zeros((2, 1)), 4, RngStream(0))
+    def test_rejects_input_of_wrong_shape(self):
+        model = _model_of(_rigged_net(), test_samples=4)
+        for bad in (np.zeros((2, 1, 1)), np.zeros((2, 3))):
+            with pytest.raises(ValueError):
+                model.predictive(bad, RngStream(0))
+
+
+class TestAgainstComposedGraph:
+    """Training and prediction against a literal copy of the earlier code:
+    five nodes per hidden layer with binary masks divided by keep_prob, and
+    the per-pass prediction loop. Values must match bit for bit."""
+
+    @staticmethod
+    def _forward_graph(weights, biases, x, masks, keep_prob, heteroscedastic):
+        h = x
+        hidden = len(weights) - 1
+        for i in range(hidden):
+            h = ad.relu(h @ weights[i] + biases[i])
+            if masks is not None:
+                h = h * ad.constant(masks[i]) * (1.0 / keep_prob)
+        out = h @ weights[-1] + biases[-1]
+        mean = out[:, 0]
+        if heteroscedastic:
+            return mean, ad.clamp_min(ad.exp(out[:, 1]), NOISE_FLOOR)
+        return mean, None
+
+    @staticmethod
+    def _masks(model, n, rng):
+        return [rng.bernoulli(model.keep_prob, size=(n, model.hidden_units))
+                for _ in range(model.hidden_layers)]
+
+    def _objective_grad(self, model, X, y, rng):
+        masks = self._masks(model, X.shape[0], rng)
+
+        def build(view):
+            n = len(model._shapes())
+            weights = [view.get(f"w{i}") for i in range(n)]
+            biases = [view.get(f"b{i}") for i in range(n)]
+            x = ad.constant(X)
+            yt = ad.constant((y - model.target_shift) / model.target_scale)
+            mean, noise = self._forward_graph(
+                weights, biases, x, masks, model.keep_prob, model.heteroscedastic
+            )
+            if model.heteroscedastic:
+                resid = yt - mean
+                fit = ((ad.log(noise) + resid * resid / noise + np.log(2.0 * np.pi)) * 0.5).mean()
+            else:
+                resid = yt - mean
+                fit = (resid * resid).mean()
+            penalty = None
+            for w in weights:
+                term = (w * w).sum()
+                penalty = term if penalty is None else penalty + term
+            return fit + penalty * model.weight_decay
+
+        return value_and_grad(model.params, build)
+
+    def _predictive(self, model, X, rng):
+        net = model.net()
+        wts = [ad.constant(w) for w in net.weights]
+        bts = [ad.constant(b) for b in net.biases]
+        n, t = X.shape[0], model.test_samples
+        draws = np.zeros((t, n))
+        taus = np.zeros((t, n))
+        for k in range(t):
+            masks = self._masks(model, n, rng)
+            f, tau = self._forward_graph(
+                wts, bts, ad.constant(X), masks, net.keep_prob, net.heteroscedastic
+            )
+            draws[k] = f.data
+            taus[k] = tau.data if tau is not None else net.noise_variance
+        mean = draws.mean(axis=0)
+        var = taus.mean(axis=0) + np.mean((draws - mean) ** 2, axis=0)
+        s = model.target_scale
+        return [(m * s + model.target_shift, max(v, NOISE_FLOOR) * s * s)
+                for m, v in zip(mean, var)]
+
+    @pytest.mark.parametrize("heteroscedastic", [True, False])
+    def test_training_and_prediction_bit_identical(self, heteroscedastic):
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((40, 3))
+        y = X @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.standard_normal(40)
+        model = MCDModel.create(
+            X, y, hidden_layers=3, hidden_units=7, keep_prob=0.6,
+            heteroscedastic=heteroscedastic, test_samples=9, rng=RngStream(4),
+        )
+        state = OptimizerState(learning_rate=1e-2)
+        for step in range(3):
+            want = self._objective_grad(model, X, y, RngStream(50 + step))
+            want_grad = model.params.grad.copy()
+            got = model.objective_grad(X, y, rng=RngStream(50 + step))
+            assert got == want
+            assert model.params.grad.tobytes() == want_grad.tobytes()
+            adam_step(state, model.params)
+        got = [(d.mean, d.variance) for d in model.predictive(X, rng=RngStream(8))]
+        assert got == self._predictive(model, X, RngStream(8))
 
 
 # -- trainable model -------------------------------------------------------------------
@@ -225,7 +349,7 @@ class TestMCDModel:
         model, X, y = self._toy(point_baseline=True, heteroscedastic=False)
         preds = model.predictive(X)
         assert all(isinstance(p, PointPredictive) for p in preds)
-        raw = ffnn_predict(model.net(), X)
+        raw, _ = forward(model.net(), X)
         np.testing.assert_allclose(
             [p.value for p in preds],
             raw * model.target_scale + model.target_shift,

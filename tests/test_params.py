@@ -340,6 +340,15 @@ class TestRngStream:
         assert set(np.unique(draws)) <= {0.0, 1.0}
         assert abs(draws.mean() - 0.3) < 0.03
 
+    def test_random_draws_the_values_uniform_draws(self):
+        # dropout masks moved from uniform(size=...) to random(size); the
+        # stream must give the same bits, so trained models do not change
+        for size in [(7, 5), (3,), ()]:
+            a, b = RngStream(6).derive(1), RngStream(6).derive(1)
+            for _ in range(3):
+                got, want = np.asarray(a.random(size)), np.asarray(b.uniform(size=size))
+                assert got.tobytes() == want.tobytes()
+
     def test_choice_without_replacement(self):
         picks = RngStream(4).choice(10, size=10)
         assert sorted(picks) == list(range(10))
