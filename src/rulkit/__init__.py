@@ -20,7 +20,7 @@ from .data import (
     stack_rows,
     synth_fleet,
 )
-from .dgp import DeepGPModel, MixturePredictive, mixture_moments
+from .dgp import DeepGPModel
 from .dspp import DSPPModel, init_sigma_points
 from .experiment import (
     ConfigDataMismatch,
@@ -53,8 +53,8 @@ from .mathcore import (
 from .mcd import MCDModel
 from .metrics import (
     MetricsReport,
-    PointPredictive,
-    PredictionRecord,
+    Predictions,
+    Records,
     alpha_lambda,
     compute_report,
     nll,
@@ -84,8 +84,6 @@ __all__ = [
     "stack_rows",
     "synth_fleet",
     "DeepGPModel",
-    "MixturePredictive",
-    "mixture_moments",
     "DSPPModel",
     "init_sigma_points",
     "ConfigDataMismatch",
@@ -114,8 +112,8 @@ __all__ = [
     "mvn_kl",
     "MCDModel",
     "MetricsReport",
-    "PointPredictive",
-    "PredictionRecord",
+    "Predictions",
+    "Records",
     "alpha_lambda",
     "compute_report",
     "nll",

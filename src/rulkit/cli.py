@@ -28,7 +28,7 @@ from .experiment import (
     write_predictions,
 )
 from .mathcore import NumericalError
-from .metrics import _gather, compute_report
+from .metrics import compute_report
 from .params import GradientError
 
 _TABLE_KINDS = tuple(k for kinds in TABLE_FAMILIES.values() for k in kinds)
@@ -134,11 +134,11 @@ def _cmd_evaluate(args) -> int:
         cfg = cfg.replace(alpha=args.alpha)
     data = load_fleet(args.data)
     ids = _comma_list(args.units) if args.units else None
-    cols = _gather(checkpoint_records(model, cfg, stats, data, ids))
-    report = compute_report(cols, cfg.alpha)
+    records = checkpoint_records(model, cfg, stats, data, ids)
+    report = compute_report(records, cfg.alpha)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_predictions(out / "predictions.csv", cols)
+    write_predictions(out / "predictions.csv", records)
     (out / "report.txt").write_text(report.to_text() + "\n")
     (out / "report.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"

@@ -16,7 +16,6 @@ happens and objective and predictions agree with :mod:`rulkit.svgp` exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,6 +26,7 @@ from .autodiff import Tensor
 from .mathcore import Kernel
 # unused here, but the benchmark's span timer rebinds this module's name
 from .mathcore import cholesky_jittered  # noqa: F401
+from .metrics import Predictions
 from .params import IDENTITY, POSITIVE, CholeskyFactor, ParamVector, ParamView, RngStream, value_and_grad
 from .svgp import (
     DEFAULT_JITTER,
@@ -42,40 +42,6 @@ from .svgp import (
 )
 
 _PREDICT_CHUNK = 512
-
-
-@dataclass
-class MixturePredictive:
-    """Finite Gaussian mixture over a scalar, stored as parallel arrays."""
-
-    weights: np.ndarray
-    means: np.ndarray
-    variances: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.variances = np.asarray(self.variances, dtype=np.float64)
-        k = self.weights.shape[0]
-        if k < 1 or self.means.shape != (k,) or self.variances.shape != (k,):
-            raise ValueError("weights, means and variances must be equal-length vectors")
-        if np.any(self.weights < 0.0):
-            raise ValueError("mixture weights must be nonnegative")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights sum to {self.weights.sum()!r}, not 1")
-        if np.any(self.variances <= 0.0):
-            raise ValueError("mixture component variances must be positive")
-
-    @property
-    def num_components(self) -> int:
-        return self.weights.shape[0]
-
-
-def mixture_moments(p: MixturePredictive) -> tuple[float, float]:
-    """Mean and variance of the mixture in closed form."""
-    mean = float(p.weights @ p.means)
-    second = float(p.weights @ (p.variances + p.means * p.means))
-    return mean, second - mean * mean
 
 
 # -- differentiable propagation (shared with the sigma-point variant) ----------
@@ -434,28 +400,24 @@ class DeepGPModel:
 
     # -- prediction -------------------------------------------------------------
 
-    def predictive(self, X, rng: Optional[RngStream] = None) -> list[MixturePredictive]:
-        """Equal-weight Gaussian mixture over sampled forward passes, per row."""
+    def predictive(self, X, rng: Optional[RngStream] = None) -> Predictions:
+        """Equal-weight Gaussian mixture over sampled forward passes per row of
+        X, in natural target units."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        out: list[MixturePredictive] = []
         obs = self.likelihood().obs_variance
         s = self.target_scale
         if rng is None:
             rng = RngStream(0)
+        means, variances = [], []
         for start in range(0, X.shape[0], _PREDICT_CHUNK):
             block = X[start : start + _PREDICT_CHUNK]
-            means, variances = forward_sample(self, block, rng=rng, samples=self.num_test_samples)
-            t = means.shape[0]
-            weights = np.full(t, 1.0 / t)
-            for i in range(block.shape[0]):
-                out.append(
-                    MixturePredictive(
-                        weights,
-                        means[:, i] * s + self.target_shift,
-                        (variances[:, i] + obs) * s * s,
-                    )
-                )
-        return out
+            mu, var = forward_sample(self, block, rng=rng, samples=self.num_test_samples)
+            means.append((mu * s + self.target_shift).T)
+            variances.append(((var + obs) * s * s).T)
+        t = means[0].shape[1]
+        return Predictions.mixture(
+            np.full(t, 1.0 / t), np.concatenate(means), np.concatenate(variances)
+        )
 
     # -- checkpoint support --------------------------------------------------------
 
@@ -572,8 +534,3 @@ def objective(
         model.jitter,
     )
     return float(loss.data)
-
-
-def predict(model: DeepGPModel, X, rng: Optional[RngStream] = None) -> list[MixturePredictive]:
-    """Mixture predictive per row of X, in natural target units."""
-    return model.predictive(X, rng=rng)

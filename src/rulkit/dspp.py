@@ -24,12 +24,12 @@ from . import svgp
 from .autodiff import Tensor
 from .dgp import (
     DeepGPModel,
-    MixturePredictive,
     deep_objective_graph,
     output_components,
     propagate_components,
 )
 from .mathcore import gauss_hermite
+from .metrics import Predictions
 from .params import IDENTITY, SIMPLEX, ParamVector, ParamView, RngStream, value_and_grad
 from .svgp import DEFAULT_JITTER, ObjectiveSpec
 
@@ -198,25 +198,20 @@ class DSPPModel(DeepGPModel):
 
     # -- prediction ----------------------------------------------------------------
 
-    def predictive(self, X, rng=None) -> list[MixturePredictive]:
-        """Deterministic mixture over sigma points, per row, natural units."""
+    def predictive(self, X, rng=None) -> Predictions:
+        """Deterministic mixture over sigma points per row of X, in natural
+        target units."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         obs = self.likelihood().obs_variance
         s = self.target_scale
-        weights = self.sigma_points().weights
-        out: list[MixturePredictive] = []
+        means, variances = [], []
         for start in range(0, X.shape[0], _PREDICT_CHUNK):
-            block = X[start : start + _PREDICT_CHUNK]
-            means, variances = self._component_moments(block)
-            for i in range(block.shape[0]):
-                out.append(
-                    MixturePredictive(
-                        weights,
-                        means[:, i] * s + self.target_shift,
-                        (variances[:, i] + obs) * s * s,
-                    )
-                )
-        return out
+            mu, var = self._component_moments(X[start : start + _PREDICT_CHUNK])
+            means.append((mu * s + self.target_shift).T)
+            variances.append(((var + obs) * s * s).T)
+        return Predictions.mixture(
+            self.sigma_points().weights, np.concatenate(means), np.concatenate(variances)
+        )
 
     def _component_moments(self, X: np.ndarray):
         """Output-layer latent moments per sigma point, shapes (S, n)."""
@@ -258,11 +253,6 @@ class DSPPModel(DeepGPModel):
         cls._register(params, model)
         svgp._load_theta(params, arrays)
         return model
-
-
-def predict(model: DSPPModel, X) -> list[MixturePredictive]:
-    """Deterministic sigma-point mixture per row of X."""
-    return model.predictive(X)
 
 
 def objective(model: DSPPModel, X, y, scale: float = 1.0) -> float:

@@ -23,7 +23,7 @@ from .dgp import DeepGPModel
 from .dspp import DSPPModel
 from .mathcore import NumericalError
 from .mcd import MCDModel
-from .metrics import MetricsReport, PredictionRecord, _columns, _gather, compute_report
+from .metrics import MetricsReport, Predictions, Records, compute_report
 from .params import GradientError, OptimizerState, RngStream, adam_step, minibatch_iter
 from .svgp import ObjectiveSpec, SVGPModel
 
@@ -133,8 +133,8 @@ class ExperimentConfig:
             raise ValueError("kind=ppgpr requires objective=ppgpr")
         if self.kind == "dspp" and self.objective != "ppgpr":
             raise ValueError("dspp trains only with the ppgpr objective")
-        if self.beta_reg < 0.0:
-            raise ValueError(f"beta_reg must be >= 0, got {self.beta_reg}")
+        if not self.beta_reg > 0.0:
+            raise ValueError(f"beta_reg must be positive, got {self.beta_reg}")
         for name in ("epochs", "batch_size", "num_inducing", "width", "train_samples",
                      "test_samples", "num_sites", "hidden_layers", "hidden_units"):
             v = getattr(self, name)
@@ -327,12 +327,9 @@ def train_val_rows(data: FleetDataset, split: SplitSpec):
     return pack(tr), (pack(va) if va else None)
 
 
-def _records(preds, y, uid, t, rul_cap) -> list:
+def _records(preds: Predictions, y, uid, t, rul_cap) -> Records:
     y = np.minimum(y, rul_cap) if rul_cap is not None else y
-    return [
-        PredictionRecord(str(u), int(ti), float(yi), p)
-        for p, yi, u, ti in zip(preds, y, uid, t)
-    ]
+    return Records(uid, t, y, preds)
 
 
 # -- training ---------------------------------------------------------------------
@@ -344,8 +341,8 @@ class ExperimentResult:
     val_report: Optional[MetricsReport]
     test_report: MetricsReport
     epoch_objectives: list
-    val_records: list = field(repr=False, default_factory=list)
-    test_records: list = field(repr=False, default_factory=list)
+    val_records: Optional[Records] = field(repr=False, default=None)
+    test_records: Optional[Records] = field(repr=False, default=None)
     checkpoint_path: Optional[str] = None
 
 
@@ -397,21 +394,17 @@ def run_experiment(
             batch_losses.append(loss)
         epoch_objectives.append(float(np.mean(batch_losses)))
 
-    # each record list is gathered into columns once, for its report and
-    # its predictions file
-    val_report, val_records, val_cols = None, [], None
+    val_report, val_records = None, None
     if val is not None:
         X_v, y_v, uid_v, t_v = val
         preds = model.predictive(X_v, rng=rng.derive(3))
         val_records = _records(preds, y_v, uid_v, t_v, config.rul_cap)
-        val_cols = _gather(val_records)
-        val_report = compute_report(val_cols, config.alpha)
+        val_report = compute_report(val_records, config.alpha)
 
     X_te, y_te, uid_te, t_te = stack_rows(normed, list(split.test_ids))
     preds = model.predictive(X_te, rng=rng.derive(4))
     test_records = _records(preds, y_te, uid_te, t_te, config.rul_cap)
-    test_cols = _gather(test_records)
-    test_report = compute_report(test_cols, config.alpha)
+    test_report = compute_report(test_records, config.alpha)
 
     result = ExperimentResult(
         config, val_report, test_report, epoch_objectives, val_records, test_records
@@ -436,9 +429,9 @@ def run_experiment(
             fh.write("epoch,objective\n")
             for e, v in enumerate(epoch_objectives):
                 fh.write(f"{e},{repr(v)}\n")
-        if val_records:
-            write_predictions(out / "predictions_val.csv", val_cols)
-        write_predictions(out / "predictions_test.csv", test_cols)
+        if val_records is not None:
+            write_predictions(out / "predictions_val.csv", val_records)
+        write_predictions(out / "predictions_test.csv", test_records)
     return result
 
 
@@ -494,34 +487,41 @@ def load_checkpoint(path):
 def checkpoint_records(
     model, config: ExperimentConfig, stats: NormalizationStats,
     data: FleetDataset, unit_ids: Optional[Sequence[str]] = None,
-) -> list:
+) -> Records:
     """Predict every row of the chosen units of a raw fleet."""
     if data.stats is not None:
         raise ValueError("expected a raw fleet; this one is already normalized")
     ids = list(unit_ids) if unit_ids is not None else data.unit_ids
-    records = []
-    for i, uid in enumerate(ids):
-        u = data.unit(uid)
-        preds = model.predictive(stats.apply(u.features), rng=RngStream(config.seed).derive(9, i))
-        records.extend(_records(preds, u.rul, np.repeat(uid, u.num_rows), u.time, config.rul_cap))
-    return records
+    units = [data.unit(uid) for uid in ids]
+    preds = [
+        model.predictive(stats.apply(u.features), rng=RngStream(config.seed).derive(9, i))
+        for i, u in enumerate(units)
+    ]
+    return _records(
+        Predictions.concat(preds),
+        np.concatenate([u.rul for u in units]),
+        np.repeat(ids, [u.num_rows for u in units]),
+        np.concatenate([u.time for u in units]),
+        config.rul_cap,
+    )
 
 
-def write_predictions(path, records: list):
+def write_predictions(path, records: Records):
     """Delimited predictions, one row per (unit, t); mixture components are
-    appended as extra columns when every record carries the same count.
-    ``records`` may also be the columns ``metrics._gather`` made of them."""
-    c = _columns(records)
-    n = len(c)
-    with_components = n > 0 and c.mixture.all() and (c.counts == c.counts[0]).all()
+    appended as extra columns."""
+    p = records.pred
+    n = len(records)
+    with_components = p.kind == "mixture"
     header = ["unit_id", "t", "rul_true", "pred_mean", "pred_variance"]
     if with_components:
-        for j in range(1, c.weights.shape[1] + 1):
+        for j in range(1, p.weights.shape[1] + 1):
             header += [f"w_{j}", f"mean_{j}", f"var_{j}"]
-        comps = np.stack([c.weights, c.means, c.variances], axis=2).reshape(n, -1)
+        comps = np.stack([p.weights, p.means, p.variances], axis=2).reshape(n, -1)
     lines = [",".join(header)]
-    rows = zip(c.unit, c.time, c.rul.tolist(), c.mean.tolist(), c.var.tolist(), c.point.tolist())
-    for i, (unit, t, rul, mean, var, point) in enumerate(rows):
+    point = p.kind == "point"
+    rows = zip(records.unit.tolist(), records.time.tolist(), records.rul.tolist(),
+               p.mean.tolist(), p.var.tolist())
+    for i, (unit, t, rul, mean, var) in enumerate(rows):
         var = "-" if point else repr(var)
         line = f"{unit},{t},{rul!r},{mean!r},{var}"
         if with_components:
@@ -611,9 +611,11 @@ def grid_search(
     """Train every combination of ``grid`` on top of ``base``.
 
     Runs execute in deterministic order (sorted keys, given value order);
-    run i trains with a seed derived from (base.seed, i). A failed run is
-    recorded and the search continues. Ranking uses the validation NLL,
-    or validation RMSE for the point baseline.
+    run i trains with a seed derived from (base.seed, i). Every cell's config
+    is validated before the first run, so an invalid grid value raises before
+    any run directory is written. A failed run is recorded and the search
+    continues. Ranking uses the validation NLL, or validation RMSE for the
+    point baseline.
     """
     if not grid:
         raise ValueError("grid must name at least one hyperparameter")
@@ -628,10 +630,14 @@ def grid_search(
     metric = selection_metric_for(base.kind)
     out = Path(out_dir) if out_dir is not None else None
 
-    runs = []
+    cells = []
     for i, combo in enumerate(combos):
         overrides = dict(zip(keys, combo))
         cfg = base.replace(**overrides, seed=_child_seed(base.seed, i))
+        cells.append((overrides, cfg.validate()))
+
+    runs = []
+    for i, (overrides, cfg) in enumerate(cells):
         run_dir = out / f"run_{i:03d}" if out is not None else None
         try:
             res = run_experiment(cfg, data, split, out_dir=run_dir)

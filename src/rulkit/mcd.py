@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .mathcore import GaussianDist
+from .metrics import Predictions
 from .params import IDENTITY, ParamVector, ParamView, RngStream, value_and_grad
 
 NOISE_FLOOR = 1e-8
@@ -293,18 +293,17 @@ class MCDModel:
 
     # -- prediction ----------------------------------------------------------------
 
-    def predictive(self, X, rng: Optional[RngStream] = None):
-        """Per-row predictive: Gaussians from MC moments, or point estimates."""
+    def predictive(self, X, rng: Optional[RngStream] = None) -> Predictions:
+        """Gaussians from MC moments per row of X, or point estimates for the
+        point baseline, in natural target units."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected inputs of shape (n, {self.input_dim}), got {X.shape}")
         net = self.net()
         s = self.target_scale
         if self.point_baseline:
-            from .metrics import PointPredictive
-
             mean, _ = forward(net, X)
-            return [PointPredictive(m * s + self.target_shift) for m in mean]
+            return Predictions.point(mean * s + self.target_shift)
         if rng is None:
             rng = RngStream(0)
         n = X.shape[0]
@@ -318,10 +317,9 @@ class MCDModel:
             taus[k] = tau if tau is not None else net.noise_variance
         mean = draws.mean(axis=0)
         var = taus.mean(axis=0) + np.mean((draws - mean) ** 2, axis=0)
-        return [
-            GaussianDist(m * s + self.target_shift, max(v, NOISE_FLOOR) * s * s)
-            for m, v in zip(mean, var)
-        ]
+        return Predictions.gaussian(
+            mean * s + self.target_shift, np.maximum(var, NOISE_FLOOR) * s * s
+        )
 
     # -- checkpoint support -----------------------------------------------------------
 

@@ -1,8 +1,9 @@
-"""Prognostics metrics over per-row predictive distributions.
+"""Prognostics metrics over batches of predictive distributions.
 
-Each record pairs a true remaining useful life with a predictive that is a
-Gaussian, a finite Gaussian mixture, or a bare point estimate. Reported
-quantities:
+A model's ``predictive(X)`` returns one :class:`Predictions` batch: n
+Gaussians, n finite Gaussian mixtures, or n bare point estimates. A
+:class:`Records` holds such a batch with the unit id, time index and true
+remaining useful life of each row, all as columns. Reported quantities:
 
 * rmse of the point estimates (mixtures reduce to their moment mean),
 * mean negative log likelihood (mixtures via stable log-sum-exp),
@@ -15,161 +16,150 @@ Records whose true RUL is zero have a degenerate band; they are excluded
 from both alpha-lambda metrics and counted separately in the report. NLL is
 the per-sample mean, stated in the report header.
 
-Scoring gathers the records into columns once (``_gather``) and evaluates
-every metric as an array expression over them; the per-unit breakdown
-reduces the same per-row terms over each unit's rows. ``compute_report`` and
-``experiment.write_predictions`` also accept columns already gathered, so a
-caller that does both gathers once.
+Every metric is an array expression over the columns; the per-unit breakdown
+reduces the same per-row terms over each unit's rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
-from .dgp import MixturePredictive
-from .mathcore import GaussianDist, NumericalError, gaussian_cdf, gaussian_logpdf
-
-
-@dataclass
-class PointPredictive:
-    """Prediction with no distribution attached (deterministic baselines)."""
-
-    value: float
-
-    def __post_init__(self):
-        self.value = float(self.value)
-
-
-Predictive = Union[GaussianDist, MixturePredictive, PointPredictive]
-
-
-@dataclass
-class PredictionRecord:
-    unit_id: str
-    time_index: int
-    rul_true: float
-    predictive: Predictive
-
-    def __post_init__(self):
-        self.rul_true = float(self.rul_true)
-        if self.rul_true < 0.0:
-            raise ValueError(f"true RUL must be nonnegative, got {self.rul_true}")
-
+from .mathcore import NumericalError, gaussian_cdf, gaussian_logpdf
 
 # rows per nll block: the (rows, K) temporaries stay near 0.5 MB at K = 64
 _BLOCK_ROWS = 1024
 
-# -- columns -----------------------------------------------------------------
+
+def _vector(values, name: str) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"{name} must be a vector, got shape {values.shape}")
+    return values
+
+
+def _check_positive(values: np.ndarray, what: str):
+    bad = ~(values > 0.0)  # nan fails too
+    if bad.any():
+        raise ValueError(f"{what} must be positive, got {float(values[bad][0])!r}")
 
 
 @dataclass
-class _Columns:
-    """Records as arrays, one row per record.
+class Predictions:
+    """Predictive distributions of n rows as one batch.
 
-    Every row is a mixture zero-padded to K components: a Gaussian row is
-    one component of weight 1, padded entries have weight 0 and variance 1.
-    ``mean``/``var`` are the moment-matched Gaussian (a point row keeps its
-    value as ``mean`` and has ``var`` nan).
+    Every row is a mixture zero-padded to K components: a Gaussian row is one
+    component of weight 1, and a point row is its value with variance nan.
+    ``mean``/``var`` are each row's moment-matched Gaussian (``var`` is nan
+    for points). Build a batch with :meth:`gaussian`, :meth:`mixture` or
+    :meth:`point`, which validate their input.
     """
 
-    rul: np.ndarray  # (n,)
-    unit: list  # (n,) unit ids
-    time: list  # (n,) time indices
-    counts: np.ndarray  # (n,) components per row
+    kind: str  # "gaussian", "mixture" or "point"
     weights: np.ndarray  # (n, K)
     means: np.ndarray  # (n, K)
     variances: np.ndarray  # (n, K)
-    point: np.ndarray  # (n,) rows without a distribution
-    mixture: np.ndarray  # (n,) rows given as MixturePredictive
     mean: np.ndarray  # (n,)
     var: np.ndarray  # (n,)
+
+    def __len__(self) -> int:
+        return len(self.mean)
+
+    @classmethod
+    def gaussian(cls, mean, var) -> "Predictions":
+        mean, var = _vector(mean, "mean"), _vector(var, "var")
+        if mean.shape != var.shape:
+            raise ValueError(f"mean has shape {mean.shape} but var has {var.shape}")
+        _check_positive(var, "variance")
+        return cls("gaussian", np.ones((len(mean), 1)), mean[:, None], var[:, None], mean, var)
+
+    @classmethod
+    def mixture(cls, weights, means, variances) -> "Predictions":
+        """Rows of ``(n, K)`` components; one ``(K,)`` weight vector serves
+        every row. Padded components have weight 0 and a positive variance."""
+        means = np.ascontiguousarray(means, dtype=np.float64)
+        variances = np.ascontiguousarray(variances, dtype=np.float64)
+        weights = np.asarray(weights, dtype=np.float64)
+        shape = means.shape
+        if (len(shape) != 2 or shape[1] < 1 or variances.shape != shape
+                or weights.shape not in (shape, shape[1:])):
+            raise ValueError(
+                "means and variances must be (n, K) arrays with K >= 1 and "
+                f"weights (n, K) or (K,); got {weights.shape}, {shape}, {variances.shape}"
+            )
+        weights = np.ascontiguousarray(np.broadcast_to(weights, shape))
+        if not (weights >= 0.0).all():
+            raise ValueError("mixture weights must be nonnegative")
+        total = weights.sum(axis=1)
+        off = ~(np.abs(total - 1.0) <= 1e-12)
+        if off.any():
+            raise ValueError(f"mixture weights sum to {float(total[off][0])!r}, not 1")
+        _check_positive(variances, "mixture component variances")
+        # batched row dot products; at one component count they are
+        # bit-identical to ``weights @ means`` row by row
+        mean = np.matmul(weights[:, None, :], means[:, :, None])[:, 0, 0]
+        second = np.matmul(weights[:, None, :], (variances + means * means)[:, :, None])[:, 0, 0]
+        return cls("mixture", weights, means, variances, mean, second - mean * mean)
+
+    @classmethod
+    def point(cls, values) -> "Predictions":
+        values = _vector(values, "values")
+        nan = np.full(len(values), np.nan)
+        return cls("point", np.ones((len(values), 1)), values[:, None], nan[:, None], values, nan)
+
+    @classmethod
+    def concat(cls, parts: list) -> "Predictions":
+        """The rows of ``parts`` in order, as one batch of their common kind."""
+        kinds = {p.kind for p in parts}
+        if len(kinds) != 1:
+            raise ValueError(f"cannot join predictions of kinds {sorted(kinds)}")
+        columns = ("weights", "means", "variances", "mean", "var")
+        return cls(kinds.pop(), *(np.concatenate([getattr(p, c) for p in parts]) for c in columns))
+
+
+@dataclass
+class Records:
+    """Scored rows as columns: unit id, time index and true RUL of each row,
+    with the predictive batch of the same rows."""
+
+    unit: np.ndarray  # (n,) str
+    time: np.ndarray  # (n,) int
+    rul: np.ndarray  # (n,)
+    pred: Predictions
+
+    def __post_init__(self):
+        self.unit = np.asarray(self.unit, dtype=str)
+        self.time = np.asarray(self.time, dtype=np.int64)
+        self.rul = np.asarray(self.rul, dtype=np.float64)
+        n = len(self.pred)
+        if any(a.shape != (n,) for a in (self.unit, self.time, self.rul)):
+            raise ValueError(
+                f"unit, time and rul must be vectors of the {n} predicted rows; got "
+                f"{self.unit.shape}, {self.time.shape}, {self.rul.shape}"
+            )
+        negative = self.rul < 0.0
+        if negative.any():
+            raise ValueError(f"true RUL must be nonnegative, got {float(self.rul[negative][0])!r}")
 
     def __len__(self) -> int:
         return len(self.rul)
 
 
-def _gather(records: list[PredictionRecord]) -> _Columns:
-    """One pass over the records into columns; moments computed once."""
-    n = len(records)
-    rul, unit, time, mean, var = [], [], [], [], []
-    mix_rows, point_rows, ws, ms, vs = [], [], [], [], []
-    for i, r in enumerate(records):
-        p = r.predictive
-        rul.append(r.rul_true)
-        unit.append(r.unit_id)
-        time.append(r.time_index)
-        if isinstance(p, MixturePredictive):
-            mix_rows.append(i)
-            ws.append(p.weights)
-            ms.append(p.means)
-            vs.append(p.variances)
-            mean.append(math.nan)
-            var.append(math.nan)
-        elif isinstance(p, GaussianDist):
-            mean.append(p.mean)
-            var.append(p.variance)
-        elif isinstance(p, PointPredictive):
-            point_rows.append(i)
-            mean.append(p.value)
-            var.append(math.nan)
-        else:
-            raise TypeError(f"unsupported predictive type {type(p).__name__}")
-
-    point = np.zeros(n, dtype=bool)
-    point[point_rows] = True
-    mixture = np.zeros(n, dtype=bool)
-    mixture[mix_rows] = True
-    sizes = [len(w) for w in ws]
-    counts = np.ones(n, dtype=np.int64)
-    counts[mix_rows] = sizes
-    k = int(counts.max(initial=1))
-
-    mean, var = np.array(mean, dtype=np.float64), np.array(var, dtype=np.float64)
-    if len(mix_rows) == n and len(set(sizes)) == 1:
-        # mixtures of one size, the deep models' case: nothing to pad
-        W, M, V = np.array(ws), np.array(ms), np.array(vs)
-    else:
-        single = ~mixture
-        W, M, V = np.zeros((n, k)), np.zeros((n, k)), np.ones((n, k))
-        W[single, 0], M[single, 0], V[single, 0] = 1.0, mean[single], var[single]
-        for size in set(sizes):  # one block per component count
-            pick = [j for j, s in enumerate(sizes) if s == size]
-            rows = [mix_rows[j] for j in pick]
-            for dst, src in ((W, ws), (M, ms), (V, vs)):
-                dst[rows, :size] = [src[j] for j in pick]
-    if mix_rows:
-        # batched row dot products; at one component count they are
-        # bit-identical to ``weights @ means`` row by row
-        mu = np.matmul(W[:, None, :], M[:, :, None])[:, 0, 0]
-        second = np.matmul(W[:, None, :], (V + M * M)[:, :, None])[:, 0, 0]
-        mean[mixture], var[mixture] = mu[mixture], (second - mu * mu)[mixture]
-    return _Columns(
-        np.array(rul, dtype=np.float64), unit, time, counts,
-        W, M, V, point, mixture, mean, var,
-    )
-
-
-def _columns(records) -> _Columns:
-    """Records gathered into columns; columns gathered already pass through."""
-    return records if isinstance(records, _Columns) else _gather(records)
-
-
 # -- per-row terms and their reductions ------------------------------------------
 
 
-def _neg_logpdf(c: _Columns) -> np.ndarray:
-    if c.point.any():
+def _neg_logpdf(r: Records) -> np.ndarray:
+    p = r.pred
+    if p.kind == "point":
         raise TypeError("point predictions carry no density")
-    out = np.empty(len(c.rul))
+    out = np.empty(len(r))
     # rows are independent, so scoring them in blocks changes no bit
     for start in range(0, len(out), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        comp = gaussian_logpdf(c.rul[rows, None], c.means[rows], c.variances[rows])
-        out[rows] = -_log_mix(comp, c.weights[rows])
+        comp = gaussian_logpdf(r.rul[rows, None], p.means[rows], p.variances[rows])
+        out[rows] = -_log_mix(comp, p.weights[rows])
     return out
 
 
@@ -189,18 +179,18 @@ def _log_mix(comp: np.ndarray, weights: np.ndarray) -> np.ndarray:
         return np.log(comp.sum(axis=1)) + top[:, 0]
 
 
-def _band_hits(c: _Columns, alpha: float) -> np.ndarray:
-    return ((1.0 - alpha) * c.rul <= c.mean) & (c.mean <= (1.0 + alpha) * c.rul)
+def _band_hits(r: Records, alpha: float) -> np.ndarray:
+    mean = r.pred.mean
+    return ((1.0 - alpha) * r.rul <= mean) & (mean <= (1.0 + alpha) * r.rul)
 
 
-def _band_mass(c: _Columns, band: np.ndarray, alpha: float) -> np.ndarray:
+def _band_mass(r: Records, band: np.ndarray, alpha: float) -> np.ndarray:
     """Moment-matched Gaussian mass inside the band, on the ``band`` rows."""
-    if c.point.any():
+    if r.pred.kind == "point":
         raise TypeError("point predictions carry no distribution")
-    rul, mean, var = c.rul[band], c.mean[band], c.var[band]
-    bad = ~(var > 0.0)
-    if bad.any():
-        raise ValueError(f"variance must be positive, got {var[bad][0]!r}")
+    rul, mean, var = r.rul[band], r.pred.mean[band], r.pred.var[band]
+    # a mixture's moment variance can cancel to zero
+    _check_positive(var, "variance")
     std = np.sqrt(var)
     hi = gaussian_cdf((1.0 + alpha) * rul, mean, std)
     return hi - gaussian_cdf((1.0 - alpha) * rul, mean, std)
@@ -224,8 +214,8 @@ def _fraction(hits: np.ndarray) -> float:
 # -- public metrics --------------------------------------------------------------
 
 
-def _require_records(records):
-    if not records:
+def _require_records(records: Records):
+    if not len(records):
         raise ValueError("empty record set")
 
 
@@ -234,38 +224,36 @@ def _check_alpha(alpha):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
-def _banded(records, alpha) -> tuple[_Columns, np.ndarray]:
+def _band(records: Records, alpha) -> np.ndarray:
     _check_alpha(alpha)
     _require_records(records)
-    c = _gather(records)
-    band = c.rul > 0.0
+    band = records.rul > 0.0
     if not band.any():
         raise ValueError("every record has zero RUL; the accuracy band is degenerate")
-    return c, band
+    return band
 
 
-def rmse(records: list[PredictionRecord]) -> float:
+def rmse(records: Records) -> float:
     _require_records(records)
-    c = _gather(records)
-    return _rmse(c.mean - c.rul)
+    return _rmse(records.pred.mean - records.rul)
 
 
-def nll(records: list[PredictionRecord]) -> float:
+def nll(records: Records) -> float:
     """Per-sample mean negative log likelihood."""
     _require_records(records)
-    return _nll(_neg_logpdf(_gather(records)))
+    return _nll(_neg_logpdf(records))
 
 
-def alpha_lambda(records: list[PredictionRecord], alpha: float = 0.2) -> float:
+def alpha_lambda(records: Records, alpha: float = 0.2) -> float:
     """Fraction of point estimates inside the relative accuracy band."""
-    c, band = _banded(records, alpha)
-    return _fraction(_band_hits(c, alpha)[band])
+    band = _band(records, alpha)
+    return _fraction(_band_hits(records, alpha)[band])
 
 
-def prob_alpha_lambda(records: list[PredictionRecord], alpha: float = 0.2) -> float:
+def prob_alpha_lambda(records: Records, alpha: float = 0.2) -> float:
     """Mean predictive mass inside the band, Gaussians by moment matching."""
-    c, band = _banded(records, alpha)
-    return float(np.mean(_band_mass(c, band, alpha)))
+    band = _band(records, alpha)
+    return float(np.mean(_band_mass(records, band, alpha)))
 
 
 @dataclass
@@ -315,23 +303,18 @@ def _fmt(value) -> str:
     return "-" if value is None else repr(value)
 
 
-def compute_report(records: list[PredictionRecord], alpha: float = 0.2) -> MetricsReport:
-    """Metrics over all records plus a per-unit breakdown.
-
-    ``records`` may also be the columns ``_gather`` made of them.
-    """
+def compute_report(records: Records, alpha: float = 0.2) -> MetricsReport:
+    """Metrics over all records plus a per-unit breakdown."""
+    _check_alpha(alpha)
     _require_records(records)
-    c = _columns(records)
-    has_dist = not c.point.any()
-    band = c.rul > 0.0
-    errors = c.mean - c.rul
-    neg_logpdf = _neg_logpdf(c) if has_dist else None
-    hits = _band_hits(c, alpha)
+    has_dist = records.pred.kind != "point"
+    band = records.rul > 0.0
+    errors = records.pred.mean - records.rul
+    neg_logpdf = _neg_logpdf(records) if has_dist else None
+    hits = _band_hits(records, alpha)
     mass = np.full(len(records), np.nan)
-    if band.any():
-        _check_alpha(alpha)
-        if has_dist:
-            mass[band] = _band_mass(c, band, alpha)
+    if has_dist and band.any():
+        mass[band] = _band_mass(records, band, alpha)
 
     def block(rows):
         # a block of all end-of-life rows has no accuracy band to score
@@ -348,13 +331,13 @@ def compute_report(records: list[PredictionRecord], alpha: float = 0.2) -> Metri
 
     fleet = block(slice(None))
     # each unit's rows, in record order
-    units, codes = np.unique(np.array(c.unit, dtype=str), return_inverse=True)
+    units, codes = np.unique(records.unit, return_inverse=True)
     by_unit = np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1])
     per_unit = {unit: block(rows) for unit, rows in zip(units.tolist(), by_unit)}
     return MetricsReport(
         alpha=alpha,
         num_records=len(records),
-        excluded_eol=int(np.count_nonzero(c.rul == 0.0)),
+        excluded_eol=int(np.count_nonzero(records.rul == 0.0)),
         rmse=fleet["rmse"],
         nll=fleet["nll"],
         alpha_lambda=fleet["alpha_lambda"],

@@ -26,9 +26,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .mathcore import GaussianDist, Kernel, NumericalError
+from .mathcore import Kernel, NumericalError
 # unused here, but the benchmark's span timer rebinds this module's name
 from .mathcore import cholesky_jittered  # noqa: F401
+from .metrics import Predictions
 from .params import (
     IDENTITY,
     POSITIVE,
@@ -270,17 +271,6 @@ def latent_predict(layer: VariationalGPLayer, X: np.ndarray, jitter: float = DEF
     return mu.data, var.data
 
 
-def predict(
-    layer: VariationalGPLayer,
-    lik: LikelihoodParams,
-    X: np.ndarray,
-    jitter: float = DEFAULT_JITTER,
-) -> list[GaussianDist]:
-    """Observation-space predictive N(mu_f, s2_f + s2_obs) per row of X."""
-    mu, var = latent_predict(layer, X, jitter)
-    return [GaussianDist(m, v + lik.obs_variance) for m, v in zip(mu, var)]
-
-
 def objective(
     layer: VariationalGPLayer,
     lik: LikelihoodParams,
@@ -438,13 +428,13 @@ class SVGPModel:
             params, lambda view: self._build(view, X, y, scale)
         )
 
-    def predictive(self, X, rng=None) -> list[GaussianDist]:
+    def predictive(self, X, rng=None) -> Predictions:
+        """Observation-space Gaussian N(mu_f, s2_f + s2_obs) per row of X,
+        in natural target units."""
         mu, var = latent_predict(self.layer(), X, self.jitter)
         obs = self.likelihood().obs_variance
         s = self.target_scale
-        return [
-            GaussianDist(m * s + self.target_shift, (v + obs) * s * s) for m, v in zip(mu, var)
-        ]
+        return Predictions.gaussian(mu * s + self.target_shift, (var + obs) * s * s)
 
     # -- checkpoint support --------------------------------------------------
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from rulkit.data import SplitSpec, normalize, stack_rows, synth_fleet
-from rulkit.dgp import DeepGPModel, forward_sample, mixture_moments
+from rulkit.dgp import DeepGPModel, forward_sample
 from rulkit.dgp import objective as dgp_objective
 from rulkit.dspp import DSPPModel, init_sigma_points
 from rulkit.dspp import objective as dspp_objective
@@ -26,10 +26,11 @@ from rulkit.experiment import (
     run_experiment,
     write_predictions,
 )
-from rulkit.mathcore import GaussianDist, Kernel, exact_gp_predict, gauss_hermite, kernel_eval
+from rulkit.mathcore import Kernel, exact_gp_predict, gauss_hermite, kernel_eval
 from rulkit.mcd import MCDModel
 from rulkit.metrics import (
-    PredictionRecord,
+    Predictions,
+    Records,
     alpha_lambda,
     prob_alpha_lambda,
 )
@@ -145,8 +146,8 @@ def test_svgp_with_inducing_at_data_matches_exact_gp():
     xs = np.linspace(-0.5, 23.3, 20)[:, None]
     exact = exact_gp_predict(kernel, noise, X, y, xs)
     approx = model.predictive(xs)
-    mu_err = max(abs(s.mean - e.mean) for s, e in zip(approx, exact))
-    var_err = max(abs(s.variance - e.variance) for s, e in zip(approx, exact))
+    mu_err = max(abs(s - e.mean) for s, e in zip(approx.mean, exact))
+    var_err = max(abs(s - e.variance) for s, e in zip(approx.var, exact))
     elapsed = time.monotonic() - t0
 
     ok = bound_ok and mu_err < 1e-3 and var_err < 1e-3 and elapsed < 60.0
@@ -179,9 +180,9 @@ def test_degenerate_deep_models_reduce_to_their_shallow_counterparts():
         deep.params.values[:] = flat.params.values
         worst = max(worst, abs(deep.objective_grad(X, y) - flat.objective_grad(X, y)))
         worst = max(worst, float(np.max(np.abs(deep.params.grad - flat.params.grad))))
-        for mix, gauss in zip(deep.predictive(X), flat.predictive(X)):
-            mean, var = mixture_moments(mix)
-            worst = max(worst, abs(mean - gauss.mean), abs(var - gauss.variance))
+        mix, gauss = deep.predictive(X), flat.predictive(X)
+        for mean, var, g_mean, g_var in zip(mix.mean, mix.var, gauss.mean, gauss.var):
+            worst = max(worst, abs(mean - g_mean), abs(var - g_var))
         mus, vars_ = forward_sample(deep, X, rng=RngStream(0), samples=5)
         mu_ref, var_ref = latent_predict(flat.layer(), X)
         worst = max(worst, float(np.max(np.abs(mus[0] - mu_ref))))
@@ -246,24 +247,23 @@ def test_quadrature_moments_and_sigma_point_initialization():
 def test_band_metric_identities():
     checks = []
 
+    def recs(means, var):
+        n = len(means)
+        return Records(["u"] * n, range(n), [100.0] * n, Predictions.gaussian(means, [var] * n))
+
     # the band around rul=100 at alpha=0.2 is [80, 120], endpoints included
-    recs = [
-        PredictionRecord("u", 0, 100.0, GaussianDist(119.0, 1.0)),
-        PredictionRecord("u", 1, 100.0, GaussianDist(121.0, 1.0)),
-        PredictionRecord("u", 2, 100.0, GaussianDist(80.0, 1.0)),
-        PredictionRecord("u", 3, 100.0, GaussianDist(120.0, 1.0)),
-    ]
-    checks.append(abs(alpha_lambda(recs, alpha=0.2) - 0.75) < 1e-15)
-    checks.append(alpha_lambda(recs[:1], alpha=0.2) == 1.0)
-    checks.append(alpha_lambda(recs[1:2], alpha=0.2) == 0.0)
+    four = recs([119.0, 121.0, 80.0, 120.0], 1.0)
+    checks.append(abs(alpha_lambda(four, alpha=0.2) - 0.75) < 1e-15)
+    checks.append(alpha_lambda(recs([119.0], 1.0), alpha=0.2) == 1.0)
+    checks.append(alpha_lambda(recs([121.0], 1.0), alpha=0.2) == 0.0)
 
     # a predictive sd of 20 puts the band edges exactly one sigma out
-    centered = [PredictionRecord("u", 0, 100.0, GaussianDist(100.0, 400.0))]
+    centered = recs([100.0], 400.0)
     checks.append(abs(prob_alpha_lambda(centered, alpha=0.2) - 0.682689) <= 1e-6)
 
     # as sd -> 0 the banded mass becomes the indicator of the point estimate
-    inside = [PredictionRecord("u", 0, 100.0, GaussianDist(110.0, 1e-16))]
-    outside = [PredictionRecord("u", 0, 100.0, GaussianDist(125.0, 1e-16))]
+    inside = recs([110.0], 1e-16)
+    outside = recs([125.0], 1e-16)
     checks.append(abs(prob_alpha_lambda(inside, alpha=0.2) - 1.0) < 1e-12)
     checks.append(abs(prob_alpha_lambda(outside, alpha=0.2)) < 1e-12)
 
@@ -305,8 +305,8 @@ def test_two_sigma_coverage_on_well_specified_fleet():
             adam_step(state, model.params)
 
     preds = model.predictive(X_te)
-    mu = np.array([d.mean for d in preds])
-    sd = np.array([d.std for d in preds])
+    mu = preds.mean
+    sd = np.sqrt(preds.var)
     coverage = float(np.mean(np.abs(y_te - mu) <= 2.0 * sd))
     elapsed = time.monotonic() - t0
 
@@ -336,16 +336,15 @@ def test_uncertainty_shrinks_near_failure_and_grows_off_distribution():
         )
         result = run_experiment(default_config("dspp").replace(seed=seed), fleet, split)
 
-        by_unit = {}
-        for r in result.test_records:
-            by_unit.setdefault(r.unit_id, []).append(r)
+        recs = result.test_records
         stats = {}
-        for uid, recs in by_unit.items():
-            recs.sort(key=lambda r: r.time_index)
-            var = np.array([mixture_moments(r.predictive)[1] for r in recs])
+        for uid in set(recs.unit.tolist()):
+            rows = np.flatnonzero(recs.unit == uid)
+            rows = rows[np.argsort(recs.time[rows], kind="stable")]
+            var = recs.pred.var[rows]
             sd = np.sqrt(var)
-            k = max(1, int(0.2 * len(recs)))
-            stats[uid] = (sd[:k].mean(), sd[-k:].mean(), var[len(recs) // 2 :].mean())
+            k = max(1, int(0.2 * len(rows)))
+            stats[uid] = (sd[:k].mean(), sd[-k:].mean(), var[len(rows) // 2 :].mean())
 
         shrinks = all(stats[u][1] < stats[u][0] for u in ("u006", "u007"))
         shifted_late = stats["s001"][2]

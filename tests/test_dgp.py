@@ -15,13 +15,8 @@ from scipy.special import logsumexp
 
 from gp_oracle import np_latent, u_space
 from rulkit import svgp
-from rulkit.dgp import (
-    DeepGPModel,
-    MixturePredictive,
-    forward_sample,
-    mixture_moments,
-    objective,
-)
+from rulkit.dgp import DeepGPModel, forward_sample, objective
+from rulkit.metrics import Predictions
 from rulkit.params import RngStream, fd_check
 from rulkit.svgp import ObjectiveSpec, SVGPModel, latent_predict
 
@@ -50,32 +45,37 @@ def _toy_dgp(depth=1, width=2, seed=2, objective_kind="elbo", **kwargs):
 # -- mixture plumbing ------------------------------------------------------------
 
 
+def _moments(weights, means, variances):
+    """Moment-matched mean and variance of a one-row mixture batch."""
+    mix = Predictions.mixture(weights, [means], [variances])
+    return mix.mean[0], mix.var[0]
+
+
 class TestMixtureMoments:
     def test_two_component_hand_case(self):
-        mix = MixturePredictive([0.5, 0.5], [1.0, 3.0], [1.0, 1.0])
-        mean, var = mixture_moments(mix)
+        mean, var = _moments([0.5, 0.5], [1.0, 3.0], [1.0, 1.0])
         assert mean == pytest.approx(2.0, abs=1e-14)
         assert var == pytest.approx(2.0, abs=1e-14)
 
     def test_degenerate_weight_selects_component(self):
-        mix = MixturePredictive([1.0, 0.0], [0.7, 9.0], [0.2, 5.0])
-        mean, var = mixture_moments(mix)
+        mean, var = _moments([1.0, 0.0], [0.7, 9.0], [0.2, 5.0])
         assert mean == pytest.approx(0.7, abs=1e-14)
         assert var == pytest.approx(0.2, abs=1e-14)
 
     def test_identical_components_collapse(self):
-        mix = MixturePredictive([0.25] * 4, [1.3] * 4, [0.6] * 4)
-        mean, var = mixture_moments(mix)
+        mean, var = _moments([0.25] * 4, [1.3] * 4, [0.6] * 4)
         assert mean == pytest.approx(1.3, abs=1e-12)
         assert var == pytest.approx(0.6, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MixturePredictive([0.6, 0.6], [0.0, 0.0], [1.0, 1.0])
+            Predictions.mixture([0.6, 0.6], [[0.0, 0.0]], [[1.0, 1.0]])
         with pytest.raises(ValueError):
-            MixturePredictive([1.5, -0.5], [0.0, 0.0], [1.0, 1.0])
+            Predictions.mixture([1.5, -0.5], [[0.0, 0.0]], [[1.0, 1.0]])
         with pytest.raises(ValueError):
-            MixturePredictive([0.5, 0.5], [0.0, 0.0], [1.0, 0.0])
+            Predictions.mixture([0.5, 0.5], [[0.0, 0.0]], [[1.0, 0.0]])
+        with pytest.raises(ValueError):
+            Predictions.mixture([0.5, 0.5], [[0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]])
 
 
 # -- forward propagation -----------------------------------------------------------
@@ -158,10 +158,10 @@ class TestDepthZeroReduction:
 
     def test_predictive_matches_flat_model(self):
         flat, deep, X, y = self._paired_models("elbo")
-        for mix, gauss in zip(deep.predictive(X), flat.predictive(X)):
-            mean, var = mixture_moments(mix)
-            assert mean == gauss.mean
-            assert var == pytest.approx(gauss.variance, rel=1e-15)
+        mix, gauss = deep.predictive(X), flat.predictive(X)
+        for mean, var, g_mean, g_var in zip(mix.mean, mix.var, gauss.mean, gauss.var):
+            assert mean == g_mean
+            assert var == pytest.approx(g_var, rel=1e-15)
 
 
 # -- objective ---------------------------------------------------------------------
@@ -248,12 +248,15 @@ class TestMonteCarlo:
         def nll_at(t, seed):
             model.num_test_samples = t
             total = 0.0
-            for mix, target in zip(model.predictive(Xq, rng=RngStream(seed)), yq):
+            mix = model.predictive(Xq, rng=RngStream(seed))
+            for weights, means, variances, target in zip(
+                mix.weights, mix.means, mix.variances, yq
+            ):
                 lp = (
-                    -0.5 * (np.log(2.0 * np.pi * mix.variances)
-                            + (target - mix.means) ** 2 / mix.variances)
+                    -0.5 * (np.log(2.0 * np.pi * variances)
+                            + (target - means) ** 2 / variances)
                 )
-                total += -logsumexp(lp, b=mix.weights)
+                total += -logsumexp(lp, b=weights)
             return total / len(yq)
 
         coarse = np.std([nll_at(8, s) for s in range(20)])
@@ -263,10 +266,10 @@ class TestMonteCarlo:
     def test_mixture_variance_floor(self):
         model, X, _ = _toy_dgp(seed=13)
         floor = model.likelihood().obs_variance * model.target_scale**2
-        for mix in model.predictive(RNG.standard_normal((12, 2)), rng=RngStream(3)):
-            _, var = mixture_moments(mix)
+        mix = model.predictive(RNG.standard_normal((12, 2)), rng=RngStream(3))
+        for var, variances in zip(mix.var, mix.variances):
             assert var >= floor * (1.0 - 1e-12)
-            assert np.all(mix.variances >= floor * (1.0 - 1e-12))
+            assert np.all(variances >= floor * (1.0 - 1e-12))
 
 
 # -- checkpoint round trip --------------------------------------------------------------
@@ -278,6 +281,5 @@ class TestStateRoundTrip:
         clone = DeepGPModel.from_state(model.config_dict(), model.state_arrays())
         a = model.predictive(X, rng=RngStream(2))
         b = clone.predictive(X, rng=RngStream(2))
-        for mix_a, mix_b in zip(a, b):
-            np.testing.assert_array_equal(mix_a.means, mix_b.means)
-            np.testing.assert_array_equal(mix_a.variances, mix_b.variances)
+        np.testing.assert_array_equal(a.means, b.means)
+        np.testing.assert_array_equal(a.variances, b.variances)

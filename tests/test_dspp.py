@@ -14,7 +14,7 @@ from scipy.special import logsumexp
 
 from gp_oracle import u_space
 from rulkit import autodiff as ad
-from rulkit.dgp import DeepGPModel, forward_sample, mixture_moments
+from rulkit.dgp import DeepGPModel, forward_sample
 from rulkit.dgp import objective as dgp_objective
 from rulkit.dspp import DSPPModel, SigmaPointSet, init_sigma_points
 from rulkit.dspp import objective as dspp_objective
@@ -104,10 +104,9 @@ class TestPredictDeterminism:
         model, X, _ = _toy_dspp()
         a = model.predictive(X)
         b = model.predictive(X)
-        for mix_a, mix_b in zip(a, b):
-            np.testing.assert_array_equal(mix_a.means, mix_b.means)
-            np.testing.assert_array_equal(mix_a.variances, mix_b.variances)
-            np.testing.assert_array_equal(mix_a.weights, mix_b.weights)
+        np.testing.assert_array_equal(a.means, b.means)
+        np.testing.assert_array_equal(a.variances, b.variances)
+        np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_training_is_bitwise_reproducible(self):
         runs = []
@@ -132,10 +131,9 @@ class TestPredictDeterminism:
         means, variances = model._component_moments(X)
         assert np.ptp(means, axis=0).max() < 1e-5
         assert np.ptp(variances, axis=0).max() < 1e-5
-        mix = model.predictive(X)[0]
-        mean, var = mixture_moments(mix)
-        assert mean == pytest.approx(mix.means[0], abs=1e-4)
-        assert var == pytest.approx(mix.variances[0], rel=1e-3)
+        mix = model.predictive(X)
+        assert mix.mean[0] == pytest.approx(mix.means[0, 0], abs=1e-4)
+        assert mix.var[0] == pytest.approx(mix.variances[0, 0], rel=1e-3)
 
 
 # -- reduction to the mean-propagated deep GP --------------------------------------------
@@ -188,9 +186,10 @@ class TestObjective:
 
         log_w = np.log(model.sigma_points().weights)
         data_term = 0.0
-        for mix, target in zip(model.predictive(X), y):
-            mu_std = (mix.means - shift) / scale
-            var_std = mix.variances / (scale * scale)  # already includes obs noise
+        mix = model.predictive(X)
+        for means, variances, target in zip(mix.means, mix.variances, y):
+            mu_std = (means - shift) / scale
+            var_std = variances / (scale * scale)  # already includes obs noise
             y_std = (target - shift) / scale
             data_term += logsumexp(log_w + gaussian_logpdf(y_std, mu_std, var_std))
 
@@ -260,10 +259,10 @@ class TestModel:
     def test_state_round_trip(self):
         model, X, _ = _toy_dspp(seed=47)
         clone = DSPPModel.from_state(model.config_dict(), model.state_arrays())
-        for mix_a, mix_b in zip(model.predictive(X), clone.predictive(X)):
-            np.testing.assert_array_equal(mix_a.means, mix_b.means)
-            np.testing.assert_array_equal(mix_a.variances, mix_b.variances)
-            np.testing.assert_array_equal(mix_a.weights, mix_b.weights)
+        a, b = model.predictive(X), clone.predictive(X)
+        np.testing.assert_array_equal(a.means, b.means)
+        np.testing.assert_array_equal(a.variances, b.variances)
+        np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_default_objective_is_ppgpr(self):
         model, _, _ = _toy_dspp(seed=49)

@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 
 from rulkit.data import FleetDataset, SplitSpec, UnitSeries, load_fleet, normalize, synth_fleet
-from rulkit.dgp import MixturePredictive
-from rulkit.mathcore import GaussianDist
-from rulkit.metrics import PointPredictive, PredictionRecord, _gather, compute_report
+from rulkit.metrics import Predictions, Records, compute_report
 from rulkit.params import RngStream
 from rulkit.experiment import (
     KEEP_PROB_GRID,
@@ -152,6 +150,7 @@ class TestExperimentConfig:
             (dict(weight_decay=-1e-4), "weight_decay"),
             (dict(rul_cap=0.0), "rul_cap"),
             (dict(inducing_init="grid"), "inducing_init"),
+            (dict(beta_reg=0.0), "beta_reg"),
         ],
     )
     def test_validation(self, overrides, msg):
@@ -229,14 +228,14 @@ class TestRunExperiment:
     def test_rul_cap_applies_to_targets_and_truth(self):
         cap = 5.0
         res = run_experiment(tiny_mcd(rul_cap=cap), small_fleet(), small_split())
-        assert max(r.rul_true for r in res.test_records) <= cap
+        assert res.test_records.rul.max() <= cap
 
     def test_no_validation_split(self):
         # the split, not the config, owns the validation fraction
         split = SplitSpec(("u001", "u002", "u003"), ("u004",), val_fraction=0.0)
         res = run_experiment(tiny_mcd(), small_fleet(), split)
         assert res.val_report is None
-        assert res.val_records == []
+        assert res.val_records is None
 
     def test_point_baseline_beats_constant_predictor(self):
         # noiseless single-mode fleet with shared operating regime: features
@@ -279,10 +278,7 @@ class TestCheckpoints:
         _, val = train_val_rows(normed, split)
         X_v, y_v, uid_v, t_v = val
         preds = model.predictive(X_v, rng=RngStream(cfg.seed).derive(3))
-        records = [
-            PredictionRecord(str(u), int(t), float(y), p)
-            for p, y, u, t in zip(preds, y_v, uid_v, t_v)
-        ]
+        records = Records(uid_v, t_v, y_v, preds)
         assert compute_report(records, cfg.alpha).to_text() == res.val_report.to_text()
 
     def test_training_ignores_test_units(self, tmp_path):
@@ -305,10 +301,10 @@ class TestCheckpoints:
         model, cfg, stats = load_checkpoint(tmp_path / "checkpoint.npz")
         records = checkpoint_records(model, cfg, stats, data, ["u002"])
         assert len(records) == data.unit("u002").num_rows
-        assert {r.unit_id for r in records} == {"u002"}
+        assert set(records.unit.tolist()) == {"u002"}
         again = checkpoint_records(model, cfg, stats, data, ["u002"])
-        for r, s in zip(records, again):
-            assert r.predictive.mean == s.predictive.mean
+        for r, s in zip(records.pred.mean, again.pred.mean):
+            assert r == s
 
     def test_checkpoint_records_reject_normalized_fleet(self, tmp_path):
         data = small_fleet()
@@ -406,6 +402,13 @@ class TestGridSearch:
         ]
         assert gs.order == [0]
 
+    def test_invalid_grid_value_fails_before_any_run(self, tmp_path):
+        base = ExperimentConfig(kind="svgp", epochs=1, batch_size=64, num_inducing=8)
+        with pytest.raises(ValueError, match="beta_reg must be positive"):
+            grid_search(base, {"beta_reg": [1.0, 0.0]}, small_fleet(), small_split(),
+                        out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_child_seeds_are_frozen(self):
         assert _child_seed(0, 0) == 2617721224
         assert _child_seed(0, 1) == 1749781631
@@ -414,11 +417,8 @@ class TestGridSearch:
 
 class TestWritePredictions:
     def test_mixture_components_as_columns(self, tmp_path):
-        records = [
-            PredictionRecord("u1", t, 5.0 - t, MixturePredictive(
-                [0.25, 0.75], [4.0 + t, 6.0], [1.0, 2.0]))
-            for t in range(3)
-        ]
+        records = Records(["u1"] * 3, range(3), [5.0 - t for t in range(3)], Predictions.mixture(
+            [0.25, 0.75], [[4.0 + t, 6.0] for t in range(3)], [[1.0, 2.0]] * 3))
         path = tmp_path / "preds.csv"
         write_predictions(path, records)
         lines = path.read_text().splitlines()
@@ -432,27 +432,15 @@ class TestWritePredictions:
         assert float(cells[6]) == 4.0
 
     def test_point_predictions_have_no_variance(self, tmp_path):
-        records = [PredictionRecord("u1", 0, 3.0, PointPredictive(2.5))]
+        records = Records(["u1"], [0], [3.0], Predictions.point([2.5]))
         path = tmp_path / "preds.csv"
         write_predictions(path, records)
         line = path.read_text().splitlines()[1]
         assert line == "u1,0,3.0,2.5,-"
 
-    def test_mixed_predictive_types_stay_flat(self, tmp_path):
-        records = [
-            PredictionRecord("u1", 0, 3.0, GaussianDist(2.0, 1.0)),
-            PredictionRecord("u1", 1, 2.0, MixturePredictive([1.0], [2.0], [1.0])),
-        ]
-        path = tmp_path / "preds.csv"
-        write_predictions(path, records)
-        assert "w_1" not in path.read_text().splitlines()[0]
-
-
     def test_gaussian_rows_bytes(self, tmp_path):
-        records = [
-            PredictionRecord("u1", 0, 3.0, GaussianDist(0.30000000000000004, 0.25)),
-            PredictionRecord("u2", 7, 0.0, GaussianDist(-1.0, 1e-3)),
-        ]
+        records = Records(["u1", "u2"], [0, 7], [3.0, 0.0], Predictions.gaussian(
+            [0.30000000000000004, -1.0], [0.25, 1e-3]))
         path = tmp_path / "preds.csv"
         write_predictions(path, records)
         assert path.read_text() == (
@@ -461,27 +449,9 @@ class TestWritePredictions:
             "u2,7,0.0,-1.0,0.001\n"
         )
 
-    def test_mixed_gaussian_and_mixture_bytes(self, tmp_path):
-        # mixture moments: mean 0.75 * 4 = 3, variance 0.25 + 0.75 * 17 - 9 = 4
-        records = [
-            PredictionRecord("u1", 0, 3.0, GaussianDist(2.0, 1.0)),
-            PredictionRecord("u1", 1, 2.0, MixturePredictive([0.25, 0.75], [0.0, 4.0], [1.0, 1.0])),
-            PredictionRecord("u2", 0, 1.5, MixturePredictive([1.0], [2.5], [0.5])),
-        ]
-        path = tmp_path / "preds.csv"
-        write_predictions(path, records)
-        assert path.read_text() == (
-            "unit_id,t,rul_true,pred_mean,pred_variance\n"
-            "u1,0,3.0,2.0,1.0\n"
-            "u1,1,2.0,3.0,4.0\n"
-            "u2,0,1.5,2.5,0.5\n"
-        )
-
     def test_mixture_rows_bytes(self, tmp_path):
-        records = [
-            PredictionRecord("u1", 0, 3.0, MixturePredictive([0.25, 0.75], [0.0, 4.0], [1.0, 1.0])),
-            PredictionRecord("u1", 1, 2.0, MixturePredictive([0.5, 0.5], [1.0, 3.0], [2.0, 2.0])),
-        ]
+        records = Records(["u1", "u1"], [0, 1], [3.0, 2.0], Predictions.mixture(
+            [[0.25, 0.75], [0.5, 0.5]], [[0.0, 4.0], [1.0, 3.0]], [[1.0, 1.0], [2.0, 2.0]]))
         path = tmp_path / "preds.csv"
         write_predictions(path, records)
         assert path.read_text() == (
@@ -489,20 +459,6 @@ class TestWritePredictions:
             "u1,0,3.0,3.0,4.0,0.25,0.0,1.0,0.75,4.0,1.0\n"
             "u1,1,2.0,2.0,3.0,0.5,1.0,2.0,0.5,3.0,2.0\n"
         )
-
-    def test_gathered_columns_give_the_same_outputs(self, tmp_path):
-        # run_experiment and evaluate gather a record list once and hand the
-        # columns to both compute_report and write_predictions
-        records = [
-            PredictionRecord("u2", 3, 3.0, GaussianDist(2.0, 1.0)),
-            PredictionRecord("u1", 1, 0.0, MixturePredictive([0.25, 0.75], [0.0, 4.0], [1.0, 1.0])),
-            PredictionRecord("u1", 2, 1.5, MixturePredictive([1.0], [2.5], [0.5])),
-        ]
-        cols = _gather(records)
-        write_predictions(tmp_path / "records.csv", records)
-        write_predictions(tmp_path / "columns.csv", cols)
-        assert (tmp_path / "records.csv").read_bytes() == (tmp_path / "columns.csv").read_bytes()
-        assert compute_report(cols).to_text() == compute_report(records).to_text()
 
 
 class TestFamilyTable:
@@ -513,10 +469,8 @@ class TestFamilyTable:
         assert text.count("pending") == 5
 
     def test_report_row_with_selection(self):
-        records = [
-            PredictionRecord("u1", t, 10.0 - t, GaussianDist(10.0 - t, 4.0))
-            for t in range(5)
-        ]
+        rul = [10.0 - t for t in range(5)]
+        records = Records(["u1"] * 5, range(5), rul, Predictions.gaussian(rul, [4.0] * 5))
         rep = compute_report(records)
         text = family_table({
             "svgp": {"report": rep, "selected": {"num_inducing": 800}},
@@ -549,4 +503,4 @@ class TestBuildModel:
         cfg = default_config("ffnn").replace(hidden_layers=1, hidden_units=4)
         model = build_model(cfg, X, y, RngStream(0))
         preds = model.predictive(X[:1], rng=RngStream(1))
-        assert isinstance(preds[0], PointPredictive)
+        assert preds.kind == "point"

@@ -21,7 +21,6 @@ from rulkit.mcd import (
     loss,
     sample_mask,
 )
-from rulkit.metrics import PointPredictive
 from rulkit.params import OptimizerState, RngStream, adam_step, fd_check, value_and_grad
 
 RNG = np.random.default_rng(900)
@@ -202,15 +201,17 @@ class TestMcPredict:
         r = RngStream(seed)
         raw = [forward(net, x, sample_mask(net, 1, r))[0][0] for _ in range(2)]
         np.testing.assert_array_equal(np.sort(raw), [1.0, 3.0])
-        (pred,) = model.predictive(x, rng=RngStream(seed))
-        assert pred.mean == pytest.approx(2.0, abs=1e-14)
-        assert pred.variance == pytest.approx(1.5, abs=1e-14)
+        pred = model.predictive(x, rng=RngStream(seed))
+        (mean,), (var,) = pred.mean, pred.var
+        assert mean == pytest.approx(2.0, abs=1e-14)
+        assert var == pytest.approx(1.5, abs=1e-14)
 
     def test_full_keep_leaves_only_noise_variance(self):
         model = _model_of(_rigged_net(keep_prob=1.0), test_samples=16)
-        (pred,) = model.predictive(np.array([[0.0]]), rng=RngStream(3))
-        assert pred.mean == pytest.approx(2.0, abs=1e-14)
-        assert pred.variance == pytest.approx(0.5, abs=1e-14)
+        pred = model.predictive(np.array([[0.0]]), rng=RngStream(3))
+        (mean,), (var,) = pred.mean, pred.var
+        assert mean == pytest.approx(2.0, abs=1e-14)
+        assert var == pytest.approx(0.5, abs=1e-14)
 
     def test_variance_at_least_smallest_noise_draw(self):
         net = _random_net(hidden=(8, 8), seed=11, keep_prob=0.5)
@@ -218,10 +219,10 @@ class TestMcPredict:
         for _ in range(5):
             x = RNG.standard_normal((1, 2))
             seed = int(abs(x[0, 0]) * 1e6)
-            (pred,) = model.predictive(x, rng=RngStream(seed))
+            (var,) = model.predictive(x, rng=RngStream(seed)).var
             r = RngStream(seed)
             taus = [forward(net, x, sample_mask(net, 1, r))[1][0] for _ in range(32)]
-            assert pred.variance >= min(taus) - 1e-9
+            assert var >= min(taus) - 1e-9
 
     def test_rejects_input_of_wrong_shape(self):
         model = _model_of(_rigged_net(), test_samples=4)
@@ -317,7 +318,8 @@ class TestAgainstComposedGraph:
             assert got == want
             assert model.params.grad.tobytes() == want_grad.tobytes()
             adam_step(state, model.params)
-        got = [(d.mean, d.variance) for d in model.predictive(X, rng=RngStream(8))]
+        pred = model.predictive(X, rng=RngStream(8))
+        got = list(zip(pred.mean, pred.var))
         assert got == self._predictive(model, X, RngStream(8))
 
 
@@ -348,10 +350,10 @@ class TestMCDModel:
     def test_point_baseline_predicts_masklessly(self):
         model, X, y = self._toy(point_baseline=True, heteroscedastic=False)
         preds = model.predictive(X)
-        assert all(isinstance(p, PointPredictive) for p in preds)
+        assert preds.kind == "point"
         raw, _ = forward(model.net(), X)
         np.testing.assert_allclose(
-            [p.value for p in preds],
+            preds.mean,
             raw * model.target_scale + model.target_shift,
             atol=1e-12,
         )
@@ -360,7 +362,7 @@ class TestMCDModel:
         model, X, _ = self._toy()
         a = model.predictive(X, rng=RngStream(12))
         b = model.predictive(X, rng=RngStream(12))
-        assert [(d.mean, d.variance) for d in a] == [(d.mean, d.variance) for d in b]
+        assert list(zip(a.mean, a.var)) == list(zip(b.mean, b.var))
 
     def test_predictive_mean_converges_with_samples(self):
         # successive doublings of T must shrink the Monte-Carlo wobble of the
@@ -373,7 +375,7 @@ class TestMCDModel:
 
         def means(t, seed):
             model.test_samples = t
-            return np.array([d.mean for d in model.predictive(Xq, rng=RngStream(seed))])
+            return model.predictive(Xq, rng=RngStream(seed)).mean
 
         gap_coarse = np.median(np.abs(means(1024, 1) - means(256, 2)))
         gap_fine = np.median(np.abs(means(4096, 3) - means(1024, 4)))
@@ -399,15 +401,15 @@ class TestMCDModel:
         for step in range(400):
             model.objective_grad(X, y, rng=train.derive(step))
             adam_step(state, model.params)
-        (pred,) = model.predictive(np.array([[0.5]]))
-        assert pred.value == pytest.approx(1.0, abs=0.05)
+        (value,) = model.predictive(np.array([[0.5]])).mean
+        assert value == pytest.approx(1.0, abs=0.05)
 
     def test_state_round_trip(self):
         model, X, _ = self._toy()
         clone = MCDModel.from_state(model.config_dict(), model.state_arrays())
         a = model.predictive(X, rng=RngStream(8))
         b = clone.predictive(X, rng=RngStream(8))
-        assert [(d.mean, d.variance) for d in a] == [(d.mean, d.variance) for d in b]
+        assert list(zip(a.mean, a.var)) == list(zip(b.mean, b.var))
 
     def test_config_reports_ffnn_for_point_baseline(self):
         model, _, _ = self._toy(point_baseline=True, heteroscedastic=False)

@@ -23,7 +23,7 @@ from rulkit.mathcore import (
     kernel_eval,
     mvn_kl,
 )
-from rulkit.params import OptimizerState, RngStream, adam_step, fd_check
+from rulkit.params import OptimizerState, ParamVector, RngStream, adam_step, fd_check
 from rulkit.svgp import (
     LikelihoodParams,
     ObjectiveSpec,
@@ -34,7 +34,6 @@ from rulkit.svgp import (
     latent_predict,
     layer_constants,
     objective,
-    predict,
 )
 
 RNG = np.random.default_rng(31)
@@ -103,18 +102,31 @@ class TestLatentPredict:
             latent_predict(layer, np.zeros((3, 5)))
 
 
+def _model_of(layer: VariationalGPLayer, lik: LikelihoodParams) -> SVGPModel:
+    """An SVGPModel in natural target units carrying ``layer`` and ``lik``."""
+    params = ParamVector()
+    SVGPModel._register(params, layer.input_dim, layer.num_inducing)
+    params.set_value("gp.z", layer.inducing_points)
+    params.set_value("gp.m", layer.variational_mean)
+    params.set_value("gp.L", layer.variational_cov_factor)
+    params.set_value("gp.kernel_variance", layer.kernel.variance)
+    params.set_value("gp.lengthscales", layer.kernel.lengthscales)
+    params.set_value("obs_variance", lik.obs_variance)
+    return SVGPModel(params, ObjectiveSpec(), layer.input_dim, layer.num_inducing)
+
+
 class TestPredict:
     def test_variances_add(self):
         # sigma_f^2 = 0.2 at the inducing point, observation noise 0.3
         layer = _far_apart_layer([0.0], [[math.sqrt(0.2)]])
-        dists = predict(layer, LikelihoodParams(0.3), layer.inducing_points)
-        assert dists[0].variance == pytest.approx(0.5, abs=1e-9)
+        dists = _model_of(layer, LikelihoodParams(0.3)).predictive(layer.inducing_points)
+        assert dists.var[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_prior_reversion_variance(self):
         layer = _random_layer(seed=3)
         xstar = layer.inducing_points.mean(axis=0) - 40.0
-        (dist,) = predict(layer, LikelihoodParams(0.7), xstar[None, :])
-        assert dist.variance == pytest.approx(layer.kernel.variance + 0.7, rel=1e-8)
+        (var,) = _model_of(layer, LikelihoodParams(0.7)).predictive(xstar[None, :]).var
+        assert var == pytest.approx(layer.kernel.variance + 0.7, rel=1e-8)
 
     @given(
         coords=st.lists(
@@ -124,9 +136,9 @@ class TestPredict:
     @settings(max_examples=60, deadline=None)
     def test_variance_never_below_observation_noise(self, coords):
         layer = _random_layer(seed=8)
-        lik = LikelihoodParams(0.4)
-        (dist,) = predict(layer, lik, np.array([coords]))
-        assert dist.variance >= lik.obs_variance
+        model = _model_of(layer, LikelihoodParams(0.4))
+        (var,) = model.predictive(np.array([coords])).var
+        assert var >= model.likelihood().obs_variance
 
 
 class TestWhitening:
@@ -309,8 +321,8 @@ class TestSVGPModel:
     def test_predictive_variance_floor_in_natural_units(self):
         model, X, y = self._toy()
         floor = model.likelihood().obs_variance * model.target_scale**2
-        for dist in model.predictive(RNG.standard_normal((15, 2))):
-            assert dist.variance >= floor * (1.0 - 1e-12)
+        for var in model.predictive(RNG.standard_normal((15, 2))).var:
+            assert var >= floor * (1.0 - 1e-12)
 
     def test_initial_state_has_zero_kl(self):
         # created at q(u) = p(u): the objective must equal the pure data term,
@@ -342,8 +354,9 @@ class TestSVGPModel:
             adam_step(state, model.params)
         clone = SVGPModel.from_state(model.config_dict(), model.state_arrays())
         Xq = RNG.standard_normal((5, 2))
-        for a, b in zip(model.predictive(Xq), clone.predictive(Xq)):
-            assert a.mean == b.mean and a.variance == b.variance
+        a, b = model.predictive(Xq), clone.predictive(Xq)
+        for a_mean, a_var, b_mean, b_var in zip(a.mean, a.var, b.mean, b.var):
+            assert a_mean == b_mean and a_var == b_var
 
     def test_targets_destandardized(self):
         # constant-ish targets around 500: predictions must come back in
@@ -355,5 +368,5 @@ class TestSVGPModel:
         for _ in range(200):
             model.objective_grad(X, y)
             adam_step(state, model.params)
-        mu = np.array([d.mean for d in model.predictive(X)])
+        mu = model.predictive(X).mean
         assert np.all(np.abs(mu - 500.0) < 50.0)
