@@ -37,18 +37,13 @@ from .experiment import (
     save_checkpoint,
 )
 from .mathcore import (
-    GaussianDist,
     Kernel,
-    MultivariateNormal,
     NumericalError,
     QuadratureRule,
     cholesky_jittered,
-    exact_gp_predict,
     gauss_hermite,
     gaussian_cdf,
-    gaussian_nll,
     kernel_eval,
-    mvn_kl,
 )
 from .mcd import MCDModel
 from .metrics import (
@@ -98,18 +93,13 @@ __all__ = [
     "load_checkpoint",
     "run_experiment",
     "save_checkpoint",
-    "GaussianDist",
     "Kernel",
-    "MultivariateNormal",
     "NumericalError",
     "QuadratureRule",
     "cholesky_jittered",
-    "exact_gp_predict",
     "gauss_hermite",
     "gaussian_cdf",
-    "gaussian_nll",
     "kernel_eval",
-    "mvn_kl",
     "MCDModel",
     "MetricsReport",
     "Predictions",

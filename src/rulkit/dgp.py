@@ -23,22 +23,21 @@ import numpy as np
 from . import autodiff as ad
 from . import svgp
 from .autodiff import Tensor
-from .mathcore import Kernel
 # unused here, but the benchmark's span timer rebinds this module's name
 from .mathcore import cholesky_jittered  # noqa: F401
 from .metrics import Predictions
-from .params import IDENTITY, POSITIVE, CholeskyFactor, ParamVector, ParamView, RngStream, value_and_grad
+from .params import POSITIVE, ParamVector, ParamView, RngStream, value_and_grad
 from .svgp import (
     DEFAULT_JITTER,
     LayerTensors,
-    LikelihoodParams,
     ObjectiveSpec,
-    VariationalGPLayer,
     gaussian_loglik_graph,
     init_inducing,
+    input_rows,
     kl_graph,
     latent_graph,
     layer_from_view,
+    register_layer,
 )
 
 _PREDICT_CHUNK = 512
@@ -117,28 +116,20 @@ def output_components(
 
 
 def deep_objective_graph(
-    hidden_groups,
-    out_lt: LayerTensors,
+    mus: list,
+    vars_: list,
+    kl_total: Tensor,
     obs_variance: Tensor,
     spec: ObjectiveSpec,
-    x: Tensor,
     y: Tensor,
     scale: float,
-    multipliers,
     log_weights,
-    skip: bool,
-    jitter: float,
 ) -> Tensor:
-    """Negated deep bound on a batch.
+    """Negated deep bound on a batch from the per-component output moments.
 
     ``log_weights`` is None for equal-weight MC components (log 1/T handled in
     closed form) or a Tensor of per-component log weights (sigma points).
     """
-    streams, kls = propagate_components(hidden_groups, x, multipliers, skip, jitter)
-    mus, vars_, out_kl = output_components(out_lt, streams, jitter)
-    kl_total = out_kl
-    for k in kls:
-        kl_total = kl_total + k
     num_comp = len(mus)
     n = y.shape[0]
     if spec.kind == "elbo":
@@ -180,7 +171,6 @@ class DeepGPModel:
 
     def __init__(
         self,
-        params: ParamVector,
         objective_spec: ObjectiveSpec,
         input_dim: int,
         width: int,
@@ -197,7 +187,6 @@ class DeepGPModel:
             raise ValueError("supported hidden depth is 0 to 3")
         if depth > 0 and width < 1:
             raise ValueError("hidden layers need width >= 1")
-        self.params = params
         self.objective_spec = objective_spec
         self.input_dim = int(input_dim)
         self.width = int(width)
@@ -209,6 +198,14 @@ class DeepGPModel:
         self.jitter = float(jitter)
         self.target_shift = float(target_shift)
         self.target_scale = float(target_scale)
+        self.params = ParamVector()
+        hidden_dims, out_dim = self._layer_dims()
+        hidden_prefixes, out_prefix = self._prefixes()
+        for l, group in enumerate(hidden_prefixes):
+            for prefix in group:
+                register_layer(self.params, prefix, self.num_inducing, hidden_dims[l])
+        register_layer(self.params, out_prefix, self.num_inducing, out_dim)
+        self.params.register("obs_variance", (), POSITIVE, init=0.25)
 
     # widths of the GP inputs per hidden layer and for the output layer
     def _layer_dims(self):
@@ -222,26 +219,6 @@ class DeepGPModel:
     def _prefixes(self):
         hidden = [[f"h{l}.{w}" for w in range(self.width)] for l in range(self.depth)]
         return hidden, "out"
-
-    @classmethod
-    def _register(cls, params: ParamVector, model: "DeepGPModel"):
-        hidden_dims, out_dim = model._layer_dims()
-        m = model.num_inducing
-        hidden_prefixes, out_prefix = model._prefixes()
-        for l, group in enumerate(hidden_prefixes):
-            for prefix in group:
-                cls._register_gp(params, prefix, m, hidden_dims[l])
-        cls._register_gp(params, out_prefix, m, out_dim)
-        params.register("obs_variance", (), POSITIVE, init=0.25)
-
-    @staticmethod
-    def _register_gp(params: ParamVector, prefix: str, m: int, dim: int):
-        params.register(f"{prefix}.z", (m, dim), IDENTITY)
-        params.register(f"{prefix}.m", (m,), IDENTITY)
-        # q(v) starts at the whitened prior N(0, I)
-        params.register(f"{prefix}.L", (m, m), CholeskyFactor(m), init=np.eye(m))
-        params.register(f"{prefix}.kernel_variance", (), POSITIVE, init=1.0)
-        params.register(f"{prefix}.lengthscales", (dim,), POSITIVE, init=np.ones(dim))
 
     @classmethod
     def create(
@@ -267,9 +244,7 @@ class DeepGPModel:
         if rng is None:
             rng = RngStream(0)
         shift, scale = svgp._target_stats(y, standardize_targets)
-        params = ParamVector()
         model = cls(
-            params,
             objective_spec or ObjectiveSpec("elbo"),
             X.shape[1],
             width,
@@ -282,18 +257,12 @@ class DeepGPModel:
             shift,
             scale,
         )
-        cls._register(params, model)
-        params.set_value("obs_variance", obs_variance_init)
-        cls._init_structure(model, X, rng, inducing_strategy)
+        model.params.set_value("obs_variance", obs_variance_init)
+        model._init_structure(X, rng, inducing_strategy)
         return model
 
-    @classmethod
     def _init_structure(
-        cls,
-        model: "DeepGPModel",
-        X: np.ndarray,
-        rng: RngStream,
-        inducing_strategy: str = "random-subset",
+        self, X: np.ndarray, rng: RngStream, inducing_strategy: str = "random-subset"
     ):
         """Data-dependent initialization of every GP's inducing set.
 
@@ -301,56 +270,24 @@ class DeepGPModel:
         output layer see sampled prior activations in the hidden coordinates
         plus the same subset in the skip block.
         """
-        params = model.params
-        subset = init_inducing(X, model.num_inducing, inducing_strategy, rng.derive(0))
-        hidden_prefixes, out_prefix = model._prefixes()
+        subset = init_inducing(X, self.num_inducing, inducing_strategy, rng.derive(0))
+        hidden_prefixes, out_prefix = self._prefixes()
         draw = rng.derive(1)
         for l, group in enumerate(hidden_prefixes):
             for prefix in group:
-                z = subset if l == 0 else cls._lifted(subset, model, draw)
-                params.set_value(f"{prefix}.z", z)
-        z_out = subset if model.depth == 0 else cls._lifted(subset, model, draw)
-        params.set_value(f"{out_prefix}.z", z_out)
+                z = subset if l == 0 else self._lifted(subset, draw)
+                self.params.set_value(f"{prefix}.z", z)
+        z_out = subset if self.depth == 0 else self._lifted(subset, draw)
+        self.params.set_value(f"{out_prefix}.z", z_out)
 
-    @staticmethod
-    def _lifted(subset: np.ndarray, model: "DeepGPModel", rng: RngStream) -> np.ndarray:
-        g = rng.normal(size=(subset.shape[0], model.width))
-        return np.hstack([g, subset]) if model.skip_connection else g
+    def _lifted(self, subset: np.ndarray, rng: RngStream) -> np.ndarray:
+        g = rng.normal(size=(subset.shape[0], self.width))
+        return np.hstack([g, subset]) if self.skip_connection else g
 
-    # -- decoded views ------------------------------------------------------
+    # -- graph builders ---------------------------------------------------------
 
-    def _decode_gp(self, prefix: str) -> VariationalGPLayer:
-        p = self.params
-        return VariationalGPLayer(
-            inducing_points=p.decode(f"{prefix}.z"),
-            variational_mean=p.decode(f"{prefix}.m"),
-            variational_cov_factor=p.decode(f"{prefix}.L"),
-            kernel=Kernel(
-                p.decode(f"{prefix}.kernel_variance"), p.decode(f"{prefix}.lengthscales")
-            ),
-        )
-
-    @property
-    def hidden_layers(self) -> list[list[VariationalGPLayer]]:
-        groups, _ = self._prefixes()
-        return [[self._decode_gp(pref) for pref in group] for group in groups]
-
-    @property
-    def output_layer(self) -> VariationalGPLayer:
-        return self._decode_gp("out")
-
-    def likelihood(self) -> LikelihoodParams:
-        return LikelihoodParams(self.params.decode("obs_variance"))
-
-    # -- graph plumbing -------------------------------------------------------
-
-    def _groups_from_view(self, view: ParamView):
-        hidden_prefixes, out_prefix = self._prefixes()
-        groups = [[layer_from_view(view, pref) for pref in group] for group in hidden_prefixes]
-        return groups, layer_from_view(view, out_prefix)
-
-    def _multipliers_from_eps(self, eps: np.ndarray):
-        """Slice a (T, n, total_width) draw block into per-GP columns."""
+    def _multipliers(self, view: ParamView, eps: np.ndarray):
+        """Slice a (T, n, depth * width) draw block into per-GP columns."""
         return [
             [
                 [eps[t, :, l * self.width + w] for w in range(self.width)]
@@ -358,6 +295,40 @@ class DeepGPModel:
             ]
             for t in range(eps.shape[0])
         ]
+
+    def _log_weights(self, view: ParamView):
+        return None
+
+    def _moments(self, view: ParamView, X: np.ndarray, eps):
+        """Output-layer latent moments per component, in standardized target
+        space, and the summed KL of every inducing set.
+
+        ``eps`` is the (T, n, depth * width) block of standard-normal hidden
+        draws, or None for the sigma-point model, whose sites replace it. The
+        training objective and the predictive both build on this.
+        """
+        if eps is not None and eps.shape[1:] != (X.shape[0], self.depth * self.width):
+            raise ValueError(
+                f"eps has shape {eps.shape}, expected (T, {X.shape[0]}, {self.depth * self.width})"
+            )
+        hidden_prefixes, out_prefix = self._prefixes()
+        groups = [[layer_from_view(view, pref) for pref in group] for group in hidden_prefixes]
+        out_lt = layer_from_view(view, out_prefix)
+        streams, kls = propagate_components(
+            groups, ad.constant(X), self._multipliers(view, eps), self.skip_connection, self.jitter
+        )
+        mus, vars_, kl_total = output_components(out_lt, streams, self.jitter)
+        for k in kls:
+            kl_total = kl_total + k
+        return mus, vars_, kl_total
+
+    def _component_moments(self, X: np.ndarray, eps=None):
+        """``_moments`` on a constant view of the parameters, as (T, n) arrays."""
+        mus, vars_, _ = self._moments(ParamView(self.params, trainable=False), X, eps)
+        return (
+            np.stack([m.data for m in mus], axis=0),
+            np.stack([v.data for v in vars_], axis=0),
+        )
 
     def _draw_eps(self, n: int, samples: int, rng: Optional[RngStream]) -> np.ndarray:
         if self.depth == 0:
@@ -367,21 +338,40 @@ class DeepGPModel:
             rng = RngStream(0)
         return rng.normal(size=(samples, n, self.depth * self.width))
 
-    def _build(self, view: ParamView, X, y, scale: float, eps: np.ndarray) -> Tensor:
-        groups, out_lt = self._groups_from_view(view)
+    def _build(self, view: ParamView, X, y, scale: float, eps) -> Tensor:
+        mus, vars_, kl_total = self._moments(view, X, eps)
         return deep_objective_graph(
-            groups,
-            out_lt,
+            mus,
+            vars_,
+            kl_total,
             view.get("obs_variance"),
             self.objective_spec,
-            ad.constant(X),
             ad.constant((y - self.target_shift) / self.target_scale),
             scale,
-            self._multipliers_from_eps(eps),
-            None,
-            self.skip_connection,
-            self.jitter,
+            self._log_weights(view),
         )
+
+    def _mixture(
+        self, X, weights: np.ndarray, chunk: int, rng: Optional[RngStream]
+    ) -> Predictions:
+        """Mixture over the model's components per row of X, in natural target
+        units; hidden draws come from ``rng``, or none are drawn without one."""
+        X = input_rows(X, self.input_dim)
+        obs = self.params.decode("obs_variance")
+        s = self.target_scale
+        means, variances = [], []
+        # one pass even for zero rows, so an empty input gives an empty batch
+        for start in range(0, max(X.shape[0], 1), chunk):
+            block = X[start : start + chunk]
+            eps = None
+            if rng is not None:
+                eps = self._draw_eps(block.shape[0], self.num_test_samples, rng)
+            mu, var = self._component_moments(block, eps)
+            means.append((mu * s + self.target_shift).T)
+            variances.append(((var + obs) * s * s).T)
+        return Predictions.mixture(weights, np.concatenate(means), np.concatenate(variances))
+
+    # -- training and prediction -------------------------------------------------
 
     def objective_grad(self, X, y, scale: float = 1.0, rng: Optional[RngStream] = None) -> float:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -389,37 +379,11 @@ class DeepGPModel:
         eps = self._draw_eps(X.shape[0], self.num_train_samples, rng)
         return value_and_grad(self.params, lambda view: self._build(view, X, y, scale, eps))
 
-    def loss_fn(self, X, y, scale: float = 1.0, rng_seed: int = 0):
-        """Frozen-draw objective closure for finite-difference checking."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        y = np.asarray(y, dtype=np.float64)
-        eps = self._draw_eps(X.shape[0], self.num_train_samples, RngStream(rng_seed))
-        return lambda params: value_and_grad(
-            params, lambda view: self._build(view, X, y, scale, eps)
-        )
-
-    # -- prediction -------------------------------------------------------------
-
     def predictive(self, X, rng: Optional[RngStream] = None) -> Predictions:
         """Equal-weight Gaussian mixture over sampled forward passes per row of
         X, in natural target units."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        obs = self.likelihood().obs_variance
-        s = self.target_scale
-        if rng is None:
-            rng = RngStream(0)
-        means, variances = [], []
-        for start in range(0, X.shape[0], _PREDICT_CHUNK):
-            block = X[start : start + _PREDICT_CHUNK]
-            mu, var = forward_sample(self, block, rng=rng, samples=self.num_test_samples)
-            means.append((mu * s + self.target_shift).T)
-            variances.append(((var + obs) * s * s).T)
-        t = means[0].shape[1]
-        return Predictions.mixture(
-            np.full(t, 1.0 / t), np.concatenate(means), np.concatenate(variances)
-        )
-
-    # -- checkpoint support --------------------------------------------------------
+        t = self.num_test_samples if self.depth else 1
+        return self._mixture(X, np.full(t, 1.0 / t), _PREDICT_CHUNK, rng or RngStream(0))
 
     def config_dict(self) -> dict:
         return {
@@ -437,100 +401,3 @@ class DeepGPModel:
             "target_shift": self.target_shift,
             "target_scale": self.target_scale,
         }
-
-    def state_arrays(self) -> dict:
-        return {"theta": self.params.values.copy()}
-
-    @classmethod
-    def from_state(cls, config: dict, arrays: dict) -> "DeepGPModel":
-        params = ParamVector()
-        model = cls(
-            params,
-            ObjectiveSpec(config["objective"], config["beta_reg"]),
-            config["input_dim"],
-            config["width"],
-            config["depth"],
-            config["num_inducing"],
-            config["skip_connection"],
-            config["num_train_samples"],
-            config["num_test_samples"],
-            config["jitter"],
-            config["target_shift"],
-            config["target_scale"],
-        )
-        cls._register(params, model)
-        svgp._load_theta(params, arrays)
-        return model
-
-
-# -- functional API ------------------------------------------------------------------
-
-
-def forward_sample(
-    model: DeepGPModel,
-    X: np.ndarray,
-    rng: Optional[RngStream] = None,
-    samples: Optional[int] = None,
-    eps: Optional[np.ndarray] = None,
-):
-    """Sampled output-layer latent moments, shape (T, n) each.
-
-    ``eps`` fixes the hidden standard-normal draws explicitly, e.g. zeros for
-    mean propagation; otherwise ``samples`` draws come from ``rng``. Moments
-    are in the model's standardized target space.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    n = X.shape[0]
-    if eps is None:
-        eps = model._draw_eps(n, samples or model.num_train_samples, rng)
-    else:
-        eps = np.asarray(eps, dtype=np.float64)
-        expected = (eps.shape[0], n, model.depth * model.width)
-        if eps.shape != expected:
-            raise ValueError(f"eps has shape {eps.shape}, expected {expected}")
-    groups = [[svgp.layer_constants(gp) for gp in group] for group in model.hidden_layers]
-    out_lt = svgp.layer_constants(model.output_layer)
-    streams, _ = propagate_components(
-        groups, ad.constant(X), model._multipliers_from_eps(eps), model.skip_connection, model.jitter
-    )
-    mus, vars_, _ = output_components(out_lt, streams, model.jitter)
-    t = eps.shape[0]
-    if len(mus) == 1 and t > 1:
-        mus = mus * t
-        vars_ = vars_ * t
-    return (
-        np.stack([m.data for m in mus], axis=0),
-        np.stack([v.data for v in vars_], axis=0),
-    )
-
-
-def objective(
-    model: DeepGPModel,
-    X: np.ndarray,
-    y: np.ndarray,
-    scale: float = 1.0,
-    spec: Optional[ObjectiveSpec] = None,
-    rng: Optional[RngStream] = None,
-    eps: Optional[np.ndarray] = None,
-) -> float:
-    """Value of the negated deep bound on a batch (no gradient)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64)
-    if eps is None:
-        eps = model._draw_eps(X.shape[0], model.num_train_samples, rng)
-    groups = [[svgp.layer_constants(gp) for gp in group] for group in model.hidden_layers]
-    out_lt = svgp.layer_constants(model.output_layer)
-    loss = deep_objective_graph(
-        groups,
-        out_lt,
-        ad.constant(model.likelihood().obs_variance),
-        spec or model.objective_spec,
-        ad.constant(X),
-        ad.constant((y - model.target_shift) / model.target_scale),
-        scale,
-        model._multipliers_from_eps(np.asarray(eps, dtype=np.float64)),
-        None,
-        model.skip_connection,
-        model.jitter,
-    )
-    return float(loss.data)

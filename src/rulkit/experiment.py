@@ -44,6 +44,7 @@ __all__ = [
     "grid_search",
     "save_checkpoint",
     "load_checkpoint",
+    "model_from_config",
     "checkpoint_records",
     "write_predictions",
     "family_table",
@@ -450,7 +451,6 @@ _MODEL_CLASSES = {
 
 
 def save_checkpoint(path, model, config: ExperimentConfig, stats: NormalizationStats):
-    arrays = {f"state_{k}": v for k, v in model.state_arrays().items()}
     np.savez(
         path,
         format_version=np.asarray(FORMAT_VERSION),
@@ -458,8 +458,32 @@ def save_checkpoint(path, model, config: ExperimentConfig, stats: NormalizationS
         model_config=json.dumps(model.config_dict(), sort_keys=True),
         norm_mean=stats.mean,
         norm_std=stats.std,
-        **arrays,
+        state_theta=model.params.values,
     )
+
+
+def model_from_config(config: dict, theta: np.ndarray):
+    """The model a ``config_dict()`` describes, carrying the raw parameter
+    vector ``theta``: the one path that rebuilds a saved model."""
+    cfg = dict(config)
+    kind = cfg.pop("kind", None)
+    if kind not in _MODEL_CLASSES:
+        raise ValueError(f"checkpoint has unknown model kind {kind!r}")
+    if kind in ("mcd", "ffnn"):
+        cfg["point_baseline"] = kind == "ffnn"
+    else:
+        cfg["objective_spec"] = ObjectiveSpec(cfg.pop("objective"), cfg.pop("beta_reg"))
+    if kind == "dspp":  # both sample counts are the number of sites
+        del cfg["num_train_samples"], cfg["num_test_samples"]
+    model = _MODEL_CLASSES[kind](**cfg)
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != model.params.values.shape:
+        raise ValueError(
+            f"checkpoint holds {theta.shape[0]} raw parameters, "
+            f"model expects {model.params.values.shape[0]}"
+        )
+    model.params.values[:] = theta
+    return model
 
 
 def load_checkpoint(path):
@@ -472,15 +496,8 @@ def load_checkpoint(path):
                 f"this rulkit reads format_version {FORMAT_VERSION}"
             )
         exp_cfg = ExperimentConfig.from_dict(json.loads(str(z["experiment_config"])))
-        model_cfg = json.loads(str(z["model_config"]))
-        arrays = {
-            k[len("state_"):]: z[k] for k in z.files if k.startswith("state_")
-        }
+        model = model_from_config(json.loads(str(z["model_config"])), z["state_theta"])
         stats = NormalizationStats(z["norm_mean"], z["norm_std"])
-    kind = model_cfg.get("kind")
-    if kind not in _MODEL_CLASSES:
-        raise ValueError(f"checkpoint has unknown model kind {kind!r}")
-    model = _MODEL_CLASSES[kind].from_state(model_cfg, arrays)
     return model, exp_cfg, stats
 
 

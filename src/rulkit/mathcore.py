@@ -1,8 +1,7 @@
 """Shared numerical primitives.
 
-Covariance kernels, stabilized Cholesky factorization, Gaussian densities and
-divergences, Gauss-Hermite quadrature, the normal CDF and a dense
-Gaussian-process regressor kept as a reference implementation for tests.
+The squared-exponential kernel, stabilized Cholesky factorization, the
+Gaussian log density, Gauss-Hermite quadrature and the normal CDF.
 Everything here is plain numpy/scipy; differentiable variants of the few
 pieces the training objectives need live in :mod:`rulkit.autodiff`.
 """
@@ -13,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import erf
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -76,12 +74,6 @@ def kernel_eval(kernel: Kernel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return kernel.variance * np.exp(-0.5 * d2)
 
 
-def kernel_diag(kernel: Kernel, X: np.ndarray) -> np.ndarray:
-    """diag k(X, X); constant for a stationary kernel."""
-    X = _check_inputs(kernel, X, "X")
-    return np.full(X.shape[0], kernel.variance)
-
-
 # -- stabilized Cholesky ------------------------------------------------------
 
 
@@ -121,67 +113,7 @@ def cholesky_jittered(
     )
 
 
-# -- Gaussian distributions ---------------------------------------------------
-
-
-@dataclass
-class GaussianDist:
-    """Univariate Gaussian, parameterized by mean and variance."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        self.mean = float(self.mean)
-        self.variance = float(self.variance)
-        if not self.variance > 0.0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-
-@dataclass
-class MultivariateNormal:
-    """Gaussian with covariance given by its lower Cholesky factor."""
-
-    mean: np.ndarray
-    covariance_factor: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.covariance_factor = np.asarray(self.covariance_factor, dtype=np.float64)
-        d = self.mean.shape[0]
-        if self.mean.ndim != 1 or self.covariance_factor.shape != (d, d):
-            raise DimensionError("mean and covariance factor dimensions disagree")
-        if np.any(np.diag(self.covariance_factor) <= 0.0):
-            raise ValueError("covariance factor needs a positive diagonal")
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-    @property
-    def covariance(self) -> np.ndarray:
-        return self.covariance_factor @ self.covariance_factor.T
-
-
-def mvn_kl(q: MultivariateNormal, p: MultivariateNormal) -> float:
-    """KL(q || p) between Gaussians, in closed form via the factors.
-
-    KL = 1/2 (tr(Sp^{-1} Sq) + (mp-mq)^T Sp^{-1} (mp-mq) - d + log|Sp| - log|Sq|)
-    """
-    if q.dim != p.dim:
-        raise DimensionError(f"dimension mismatch: q has {q.dim}, p has {p.dim}")
-    lq, lp = q.covariance_factor, p.covariance_factor
-    m = solve_triangular(lp, lq, lower=True, check_finite=False)
-    trace = float(np.sum(m * m))
-    alpha = solve_triangular(lp, p.mean - q.mean, lower=True, check_finite=False)
-    quad = float(alpha @ alpha)
-    logdet_p = float(np.sum(np.log(np.diag(lp))))
-    logdet_q = float(np.sum(np.log(np.diag(lq))))
-    return 0.5 * (trace + quad - q.dim) + logdet_p - logdet_q
+# -- Gaussian density ---------------------------------------------------------
 
 
 def gaussian_logpdf(y, mean, variance):
@@ -192,11 +124,6 @@ def gaussian_logpdf(y, mean, variance):
         raise ValueError("variance must be positive")
     resid = y - mean
     return -0.5 * (LOG_TWO_PI + np.log(variance) + resid * resid / variance)
-
-
-def gaussian_nll(y: float, dist: GaussianDist) -> float:
-    """Negative log density of y under a univariate Gaussian."""
-    return float(-gaussian_logpdf(y, dist.mean, dist.variance))
 
 
 # -- quadrature ---------------------------------------------------------------
@@ -233,37 +160,3 @@ def gaussian_cdf(x, mean=0.0, std=1.0):
         raise ValueError("std must be positive")
     z = (np.asarray(x, dtype=np.float64) - mean) / (std * math.sqrt(2.0))
     return 0.5 * (1.0 + erf(z))
-
-
-# -- dense GP reference -------------------------------------------------------
-
-
-def exact_gp_predict(kernel: Kernel, noise: float, X: np.ndarray, y: np.ndarray, xstar):
-    """Textbook GP posterior predictive for y* at xstar.
-
-    mean = k*^T (K + noise I)^{-1} y
-    var  = k(x*, x*) - k*^T (K + noise I)^{-1} k* + noise
-
-    Dense, O(N^3); guarded to N <= 2000 since it exists as a test reference.
-    Returns a GaussianDist for a single point, a list for a matrix of points.
-    """
-    X = _check_inputs(kernel, X, "X")
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (X.shape[0],):
-        raise DimensionError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
-    if X.shape[0] > 2000:
-        raise ValueError("exact_gp_predict is a reference implementation, N <= 2000")
-    if noise < 0.0:
-        raise ValueError("noise variance must be nonnegative")
-    single = np.asarray(xstar).ndim == 1
-    Xs = _check_inputs(kernel, xstar, "xstar")
-    K = kernel_eval(kernel, X, X) + noise * np.eye(X.shape[0])
-    L = cholesky_jittered(K).factor
-    alpha = solve_triangular(L, y, lower=True, check_finite=False)
-    alpha = solve_triangular(L, alpha, lower=True, trans="T", check_finite=False)
-    ks = kernel_eval(kernel, X, Xs)
-    v = solve_triangular(L, ks, lower=True, check_finite=False)
-    means = ks.T @ alpha
-    variances = kernel_diag(kernel, Xs) - np.sum(v * v, axis=0) + noise
-    dists = [GaussianDist(m, s2) for m, s2 in zip(means, variances)]
-    return dists[0] if single else dists

@@ -212,33 +212,50 @@ class ParamVector:
 
 
 class ParamView:
-    """Graph-side view of a ParamVector: named slices as transformed Tensors."""
+    """Graph-side view of a ParamVector: named slices as transformed Tensors.
 
-    def __init__(self, params: ParamVector, theta: Tensor):
+    Each slice a build touches gets its own raw Tensor, kept in ``raw``: a
+    leaf in a trainable view, so :func:`value_and_grad` can write its
+    gradient straight into that slice of ``params.grad``, and a constant in a
+    view built with ``trainable=False``, which evaluates the same graph
+    builders without gradient plumbing (prediction).
+    """
+
+    def __init__(self, params: ParamVector, trainable: bool = True):
         self._params = params
-        self.theta = theta
+        self._make = ad.leaf if trainable else ad.constant
+        self.raw: dict[str, Tensor] = {}
         self._cache: dict[str, Tensor] = {}
+
+    def _raw(self, name: str) -> Tensor:
+        if name not in self.raw:
+            e = self._params.entry(name)
+            self.raw[name] = self._make(self._params.values[e.offset : e.offset + e.size])
+        return self.raw[name]
 
     def get(self, name: str) -> Tensor:
         if name not in self._cache:
             e = self._params.entry(name)
-            raw = self.theta[e.offset : e.offset + e.size]
-            self._cache[name] = e.transform.apply(raw, e.shape)
+            self._cache[name] = e.transform.apply(self._raw(name), e.shape)
         return self._cache[name]
 
     def log_simplex(self, name: str) -> Tensor:
         """Log-weights of a simplex slice, computed stably from the logits."""
         e = self._params.entry(name)
-        raw = self.theta[e.offset : e.offset + e.size]
-        return e.transform.log_apply(raw, e.shape)
+        return e.transform.log_apply(self._raw(name), e.shape)
 
 
 def value_and_grad(params: ParamVector, build: Callable[[ParamView], Tensor]) -> float:
-    """Evaluate a graph-building objective and leave its gradient on params."""
-    theta = ad.leaf(params.values)
-    loss = build(ParamView(params, theta))
+    """Evaluate a graph-building objective and leave its gradient on params;
+    slices the objective does not depend on get a zero gradient."""
+    view = ParamView(params)
+    loss = build(view)
     loss.backward()
-    params.grad[:] = theta.grad if theta.grad is not None else 0.0
+    params.grad[:] = 0.0
+    for name, raw in view.raw.items():
+        if raw.grad is not None:
+            e = params.entry(name)
+            params.grad[e.offset : e.offset + e.size] = raw.grad
     return float(loss.data)
 
 
@@ -357,7 +374,9 @@ def fd_check(
     ``loss`` must follow the gradient contract (fill ``params.grad``). The
     step is h = step_scale * max(1, |theta_k|) per probed coordinate. For
     stochastic objectives the caller must freeze the randomness inside
-    ``loss``, otherwise the comparison is meaningless.
+    ``loss``, otherwise the comparison is meaningless: e.g.
+    ``lambda p: model.objective_grad(X, y, rng=RngStream(seed))`` draws the
+    same samples on every evaluation.
     """
     if rng is None:
         rng = RngStream(0)

@@ -13,8 +13,10 @@ latent predictive and down-weights the KL by a regularization constant
 
     sum_i log N(y_i | mu_f(x_i), s2_f(x_i) + s2_obs) * scale - beta * KL.
 
-The differentiable graph builders here are reused by the deep variants, which
-stack the same layer computation.
+The differentiable graph builders here are the model's only representation:
+training evaluates them on trainable views of the flat parameter vector and
+prediction on constant ones. The deep variants stack the same layer
+computation.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .mathcore import Kernel, NumericalError
+from .mathcore import NumericalError
 # unused here, but the benchmark's span timer rebinds this module's name
 from .mathcore import cholesky_jittered  # noqa: F401
 from .metrics import Predictions
@@ -48,18 +50,6 @@ VARIANCE_FLOOR = 1e-12
 
 
 @dataclass
-class LikelihoodParams:
-    """Homoscedastic Gaussian observation noise."""
-
-    obs_variance: float
-
-    def __post_init__(self):
-        self.obs_variance = float(self.obs_variance)
-        if not self.obs_variance > 0.0:
-            raise ValueError(f"observation variance must be positive, got {self.obs_variance}")
-
-
-@dataclass
 class ObjectiveSpec:
     """Which bound to optimize: 'elbo' or 'ppgpr', with KL regularization."""
 
@@ -71,48 +61,6 @@ class ObjectiveSpec:
             raise ValueError(f"objective kind must be 'elbo' or 'ppgpr', got {self.kind!r}")
         if not self.beta_reg > 0.0:
             raise ValueError(f"beta_reg must be positive, got {self.beta_reg}")
-
-
-@dataclass
-class VariationalGPLayer:
-    """Inducing inputs plus the whitened variational posterior and kernel of one GP.
-
-    ``variational_mean`` and ``variational_cov_factor`` are m and S of
-    q(v) = N(m, S S^T) over the whitened inducing values v = L^{-1} u.
-    """
-
-    inducing_points: np.ndarray
-    variational_mean: np.ndarray
-    variational_cov_factor: np.ndarray
-    kernel: Kernel
-
-    def __post_init__(self):
-        self.inducing_points = np.atleast_2d(np.asarray(self.inducing_points, dtype=np.float64))
-        self.variational_mean = np.asarray(self.variational_mean, dtype=np.float64)
-        self.variational_cov_factor = np.asarray(self.variational_cov_factor, dtype=np.float64)
-        m, d = self.inducing_points.shape
-        if m < 1 or d < 1:
-            raise ValueError("need at least one inducing point and one input dimension")
-        if self.variational_mean.shape != (m,):
-            raise ValueError(
-                f"variational mean has shape {self.variational_mean.shape}, expected ({m},)"
-            )
-        if self.variational_cov_factor.shape != (m, m):
-            raise ValueError("variational covariance factor must be (M, M)")
-        if np.any(np.diag(self.variational_cov_factor) <= 0.0):
-            raise ValueError("variational covariance factor needs a positive diagonal")
-        if d != self.kernel.input_dim:
-            raise ValueError(
-                f"inducing points have {d} columns, kernel expects {self.kernel.input_dim}"
-            )
-
-    @property
-    def num_inducing(self) -> int:
-        return self.inducing_points.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.inducing_points.shape[1]
 
 
 # -- inducing-point initialization --------------------------------------------
@@ -157,7 +105,8 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, iters: int) -> np.ndarray:
 
 @dataclass
 class LayerTensors:
-    """Tensor-valued view of a VariationalGPLayer for graph building."""
+    """Tensors of one GP layer: inducing inputs Z, the whitened posterior
+    q(v) = N(m, S S^T) over v = L^{-1} u, and the kernel hyperparameters."""
 
     inducing: Tensor
     mean: Tensor
@@ -166,14 +115,15 @@ class LayerTensors:
     lengthscales: Tensor
 
 
-def layer_constants(layer: VariationalGPLayer) -> LayerTensors:
-    return LayerTensors(
-        inducing=ad.constant(layer.inducing_points),
-        mean=ad.constant(layer.variational_mean),
-        cov_factor=ad.constant(layer.variational_cov_factor),
-        kernel_variance=ad.constant(layer.kernel.variance),
-        lengthscales=ad.constant(layer.kernel.lengthscales),
-    )
+def register_layer(params: ParamVector, prefix: str, num_inducing: int, input_dim: int):
+    """Register the slices of one GP layer under ``prefix``."""
+    m = num_inducing
+    params.register(f"{prefix}.z", (m, input_dim), IDENTITY)
+    params.register(f"{prefix}.m", (m,), IDENTITY)
+    # q(v) starts at the whitened prior N(0, I)
+    params.register(f"{prefix}.L", (m, m), CholeskyFactor(m), init=np.eye(m))
+    params.register(f"{prefix}.kernel_variance", (), POSITIVE, init=1.0)
+    params.register(f"{prefix}.lengthscales", (input_dim,), POSITIVE, init=np.ones(input_dim))
 
 
 def layer_from_view(view: ParamView, prefix: str) -> LayerTensors:
@@ -218,7 +168,8 @@ def latent_graph(lt: LayerTensors, x: Tensor, jitter: float = DEFAULT_JITTER):
     qdiag = (b * b).sum(axis=0)
     sdiag = ((lt.cov_factor.T @ b) ** 2).sum(axis=0)
     raw = kdiag - qdiag + sdiag
-    worst = float(raw.data.min())
+    # only a negative minimum matters; initial=0.0 lets a zero-row batch through
+    worst = float(raw.data.min(initial=0.0))
     if worst < NEG_VARIANCE_TOL:
         raise NumericalError(f"latent variance fell to {worst:.3e}; matrix too ill-conditioned")
     return mu, ad.clamp_min(raw, VARIANCE_FLOOR)
@@ -261,49 +212,6 @@ def objective_graph(
     return -bound
 
 
-# -- plain-numpy public API -----------------------------------------------------
-
-
-def latent_predict(layer: VariationalGPLayer, X: np.ndarray, jitter: float = DEFAULT_JITTER):
-    """Latent predictive moments (mu_f, s2_f) per row of X, as arrays."""
-    X = _check_rows(layer, X)
-    mu, var = latent_graph(layer_constants(layer), ad.constant(X), jitter)
-    return mu.data, var.data
-
-
-def objective(
-    layer: VariationalGPLayer,
-    lik: LikelihoodParams,
-    spec: ObjectiveSpec,
-    X: np.ndarray,
-    y: np.ndarray,
-    scale: float = 1.0,
-    jitter: float = DEFAULT_JITTER,
-) -> float:
-    """Value of the negated training bound on a batch (no gradient)."""
-    X = _check_rows(layer, X)
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (X.shape[0],):
-        raise ValueError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
-    loss = objective_graph(
-        layer_constants(layer),
-        ad.constant(lik.obs_variance),
-        spec,
-        ad.constant(X),
-        ad.constant(y),
-        scale,
-        jitter,
-    )
-    return float(loss.data)
-
-
-def _check_rows(layer: VariationalGPLayer, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != layer.input_dim:
-        raise ValueError(f"X has {X.shape[1]} columns, layer expects {layer.input_dim}")
-    return X
-
-
 # -- trainable model --------------------------------------------------------------
 
 
@@ -319,7 +227,6 @@ class SVGPModel:
 
     def __init__(
         self,
-        params: ParamVector,
         objective_spec: ObjectiveSpec,
         input_dim: int,
         num_inducing: int,
@@ -327,26 +234,15 @@ class SVGPModel:
         target_shift: float = 0.0,
         target_scale: float = 1.0,
     ):
-        self.params = params
         self.objective_spec = objective_spec
         self.input_dim = int(input_dim)
         self.num_inducing = int(num_inducing)
         self.jitter = float(jitter)
         self.target_shift = float(target_shift)
         self.target_scale = float(target_scale)
-
-    @staticmethod
-    def _register(params: ParamVector, input_dim: int, num_inducing: int):
-        params.register("gp.z", (num_inducing, input_dim), IDENTITY)
-        params.register("gp.m", (num_inducing,), IDENTITY)
-        # q(v) starts at the whitened prior N(0, I)
-        params.register(
-            "gp.L", (num_inducing, num_inducing), CholeskyFactor(num_inducing),
-            init=np.eye(num_inducing),
-        )
-        params.register("gp.kernel_variance", (), POSITIVE, init=1.0)
-        params.register("gp.lengthscales", (input_dim,), POSITIVE, init=np.ones(input_dim))
-        params.register("obs_variance", (), POSITIVE, init=0.25)
+        self.params = ParamVector()
+        register_layer(self.params, "gp", self.num_inducing, self.input_dim)
+        self.params.register("obs_variance", (), POSITIVE, init=0.25)
 
     @classmethod
     def create(
@@ -371,37 +267,16 @@ class SVGPModel:
             rng = RngStream(0)
         shift, scale = _target_stats(y, standardize_targets)
         z = init_inducing(X, num_inducing, inducing_strategy, rng)
-        params = ParamVector()
-        cls._register(params, X.shape[1], num_inducing)
+        spec = objective_spec or ObjectiveSpec()
+        model = cls(spec, X.shape[1], num_inducing, jitter, shift, scale)
+        params = model.params
         params.set_value("gp.z", z)
         params.set_value("gp.kernel_variance", kernel_variance_init)
         params.set_value("gp.lengthscales", np.full(X.shape[1], lengthscale_init))
         params.set_value("obs_variance", obs_variance_init)
         if freeze_inducing:
             params.set_trainable("gp.z", False)
-        return cls(
-            params,
-            objective_spec or ObjectiveSpec(),
-            X.shape[1],
-            num_inducing,
-            jitter,
-            shift,
-            scale,
-        )
-
-    # -- decoded views ----------------------------------------------------
-
-    def layer(self) -> VariationalGPLayer:
-        p = self.params
-        return VariationalGPLayer(
-            inducing_points=p.decode("gp.z"),
-            variational_mean=p.decode("gp.m"),
-            variational_cov_factor=p.decode("gp.L"),
-            kernel=Kernel(p.decode("gp.kernel_variance"), p.decode("gp.lengthscales")),
-        )
-
-    def likelihood(self) -> LikelihoodParams:
-        return LikelihoodParams(self.params.decode("obs_variance"))
+        return model
 
     # -- training and prediction -------------------------------------------
 
@@ -422,21 +297,15 @@ class SVGPModel:
         y = np.asarray(y, dtype=np.float64)
         return value_and_grad(self.params, lambda view: self._build(view, X, y, scale))
 
-    def loss_fn(self, X, y, scale: float = 1.0, rng=None):
-        """Objective closure following the gradient contract (for fd checks)."""
-        return lambda params: value_and_grad(
-            params, lambda view: self._build(view, X, y, scale)
-        )
-
     def predictive(self, X, rng=None) -> Predictions:
         """Observation-space Gaussian N(mu_f, s2_f + s2_obs) per row of X,
         in natural target units."""
-        mu, var = latent_predict(self.layer(), X, self.jitter)
-        obs = self.likelihood().obs_variance
+        X = input_rows(X, self.input_dim)
+        view = ParamView(self.params, trainable=False)
+        mu, var = latent_graph(layer_from_view(view, "gp"), ad.constant(X), self.jitter)
+        obs = self.params.decode("obs_variance")
         s = self.target_scale
-        return Predictions.gaussian(mu * s + self.target_shift, (var + obs) * s * s)
-
-    # -- checkpoint support --------------------------------------------------
+        return Predictions.gaussian(mu.data * s + self.target_shift, (var.data + obs) * s * s)
 
     def config_dict(self) -> dict:
         return {
@@ -450,24 +319,14 @@ class SVGPModel:
             "target_scale": self.target_scale,
         }
 
-    def state_arrays(self) -> dict:
-        return {"theta": self.params.values.copy()}
 
-    @classmethod
-    def from_state(cls, config: dict, arrays: dict) -> "SVGPModel":
-        params = ParamVector()
-        cls._register(params, config["input_dim"], config["num_inducing"])
-        model = cls(
-            params,
-            ObjectiveSpec(config["objective"], config["beta_reg"]),
-            config["input_dim"],
-            config["num_inducing"],
-            config["jitter"],
-            config["target_shift"],
-            config["target_scale"],
-        )
-        _load_theta(params, arrays)
-        return model
+def input_rows(X, input_dim: int) -> np.ndarray:
+    """Every model's predictive input rule: a float (n, input_dim) array, n >= 0
+    (a single (input_dim,) row is taken as n = 1)."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.ndim != 2 or X.shape[1] != input_dim:
+        raise ValueError(f"expected inputs of shape (n, {input_dim}), got {X.shape}")
+    return X
 
 
 def _target_stats(y: np.ndarray, standardize: bool):
@@ -475,12 +334,3 @@ def _target_stats(y: np.ndarray, standardize: bool):
         return 0.0, 1.0
     spread = float(y.std())
     return float(y.mean()), max(spread, 1e-8)
-
-
-def _load_theta(params: ParamVector, arrays: dict):
-    theta = np.asarray(arrays["theta"], dtype=np.float64)
-    if theta.shape != params.values.shape:
-        raise ValueError(
-            f"checkpoint holds {theta.shape[0]} raw parameters, model expects {params.values.shape[0]}"
-        )
-    params.values[:] = theta

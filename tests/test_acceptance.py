@@ -12,11 +12,11 @@ import time
 import numpy as np
 import pytest
 
+from gp_oracle import exact_gp_predict
+from rulkit import autodiff as ad
 from rulkit.data import SplitSpec, normalize, stack_rows, synth_fleet
-from rulkit.dgp import DeepGPModel, forward_sample
-from rulkit.dgp import objective as dgp_objective
+from rulkit.dgp import DeepGPModel
 from rulkit.dspp import DSPPModel, init_sigma_points
-from rulkit.dspp import objective as dspp_objective
 from rulkit.experiment import (
     TABLE_FAMILIES,
     default_config,
@@ -26,7 +26,7 @@ from rulkit.experiment import (
     run_experiment,
     write_predictions,
 )
-from rulkit.mathcore import Kernel, exact_gp_predict, gauss_hermite, kernel_eval
+from rulkit.mathcore import Kernel, gauss_hermite, kernel_eval
 from rulkit.mcd import MCDModel
 from rulkit.metrics import (
     Predictions,
@@ -36,12 +36,13 @@ from rulkit.metrics import (
 )
 from rulkit.params import (
     OptimizerState,
+    ParamView,
     RngStream,
     adam_step,
     fd_check,
     minibatch_iter,
 )
-from rulkit.svgp import ObjectiveSpec, SVGPModel, latent_predict
+from rulkit.svgp import ObjectiveSpec, SVGPModel, latent_graph, layer_from_view
 
 
 def _gate(num: int, label: str, passed: bool) -> None:
@@ -65,7 +66,7 @@ def test_gradients_match_finite_differences_across_all_objectives():
         )
         model.params.values += 0.05 * rng.standard_normal(model.params.size)
         errs[f"svgp-{kind}"] = fd_check(
-            model.loss_fn(X, y), model.params, probes=20, rng=RngStream(3)
+            lambda p: model.objective_grad(X, y), model.params, probes=20, rng=RngStream(3)
         )
 
     Xd = rng.standard_normal((10, 2))
@@ -75,9 +76,13 @@ def test_gradients_match_finite_differences_across_all_objectives():
         objective_spec=ObjectiveSpec("elbo"), rng=RngStream(2), num_train_samples=3,
     )
     deep.params.values += 0.2 * rng.standard_normal(deep.params.size)
-    # rng_seed freezes the hidden-layer draws so the objective is deterministic
+    # a fresh stream per evaluation freezes the hidden-layer draws, so the
+    # objective is deterministic
     errs["dgp"] = fd_check(
-        deep.loss_fn(Xd, yd, rng_seed=4), deep.params, probes=20, rng=RngStream(1)
+        lambda p: deep.objective_grad(Xd, yd, rng=RngStream(4)),
+        deep.params,
+        probes=20,
+        rng=RngStream(1),
     )
 
     Xs = rng.standard_normal((9, 2))
@@ -86,7 +91,9 @@ def test_gradients_match_finite_differences_across_all_objectives():
         Xs, ys, width=2, depth=1, num_inducing=3, num_sites=3, rng=RngStream(21)
     )
     sigma.params.values += 0.15 * rng.standard_normal(sigma.params.size)
-    errs["dspp"] = fd_check(sigma.loss_fn(Xs, ys), sigma.params, probes=20, rng=RngStream(2))
+    errs["dspp"] = fd_check(
+        lambda p: sigma.objective_grad(Xs, ys), sigma.params, probes=20, rng=RngStream(2)
+    )
 
     Xm = rng.standard_normal((16, 2))
     ym = Xm[:, 0] - 0.5 * Xm[:, 1] + 0.05 * rng.standard_normal(16)
@@ -94,9 +101,13 @@ def test_gradients_match_finite_differences_across_all_objectives():
         Xm, ym, hidden_layers=2, hidden_units=6, keep_prob=0.7,
         test_samples=16, rng=RngStream(1),
     )
-    # rng_seed freezes the dropout masks across the probed evaluations
+    # a fresh stream per evaluation freezes the dropout masks across the
+    # probed evaluations
     errs["mcd"] = fd_check(
-        mcd.loss_fn(Xm, ym, rng_seed=2), mcd.params, probes=20, rng=RngStream(5)
+        lambda p: mcd.objective_grad(Xm, ym, rng=RngStream(2)),
+        mcd.params,
+        probes=20,
+        rng=RngStream(5),
     )
 
     elapsed = time.monotonic() - t0
@@ -183,8 +194,10 @@ def test_degenerate_deep_models_reduce_to_their_shallow_counterparts():
         mix, gauss = deep.predictive(X), flat.predictive(X)
         for mean, var, g_mean, g_var in zip(mix.mean, mix.var, gauss.mean, gauss.var):
             worst = max(worst, abs(mean - g_mean), abs(var - g_var))
-        mus, vars_ = forward_sample(deep, X, rng=RngStream(0), samples=5)
-        mu_ref, var_ref = latent_predict(flat.layer(), X)
+        mus, vars_ = deep._component_moments(X, deep._draw_eps(X.shape[0], 5, RngStream(0)))
+        view = ParamView(flat.params, trainable=False)
+        mu_ref, var_ref = latent_graph(layer_from_view(view, "gp"), ad.constant(X), flat.jitter)
+        mu_ref, var_ref = mu_ref.data, var_ref.data
         worst = max(worst, float(np.max(np.abs(mus[0] - mu_ref))))
         worst = max(worst, float(np.max(np.abs(vars_[0] - var_ref))))
 
@@ -200,8 +213,10 @@ def test_degenerate_deep_models_reduce_to_their_shallow_counterparts():
     sigma.params.values[: deep.params.size] += noise
     deep.params.values += noise
     eps = np.zeros((1, X.shape[0], deep.depth * deep.width))
-    worst = max(worst, abs(dspp_objective(sigma, X, y) - dgp_objective(deep, X, y, eps=eps)))
-    mus, vars_ = forward_sample(deep, X, eps=eps)
+    sigma_loss = sigma._build(ParamView(sigma.params, trainable=False), X, y, 1.0, None)
+    deep_loss = deep._build(ParamView(deep.params, trainable=False), X, y, 1.0, eps)
+    worst = max(worst, abs(float(sigma_loss.data) - float(deep_loss.data)))
+    mus, vars_ = deep._component_moments(X, eps)
     s_mus, s_vars = sigma._component_moments(X)
     worst = max(worst, float(np.max(np.abs(s_mus - mus))))
     worst = max(worst, float(np.max(np.abs(s_vars - vars_))))

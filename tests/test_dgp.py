@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from gp_oracle import np_latent, u_space
-from rulkit import svgp
-from rulkit.dgp import DeepGPModel, forward_sample, objective
+from gp_oracle import layer_of, np_latent, u_space
+from rulkit import autodiff as ad
+from rulkit.dgp import DeepGPModel
+from rulkit.experiment import model_from_config
 from rulkit.metrics import Predictions
-from rulkit.params import RngStream, fd_check
-from rulkit.svgp import ObjectiveSpec, SVGPModel, latent_predict
+from rulkit.params import ParamView, RngStream, fd_check
+from rulkit.svgp import ObjectiveSpec, SVGPModel, latent_graph, layer_from_view
 
 RNG = np.random.default_rng(401)
 
@@ -40,6 +41,25 @@ def _toy_dgp(depth=1, width=2, seed=2, objective_kind="elbo", **kwargs):
     # nonzero variational means so hidden samples actually vary
     model.params.values += 0.2 * rng.standard_normal(model.params.size)
     return model, X, y
+
+
+def _sampled(model, X, rng, samples):
+    """Output-layer latent moments, (T, n) each, under ``samples`` fresh
+    hidden draws from ``rng``."""
+    return model._component_moments(X, model._draw_eps(X.shape[0], samples, rng))
+
+
+def _objective(model, X, y, eps, spec=None) -> float:
+    """Value of the negated deep bound on a batch under the hidden draws eps."""
+    if spec is not None:
+        model.objective_spec = spec
+    view = ParamView(model.params, trainable=False)
+    return float(model._build(view, X, y, 1.0, eps).data)
+
+
+def _hidden_layers(model):
+    groups, _ = model._prefixes()
+    return [[layer_of(model.params, pref) for pref in group] for group in groups]
 
 
 # -- mixture plumbing ------------------------------------------------------------
@@ -82,15 +102,17 @@ class TestMixtureMoments:
 
 
 class TestForwardSample:
+    """Output-layer latent moments under explicit hidden draws."""
+
     def test_zero_eps_is_mean_propagation(self):
         model, X, _ = _toy_dgp()
         eps = np.zeros((1, X.shape[0], model.depth * model.width))
-        mus, vars_ = forward_sample(model, X, eps=eps)
-        hidden = [u_space(gp) for gp in model.hidden_layers[0]]
+        mus, vars_ = model._component_moments(X, eps)
+        hidden = [u_space(gp) for gp in _hidden_layers(model)[0]]
         feats = np.column_stack(
             [np_latent(gp, X)[0] for gp in hidden] + [X]
         )
-        mu_ref, var_ref = np_latent(u_space(model.output_layer), feats)
+        mu_ref, var_ref = np_latent(u_space(layer_of(model.params, "out")), feats)
         np.testing.assert_allclose(mus[0], mu_ref, atol=1e-9)
         np.testing.assert_allclose(vars_[0], var_ref, atol=1e-9)
 
@@ -98,23 +120,23 @@ class TestForwardSample:
         model, X, _ = _toy_dgp()
         eps4 = np.zeros((4, X.shape[0], model.depth * model.width))
         eps1 = np.zeros((1, X.shape[0], model.depth * model.width))
-        mus4, vars4 = forward_sample(model, X, eps=eps4)
-        mus1, vars1 = forward_sample(model, X, eps=eps1)
+        mus4, vars4 = model._component_moments(X, eps4)
+        mus1, vars1 = model._component_moments(X, eps1)
         for t in range(4):
             np.testing.assert_allclose(mus4[t], mus1[0], atol=1e-12)
             np.testing.assert_allclose(vars4[t], vars1[0], atol=1e-12)
 
     def test_same_seed_identical_samples(self):
         model, X, _ = _toy_dgp()
-        a = forward_sample(model, X, rng=RngStream(17), samples=6)
-        b = forward_sample(model, X, rng=RngStream(17), samples=6)
+        a = _sampled(model, X, RngStream(17), 6)
+        b = _sampled(model, X, RngStream(17), 6)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
     def test_rejects_wrong_eps_shape(self):
         model, X, _ = _toy_dgp()
         with pytest.raises(ValueError):
-            forward_sample(model, X, eps=np.zeros((2, 3, 1)))
+            model._component_moments(X, np.zeros((2, 3, 1)))
 
 
 # -- depth-0 reduction ----------------------------------------------------------------
@@ -150,8 +172,11 @@ class TestDepthZeroReduction:
 
     def test_latent_moments_match_flat_model(self, subtests=None):
         flat, deep, X, y = self._paired_models("elbo")
-        mus, vars_ = forward_sample(deep, X, rng=RngStream(0), samples=5)
-        mu_ref, var_ref = latent_predict(flat.layer(), X)
+        mus, vars_ = _sampled(deep, X, RngStream(0), 5)
+        view = ParamView(flat.params, trainable=False)
+        mu_ref, var_ref = (
+            t.data for t in latent_graph(layer_from_view(view, "gp"), ad.constant(X), flat.jitter)
+        )
         assert mus.shape[0] == 1  # no hidden noise: one exact component
         np.testing.assert_array_equal(mus[0], mu_ref)
         np.testing.assert_array_equal(vars_[0], var_ref)
@@ -172,22 +197,25 @@ class TestObjective:
     def test_gradients_pass_fd_check(self, kind):
         model, X, y = _toy_dgp(objective_kind=kind, num_train_samples=3)
         err = fd_check(
-            model.loss_fn(X, y, rng_seed=4), model.params, probes=25, rng=RngStream(1)
+            lambda p: model.objective_grad(X, y, rng=RngStream(4)),
+            model.params,
+            probes=25,
+            rng=RngStream(1),
         )
         assert err < 1e-4
 
     def test_frozen_eps_reproduces_value(self):
         model, X, y = _toy_dgp()
         eps = RngStream(9).normal(size=(5, X.shape[0], model.depth * model.width))
-        assert objective(model, X, y, eps=eps) == objective(model, X, y, eps=eps)
+        assert _objective(model, X, y, eps) == _objective(model, X, y, eps)
 
     def test_row_reordering_invariance(self):
         # permuting rows together with their eps draws must not change the loss
         model, X, y = _toy_dgp()
         eps = RngStream(9).normal(size=(4, X.shape[0], model.depth * model.width))
         perm = np.random.default_rng(0).permutation(X.shape[0])
-        a = objective(model, X, y, eps=eps)
-        b = objective(model, X[perm], y[perm], eps=eps[:, perm, :])
+        a = _objective(model, X, y, eps)
+        b = _objective(model, X[perm], y[perm], eps[:, perm, :])
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_mean_sample_objective_beats_no_data_fit(self):
@@ -195,8 +223,8 @@ class TestObjective:
         # ppgpr variants differ once latent variances are nonzero
         model, X, y = _toy_dgp()
         eps = np.zeros((1, X.shape[0], model.depth * model.width))
-        e = objective(model, X, y, spec=ObjectiveSpec("elbo"), eps=eps)
-        p = objective(model, X, y, spec=ObjectiveSpec("ppgpr"), eps=eps)
+        e = _objective(model, X, y, eps, spec=ObjectiveSpec("elbo"))
+        p = _objective(model, X, y, eps, spec=ObjectiveSpec("ppgpr"))
         assert math.isfinite(e) and math.isfinite(p)
         assert e != pytest.approx(p, abs=1e-6)
 
@@ -209,15 +237,15 @@ class TestMonteCarlo:
         model, X, _ = _toy_dgp(seed=5)
         xstar = X[:1]
         t = 4000
-        mus, vars_ = forward_sample(model, xstar, rng=RngStream(100), samples=t)
+        mus, vars_ = _sampled(model, xstar, RngStream(100), t)
         est_mean = mus[:, 0].mean()
         m2_samples = vars_[:, 0] + mus[:, 0] ** 2
         est_m2 = m2_samples.mean()
         se_mean = mus[:, 0].std() / math.sqrt(t)
         se_m2 = m2_samples.std() / math.sqrt(t)
 
-        hidden = [u_space(gp) for gp in model.hidden_layers[0]]
-        output = u_space(model.output_layer)
+        hidden = [u_space(gp) for gp in _hidden_layers(model)[0]]
+        output = u_space(layer_of(model.params, "out"))
         stats = [np_latent(gp, xstar) for gp in hidden]
         draws = 1_000_000
         rng = np.random.default_rng(8)
@@ -265,7 +293,7 @@ class TestMonteCarlo:
 
     def test_mixture_variance_floor(self):
         model, X, _ = _toy_dgp(seed=13)
-        floor = model.likelihood().obs_variance * model.target_scale**2
+        floor = model.params.decode("obs_variance") * model.target_scale**2
         mix = model.predictive(RNG.standard_normal((12, 2)), rng=RngStream(3))
         for var, variances in zip(mix.var, mix.variances):
             assert var >= floor * (1.0 - 1e-12)
@@ -278,7 +306,7 @@ class TestMonteCarlo:
 class TestStateRoundTrip:
     def test_predictions_survive_reload(self):
         model, X, y = _toy_dgp(seed=19)
-        clone = DeepGPModel.from_state(model.config_dict(), model.state_arrays())
+        clone = model_from_config(model.config_dict(), model.params.values)
         a = model.predictive(X, rng=RngStream(2))
         b = clone.predictive(X, rng=RngStream(2))
         np.testing.assert_array_equal(a.means, b.means)

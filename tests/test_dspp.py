@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from gp_oracle import u_space
+from gp_oracle import MultivariateNormal, layer_of, mvn_kl, u_space
 from rulkit import autodiff as ad
-from rulkit.dgp import DeepGPModel, forward_sample
-from rulkit.dgp import objective as dgp_objective
+from rulkit.dgp import DeepGPModel
 from rulkit.dspp import DSPPModel, SigmaPointSet, init_sigma_points
-from rulkit.dspp import objective as dspp_objective
-from rulkit.mathcore import MultivariateNormal, gaussian_logpdf, kernel_eval, mvn_kl
-from rulkit.params import RngStream, fd_check
+from rulkit.experiment import model_from_config
+from rulkit.mathcore import gaussian_logpdf, kernel_eval
+from rulkit.params import ParamView, RngStream, fd_check
 from rulkit.svgp import ObjectiveSpec
 
 RNG = np.random.default_rng(555)
@@ -42,6 +41,13 @@ def _toy_dspp(num_sites=3, width=2, seed=21, perturb=0.15, **kwargs):
     if perturb:
         model.params.values += perturb * rng.standard_normal(model.params.size)
     return model, X, y
+
+
+def _objective(model, X, y, eps=None) -> float:
+    """Value of the negated bound on a batch at scale 1 (no gradient); eps
+    fixes a deep GP's hidden draws."""
+    view = ParamView(model.params, trainable=False)
+    return float(model._build(view, X, y, 1.0, eps).data)
 
 
 # -- quadrature initialization -------------------------------------------------------
@@ -162,14 +168,14 @@ class TestSingleSiteReduction:
     def test_objective_equals_mean_propagated_dgp(self):
         sigma, deep, X, y = self._paired()
         eps = np.zeros((1, X.shape[0], deep.depth * deep.width))
-        a = dspp_objective(sigma, X, y)
-        b = dgp_objective(deep, X, y, eps=eps)
+        a = _objective(sigma, X, y)
+        b = _objective(deep, X, y, eps)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_components_equal_mean_propagated_dgp(self):
         sigma, deep, X, y = self._paired()
         eps = np.zeros((1, X.shape[0], deep.depth * deep.width))
-        mus, vars_ = forward_sample(deep, X, eps=eps)
+        mus, vars_ = deep._component_moments(X, eps)
         s_mus, s_vars = sigma._component_moments(X)
         np.testing.assert_allclose(s_mus, mus, atol=1e-12)
         np.testing.assert_allclose(s_vars, vars_, atol=1e-12)
@@ -184,7 +190,7 @@ class TestObjective:
         beta = model.objective_spec.beta_reg
         shift, scale = model.target_shift, model.target_scale
 
-        log_w = np.log(model.sigma_points().weights)
+        log_w = np.log(model.params.decode("site_logits"))
         data_term = 0.0
         mix = model.predictive(X)
         for means, variances, target in zip(mix.means, mix.variances, y):
@@ -194,7 +200,9 @@ class TestObjective:
             data_term += logsumexp(log_w + gaussian_logpdf(y_std, mu_std, var_std))
 
         kl = 0.0
-        layers = [g for group in model.hidden_layers for g in group] + [model.output_layer]
+        hidden, out = model._prefixes()
+        layers = [layer_of(model.params, pref) for group in hidden for pref in group]
+        layers.append(layer_of(model.params, out))
         for gp in map(u_space, layers):
             kmm = kernel_eval(gp.kernel, gp.inducing_points, gp.inducing_points)
             kl += mvn_kl(
@@ -203,7 +211,7 @@ class TestObjective:
                     np.zeros(gp.num_inducing), np.linalg.cholesky(kmm)
                 ),
             )
-        assert dspp_objective(model, X, y) == pytest.approx(
+        assert _objective(model, X, y) == pytest.approx(
             -(data_term - beta * kl), abs=1e-9
         )
 
@@ -217,7 +225,9 @@ class TestObjective:
 
     def test_gradients_pass_fd_check(self):
         model, X, y = _toy_dspp(num_sites=3, seed=23)
-        err = fd_check(model.loss_fn(X, y), model.params, probes=25, rng=RngStream(2))
+        err = fd_check(
+            lambda p: model.objective_grad(X, y), model.params, probes=25, rng=RngStream(2)
+        )
         assert err < 1e-4
 
     def test_sites_and_logits_receive_gradient(self):
@@ -230,14 +240,14 @@ class TestObjective:
     def test_finite_far_into_the_tails(self):
         model, X, y = _toy_dspp(seed=31)
         far = y + 40.0 * (1.0 + np.abs(y))
-        assert math.isfinite(dspp_objective(model, X, far))
+        assert math.isfinite(_objective(model, X, far))
 
     def test_beta_scales_only_the_kl(self):
         model, X, y = _toy_dspp(seed=37)
         values = []
         for beta in (1.0, 2.0, 3.0):
             model.objective_spec = ObjectiveSpec("ppgpr", beta_reg=beta)
-            values.append(dspp_objective(model, X, y))
+            values.append(_objective(model, X, y))
         assert values[2] - values[1] == pytest.approx(values[1] - values[0], rel=1e-8)
 
     def test_rejects_elbo_kind(self):
@@ -258,7 +268,7 @@ class TestModel:
 
     def test_state_round_trip(self):
         model, X, _ = _toy_dspp(seed=47)
-        clone = DSPPModel.from_state(model.config_dict(), model.state_arrays())
+        clone = model_from_config(model.config_dict(), model.params.values)
         a, b = model.predictive(X), clone.predictive(X)
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.variances, b.variances)

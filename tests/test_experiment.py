@@ -496,6 +496,25 @@ class TestBuildModel:
             preds = model.predictive(X[:2], rng=RngStream(1))
             assert len(preds) == 2
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_predictive_input_rule(self, kind):
+        # zero rows give an empty batch of the family's kind; any other shape
+        # than (n, input_dim) is refused with that shape in the message
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((12, 3))
+        y = rng.standard_normal(12)
+        cfg = default_config(kind).replace(
+            num_inducing=4, hidden_layers=1, hidden_units=4,
+            width=2, num_sites=3, train_samples=2, test_samples=2,
+        )
+        model = build_model(cfg, X, y, RngStream(0))
+        expected = model.predictive(X[:2], rng=RngStream(1)).kind
+        empty = model.predictive(np.zeros((0, 3)), rng=RngStream(1))
+        assert (len(empty), empty.kind) == (0, expected)
+        for bad in (np.zeros((2, 4)), np.zeros((0, 2)), np.zeros((2, 3, 1))):
+            with pytest.raises(ValueError, match=r"expected inputs of shape \(n, 3\)"):
+                model.predictive(bad, rng=RngStream(1))
+
     def test_ffnn_is_a_point_baseline(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((8, 2))

@@ -1,9 +1,11 @@
 """Dropout MLP: masking algebra, loss terms, Monte-Carlo predictive moments.
 
-The rigged single-unit network makes every quantity hand-computable: with
-keep probability 1/2 the two masked passes give exactly {3, 1}, so the
-predictive moments follow from arithmetic. Expectation checks compare the
-maskless pass with large mask averages at Monte-Carlo tolerance.
+Networks here are models whose layers are set through ``params.set_value``
+and evaluated through the model's own graph builders. The rigged single-unit
+network makes every quantity hand-computable: with keep probability 1/2 the
+two masked passes give exactly {3, 1}, so the predictive moments follow from
+arithmetic. Expectation checks compare the maskless pass with large mask
+averages at Monte-Carlo tolerance.
 """
 
 import math
@@ -12,75 +14,90 @@ import numpy as np
 import pytest
 
 import rulkit.autodiff as ad
-from rulkit.mcd import (
-    MCDModel,
-    MLP,
-    NOISE_FLOOR,
-    DropoutMask,
-    forward,
-    loss,
-    sample_mask,
-)
-from rulkit.params import OptimizerState, RngStream, adam_step, fd_check, value_and_grad
+from rulkit.experiment import model_from_config
+from rulkit.mcd import NOISE_FLOOR, MCDModel, _forward_graph, sample_mask
+from rulkit.params import OptimizerState, ParamView, RngStream, adam_step, fd_check, value_and_grad
 
 RNG = np.random.default_rng(900)
 
 
+def _net(weights, biases, keep_prob, heteroscedastic, noise_variance=1.0, test_samples=4):
+    """A model in raw target space (shift 0, scale 1) carrying the given
+    layers; every hidden layer must have the same width."""
+    widths = {w.shape[1] for w in weights[:-1]}
+    assert len(widths) == 1
+    model = MCDModel(
+        weights[0].shape[0],
+        len(weights) - 1,
+        widths.pop(),
+        keep_prob,
+        heteroscedastic=heteroscedastic,
+        noise_variance=noise_variance,
+        test_samples=test_samples,
+    )
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        model.params.set_value(f"w{i}", w)
+        model.params.set_value(f"b{i}", b)
+    return model
+
+
+def _forward(model: MCDModel, X, masks=None):
+    """Prediction (and noise variance when heteroscedastic) per row of X from
+    the model's forward builder; ``masks=None`` is the maskless pass."""
+    wts, bts = model._layers(ParamView(model.params, trainable=False))
+    x = ad.constant(np.atleast_2d(np.asarray(X, dtype=np.float64)))
+    mean, noise = _forward_graph(wts, bts, x, masks, model.heteroscedastic)
+    return mean.data, (None if noise is None else noise.data)
+
+
+def _masks(model: MCDModel, n: int, rng: RngStream):
+    return sample_mask(model.keep_prob, [model.hidden_units] * model.hidden_layers, n, rng)
+
+
+def _loss(model: MCDModel, X, y, weight_decay: float, rng: RngStream) -> float:
+    """Training loss on a batch with fresh masks."""
+    model.weight_decay = weight_decay
+    return model.objective_grad(X, y, rng=rng)
+
+
 def _linear_net(w=2.0, b=0.0):
-    """No hidden layers: f(x) = w x + b."""
-    return MLP(
-        weights=[np.array([[w]])],
-        biases=[np.array([b])],
+    """One hidden identity unit on nonnegative inputs: f(x) = w x + b."""
+    return _net(
+        [np.array([[1.0]]), np.array([[w]])],
+        [np.array([0.0]), np.array([b])],
         keep_prob=1.0,
         heteroscedastic=False,
         noise_variance=1.0,
     )
 
 
-def _rigged_net(keep_prob=0.5):
+def _rigged_net(keep_prob=0.5, test_samples=4):
     """One hidden unit pinned at 1 before dropout, constant noise head.
 
     Maskless: h = relu(0*x + 1) = 1, mean = 1*h + 1 = 2, tau = exp(ln 0.5).
     Masked with keep 1/2: h scales to 2 or drops to 0, so mean is 3 or 1.
     """
-    return MLP(
-        weights=[np.array([[0.0]]), np.array([[1.0, 0.0]])],
-        biases=[np.array([1.0]), np.array([1.0, math.log(0.5)])],
+    return _net(
+        [np.array([[0.0]]), np.array([[1.0, 0.0]])],
+        [np.array([1.0]), np.array([1.0, math.log(0.5)])],
         keep_prob=keep_prob,
         heteroscedastic=True,
-    )
-
-
-def _model_of(net: MLP, test_samples: int) -> MCDModel:
-    """A model in raw target space (shift 0, scale 1) carrying net's weights;
-    every hidden layer of net must have the same width."""
-    widths = set(net.hidden_sizes)
-    assert len(widths) == 1
-    model = MCDModel.create(
-        np.zeros((1, net.weights[0].shape[0])),
-        np.zeros(1),
-        hidden_layers=net.num_hidden,
-        hidden_units=widths.pop(),
-        keep_prob=net.keep_prob,
-        heteroscedastic=net.heteroscedastic,
         test_samples=test_samples,
-        standardize_targets=False,
     )
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        model.params.set_value(f"w{i}", w)
-        model.params.set_value(f"b{i}", b)
-    return model
 
 
-def _random_net(input_dim=2, hidden=(8, 6), heteroscedastic=True, keep_prob=0.7, seed=0):
+def _random_layers(input_dim=2, hidden=(8, 8), heteroscedastic=True, seed=0):
     rng = np.random.default_rng(seed)
     sizes = [input_dim, *hidden, 2 if heteroscedastic else 1]
-    return MLP(
-        weights=[rng.standard_normal((sizes[i], sizes[i + 1])) * 0.5 for i in range(len(sizes) - 1)],
-        biases=[rng.standard_normal(sizes[i + 1]) * 0.1 for i in range(len(sizes) - 1)],
-        keep_prob=keep_prob,
-        heteroscedastic=heteroscedastic,
-    )
+    weights = [rng.standard_normal((sizes[i], sizes[i + 1])) * 0.5 for i in range(len(sizes) - 1)]
+    biases = [rng.standard_normal(sizes[i + 1]) * 0.1 for i in range(len(sizes) - 1)]
+    return weights, biases
+
+
+def _random_net(input_dim=2, hidden=(8, 8), heteroscedastic=True, keep_prob=0.7, seed=0,
+                test_samples=4):
+    weights, biases = _random_layers(input_dim, hidden, heteroscedastic, seed)
+    return _net(weights, biases, keep_prob, heteroscedastic, test_samples=test_samples)
 
 
 # -- forward pass ------------------------------------------------------------------
@@ -88,18 +105,18 @@ def _random_net(input_dim=2, hidden=(8, 6), heteroscedastic=True, keep_prob=0.7,
 
 class TestForward:
     def test_linear_net_is_linear(self):
-        out, noise = forward(_linear_net(2.0, 0.0), np.array([3.0]))
-        assert out == 6.0
+        out, noise = _forward(_linear_net(2.0, 0.0), np.array([3.0]))
+        assert out[0] == 6.0
         assert noise is None
 
     def test_full_keep_mask_equals_maskless(self):
         net = _random_net(keep_prob=1.0)
         X = RNG.standard_normal((7, 2))
-        masks = sample_mask(net, 7, RngStream(1))
-        for m in masks.layer_masks:
+        masks = _masks(net, 7, RngStream(1))
+        for m in masks:
             np.testing.assert_array_equal(m, 1.0)  # Bernoulli(1) keeps all
-        masked, tau_m = forward(net, X, masks)
-        plain, tau_p = forward(net, X)
+        masked, tau_m = _forward(net, X, masks)
+        plain, tau_p = _forward(net, X)
         np.testing.assert_array_equal(masked, plain)
         np.testing.assert_array_equal(tau_m, tau_p)
 
@@ -107,30 +124,32 @@ class TestForward:
         # inverted dropout after the only hidden layer: the output is linear
         # in the masked activations, so the mask expectation is the maskless
         # pass; checked against 1e5 draws at 3 standard errors
-        net = _random_net(hidden=(8,), keep_prob=0.6, seed=3)
+        weights, biases = _random_layers(hidden=(8,), seed=3)
+        net = _net(weights, biases, keep_prob=0.6, heteroscedastic=True)
         x = np.array([0.4, -1.2])
-        plain, _ = forward(net, x)
+        (plain,), _ = _forward(net, x)
         draws = 100_000
         rng = RngStream(7)
         masks = rng.bernoulli(net.keep_prob, size=(draws, 8))
-        h = np.maximum(net.weights[0].T @ x + net.biases[0], 0.0)
+        h = np.maximum(weights[0].T @ x + biases[0], 0.0)
         hidden = masks * h / net.keep_prob
-        outs = hidden @ net.weights[1][:, 0] + net.biases[1][0]
+        outs = hidden @ weights[1][:, 0] + biases[1][0]
         se = outs.std() / math.sqrt(draws)
         assert abs(outs.mean() - plain) < 3.0 * se
 
     def test_noise_head_floor(self):
-        net = _random_net(seed=5)
-        net.weights[-1][:, 1] = 0.0
-        net.biases[-1][1] = -100.0  # exp underflows far below the floor
-        _, tau = forward(net, RNG.standard_normal((3, 2)))
+        weights, biases = _random_layers(seed=5)
+        weights[-1][:, 1] = 0.0
+        biases[-1][1] = -100.0  # exp underflows far below the floor
+        net = _net(weights, biases, keep_prob=0.7, heteroscedastic=True)
+        _, tau = _forward(net, RNG.standard_normal((3, 2)))
         np.testing.assert_array_equal(tau, 1e-8)
 
     def test_mask_shape_mismatch_raises(self):
         net = _random_net()
-        bad = DropoutMask([np.ones((3, 8)), np.ones((3, 5))])
+        bad = [np.ones((3, 8)), np.ones((3, 5))]
         with pytest.raises(ValueError):
-            forward(net, RNG.standard_normal((3, 2)), bad)
+            _forward(net, RNG.standard_normal((3, 2)), bad)
 
 
 # -- training loss -----------------------------------------------------------------
@@ -141,30 +160,30 @@ class TestLoss:
         net = _linear_net(2.0, 1.0)
         X = np.array([[0.0], [1.0], [2.0]])
         y = 2.0 * X[:, 0] + 1.0
-        assert loss(net, X, y, weight_decay=0.0, rng=RngStream(0)) == 0.0
+        assert _loss(net, X, y, weight_decay=0.0, rng=RngStream(0)) == 0.0
 
     def test_zero_error_decay_one_counts_only_weights(self):
         # output layer zeroed with bias = y: the fit term vanishes for every
         # mask, leaving exactly the sum of squared weight entries (not biases)
         rng = np.random.default_rng(4)
         w1 = rng.standard_normal((3, 5))
-        net = MLP(
-            weights=[w1, np.zeros((5, 1))],
-            biases=[rng.standard_normal(5), np.array([2.5])],
+        net = _net(
+            [w1, np.zeros((5, 1))],
+            [rng.standard_normal(5), np.array([2.5])],
             keep_prob=0.5,
             heteroscedastic=False,
         )
         X = rng.standard_normal((6, 3))
         y = np.full(6, 2.5)
-        value = loss(net, X, y, weight_decay=1.0, rng=RngStream(9))
+        value = _loss(net, X, y, weight_decay=1.0, rng=RngStream(9))
         assert value == pytest.approx(float((w1 * w1).sum()), rel=1e-12)
 
     def test_homoscedastic_fit_is_mean_squared_error(self):
         net = _random_net(heteroscedastic=False, keep_prob=1.0, seed=8)
         X = RNG.standard_normal((5, 2))
         y = RNG.standard_normal(5)
-        pred, _ = forward(net, X)
-        assert loss(net, X, y, 0.0, RngStream(0)) == pytest.approx(
+        pred, _ = _forward(net, X)
+        assert _loss(net, X, y, 0.0, RngStream(0)) == pytest.approx(
             float(np.mean((y - pred) ** 2)), rel=1e-12
         )
 
@@ -172,9 +191,9 @@ class TestLoss:
         net = _random_net(keep_prob=1.0, seed=9)
         X = RNG.standard_normal((5, 2))
         y = RNG.standard_normal(5)
-        mean, tau = forward(net, X)
+        mean, tau = _forward(net, X)
         nll = 0.5 * (np.log(tau) + (y - mean) ** 2 / tau + math.log(2.0 * math.pi))
-        assert loss(net, X, y, 0.0, RngStream(0)) == pytest.approx(
+        assert _loss(net, X, y, 0.0, RngStream(0)) == pytest.approx(
             float(nll.mean()), rel=1e-12
         )
 
@@ -189,17 +208,16 @@ class TestMcPredict:
         # find a stream whose first two Bernoulli(1/2) draws are keep, drop:
         # the two passes then give exactly 3 and 1, tau constant 1/2, so
         # mean = 2 and variance = 0.5 + 1.0 = 1.5
-        net = _rigged_net()
-        model = _model_of(net, test_samples=2)
+        model = _rigged_net(test_samples=2)
         x = np.array([[0.0]])
 
         def first_two(s):
             r = RngStream(s)
-            return tuple(sample_mask(net, 1, r).layer_masks[0][0, 0] > 0.0 for _ in range(2))
+            return tuple(_masks(model, 1, r)[0][0, 0] > 0.0 for _ in range(2))
 
         seed = next(s for s in range(1000) if first_two(s) == (True, False))
         r = RngStream(seed)
-        raw = [forward(net, x, sample_mask(net, 1, r))[0][0] for _ in range(2)]
+        raw = [_forward(model, x, _masks(model, 1, r))[0][0] for _ in range(2)]
         np.testing.assert_array_equal(np.sort(raw), [1.0, 3.0])
         pred = model.predictive(x, rng=RngStream(seed))
         (mean,), (var,) = pred.mean, pred.var
@@ -207,25 +225,24 @@ class TestMcPredict:
         assert var == pytest.approx(1.5, abs=1e-14)
 
     def test_full_keep_leaves_only_noise_variance(self):
-        model = _model_of(_rigged_net(keep_prob=1.0), test_samples=16)
+        model = _rigged_net(keep_prob=1.0, test_samples=16)
         pred = model.predictive(np.array([[0.0]]), rng=RngStream(3))
         (mean,), (var,) = pred.mean, pred.var
         assert mean == pytest.approx(2.0, abs=1e-14)
         assert var == pytest.approx(0.5, abs=1e-14)
 
     def test_variance_at_least_smallest_noise_draw(self):
-        net = _random_net(hidden=(8, 8), seed=11, keep_prob=0.5)
-        model = _model_of(net, test_samples=32)
+        model = _random_net(hidden=(8, 8), seed=11, keep_prob=0.5, test_samples=32)
         for _ in range(5):
             x = RNG.standard_normal((1, 2))
             seed = int(abs(x[0, 0]) * 1e6)
             (var,) = model.predictive(x, rng=RngStream(seed)).var
             r = RngStream(seed)
-            taus = [forward(net, x, sample_mask(net, 1, r))[1][0] for _ in range(32)]
+            taus = [_forward(model, x, _masks(model, 1, r))[1][0] for _ in range(32)]
             assert var >= min(taus) - 1e-9
 
     def test_rejects_input_of_wrong_shape(self):
-        model = _model_of(_rigged_net(), test_samples=4)
+        model = _rigged_net(test_samples=4)
         for bad in (np.zeros((2, 1, 1)), np.zeros((2, 3))):
             with pytest.raises(ValueError):
                 model.predictive(bad, RngStream(0))
@@ -282,19 +299,19 @@ class TestAgainstComposedGraph:
         return value_and_grad(model.params, build)
 
     def _predictive(self, model, X, rng):
-        net = model.net()
-        wts = [ad.constant(w) for w in net.weights]
-        bts = [ad.constant(b) for b in net.biases]
+        layers = range(model.hidden_layers + 1)
+        wts = [ad.constant(model.params.decode(f"w{i}")) for i in layers]
+        bts = [ad.constant(model.params.decode(f"b{i}")) for i in layers]
         n, t = X.shape[0], model.test_samples
         draws = np.zeros((t, n))
         taus = np.zeros((t, n))
         for k in range(t):
             masks = self._masks(model, n, rng)
             f, tau = self._forward_graph(
-                wts, bts, ad.constant(X), masks, net.keep_prob, net.heteroscedastic
+                wts, bts, ad.constant(X), masks, model.keep_prob, model.heteroscedastic
             )
             draws[k] = f.data
-            taus[k] = tau.data if tau is not None else net.noise_variance
+            taus[k] = tau.data if tau is not None else model.noise_variance
         mean = draws.mean(axis=0)
         var = taus.mean(axis=0) + np.mean((draws - mean) ** 2, axis=0)
         s = model.target_scale
@@ -339,7 +356,10 @@ class TestMCDModel:
     def test_gradients_pass_fd_check(self, heteroscedastic):
         model, X, y = self._toy(heteroscedastic=heteroscedastic)
         err = fd_check(
-            model.loss_fn(X, y, rng_seed=2), model.params, probes=25, rng=RngStream(5)
+            lambda p: model.objective_grad(X, y, rng=RngStream(2)),
+            model.params,
+            probes=25,
+            rng=RngStream(5),
         )
         assert err < 1e-4
 
@@ -351,7 +371,7 @@ class TestMCDModel:
         model, X, y = self._toy(point_baseline=True, heteroscedastic=False)
         preds = model.predictive(X)
         assert preds.kind == "point"
-        raw, _ = forward(model.net(), X)
+        raw, _ = _forward(model, X)
         np.testing.assert_allclose(
             preds.mean,
             raw * model.target_scale + model.target_shift,
@@ -406,7 +426,7 @@ class TestMCDModel:
 
     def test_state_round_trip(self):
         model, X, _ = self._toy()
-        clone = MCDModel.from_state(model.config_dict(), model.state_arrays())
+        clone = model_from_config(model.config_dict(), model.params.values)
         a = model.predictive(X, rng=RngStream(8))
         b = clone.predictive(X, rng=RngStream(8))
         assert list(zip(a.mean, a.var)) == list(zip(b.mean, b.var))
@@ -417,26 +437,25 @@ class TestMCDModel:
         assert self._toy()[0].config_dict()["kind"] == "mcd"
 
 
-# -- MLP validation ---------------------------------------------------------------------
+# -- constructor validation ---------------------------------------------------------------
 
 
 class TestMLPValidation:
+    """The checks a directly built model makes on its dropout and noise
+    settings and on the shapes of its layers."""
+
     def test_keep_prob_bounds(self):
-        with pytest.raises(ValueError):
-            MLP([np.eye(1)], [np.zeros(1)], keep_prob=0.0, heteroscedastic=False)
-        with pytest.raises(ValueError):
-            MLP([np.eye(1)], [np.zeros(1)], keep_prob=1.2, heteroscedastic=False)
+        with pytest.raises(ValueError, match="keep_prob"):
+            MCDModel(1, 1, 1, keep_prob=0.0, heteroscedastic=False)
+        with pytest.raises(ValueError, match="keep_prob"):
+            MCDModel(1, 1, 1, keep_prob=1.2, heteroscedastic=False)
 
     def test_layer_list_mismatch(self):
+        # a bias must match the width of its layer
+        model = MCDModel(1, 1, 1, keep_prob=1.0, heteroscedastic=False)
         with pytest.raises(ValueError):
-            MLP([np.eye(1)], [np.zeros(1), np.zeros(1)], keep_prob=1.0, heteroscedastic=False)
+            model.params.set_value("b0", np.zeros(2))
 
     def test_homoscedastic_needs_positive_noise(self):
-        with pytest.raises(ValueError):
-            MLP(
-                [np.eye(1)],
-                [np.zeros(1)],
-                keep_prob=1.0,
-                heteroscedastic=False,
-                noise_variance=0.0,
-            )
+        with pytest.raises(ValueError, match="noise_variance"):
+            MCDModel(1, 1, 1, keep_prob=1.0, heteroscedastic=False, noise_variance=0.0)
