@@ -156,7 +156,10 @@ def leaf(x) -> Tensor:
     return Tensor(np.array(x, dtype=np.float64, copy=True), requires_grad=True)
 
 
-def _make(data, parents, vjp) -> Tensor:
+def make_node(data, parents, vjp) -> Tensor:
+    """The node of one operation: ``data`` with ``vjp`` mapping its gradient
+    onto ``parents``, or a detached constant when no parent needs a gradient.
+    Operations with a hand-derived VJP outside this module build on it."""
     if any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
     return Tensor(data)
@@ -185,7 +188,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _unbroadcast(g, b.data.shape) if b.requires_grad else None,
         )
 
-    return _make(a.data + b.data, (a, b), vjp)
+    return make_node(a.data + b.data, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -195,7 +198,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
             _unbroadcast(-g, b.data.shape) if b.requires_grad else None,
         )
 
-    return _make(a.data - b.data, (a, b), vjp)
+    return make_node(a.data - b.data, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -205,7 +208,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         )
 
-    return _make(a.data * b.data, (a, b), vjp)
+    return make_node(a.data * b.data, (a, b), vjp)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -219,14 +222,14 @@ def div(a: Tensor, b: Tensor) -> Tensor:
             ),
         )
 
-    return _make(a.data / b.data, (a, b), vjp)
+    return make_node(a.data / b.data, (a, b), vjp)
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
     def vjp(g):
         return (g * exponent * a.data ** (exponent - 1.0),)
 
-    return _make(a.data**exponent, (a,), vjp)
+    return make_node(a.data**exponent, (a,), vjp)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -249,7 +252,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = g * ad if b.requires_grad else None
         return ga, gb
 
-    return _make(out, (a, b), vjp)
+    return make_node(out, (a, b), vjp)
 
 
 def dense_relu(x: Tensor, w: Tensor, b: Tensor, mask: Optional[Array] = None) -> Tensor:
@@ -278,7 +281,7 @@ def dense_relu(x: Tensor, w: Tensor, b: Tensor, mask: Optional[Array] = None) ->
             gz.sum(axis=0) if b.requires_grad else None,
         )
 
-    return _make(out, (x, w, b), vjp)
+    return make_node(out, (x, w, b), vjp)
 
 
 # -- reductions and shape -------------------------------------------------
@@ -298,7 +301,7 @@ def total(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def vjp(g):
         return (_expand_reduced(g, a.data.shape, axis, keepdims),)
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
+    return make_node(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
 def average(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -311,14 +314,14 @@ def average(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def vjp(g):
         return (_expand_reduced(g, a.data.shape, axis, keepdims) / count,)
 
-    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), vjp)
+    return make_node(a.data.mean(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     def vjp(g):
         return (g.reshape(a.data.shape),)
 
-    return _make(a.data.reshape(shape), (a,), vjp)
+    return make_node(a.data.reshape(shape), (a,), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -328,7 +331,7 @@ def transpose(a: Tensor) -> Tensor:
     def vjp(g):
         return (g.T,)
 
-    return _make(a.data.T, (a,), vjp)
+    return make_node(a.data.T, (a,), vjp)
 
 
 def take(a: Tensor, idx) -> Tensor:
@@ -339,7 +342,7 @@ def take(a: Tensor, idx) -> Tensor:
         np.add.at(out, idx, g)
         return (out,)
 
-    return _make(a.data[idx], (a,), vjp)
+    return make_node(a.data[idx], (a,), vjp)
 
 
 def concatenate(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -350,7 +353,7 @@ def concatenate(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     def vjp(g):
         return tuple(np.split(g, offsets, axis=axis))
 
-    return _make(np.concatenate([p.data for p in parts], axis=axis), parts, vjp)
+    return make_node(np.concatenate([p.data for p in parts], axis=axis), parts, vjp)
 
 
 # -- elementwise transforms -----------------------------------------------
@@ -362,14 +365,14 @@ def exp(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * out,)
 
-    return _make(out, (a,), vjp)
+    return make_node(out, (a,), vjp)
 
 
 def log(a: Tensor) -> Tensor:
     def vjp(g):
         return (g / a.data,)
 
-    return _make(np.log(a.data), (a,), vjp)
+    return make_node(np.log(a.data), (a,), vjp)
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -378,21 +381,21 @@ def sqrt(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * 0.5 / out,)
 
-    return _make(out, (a,), vjp)
+    return make_node(out, (a,), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * (a.data > 0.0),)
 
-    return _make(np.maximum(a.data, 0.0), (a,), vjp)
+    return make_node(np.maximum(a.data, 0.0), (a,), vjp)
 
 
 def softplus(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * _expit(a.data),)
 
-    return _make(np.logaddexp(0.0, a.data), (a,), vjp)
+    return make_node(np.logaddexp(0.0, a.data), (a,), vjp)
 
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
@@ -401,7 +404,7 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
     def vjp(g):
         return (g * (a.data > floor),)
 
-    return _make(np.maximum(a.data, floor), (a,), vjp)
+    return make_node(np.maximum(a.data, floor), (a,), vjp)
 
 
 def logsumexp(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -418,45 +421,12 @@ def logsumexp(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         soft = np.exp(a.data - out_keep)
         return (soft * _expand_reduced(g, a.data.shape, axis, keepdims),)
 
-    return _make(out, (a,), vjp)
+    return make_node(out, (a,), vjp)
 
 
 # -- structured linear algebra ---------------------------------------------
-
-
-def fill_lower_triangular(packed: Tensor, n: int, softplus_diag: bool = True) -> Tensor:
-    """Unpack a length n(n+1)/2 vector into a lower-triangular matrix.
-
-    Entries are laid out row-major over the lower triangle. When
-    ``softplus_diag`` is set the diagonal entries pass through softplus so the
-    factor has a positive diagonal for any raw vector.
-    """
-    rows, cols = np.tril_indices(n)
-    if packed.data.shape != (rows.size,):
-        raise ValueError(f"packed vector must have length {rows.size}, got {packed.data.shape}")
-    diag_pos = np.flatnonzero(rows == cols)
-    vals = packed.data.copy()
-    if softplus_diag:
-        vals[diag_pos] = np.logaddexp(0.0, vals[diag_pos])
-    out = np.zeros((n, n))
-    out[rows, cols] = vals
-
-    def vjp(g):
-        gp = g[rows, cols].copy()
-        if softplus_diag:
-            gp[diag_pos] *= _expit(packed.data[diag_pos])
-        return (gp,)
-
-    return _make(out, (packed,), vjp)
-
-
-def diag_part(a: Tensor) -> Tensor:
-    def vjp(g):
-        out = np.zeros_like(a.data)
-        np.fill_diagonal(out, g)
-        return (out,)
-
-    return _make(np.diagonal(a.data).copy(), (a,), vjp)
+# No model builds these two any more (the sparse-GP layer is one node in
+# rulkit.svgp); the benchmark's span timer still wraps them by name.
 
 
 def cholesky(a: Tensor, base_jitter: float = 1e-6) -> Tensor:
@@ -478,7 +448,7 @@ def cholesky(a: Tensor, base_jitter: float = 1e-6) -> Tensor:
         s = _solve_tri(L, t1.T, lower=True, trans="T", check_finite=False)
         return ((s + s.T) / 2.0,)
 
-    return _make(L, (a,), vjp)
+    return make_node(L, (a,), vjp)
 
 
 def solve_triangular(l: Tensor, b: Tensor, trans: bool = False) -> Tensor:
@@ -499,4 +469,4 @@ def solve_triangular(l: Tensor, b: Tensor, trans: bool = False) -> Tensor:
             lbar = -np.tril(bbar @ x.T)
         return lbar, bbar[:, 0] if b1d else bbar
 
-    return _make(x[:, 0] if b1d else x, (l, b), vjp)
+    return make_node(x[:, 0] if b1d else x, (l, b), vjp)

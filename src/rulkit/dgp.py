@@ -34,13 +34,13 @@ from .svgp import (
     gaussian_loglik_graph,
     init_inducing,
     input_rows,
-    kl_graph,
     latent_graph,
     layer_from_view,
     register_layer,
 )
 
 _PREDICT_CHUNK = 512
+MAX_DEPTH = 3
 
 
 # -- differentiable propagation (shared with the sigma-point variant) ----------
@@ -70,8 +70,8 @@ def propagate_components(
         stacked = streams[0] if shared else ad.concatenate(streams, axis=0)
         mus, sigmas = [], []
         for lt in group:
-            mu, var = latent_graph(lt, stacked, jitter)
-            kls.append(kl_graph(lt))
+            mu, var, kl = latent_graph(lt, stacked, jitter)
+            kls.append(kl)
             mus.append(mu)
             sigmas.append(ad.sqrt(var))
         new_streams = []
@@ -106,8 +106,7 @@ def output_components(
     n = streams[0].shape[0]
     shared = all(s is streams[0] for s in streams)
     stacked = streams[0] if shared else ad.concatenate(streams, axis=0)
-    mu, var = latent_graph(out_lt, stacked, jitter)
-    kl = kl_graph(out_lt)
+    mu, var, kl = latent_graph(out_lt, stacked, jitter)
     if shared:
         return [mu], [var], kl
     mus = [mu[t * n : (t + 1) * n] for t in range(len(streams))]
@@ -183,8 +182,8 @@ class DeepGPModel:
         target_shift: float = 0.0,
         target_scale: float = 1.0,
     ):
-        if depth < 0 or depth > 3:
-            raise ValueError("supported hidden depth is 0 to 3")
+        if depth < 0 or depth > MAX_DEPTH:
+            raise ValueError(f"supported hidden depth is 0 to {MAX_DEPTH}")
         if depth > 0 and width < 1:
             raise ValueError("hidden layers need width >= 1")
         self.objective_spec = objective_spec

@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import FleetDataset, NormalizationStats, SplitSpec, normalize, stack_rows
-from .dgp import DeepGPModel
+from .dgp import MAX_DEPTH, DeepGPModel
 from .dspp import DSPPModel
-from .mathcore import NumericalError
+from .mathcore import MAX_QUADRATURE_SITES, NumericalError
 from .mcd import MCDModel
 from .metrics import MetricsReport, Predictions, Records, compute_report
 from .params import GradientError, OptimizerState, RngStream, adam_step, minibatch_iter
@@ -143,6 +143,12 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.depth < 0 or (self.kind == "dspp" and self.depth < 1):
             raise ValueError(f"invalid depth {self.depth} for kind {self.kind}")
+        if self.kind in ("dgp", "dspp") and self.depth > MAX_DEPTH:
+            raise ValueError(f"depth must be at most {MAX_DEPTH} for kind {self.kind}, "
+                             f"got {self.depth}")
+        if self.kind == "dspp" and self.num_sites > MAX_QUADRATURE_SITES:
+            raise ValueError(f"num_sites must be at most {MAX_QUADRATURE_SITES} for kind dspp, "
+                             f"got {self.num_sites}")
         for name in ("learning_rate", "jitter", "noise_variance"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")

@@ -2,8 +2,8 @@
 
 The squared-exponential kernel, stabilized Cholesky factorization, the
 Gaussian log density, Gauss-Hermite quadrature and the normal CDF.
-Everything here is plain numpy/scipy; differentiable variants of the few
-pieces the training objectives need live in :mod:`rulkit.autodiff`.
+Everything here is plain numpy/scipy; the training objectives differentiate
+the kernel and the factorization inside :func:`rulkit.svgp.sparse_gp_layer`.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import erf
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
+MAX_QUADRATURE_SITES = 50
 
 
 class NumericalError(RuntimeError):
@@ -143,8 +144,8 @@ def gauss_hermite(s: int) -> QuadratureRule:
     Exact for polynomials up to degree 2s - 1. Weights are renormalized by
     their sum so they lie on the simplex to machine precision.
     """
-    if not 1 <= int(s) <= 50:
-        raise ValueError(f"number of sites must be in [1, 50], got {s}")
+    if not 1 <= int(s) <= MAX_QUADRATURE_SITES:
+        raise ValueError(f"number of sites must be in [1, {MAX_QUADRATURE_SITES}], got {s}")
     sites, weights = np.polynomial.hermite_e.hermegauss(int(s))
     weights = weights / weights.sum()
     return QuadratureRule(sites=sites, weights=weights)

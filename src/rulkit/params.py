@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
+from scipy.special import expit as _expit
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -92,7 +93,10 @@ class Simplex:
 
 
 class CholeskyFactor:
-    """Packed lower-triangular factor of size n with softplus-positive diagonal."""
+    """Packed lower-triangular factor of size n with softplus-positive diagonal.
+
+    Raw entries are laid out row-major over the lower triangle.
+    """
 
     name = "tril"
 
@@ -100,19 +104,30 @@ class CholeskyFactor:
         self.n = int(n)
         self._rows, self._cols = np.tril_indices(self.n)
         self._diag = np.flatnonzero(self._rows == self._cols)
+        # positions of the packed entries in the row-major n*n matrix
+        self._flat = self._rows * self.n + self._cols
 
     def raw_size(self, shape: tuple) -> int:
         return self.n * (self.n + 1) // 2
 
     def apply(self, t: Tensor, shape: tuple) -> Tensor:
-        return ad.fill_lower_triangular(t, self.n, softplus_diag=True)
+        raw = t.data
+
+        def vjp(g):
+            gp = g.take(self._flat)
+            gp[self._diag] *= _expit(raw[self._diag])
+            return (gp,)
+
+        return ad.make_node(self.apply_np(raw, shape), (t,), vjp)
 
     def apply_np(self, x: np.ndarray, shape: tuple) -> np.ndarray:
+        if x.shape != self._flat.shape:
+            raise ValueError(f"packed vector must have length {self._flat.size}, got {x.shape}")
         vals = x.copy()
         vals[self._diag] = np.logaddexp(0.0, vals[self._diag])
-        out = np.zeros((self.n, self.n))
-        out[self._rows, self._cols] = vals
-        return out
+        out = np.zeros(self.n * self.n)
+        out[self._flat] = vals
+        return out.reshape(self.n, self.n)
 
     def invert(self, value: np.ndarray, shape: tuple) -> np.ndarray:
         L = np.asarray(value, dtype=np.float64)

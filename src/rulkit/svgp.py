@@ -15,8 +15,11 @@ latent predictive and down-weights the KL by a regularization constant
 
 The differentiable graph builders here are the model's only representation:
 training evaluates them on trainable views of the flat parameter vector and
-prediction on constant ones. The deep variants stack the same layer
-computation.
+prediction on constant ones. A layer is one tape node, ``sparse_gp_layer``,
+whose forward pass and vector-Jacobian product are written by hand in
+numpy/scipy: one Cholesky factor, one triangular solve and one triangular
+product forward, and one triangular inverse reused for every L^{-T} product
+backward. The deep variants stack the same node.
 """
 
 from __future__ import annotations
@@ -25,12 +28,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.blas import dtrmm, dtrsm
+from scipy.linalg.lapack import dtrtri
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .mathcore import NumericalError
-# unused here, but the benchmark's span timer rebinds this module's name
-from .mathcore import cholesky_jittered  # noqa: F401
+# the benchmark's span timer counts factorizations through this binding
+from .mathcore import cholesky_jittered
 from .metrics import Predictions
 from .params import (
     IDENTITY,
@@ -136,52 +141,133 @@ def layer_from_view(view: ParamView, prefix: str) -> LayerTensors:
     )
 
 
-def gram(lt: LayerTensors, a: Tensor, b: Tensor) -> Tensor:
-    """Squared-exponential Gram matrix between row sets a and b."""
-    ascaled = a / lt.lengthscales
-    bscaled = b / lt.lengthscales
-    d2 = (
-        (ascaled * ascaled).sum(axis=1, keepdims=True)
-        + (bscaled * bscaled).sum(axis=1)
-        - 2.0 * (ascaled @ bscaled.T)
-    )
-    d2 = ad.clamp_min(d2, 0.0)
-    return lt.kernel_variance * ad.exp(d2 * -0.5)
-
-
 def latent_graph(lt: LayerTensors, x: Tensor, jitter: float = DEFAULT_JITTER):
-    """Latent predictive moments at rows of x under the whitened posterior.
+    """Latent moments (mu, s2) at rows of x and the KL of one GP layer, as
+    :func:`sparse_gp_layer` of the layer's tensors."""
+    return sparse_gp_layer(
+        lt.inducing, lt.kernel_variance, lt.lengthscales, lt.mean, lt.cov_factor, x, jitter
+    )
 
-    With L = chol(Kmm) and b = L^{-1} k(Z, x):
+
+def sparse_gp_layer(
+    z: Tensor,
+    kernel_variance: Tensor,
+    lengthscales: Tensor,
+    m: Tensor,
+    s: Tensor,
+    x: Tensor,
+    jitter: float = DEFAULT_JITTER,
+):
+    """One whitened sparse-GP layer as a single tape node.
+
+    With Kmm = k(Z, Z), L = chol(Kmm), b = L^{-1} k(Z, x) and c = S^T b:
 
     mu  = b^T m
-    s2  = k(x, x) - ||b||^2 + ||S^T b||^2   (diagonal only, per column of b)
+    s2  = k(x, x) - ||b||^2 + ||c||^2          (per column, clamped at the floor)
+    kl  = 1/2 (||S||_F^2 + ||m||^2 - M) - log|S|
 
-    Returns (mu, s2).
+    S must be lower triangular. Returns the Tensors (mu, s2, kl). The VJP
+    inverts L once and applies L^{-T} with triangular products, both to the
+    gradient of b and in the Cholesky update sym(L^{-T} Phi(L^T Lbar) L^{-1})
+    (Murray 2016), where Phi keeps the lower triangle and halves the diagonal.
     """
-    kmm = gram(lt, lt.inducing, lt.inducing)
-    kxz = gram(lt, x, lt.inducing)
-    chol = ad.cholesky(kmm, base_jitter=jitter)
-    b = ad.solve_triangular(chol, kxz.T)
-    mu = b.T @ lt.mean
-    kdiag = lt.kernel_variance * ad.constant(np.ones(x.shape[0]))
-    qdiag = (b * b).sum(axis=0)
-    sdiag = ((lt.cov_factor.T @ b) ** 2).sum(axis=0)
-    raw = kdiag - qdiag + sdiag
+    zd, ell, md, sd, xd = z.data, lengthscales.data, m.data, s.data, x.data
+    variance = float(kernel_variance.data)
+    num, n = zd.shape[0], xd.shape[0]
+    zs, xs = zd / ell, xd / ell
+    zz, xx = (zs * zs).sum(axis=1), (xs * xs).sum(axis=1)
+    # zs @ zs.T is one symmetric product, so Kmm is exactly symmetric
+    kmm, kmm_live = _se_gram(zs @ zs.T, zz, zz, variance)
+    kxz, kxz_live = _se_gram(xs @ zs.T, xx, zz, variance)
+    chol = cholesky_jittered(kmm, base_jitter=jitter).factor
+    # chol.T is the Fortran-ordered upper view of L that BLAS takes uncopied;
+    # b and c are (M, n) Fortran-ordered like kxz.T
+    b = dtrsm(1.0, chol.T, kxz.T, lower=0, trans_a=1)
+    c = dtrmm(1.0, sd.T, b, lower=0)
+    mu = b.T @ md
+    raw = variance - np.einsum("ij,ij->j", b, b) + np.einsum("ij,ij->j", c, c)
     # only a negative minimum matters; initial=0.0 lets a zero-row batch through
-    worst = float(raw.data.min(initial=0.0))
+    worst = float(raw.min(initial=0.0))
     if worst < NEG_VARIANCE_TOL:
         raise NumericalError(f"latent variance fell to {worst:.3e}; matrix too ill-conditioned")
-    return mu, ad.clamp_min(raw, VARIANCE_FLOOR)
+    var_live = raw > VARIANCE_FLOOR
+    kl = ((sd * sd).sum() + (md * md).sum() - float(num)) * 0.5 - np.log(np.diagonal(sd)).sum()
+    packed = np.concatenate([mu, np.maximum(raw, VARIANCE_FLOOR), [kl]])
+
+    def vjp(g):
+        gmu, gkl = g[:n], g[2 * n]
+        # the clamp passes no gradient on its floor side
+        gvar = g[n : 2 * n] * var_live
+        gvar2 = 2.0 * gvar
+        gm = b @ gmu + gkl * md if m.requires_grad else None
+        gs = None
+        if s.requires_grad:
+            gs = b @ (c * gvar2).T + gkl * sd
+            gs[np.diag_indices(num)] -= gkl / np.diagonal(sd)
+        kernel_parents = (z, kernel_variance, lengthscales, x)
+        if not any(p.requires_grad for p in kernel_parents):
+            return None, None, None, gm, gs, None
+        # d/db of mu, -||b||^2 and ||S^T b||^2
+        gb = dtrmm(1.0, sd.T, c, lower=0, trans_a=1)
+        gb -= b
+        gb *= gvar2
+        gb += np.outer(md, gmu)
+        # b = L^{-1} Kzx gives Kzx the gradient L^{-T} gb and L the gradient
+        # Lbar = -tril(L^{-T} gb b^T). The Cholesky update needs only the lower
+        # triangle of L^T Lbar, which L^T (upper) takes from Lbar's lower
+        # triangle alone, so Phi(L^T Lbar) = -Phi(gb b^T). np.triu of the
+        # C-ordered transpose leaves phi Fortran-ordered for BLAS.
+        phi = np.triu(b @ gb.T).T
+        phi[np.diag_indices(num)] *= 0.5
+        linv_t = dtrtri(chol.T, lower=0)[0]  # L^{-T}, upper, Fortran-ordered
+        gkzx = dtrmm(1.0, linv_t, gb, lower=0, overwrite_b=1)
+        phi = dtrmm(-1.0, linv_t, phi, lower=0, overwrite_b=1)
+        phi = dtrmm(1.0, linv_t, phi, side=1, lower=0, trans_a=1, overwrite_b=1)
+        gkmm = (phi + phi.T) / 2.0
+        gd_mm, gkv_mm = _se_gram_vjp(gkmm, kmm, kmm_live, variance)
+        gd_xz, gkv_xz = _se_gram_vjp(gkzx.T, kxz, kxz_live, variance)
+        # d2 = |a|^2 + |b|^2 - 2 a.b per pair; gd_mm is symmetric
+        gzs = 4.0 * (zs * gd_mm.sum(axis=1)[:, None] - gd_mm @ zs)
+        gzs += 2.0 * (zs * gd_xz.sum(axis=0)[:, None] - gd_xz.T @ xs)
+        gxs = 2.0 * (xs * gd_xz.sum(axis=1)[:, None] - gd_xz @ zs)
+        gell = -((gzs * zs).sum(axis=0) + (gxs * xs).sum(axis=0)) / ell
+        return (
+            gzs / ell,
+            np.asarray(gkv_mm + gkv_xz + gvar.sum()),
+            gell,
+            gm,
+            gs,
+            gxs / ell if x.requires_grad else None,
+        )
+
+    node = ad.make_node(packed, (z, kernel_variance, lengthscales, m, s, x), vjp)
+    return node[:n], node[n : 2 * n], node[2 * n]
 
 
-def kl_graph(lt: LayerTensors) -> Tensor:
-    """KL(q(v) || N(0, I)) = 1/2 (||S||_F^2 + ||m||^2 - M) - log|S|."""
-    m = lt.inducing.shape[0]
-    trace = (lt.cov_factor * lt.cov_factor).sum()
-    quad = (lt.mean * lt.mean).sum()
-    logdet_q = ad.log(ad.diag_part(lt.cov_factor)).sum()
-    return (trace + quad - float(m)) * 0.5 - logdet_q
+def _se_gram(cross: np.ndarray, aa: np.ndarray, bb: np.ndarray, variance: float):
+    """Squared-exponential Gram matrix variance * exp(-d2 / 2) from the scaled
+    cross products a b^T and squared row norms, with d2 = |a|^2 + |b|^2 - 2 a.b
+    clamped at 0. Overwrites ``cross``; also returns where d2 > 0, the side on
+    which the clamp passes gradients."""
+    d2 = aa[:, None] + bb
+    cross *= -2.0
+    d2 += cross
+    live = d2 > 0.0
+    np.maximum(d2, 0.0, out=d2)
+    d2 *= -0.5
+    np.exp(d2, out=d2)
+    d2 *= variance
+    return d2, live
+
+
+def _se_gram_vjp(gk: np.ndarray, k: np.ndarray, live: np.ndarray, variance: float):
+    """Gradients of a :func:`_se_gram` output with respect to d2 and to the
+    kernel variance."""
+    gkk = gk * k
+    gvariance = gkk.sum() / variance
+    gkk *= -0.5
+    gkk *= live
+    return gkk, gvariance
 
 
 def gaussian_loglik_graph(y: Tensor, mu: Tensor, var: Tensor) -> Tensor:
@@ -200,8 +286,7 @@ def objective_graph(
     jitter: float = DEFAULT_JITTER,
 ) -> Tensor:
     """Negated training bound for one sparse GP layer on a batch."""
-    mu, var = latent_graph(lt, x, jitter)
-    kl = kl_graph(lt)
+    mu, var, kl = latent_graph(lt, x, jitter)
     if spec.kind == "elbo":
         ll = gaussian_loglik_graph(y, mu, obs_variance * ad.constant(np.ones(y.shape[0])))
         corrected = ll - var / (obs_variance * 2.0)
@@ -302,7 +387,7 @@ class SVGPModel:
         in natural target units."""
         X = input_rows(X, self.input_dim)
         view = ParamView(self.params, trainable=False)
-        mu, var = latent_graph(layer_from_view(view, "gp"), ad.constant(X), self.jitter)
+        mu, var, _ = latent_graph(layer_from_view(view, "gp"), ad.constant(X), self.jitter)
         obs = self.params.decode("obs_variance")
         s = self.target_scale
         return Predictions.gaussian(mu.data * s + self.target_shift, (var.data + obs) * s * s)

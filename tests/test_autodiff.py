@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rulkit.autodiff as ad
+from rulkit.params import CholeskyFactor
 
 
 def finite_diff(fn, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -152,31 +153,25 @@ class TestLogSumExp:
 
 
 class TestStructured:
-    def test_fill_lower_triangular_softplus_diag(self):
+    # the packed-factor unpack lives in the CholeskyFactor transform
+    def test_cholesky_factor_transform_weighted(self):
         n = 3
         w = ad.constant(RNG.standard_normal((n, n)))
 
         def build(t):
-            L = ad.fill_lower_triangular(t, n, softplus_diag=True)
+            L = CholeskyFactor(n).apply(t, (n, n))
             return ad.total(L * w)
 
         check_grad(build, RNG.standard_normal(n * (n + 1) // 2))
 
-    def test_fill_lower_triangular_plain(self):
+    def test_cholesky_factor_transform_squared(self):
         n = 4
 
         def build(t):
-            L = ad.fill_lower_triangular(t, n, softplus_diag=False)
+            L = CholeskyFactor(n).apply(t, (n, n))
             return ad.total(L * L)
 
         check_grad(build, RNG.standard_normal(n * (n + 1) // 2))
-
-    def test_diag_part(self):
-        def build(t):
-            m = ad.reshape(t, (3, 3))
-            return ad.total(ad.diag_part(m) * ad.constant(np.array([1.0, -2.0, 0.5])))
-
-        check_grad(build, RNG.standard_normal(9))
 
     def test_cholesky_murray_vjp(self):
         base = RNG.standard_normal((4, 4))

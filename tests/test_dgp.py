@@ -174,7 +174,7 @@ class TestDepthZeroReduction:
         flat, deep, X, y = self._paired_models("elbo")
         mus, vars_ = _sampled(deep, X, RngStream(0), 5)
         view = ParamView(flat.params, trainable=False)
-        mu_ref, var_ref = (
+        mu_ref, var_ref, _ = (
             t.data for t in latent_graph(layer_from_view(view, "gp"), ad.constant(X), flat.jitter)
         )
         assert mus.shape[0] == 1  # no hidden noise: one exact component

@@ -151,6 +151,9 @@ class TestExperimentConfig:
             (dict(rul_cap=0.0), "rul_cap"),
             (dict(inducing_init="grid"), "inducing_init"),
             (dict(beta_reg=0.0), "beta_reg"),
+            (dict(kind="dgp", depth=4), "depth must be at most 3 for kind dgp"),
+            (dict(kind="dspp", objective="ppgpr", depth=4), "depth must be at most 3"),
+            (dict(kind="dspp", objective="ppgpr", num_sites=51), "num_sites must be at most 50"),
         ],
     )
     def test_validation(self, overrides, msg):
@@ -408,6 +411,15 @@ class TestGridSearch:
             grid_search(base, {"beta_reg": [1.0, 0.0]}, small_fleet(), small_split(),
                         out_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_range_depth_fails_before_any_run(self, tmp_path):
+        # the model constructor's range, checked with every other cell's config
+        base = ExperimentConfig(kind="dgp", epochs=1, batch_size=64, num_inducing=8,
+                                width=1, train_samples=2, test_samples=2)
+        with pytest.raises(ValueError, match="depth must be at most 3 for kind dgp, got 4"):
+            grid_search(base, {"depth": [1, 4]}, small_fleet(), small_split(),
+                        out_dir=tmp_path)
+        assert not (tmp_path / "run_000").exists()
 
     def test_child_seeds_are_frozen(self):
         assert _child_seed(0, 0) == 2617721224

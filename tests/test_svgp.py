@@ -18,16 +18,28 @@ from hypothesis import strategies as st
 
 from gp_oracle import MultivariateNormal, layer_of, mvn_kl, np_latent, u_space
 from rulkit import autodiff as ad
+from rulkit import svgp
 from rulkit.experiment import model_from_config
-from rulkit.mathcore import cholesky_jittered, kernel_eval
-from rulkit.params import OptimizerState, ParamView, RngStream, adam_step, fd_check
+from rulkit.mathcore import NumericalError, cholesky_jittered, kernel_eval
+from rulkit.params import (
+    POSITIVE,
+    CholeskyFactor,
+    OptimizerState,
+    ParamVector,
+    ParamView,
+    RngStream,
+    adam_step,
+    fd_check,
+    value_and_grad,
+)
 from rulkit.svgp import (
+    VARIANCE_FLOOR,
     ObjectiveSpec,
     SVGPModel,
     init_inducing,
-    kl_graph,
     latent_graph,
     layer_from_view,
+    sparse_gp_layer,
 )
 
 RNG = np.random.default_rng(31)
@@ -77,7 +89,7 @@ def _random_model(input_dim=2, num_inducing=4, seed=0, obs_variance=0.25):
 def _latent(model: SVGPModel, X):
     """Latent moments (mu_f, s2_f) per row of X from the model's own builder."""
     view = ParamView(model.params, trainable=False)
-    mu, var = latent_graph(layer_from_view(view, "gp"), ad.constant(X), model.jitter)
+    mu, var, _ = latent_graph(layer_from_view(view, "gp"), ad.constant(X), model.jitter)
     return mu.data, var.data
 
 
@@ -159,8 +171,154 @@ class TestWhitening:
             MultivariateNormal(np.zeros(4), np.linalg.cholesky(kernel_eval(layer.kernel, z, z))),
         )
         view = ParamView(model.params, trainable=False)
-        kl = float(kl_graph(layer_from_view(view, "gp")).data)
+        _, _, kl = latent_graph(layer_from_view(view, "gp"), ad.constant(X), model.jitter)
+        kl = float(kl.data)
         assert kl == pytest.approx(kl_ref, rel=1e-10)
+
+
+# -- the fused layer node -----------------------------------------------------------
+
+
+def _composed_layer(z, kernel_variance, lengthscales, m, s, x, jitter):
+    """The layer as a composed tape graph: a literal copy of the ``gram``,
+    ``latent_graph`` and ``kl_graph`` builders the fused node replaced, kept
+    as the oracle of its values and gradients. S's diagonal is taken with
+    ``take`` where the copy used a dedicated diagonal op."""
+
+    def gram(a, b):
+        ascaled = a / lengthscales
+        bscaled = b / lengthscales
+        d2 = (
+            (ascaled * ascaled).sum(axis=1, keepdims=True)
+            + (bscaled * bscaled).sum(axis=1)
+            - 2.0 * (ascaled @ bscaled.T)
+        )
+        d2 = ad.clamp_min(d2, 0.0)
+        return kernel_variance * ad.exp(d2 * -0.5)
+
+    kmm = gram(z, z)
+    kxz = gram(x, z)
+    chol = ad.cholesky(kmm, base_jitter=jitter)
+    b = ad.solve_triangular(chol, kxz.T)
+    mu = b.T @ m
+    kdiag = kernel_variance * ad.constant(np.ones(x.shape[0]))
+    qdiag = (b * b).sum(axis=0)
+    sdiag = ((s.T @ b) ** 2).sum(axis=0)
+    raw = kdiag - qdiag + sdiag
+    num = z.shape[0]
+    trace = (s * s).sum()
+    quad = (m * m).sum()
+    logdet_q = ad.log(s[np.diag_indices(num)]).sum()
+    kl = (trace + quad - float(num)) * 0.5 - logdet_q
+    return mu, ad.clamp_min(raw, VARIANCE_FLOOR), kl
+
+
+def _layer_inputs(num, n, d, seed, clamp=False):
+    """Inputs (Z, kernel variance, lengthscales, m, S, x) of one layer, S
+    lower-triangular. With ``clamp``, Z sits on cube corners, S is tiny and
+    x's first two rows are inducing points, so their latent variance is at
+    the floor, where an fd step moves it only at second order."""
+    rng = np.random.default_rng(seed)
+    if clamp:
+        corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * d)).reshape(d, -1).T
+        z = corners[rng.permutation(len(corners))[:num]]
+        x = rng.uniform(-1.0, 1.0, (n, d))
+        x[:2] = z[:2]
+        return [z, np.array(0.1), np.ones(d), rng.standard_normal(num), 1e-7 * np.eye(num), x]
+    s = np.tril(rng.standard_normal((num, num))) * 0.3
+    np.fill_diagonal(s, np.abs(np.diag(s)) + 0.5)
+    return [rng.standard_normal((num, d)), np.array(0.5 + rng.random()),
+            0.8 + rng.random(d), rng.standard_normal(num), s, rng.standard_normal((n, d))]
+
+
+def _weighted_loss(outputs, weights):
+    mu, var, kl = outputs
+    return (mu * ad.constant(weights[0])).sum() + (var * ad.constant(weights[1])).sum() + kl * 0.7
+
+
+class TestSparseGPLayer:
+    @pytest.mark.parametrize("x_grad", [False, True])
+    @pytest.mark.parametrize("num,n,d,clamp", [
+        (1, 3, 1, False), (4, 7, 2, False), (9, 5, 3, False), (5, 8, 3, True),
+    ])
+    def test_against_fd(self, num, n, d, clamp, x_grad):
+        z, variance, ell, m, s, x = _layer_inputs(num, n, d, seed=num * 10 + n, clamp=clamp)
+        p = ParamVector()
+        p.register("z", z.shape, init=z)
+        p.register("kernel_variance", (), POSITIVE, init=variance)
+        p.register("lengthscales", (d,), POSITIVE, init=ell)
+        p.register("m", (num,), init=m)
+        if not clamp:  # a tiny S would put log|S| within an fd step of its pole
+            p.register("s", (num, num), CholeskyFactor(num), init=s)
+        if x_grad:
+            p.register("x", x.shape, init=x)
+        weights = RNG.standard_normal((2, n))
+
+        def build(view):
+            outputs = sparse_gp_layer(
+                view.get("z"), view.get("kernel_variance"), view.get("lengthscales"),
+                view.get("m"), ad.constant(s) if clamp else view.get("s"),
+                view.get("x") if x_grad else ad.constant(x),
+            )
+            return _weighted_loss(outputs, weights)
+
+        if clamp:
+            mu, var, _ = sparse_gp_layer(*map(ad.constant, (z, variance, ell, m, s, x)))
+            assert np.all(var.data[:2] == VARIANCE_FLOOR) and np.all(var.data[2:] > 1e-3)
+        err = fd_check(lambda q: value_and_grad(q, build), p, probes=p.size, rng=RngStream(1))
+        assert err < 1e-5
+
+    @pytest.mark.parametrize("x_grad", [False, True])
+    @pytest.mark.parametrize("num,n,d,clamp", [(6, 11, 2, False), (30, 40, 4, False),
+                                               (5, 8, 3, True)])
+    def test_matches_composed_graph(self, num, n, d, clamp, x_grad):
+        values = _layer_inputs(num, n, d, seed=n, clamp=clamp)
+        weights = RNG.standard_normal((2, n))
+        results = []
+        for layer in (sparse_gp_layer, _composed_layer):
+            leaves = [ad.leaf(v) for v in values[:5]]
+            leaves.append(ad.leaf(values[5]) if x_grad else ad.constant(values[5]))
+            outputs = layer(*leaves, jitter=1e-6)
+            _weighted_loss(outputs, weights).backward()
+            results.append([o.data for o in outputs] + [t.grad for t in leaves])
+        node, oracle = results
+        assert (node[-1] is None) == (not x_grad)
+        for got, want in zip(node, oracle):
+            if want is None:
+                continue
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_floor_rows_pass_no_gradient(self):
+        leaves = [ad.leaf(v) for v in _layer_inputs(5, 8, 3, seed=0, clamp=True)]
+        _, var, _ = sparse_gp_layer(*leaves)
+        var[0:2].sum().backward()
+        for t in leaves:
+            assert not np.any(t.grad)
+
+    def test_duplicate_inducing_point_takes_the_jitter_ladder(self, monkeypatch):
+        z, variance, ell, m, s, x = _layer_inputs(4, 6, 2, seed=3)
+        z[1] = z[0]
+        used = []
+
+        def recording(a, base_jitter=1e-6):
+            result = cholesky_jittered(a, base_jitter)
+            used.append(result.jitter)
+            return result
+
+        monkeypatch.setattr(svgp, "cholesky_jittered", recording)
+        leaves = [ad.leaf(v) for v in (z, variance, ell, m, s, x)]
+        outputs = sparse_gp_layer(*leaves)
+        _weighted_loss(outputs, np.ones((2, 6))).backward()
+        assert used == [1e-6]
+        assert all(np.all(np.isfinite(t.grad)) for t in leaves)
+
+    def test_negative_latent_variance_raises(self):
+        # at inducing points the latent variance is k - k = 0 up to rounding,
+        # which a huge kernel variance drives far below the tolerance
+        z, _, ell, m, _, _ = _layer_inputs(10, 10, 2, seed=4)
+        inputs = (z, np.array(1e12), ell, m, 1e-12 * np.eye(10), z.copy())
+        with pytest.raises(NumericalError, match="latent variance fell"):
+            sparse_gp_layer(*map(ad.constant, inputs))
 
 
 # -- the training objectives -------------------------------------------------------
