@@ -150,18 +150,19 @@ class ExperimentConfig:
             raise ValueError(f"num_sites must be at most {MAX_QUADRATURE_SITES} for kind dspp, "
                              f"got {self.num_sites}")
         for name in ("learning_rate", "jitter", "noise_variance"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            v = getattr(self, name)
+            if not v > 0.0:
+                raise ValueError(f"{name} must be positive, got {v}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be >= 0")
-        if self.rul_cap is not None and self.rul_cap <= 0.0:
-            raise ValueError("rul_cap must be positive when set")
+        if not self.weight_decay >= 0.0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.rul_cap is not None and not self.rul_cap > 0.0:
+            raise ValueError(f"rul_cap must be positive when set, got {self.rul_cap}")
         if self.inducing_init not in ("random-subset", "kmeans"):
             raise ValueError(f"unknown inducing_init {self.inducing_init!r}")
         return self

@@ -78,6 +78,21 @@ def kernel_eval(kernel: Kernel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
 # -- stabilized Cholesky ------------------------------------------------------
 
 
+_SYMMETRY_TILE = 128
+
+
+def _asymmetry(A: np.ndarray) -> float:
+    """max |A - Aᵀ|, compared tile by tile against the other triangle so no
+    full-size transpose or difference is formed."""
+    t = _SYMMETRY_TILE
+    worst = 0.0
+    for i in range(0, A.shape[0], t):
+        for j in range(0, i + 1, t):
+            gap = np.abs(A[i : i + t, j : j + t] - A[j : j + t, i : i + t].T)
+            worst = max(worst, float(np.max(gap)))
+    return worst
+
+
 @dataclass
 class CholeskyResult:
     factor: np.ndarray
@@ -96,10 +111,11 @@ def cholesky_jittered(
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    largest = float(np.max(np.abs(A)))  # nan or inf exactly when an entry is
+    if not math.isfinite(largest):
         raise NumericalError("matrix contains non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(A))))
-    if np.max(np.abs(A - A.T)) > 1e-10 * scale:
+    scale = max(1.0, largest)
+    if _asymmetry(A) > 1e-10 * scale:
         raise NumericalError("matrix is not symmetric within 1e-10 relative tolerance")
     jitters = [0.0] + [base_jitter * 10.0**k for k in range(max_retries)]
     eye = np.eye(A.shape[0])

@@ -22,10 +22,22 @@ predictive moments
 With p = 1 the mask is a no-op and the epistemic part collapses to zero. The
 same class doubles as the deterministic FFNN baseline: train with dropout,
 predict with the maskless pass and no noise model.
+
+The T passes run in contiguous blocks on one thread per usable CPU (numpy's
+matmuls, ufuncs and uniform draws release the GIL) once a call draws at least
+``PARALLEL_MIN_UNIFORMS`` mask uniforms; smaller calls run on the calling
+thread, where thread start-up and hand-offs would cost more than they save.
+Pass k's masks come from a copy of the caller's stream moved on by the
+k * n * sum(hidden sizes) uniforms the passes before it take
+(``RngStream.ahead``), and the caller's stream ends past all T passes. Every
+pass therefore sees the masks, and the prediction the bytes, of a one-thread
+loop, whatever the thread count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -37,14 +49,37 @@ from .params import IDENTITY, ParamVector, ParamView, RngStream, value_and_grad
 from .svgp import _target_stats, input_rows
 
 NOISE_FLOOR = 1e-8
+# Fewest mask uniforms (T * n * sum of hidden sizes) for which a prediction
+# spreads its passes over threads. Starting, waking and joining threads and
+# handing the GIL between them costs milliseconds on a small VM; below this
+# the one-thread loop is faster (on a 2-vCPU x86-64 VM, 10^7 uniforms are
+# 0.1-0.3 s of passes, depending on the layer sizes).
+PARALLEL_MIN_UNIFORMS = 10_000_000
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has
+    one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def sample_mask(keep_prob: float, hidden_sizes, n: int, rng: RngStream) -> list:
     """Fresh masks for every hidden unit of an n-row batch, one (n, h) array
     per hidden layer: 1/keep_prob where a Bernoulli(keep_prob) draw keeps the
     unit, 0 where it drops it."""
-    p = keep_prob
-    return [(rng.random((n, h)) < p) * (1.0 / p) for h in hidden_sizes]
+    return draw_masks(keep_prob, [np.empty((n, h)) for h in hidden_sizes], rng)
+
+
+def draw_masks(keep_prob: float, masks: list, rng: RngStream) -> list:
+    """Overwrite each (n, h) array of ``masks`` in turn with the masks
+    ``sample_mask`` would draw from ``rng``, and return the list."""
+    for m in masks:
+        rng.random(out=m)
+        np.multiply(m < keep_prob, 1.0 / keep_prob, out=m)
+    return masks
 
 
 def _forward_graph(weights, biases, x: Tensor, masks, heteroscedastic: bool):
@@ -212,7 +247,8 @@ class MCDModel:
 
     def predictive(self, X, rng: Optional[RngStream] = None) -> Predictions:
         """Gaussians from MC moments per row of X, or point estimates for the
-        point baseline, in natural target units."""
+        point baseline, in natural target units. Large calls run the MC
+        passes on ``min(T, usable_cpus())`` threads; see the module docstring."""
         X = input_rows(X, self.input_dim)
         wts, bts = self._layers(ParamView(self.params, trainable=False))
         x = ad.constant(X)
@@ -224,12 +260,36 @@ class MCDModel:
             rng = RngStream(0)
         n = X.shape[0]
         t = self.test_samples
-        draws = np.zeros((t, n))
-        taus = np.zeros((t, n))
-        for k in range(t):
-            f, tau = _forward_graph(wts, bts, x, self._masks(n, rng), self.heteroscedastic)
-            draws[k] = f.data
-            taus[k] = tau.data if tau is not None else self.noise_variance
+        per_pass = n * self.hidden_units * self.hidden_layers  # uniforms one pass's masks take
+        draws = np.empty((t, n))
+        taus = np.empty((t, n))
+
+        def run(passes: range, masks: list):
+            # pass k draws its masks from where the sequential loop would
+            stream = rng.ahead(passes.start * per_pass)
+            for k in passes:
+                draw_masks(self.keep_prob, masks, stream)
+                f, tau = _forward_graph(wts, bts, x, masks, self.heteroscedastic)
+                draws[k] = f.data
+                taus[k] = tau.data if tau is not None else self.noise_variance
+
+        workers = max(1, min(t, usable_cpus())) if t * per_pass >= PARALLEL_MIN_UNIFORMS else 1
+        blocks = [range(t * w // workers, t * (w + 1) // workers) for w in range(workers)]
+        # Each block's mask arrays are allocated here and refilled every pass.
+        # A worker thread's malloc arena keeps its high-water mark after the
+        # thread ends, so the workers themselves allocate as little as they can,
+        # and this thread runs the first block.
+        buffers = [[np.empty((n, self.hidden_units)) for _ in range(self.hidden_layers)]
+                   for _ in blocks]
+        if workers == 1:
+            run(blocks[0], buffers[0])
+        else:
+            with ThreadPoolExecutor(workers - 1) as pool:
+                rest = [pool.submit(run, b, m) for b, m in zip(blocks[1:], buffers[1:])]
+                run(blocks[0], buffers[0])
+                for future in rest:
+                    future.result()
+        rng.skip(t * per_pass)
         mean = draws.mean(axis=0)
         var = taus.mean(axis=0) + np.mean((draws - mean) ** 2, axis=0)
         return Predictions.gaussian(

@@ -334,9 +334,33 @@ class RngStream:
     def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
         return self._gen.uniform(low, high, size)
 
-    def random(self, size=None) -> np.ndarray:
-        """Uniform [0, 1) draws; the same values ``uniform(size=size)`` gives."""
-        return self._gen.random(size)
+    def random(self, size=None, out=None) -> np.ndarray:
+        """Uniform [0, 1) draws; the same values ``uniform(size=size)`` gives.
+        With ``out`` (a C-contiguous float64 array) they fill it in place."""
+        return self._gen.random(size, out=out)
+
+    def ahead(self, draws: int) -> "RngStream":
+        """A copy of this stream moved on as if ``draws`` float64 uniforms
+        had been taken from it; this stream itself does not move.
+
+        numpy's ``random`` turns each PCG64 output into one float64, so the
+        copy starts where the (draws+1)-th uniform would. PCG64 jumps there
+        in O(log draws) steps. The buffered half of a 32-bit draw, which
+        float64 draws neither use nor clear, is carried over as it is.
+        """
+        state = self._gen.bit_generator.state
+        bits = np.random.PCG64()
+        bits.state = state
+        moved = bits.advance(int(draws)).state  # advance clears the buffer
+        moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
+        bits.state = moved
+        copy = object.__new__(RngStream)
+        copy.seed, copy.path, copy._gen = self.seed, self.path, np.random.Generator(bits)
+        return copy
+
+    def skip(self, draws: int) -> None:
+        """Move this stream on by ``draws`` float64 uniforms without drawing them."""
+        self._gen = self.ahead(draws)._gen
 
     def integers(self, low, high=None, size=None) -> np.ndarray:
         return self._gen.integers(low, high, size)

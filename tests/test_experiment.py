@@ -154,6 +154,11 @@ class TestExperimentConfig:
             (dict(kind="dgp", depth=4), "depth must be at most 3 for kind dgp"),
             (dict(kind="dspp", objective="ppgpr", depth=4), "depth must be at most 3"),
             (dict(kind="dspp", objective="ppgpr", num_sites=51), "num_sites must be at most 50"),
+            (dict(learning_rate=float("nan")), "learning_rate must be positive, got nan"),
+            (dict(jitter=float("nan")), "jitter must be positive, got nan"),
+            (dict(noise_variance=float("nan")), "noise_variance must be positive, got nan"),
+            (dict(weight_decay=float("nan")), "weight_decay must be >= 0, got nan"),
+            (dict(rul_cap=float("nan")), "rul_cap must be positive when set, got nan"),
         ],
     )
     def test_validation(self, overrides, msg):

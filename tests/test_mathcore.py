@@ -122,6 +122,13 @@ class TestCholeskyJittered:
         with pytest.raises(DimensionError):
             cholesky_jittered(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("i,j", [(299, 0), (130, 129), (5, 260)])
+    def test_asymmetry_in_any_tile_rejected(self, i, j):
+        A = np.eye(300)
+        A[i, j] = 1e-6
+        with pytest.raises(NumericalError, match="not symmetric"):
+            cholesky_jittered(A)
+
 
 # -- multivariate KL ----------------------------------------------------------
 

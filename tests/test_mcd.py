@@ -9,11 +9,13 @@ averages at Monte-Carlo tolerance.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import rulkit.autodiff as ad
+from rulkit import mcd
 from rulkit.experiment import model_from_config
 from rulkit.mcd import NOISE_FLOOR, MCDModel, _forward_graph, sample_mask
 from rulkit.params import OptimizerState, ParamView, RngStream, adam_step, fd_check, value_and_grad
@@ -241,6 +243,18 @@ class TestMcPredict:
             taus = [_forward(model, x, _masks(model, 1, r))[1][0] for _ in range(32)]
             assert var >= min(taus) - 1e-9
 
+    def test_small_calls_and_one_cpu_start_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        model = _rigged_net(test_samples=4)
+        monkeypatch.setattr(mcd, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(mcd, "usable_cpus", lambda: 4)
+        model.predictive(np.zeros((3, 1)), RngStream(0))  # 12 uniforms, below the cutoff
+        monkeypatch.setattr(mcd, "PARALLEL_MIN_UNIFORMS", 0)
+        monkeypatch.setattr(mcd, "usable_cpus", lambda: 1)
+        model.predictive(np.zeros((3, 1)), RngStream(0))
+
     def test_rejects_input_of_wrong_shape(self):
         model = _rigged_net(test_samples=4)
         for bad in (np.zeros((2, 1, 1)), np.zeros((2, 3))):
@@ -319,7 +333,7 @@ class TestAgainstComposedGraph:
                 for m, v in zip(mean, var)]
 
     @pytest.mark.parametrize("heteroscedastic", [True, False])
-    def test_training_and_prediction_bit_identical(self, heteroscedastic):
+    def test_training_and_prediction_bit_identical(self, heteroscedastic, monkeypatch):
         rng = np.random.default_rng(21)
         X = rng.standard_normal((40, 3))
         y = X @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.standard_normal(40)
@@ -335,9 +349,30 @@ class TestAgainstComposedGraph:
             assert got == want
             assert model.params.grad.tobytes() == want_grad.tobytes()
             adam_step(state, model.params)
-        pred = model.predictive(X, rng=RngStream(8))
-        got = list(zip(pred.mean, pred.var))
-        assert got == self._predictive(model, X, RngStream(8))
+        # the passes run in blocks, one thread per usable CPU, each block
+        # drawing from a copy of the stream moved on to its first pass: any
+        # worker count (one more than T included) and any row count must give
+        # the sequential loop's bytes and leave the stream where it leaves it
+        # (switching threads often, to shake out any write one block would
+        # make into another's rows)
+        t = model.test_samples
+        monkeypatch.setattr(mcd, "PARALLEL_MIN_UNIFORMS", 0)  # these calls are small
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for keep_prob in (0.6, 1.0):
+                model.keep_prob = keep_prob
+                for workers in (1, 2, 3, t + 1):
+                    monkeypatch.setattr(mcd, "usable_cpus", lambda w=workers: w)
+                    for rows in (X, X[:1], X[:0]):
+                        got_rng, want_rng = RngStream(8), RngStream(8)
+                        pred = model.predictive(rows, rng=got_rng)
+                        want = np.array(self._predictive(model, rows, want_rng)).reshape(-1, 2)
+                        assert np.column_stack([pred.mean, pred.var]).tobytes() == want.tobytes()
+                        state = got_rng._gen.bit_generator.state
+                        assert state == want_rng._gen.bit_generator.state
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # -- trainable model -------------------------------------------------------------------

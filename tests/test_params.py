@@ -350,6 +350,34 @@ class TestRngStream:
                 got, want = np.asarray(a.random(size)), np.asarray(b.uniform(size=size))
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("k", [0, 1, 3 * 40 * 24 + 5])
+    def test_ahead_starts_at_the_next_uniform(self, k):
+        # each float64 uniform takes one PCG64 output, so a copy moved on by
+        # k uniforms continues the stream; k = 3*40*24 + 5 is a few dropout
+        # passes over 40 rows and 24 hidden units, plus 5
+        s = RngStream(6).derive(2, 1)
+        want = RngStream(6).derive(2, 1).random(k + 50)
+        assert s.ahead(k).random(50).tobytes() == want[k:].tobytes()
+        assert s.random(k + 50).tobytes() == want.tobytes()  # s itself did not move
+
+    @pytest.mark.parametrize("k", [0, 1, 3 * 40 * 24 + 5])
+    def test_skip_moves_the_stream_past_its_uniforms(self, k):
+        s, ref = RngStream(6).derive(2, 1), RngStream(6).derive(2, 1)
+        s.skip(k)
+        ref.random(k)
+        assert s._gen.bit_generator.state == ref._gen.bit_generator.state
+
+    def test_ahead_keeps_a_buffered_half_output(self):
+        # a small bounded integer takes 32 bits and buffers the other half of
+        # its PCG64 output; float64 draws leave that half in place
+        s, ref = RngStream(3).derive(1), RngStream(3).derive(1)
+        s.integers(0, 10)
+        ref.integers(0, 10)
+        assert ref._gen.bit_generator.state["has_uint32"] == 1
+        ref.random(17)
+        assert s.ahead(17)._gen.bit_generator.state == ref._gen.bit_generator.state
+        assert s.ahead(17).integers(0, 10, 8).tolist() == ref.integers(0, 10, 8).tolist()
+
     def test_choice_without_replacement(self):
         picks = RngStream(4).choice(10, size=10)
         assert sorted(picks) == list(range(10))
