@@ -42,6 +42,16 @@ def _comma_list(text):
     return [s for s in (p.strip() for p in text.split(",")) if s]
 
 
+def _unit_ids(args):
+    """The ids named by ``--units``, or None (every unit) when it is not given."""
+    if args.units is None:
+        return None
+    ids = _comma_list(args.units)
+    if not ids:
+        raise ValueError(f"--units {args.units!r} names no unit ids")
+    return ids
+
+
 def _resolve_config(args) -> ExperimentConfig:
     """Overlay: family defaults <- config file <- CLI flags."""
     overrides = {}
@@ -116,9 +126,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    ids = _unit_ids(args)
     model, cfg, stats = load_checkpoint(args.checkpoint)
     data = load_fleet(args.data)
-    ids = _comma_list(args.units) if args.units else None
     records = checkpoint_records(model, cfg, stats, data, ids)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -129,11 +139,11 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    ids = _unit_ids(args)
     model, cfg, stats = load_checkpoint(args.checkpoint)
     if args.alpha is not None:
         cfg = cfg.replace(alpha=args.alpha)
     data = load_fleet(args.data)
-    ids = _comma_list(args.units) if args.units else None
     records = checkpoint_records(model, cfg, stats, data, ids)
     report = compute_report(records, cfg.alpha)
     out = Path(args.out)

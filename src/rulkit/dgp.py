@@ -29,6 +29,7 @@ from .metrics import Predictions
 from .params import POSITIVE, ParamVector, ParamView, RngStream, value_and_grad
 from .svgp import (
     DEFAULT_JITTER,
+    KmmFactors,
     LayerTensors,
     ObjectiveSpec,
     gaussian_loglik_graph,
@@ -205,6 +206,7 @@ class DeepGPModel:
                 register_layer(self.params, prefix, self.num_inducing, hidden_dims[l])
         register_layer(self.params, out_prefix, self.num_inducing, out_dim)
         self.params.register("obs_variance", (), POSITIVE, init=0.25)
+        self._factors = KmmFactors()
 
     # widths of the GP inputs per hidden layer and for the output layer
     def _layer_dims(self):
@@ -298,21 +300,27 @@ class DeepGPModel:
     def _log_weights(self, view: ParamView):
         return None
 
-    def _moments(self, view: ParamView, X: np.ndarray, eps):
+    def _moments(
+        self, view: ParamView, X: np.ndarray, eps, factors: Optional[KmmFactors] = None
+    ):
         """Output-layer latent moments per component, in standardized target
         space, and the summed KL of every inducing set.
 
         ``eps`` is the (T, n, depth * width) block of standard-normal hidden
         draws, or None for the sigma-point model, whose sites replace it. The
-        training objective and the predictive both build on this.
+        training objective and the predictive both build on this; prediction
+        passes the model's factor memo.
         """
         if eps is not None and eps.shape[1:] != (X.shape[0], self.depth * self.width):
             raise ValueError(
                 f"eps has shape {eps.shape}, expected (T, {X.shape[0]}, {self.depth * self.width})"
             )
         hidden_prefixes, out_prefix = self._prefixes()
-        groups = [[layer_from_view(view, pref) for pref in group] for group in hidden_prefixes]
-        out_lt = layer_from_view(view, out_prefix)
+        groups = [
+            [layer_from_view(view, pref, factors, self.jitter) for pref in group]
+            for group in hidden_prefixes
+        ]
+        out_lt = layer_from_view(view, out_prefix, factors, self.jitter)
         streams, kls = propagate_components(
             groups, ad.constant(X), self._multipliers(view, eps), self.skip_connection, self.jitter
         )
@@ -323,7 +331,8 @@ class DeepGPModel:
 
     def _component_moments(self, X: np.ndarray, eps=None):
         """``_moments`` on a constant view of the parameters, as (T, n) arrays."""
-        mus, vars_, _ = self._moments(ParamView(self.params, trainable=False), X, eps)
+        view = ParamView(self.params, trainable=False)
+        mus, vars_, _ = self._moments(view, X, eps, self._factors)
         return (
             np.stack([m.data for m in mus], axis=0),
             np.stack([v.data for v in vars_], axis=0),

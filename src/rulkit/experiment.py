@@ -516,6 +516,8 @@ def checkpoint_records(
     if data.stats is not None:
         raise ValueError("expected a raw fleet; this one is already normalized")
     ids = list(unit_ids) if unit_ids is not None else data.unit_ids
+    if not ids:
+        raise ValueError("unit_ids is empty; name at least one unit, or pass None for all")
     units = [data.unit(uid) for uid in ids]
     preds = [
         model.predictive(stats.apply(u.features), rng=RngStream(config.seed).derive(9, i))

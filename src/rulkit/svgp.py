@@ -20,6 +20,11 @@ whose forward pass and vector-Jacobian product are written by hand in
 numpy/scipy: one Cholesky factor, one triangular solve and one triangular
 product forward, and one triangular inverse reused for every L^{-T} product
 backward. The deep variants stack the same node.
+
+L = chol(Kmm) depends only on a layer's inducing inputs, kernel variance and
+lengthscales, so prediction takes it from the model's :class:`KmmFactors`
+memo and builds and factors Kmm once per value of those parameters. Training
+factors Kmm on every evaluation and never reads the memo.
 """
 
 from __future__ import annotations
@@ -111,13 +116,15 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, iters: int) -> np.ndarray:
 @dataclass
 class LayerTensors:
     """Tensors of one GP layer: inducing inputs Z, the whitened posterior
-    q(v) = N(m, S S^T) over v = L^{-1} u, and the kernel hyperparameters."""
+    q(v) = N(m, S S^T) over v = L^{-1} u, and the kernel hyperparameters;
+    ``factor`` is L = chol(Kmm) when it is already known (prediction)."""
 
     inducing: Tensor
     mean: Tensor
     cov_factor: Tensor
     kernel_variance: Tensor
     lengthscales: Tensor
+    factor: Optional[np.ndarray] = None
 
 
 def register_layer(params: ParamVector, prefix: str, num_inducing: int, input_dim: int):
@@ -131,21 +138,59 @@ def register_layer(params: ParamVector, prefix: str, num_inducing: int, input_di
     params.register(f"{prefix}.lengthscales", (input_dim,), POSITIVE, init=np.ones(input_dim))
 
 
-def layer_from_view(view: ParamView, prefix: str) -> LayerTensors:
-    return LayerTensors(
+def layer_from_view(
+    view: ParamView,
+    prefix: str,
+    factors: Optional["KmmFactors"] = None,
+    jitter: float = DEFAULT_JITTER,
+) -> LayerTensors:
+    """The layer's tensors from a view; with a memo (constant views only) the
+    layer also carries its factor of Kmm."""
+    lt = LayerTensors(
         inducing=view.get(f"{prefix}.z"),
         mean=view.get(f"{prefix}.m"),
         cov_factor=view.get(f"{prefix}.L"),
         kernel_variance=view.get(f"{prefix}.kernel_variance"),
         lengthscales=view.get(f"{prefix}.lengthscales"),
     )
+    if factors is not None:
+        lt.factor = factors.factor(view, prefix, lt, jitter)
+    return lt
+
+
+class KmmFactors:
+    """A model's memo of its GP layers' factors L = chol(Kmm) for prediction.
+
+    L is a function of the layer's raw ``z``, ``kernel_variance`` and
+    ``lengthscales`` slices alone, so each layer's entry keeps a copy of those
+    values (and the jitter) and is reused only while they are exactly equal.
+    Any write to ``params.values`` that touches them, in place or not, makes
+    the next lookup factor afresh; a factorization that raises stores nothing.
+    """
+
+    def __init__(self):
+        self._entries: dict[str, tuple[float, np.ndarray, np.ndarray]] = {}
+
+    def factor(self, view: ParamView, prefix: str, lt: LayerTensors, jitter: float) -> np.ndarray:
+        """L for the layer ``lt`` read from ``view`` under ``prefix``."""
+        names = ("z", "kernel_variance", "lengthscales")
+        key = np.concatenate([view.raw[f"{prefix}.{name}"].data for name in names])
+        hit = self._entries.get(prefix)
+        if hit is not None and hit[0] == jitter and np.array_equal(hit[1], key):
+            return hit[2]
+        zs = lt.inducing.data / lt.lengthscales.data
+        chol = _prior_factor(zs, (zs * zs).sum(axis=1), float(lt.kernel_variance.data), jitter)[2]
+        chol.flags.writeable = False
+        self._entries[prefix] = (jitter, key, chol)
+        return chol
 
 
 def latent_graph(lt: LayerTensors, x: Tensor, jitter: float = DEFAULT_JITTER):
     """Latent moments (mu, s2) at rows of x and the KL of one GP layer, as
     :func:`sparse_gp_layer` of the layer's tensors."""
     return sparse_gp_layer(
-        lt.inducing, lt.kernel_variance, lt.lengthscales, lt.mean, lt.cov_factor, x, jitter
+        lt.inducing, lt.kernel_variance, lt.lengthscales, lt.mean, lt.cov_factor, x, jitter,
+        lt.factor,
     )
 
 
@@ -157,6 +202,7 @@ def sparse_gp_layer(
     s: Tensor,
     x: Tensor,
     jitter: float = DEFAULT_JITTER,
+    factor: Optional[np.ndarray] = None,
 ):
     """One whitened sparse-GP layer as a single tape node.
 
@@ -170,16 +216,23 @@ def sparse_gp_layer(
     inverts L once and applies L^{-T} with triangular products, both to the
     gradient of b and in the Cholesky update sym(L^{-T} Phi(L^T Lbar) L^{-1})
     (Murray 2016), where Phi keeps the lower triangle and halves the diagonal.
+
+    A given ``factor`` is taken as L, and Kmm is then neither built nor
+    factored; it is for constant z, kernel variance, lengthscales and x only.
     """
+    kernel_parents = (z, kernel_variance, lengthscales, x)
+    if factor is not None and any(p.requires_grad for p in kernel_parents):
+        raise ValueError("a given Kmm factor needs constant kernel inputs")
     zd, ell, md, sd, xd = z.data, lengthscales.data, m.data, s.data, x.data
     variance = float(kernel_variance.data)
     num, n = zd.shape[0], xd.shape[0]
     zs, xs = zd / ell, xd / ell
     zz, xx = (zs * zs).sum(axis=1), (xs * xs).sum(axis=1)
-    # zs @ zs.T is one symmetric product, so Kmm is exactly symmetric
-    kmm, kmm_live = _se_gram(zs @ zs.T, zz, zz, variance)
+    if factor is None:
+        kmm, kmm_live, chol = _prior_factor(zs, zz, variance, jitter)
+    else:
+        chol = factor
     kxz, kxz_live = _se_gram(xs @ zs.T, xx, zz, variance)
-    chol = cholesky_jittered(kmm, base_jitter=jitter).factor
     # chol.T is the Fortran-ordered upper view of L that BLAS takes uncopied;
     # b and c are (M, n) Fortran-ordered like kxz.T
     b = dtrsm(1.0, chol.T, kxz.T, lower=0, trans_a=1)
@@ -204,7 +257,6 @@ def sparse_gp_layer(
         if s.requires_grad:
             gs = b @ (c * gvar2).T + gkl * sd
             gs[np.diag_indices(num)] -= gkl / np.diagonal(sd)
-        kernel_parents = (z, kernel_variance, lengthscales, x)
         if not any(p.requires_grad for p in kernel_parents):
             return None, None, None, gm, gs, None
         # d/db of mu, -||b||^2 and ||S^T b||^2
@@ -242,6 +294,14 @@ def sparse_gp_layer(
 
     node = ad.make_node(packed, (z, kernel_variance, lengthscales, m, s, x), vjp)
     return node[:n], node[n : 2 * n], node[2 * n]
+
+
+def _prior_factor(zs: np.ndarray, zz: np.ndarray, variance: float, jitter: float):
+    """Kmm = k(Z, Z) from the scaled inducing inputs and their squared norms,
+    the side of its clamp that passes gradients, and L = chol(Kmm)."""
+    # zs @ zs.T is one symmetric product, so Kmm is exactly symmetric
+    kmm, live = _se_gram(zs @ zs.T, zz, zz, variance)
+    return kmm, live, cholesky_jittered(kmm, base_jitter=jitter).factor
 
 
 def _se_gram(cross: np.ndarray, aa: np.ndarray, bb: np.ndarray, variance: float):
@@ -328,6 +388,7 @@ class SVGPModel:
         self.params = ParamVector()
         register_layer(self.params, "gp", self.num_inducing, self.input_dim)
         self.params.register("obs_variance", (), POSITIVE, init=0.25)
+        self._factors = KmmFactors()
 
     @classmethod
     def create(
@@ -387,7 +448,8 @@ class SVGPModel:
         in natural target units."""
         X = input_rows(X, self.input_dim)
         view = ParamView(self.params, trainable=False)
-        mu, var, _ = latent_graph(layer_from_view(view, "gp"), ad.constant(X), self.jitter)
+        lt = layer_from_view(view, "gp", self._factors, self.jitter)
+        mu, var, _ = latent_graph(lt, ad.constant(X), self.jitter)
         obs = self.params.decode("obs_variance")
         s = self.target_scale
         return Predictions.gaussian(mu.data * s + self.target_shift, (var.data + obs) * s * s)

@@ -145,6 +145,21 @@ class TestPredict:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestUnitsFlag:
+    @pytest.mark.parametrize("units", [",", "", " , "])
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_a_list_naming_no_unit_is_refused(
+        self, command, units, trained, fleet_dir, tmp_path, capsys
+    ):
+        rc = main([
+            command, "--checkpoint", str(trained / "checkpoint.npz"),
+            "--data", str(fleet_dir), "--out", str(tmp_path / "o"), "--units", units,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: --units {units!r} names no unit ids")
+        assert not (tmp_path / "o").exists()
+
+
 class TestEvaluate:
     def test_report_files_and_stdout(self, trained, fleet_dir, tmp_path, capsys):
         rc = main([

@@ -12,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rulkit import svgp
 from rulkit.data import FleetDataset, SplitSpec, UnitSeries, load_fleet, normalize, synth_fleet
+from rulkit.mathcore import cholesky_jittered
 from rulkit.metrics import Predictions, Records, compute_report
 from rulkit.params import RngStream
 from rulkit.experiment import (
@@ -23,6 +25,7 @@ from rulkit.experiment import (
     ExperimentConfig,
     TrainingDiverged,
     _child_seed,
+    _records,
     build_model,
     checkpoint_records,
     default_config,
@@ -43,6 +46,14 @@ def small_fleet(seed=3):
 
 def small_split():
     return SplitSpec(("u001", "u002", "u003"), ("u004",))
+
+
+def tiny_config(kind):
+    """One epoch of ``kind`` at sizes the small fleet's 42 training rows allow."""
+    return default_config(kind).replace(
+        epochs=1, batch_size=64, seed=4, num_inducing=8, width=2, depth=2 if kind == "dgp" else 1,
+        num_sites=3, train_samples=2, test_samples=4, hidden_layers=1, hidden_units=4,
+    )
 
 
 def tiny_mcd(**overrides):
@@ -321,6 +332,60 @@ class TestCheckpoints:
         normed, _ = normalize(data, list(small_split().train_ids))
         with pytest.raises(ValueError, match="already normalized"):
             checkpoint_records(model, cfg, stats, normed)
+
+    def test_checkpoint_records_reject_an_empty_unit_list(self, tmp_path):
+        data = small_fleet()
+        run_experiment(tiny_mcd(), data, small_split(), out_dir=tmp_path)
+        model, cfg, stats = load_checkpoint(tmp_path / "checkpoint.npz")
+
+        def refuse(X, rng=None):
+            raise AssertionError("predictive ran")
+
+        model.predictive = refuse
+        with pytest.raises(ValueError, match="unit_ids is empty"):
+            checkpoint_records(model, cfg, stats, data, [])
+
+    def test_svgp_scoring_factors_kmm_once(self, tmp_path, monkeypatch):
+        data = small_fleet()
+        run_experiment(tiny_config("svgp"), data, small_split(), out_dir=tmp_path)
+        model, cfg, stats = load_checkpoint(tmp_path / "checkpoint.npz")
+        calls = []
+
+        def counting(a, base_jitter=1e-6):
+            calls.append(a.shape)
+            return cholesky_jittered(a, base_jitter)
+
+        monkeypatch.setattr(svgp, "cholesky_jittered", counting)
+        checkpoint_records(model, cfg, stats, data)
+        checkpoint_records(model, cfg, stats, data, ["u004", "u001"])
+        assert calls == [(8, 8)]
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_scoring_many_units_matches_fresh_models_per_unit(self, kind, tmp_path):
+        # one model scoring every unit writes the bytes of a freshly loaded
+        # model per unit, so nothing a call leaves behind reaches the next
+        data = small_fleet()
+        run_experiment(tiny_config(kind), data, small_split(), out_dir=tmp_path)
+        path = tmp_path / "checkpoint.npz"
+        model, cfg, stats = load_checkpoint(path)
+        ids = ["u004", "u002", "u001", "u003"]
+        write_predictions(tmp_path / "together.csv", checkpoint_records(model, cfg, stats, data, ids))
+        preds = []
+        for i, uid in enumerate(ids):
+            fresh = load_checkpoint(path)[0]
+            preds.append(fresh.predictive(
+                stats.apply(data.unit(uid).features), rng=RngStream(cfg.seed).derive(9, i)
+            ))
+        units = [data.unit(uid) for uid in ids]
+        apart = _records(
+            Predictions.concat(preds),
+            np.concatenate([u.rul for u in units]),
+            np.repeat(ids, [u.num_rows for u in units]),
+            np.concatenate([u.time for u in units]),
+            cfg.rul_cap,
+        )
+        write_predictions(tmp_path / "apart.csv", apart)
+        assert (tmp_path / "together.csv").read_bytes() == (tmp_path / "apart.csv").read_bytes()
 
     @pytest.mark.parametrize("version", [1, 99])
     def test_format_version_enforced(self, tmp_path, version):

@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 from gp_oracle import MultivariateNormal, layer_of, mvn_kl, np_latent, u_space
 from rulkit import autodiff as ad
 from rulkit import svgp
+from rulkit.dgp import DeepGPModel
+from rulkit.dspp import DSPPModel
 from rulkit.experiment import model_from_config
-from rulkit.mathcore import NumericalError, cholesky_jittered, kernel_eval
+from rulkit.mathcore import Kernel, NumericalError, cholesky_jittered, kernel_eval
 from rulkit.params import (
     POSITIVE,
     CholeskyFactor,
@@ -525,3 +527,151 @@ class TestSVGPModel:
             adam_step(state, model.params)
         mu = model.predictive(X).mean
         assert np.all(np.abs(mu - 500.0) < 50.0)
+
+
+# -- the prediction-time factor memo ----------------------------------------------------
+
+
+def _memo_models():
+    """svgp, a two-by-two deep GP and a sigma-point model on one small data
+    set, each with a GP layer to change: (model, X, y, prefix). Every layer's
+    posterior is moved off the prior, where Kmm would not show in the output."""
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((40, 3))
+    y = X[:, 0] - 2.0 * X[:, 2] + 0.1 * rng.standard_normal(40)
+    models = {
+        "svgp": (SVGPModel.create(X, y, num_inducing=6, rng=RngStream(1)), X, y, "gp"),
+        "dgp": (
+            DeepGPModel.create(
+                X, y, width=2, depth=2, num_inducing=6, num_train_samples=2,
+                num_test_samples=3, rng=RngStream(1),
+            ),
+            X, y, "h1.0",
+        ),
+        "dspp": (
+            DSPPModel.create(X, y, width=2, depth=1, num_inducing=6, num_sites=3, rng=RngStream(1)),
+            X, y, "h0.1",
+        ),
+    }
+    for model, *_ in models.values():
+        for name in model.params.names():
+            if name.endswith(".m"):
+                model.params.set_value(name, rng.standard_normal(6))
+            elif name.endswith(".L"):
+                model.params.set_value(name, 0.5 * np.eye(6))
+    return models
+
+
+def _prediction_bytes(model, X):
+    p = model.predictive(X, rng=RngStream(7))
+    return b"".join(a.tobytes() for a in (p.weights, p.means, p.variances, p.mean, p.var))
+
+
+def _fresh_bytes(model, X):
+    return _prediction_bytes(model_from_config(model.config_dict(), model.params.values.copy()), X)
+
+
+def _recording_factorizations(monkeypatch):
+    """Route ``svgp.cholesky_jittered`` through a recorder of the jitter each
+    factorization used."""
+    used = []
+
+    def recording(a, base_jitter=1e-6):
+        used.append(None)  # stays None when the factorization raises
+        result = cholesky_jittered(a, base_jitter)
+        used[-1] = result.jitter
+        return result
+
+    monkeypatch.setattr(svgp, "cholesky_jittered", recording)
+    return used
+
+
+def _adam(model, X, y, prefix):
+    model.objective_grad(X, y, rng=RngStream(2))
+    adam_step(OptimizerState(learning_rate=0.05), model.params)
+
+
+def _set_z(model, X, y, prefix):
+    z = model.params.decode(f"{prefix}.z")
+    z[0] += 0.5
+    model.params.set_value(f"{prefix}.z", z)
+
+
+def _set_lengthscales(model, X, y, prefix):
+    model.params.set_value(f"{prefix}.lengthscales", 1.5 * model.params.decode(f"{prefix}.lengthscales"))
+
+
+def _write_in_place(model, X, y, prefix):
+    e = model.params.entry(f"{prefix}.kernel_variance")
+    model.params.values[e.offset] += 0.25
+
+
+class TestKmmFactorMemo:
+    @pytest.mark.parametrize("change", [_adam, _set_z, _set_lengthscales, _write_in_place])
+    @pytest.mark.parametrize("kind", ["svgp", "dgp", "dspp"])
+    def test_a_changed_parameter_vector_is_never_served_a_stale_factor(self, kind, change):
+        model, X, y, prefix = _memo_models()[kind]
+        before = _prediction_bytes(model, X)
+        assert before == _prediction_bytes(model, X) == _fresh_bytes(model, X)
+        change(model, X, y, prefix)
+        after = _prediction_bytes(model, X)
+        assert after != before
+        assert after == _fresh_bytes(model, X)
+
+    @pytest.mark.parametrize("kind", ["svgp", "dgp", "dspp"])
+    def test_repeat_calls_factor_once_and_training_never_reads_the_memo(self, kind, monkeypatch):
+        model, X, y, prefix = _memo_models()[kind]
+        layers = 1 + model.depth * model.width if kind != "svgp" else 1
+        used = _recording_factorizations(monkeypatch)
+        first = _prediction_bytes(model, X)
+        assert _prediction_bytes(model, X[:5]) != first
+        assert _prediction_bytes(model, X) == first
+        assert len(used) == layers
+        model.objective_grad(X, y, rng=RngStream(2))
+        assert len(used) == 2 * layers
+
+    def test_every_chunk_of_a_deep_prediction_shares_the_factors(self, monkeypatch):
+        model, X, _, _ = _memo_models()["dgp"]
+        rows = np.tile(X, (14, 1))  # 560 rows: two chunks
+        used = _recording_factorizations(monkeypatch)
+        model.predictive(rows, rng=RngStream(3))
+        assert len(used) == model.depth * model.width + 1
+
+    @pytest.mark.parametrize("kind", ["svgp", "dgp", "dspp"])
+    def test_a_failed_factorization_is_not_stored(self, kind, monkeypatch):
+        model, X, _, prefix = _memo_models()[kind]
+        good = _prediction_bytes(model, X)
+        theta = model.params.values.copy()
+        # a duplicate inducing point at a kernel variance so large that the
+        # jitter ladder's largest step is below its rounding
+        z = model.params.decode(f"{prefix}.z")
+        z[1] = z[0]
+        model.params.set_value(f"{prefix}.z", z)
+        model.params.set_value(f"{prefix}.kernel_variance", 1e30)
+        used = _recording_factorizations(monkeypatch)
+        for attempt in (1, 2):
+            with pytest.raises(NumericalError, match="not positive definite"):
+                model.predictive(X, rng=RngStream(7))
+            assert used == [None] * attempt
+        model.params.values[:] = theta
+        assert _prediction_bytes(model, X) == good
+
+    @pytest.mark.parametrize("kind", ["svgp", "dgp", "dspp"])
+    def test_a_jittered_factor_is_reused_as_it_was_made(self, kind, monkeypatch):
+        model, X, _, prefix = _memo_models()[kind]
+        z = model.params.decode(f"{prefix}.z")
+        z[1] = z[0]
+        model.params.set_value(f"{prefix}.z", z)
+        used = _recording_factorizations(monkeypatch)
+        first = _prediction_bytes(model, X)
+        assert any(j > 0.0 for j in used)
+        factored = len(used)
+        assert _prediction_bytes(model, X) == first
+        assert len(used) == factored
+        assert first == _fresh_bytes(model, X)
+
+    def test_a_given_factor_needs_constant_kernel_inputs(self):
+        z, variance, ell, m, s, x = _layer_inputs(4, 6, 2, seed=5)
+        chol = cholesky_jittered(kernel_eval(Kernel(float(variance), ell), z, z)).factor
+        with pytest.raises(ValueError, match="constant kernel inputs"):
+            sparse_gp_layer(ad.leaf(z), *map(ad.constant, (variance, ell, m, s, x)), factor=chol)
