@@ -42,13 +42,14 @@ def _comma_list(text):
     return [s for s in (p.strip() for p in text.split(",")) if s]
 
 
-def _unit_ids(args):
-    """The ids named by ``--units``, or None (every unit) when it is not given."""
-    if args.units is None:
+def _named_ids(text, flag: str):
+    """The ids a comma-separated ``flag`` names, or None when it is not given
+    (for ``--units``: every unit)."""
+    if text is None:
         return None
-    ids = _comma_list(args.units)
+    ids = _comma_list(text)
     if not ids:
-        raise ValueError(f"--units {args.units!r} names no unit ids")
+        raise ValueError(f"{flag} {text!r} names no unit ids")
     return ids
 
 
@@ -71,8 +72,8 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def _resolve_split(args, cfg: ExperimentConfig, data) -> SplitSpec:
-    train = _comma_list(args.train_units) if getattr(args, "train_units", None) else None
-    test = _comma_list(args.test_units) if getattr(args, "test_units", None) else None
+    train = _named_ids(args.train_units, "--train-units")
+    test = _named_ids(args.test_units, "--test-units")
     if train is None and cfg.train_units:
         train = list(cfg.train_units)
     if test is None and cfg.test_units:
@@ -126,7 +127,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    ids = _unit_ids(args)
+    ids = _named_ids(args.units, "--units")
     model, cfg, stats = load_checkpoint(args.checkpoint)
     data = load_fleet(args.data)
     records = checkpoint_records(model, cfg, stats, data, ids)
@@ -139,7 +140,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    ids = _unit_ids(args)
+    ids = _named_ids(args.units, "--units")
     model, cfg, stats = load_checkpoint(args.checkpoint)
     if args.alpha is not None:
         cfg = cfg.replace(alpha=args.alpha)

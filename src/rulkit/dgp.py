@@ -1,10 +1,20 @@
 """Doubly-stochastic deep GP regression.
 
-A hidden layer of W independent single-output sparse GPs feeds an output GP;
-hidden activations are sampled by reparametrization, g = mu + eps * sigma,
-and the raw input is concatenated onto the hidden features when the skip
-connection is on. The evidence bound averages the per-sample corrected
-likelihood over T draws and subtracts the KL of every inducing set; the
+``depth`` hidden layers of ``width`` = W independent single-output sparse GPs
+feed an output GP. Each hidden layer l is one stack of W GPs under the
+parameter prefix ``h{l}``, whose slices carry a leading stack axis: ``z``
+(W, M, d_l), ``m`` (W, M), ``L`` (W, M, M), stored packed as
+(W, M(M+1)/2), ``kernel_variance`` (W,) and ``lengthscales`` (W, d_l); the
+output GP is the single-GP layer ``out``. Every layer is one
+:func:`rulkit.svgp.sparse_gp_layer` node.
+
+The T components of the hidden integral are one array axis. Hidden
+activations are sampled by reparametrization, g = mu + e * sigma, with e the
+(T, n, depth * W) block of standard-normal draws; the raw input is
+concatenated onto the hidden features when the skip connection is on, so
+each later layer reads (T n, W [+ d]) features, and the output moments are
+(T, n). The evidence bound averages the per-sample corrected likelihood over
+the T draws and subtracts the KL of every inducing set; the
 predictive-variance variant scores the log of the T-sample average density
 (a biased but well-behaved estimate of the predictive likelihood). The
 predictive distribution is an equal-weight Gaussian mixture over T draws.
@@ -30,7 +40,6 @@ from .params import POSITIVE, ParamVector, ParamView, RngStream, value_and_grad
 from .svgp import (
     DEFAULT_JITTER,
     KmmFactors,
-    LayerTensors,
     ObjectiveSpec,
     gaussian_loglik_graph,
     init_inducing,
@@ -44,80 +53,12 @@ _PREDICT_CHUNK = 512
 MAX_DEPTH = 3
 
 
-# -- differentiable propagation (shared with the sigma-point variant) ----------
-
-
-def propagate_components(
-    hidden_groups: list[list[LayerTensors]],
-    x: Tensor,
-    multipliers,
-    skip: bool,
-    jitter: float,
-):
-    """Push one input block through the hidden stack, once per component.
-
-    ``multipliers[t][l][w]`` scales the latent std of hidden GP w in layer l
-    for component t; entries are (n,) arrays (sampled eps) or scalar Tensors
-    (trainable quadrature sites). Returns the per-component feature streams
-    feeding the output layer plus the KL node of every hidden inducing set.
-    Components whose streams are the same graph node are computed once.
-    """
-    num_comp = len(multipliers)
-    n = x.shape[0]
-    streams = [x] * num_comp
-    kls = []
-    for l, group in enumerate(hidden_groups):
-        shared = all(s is streams[0] for s in streams)
-        stacked = streams[0] if shared else ad.concatenate(streams, axis=0)
-        mus, sigmas = [], []
-        for lt in group:
-            mu, var, kl = latent_graph(lt, stacked, jitter)
-            kls.append(kl)
-            mus.append(mu)
-            sigmas.append(ad.sqrt(var))
-        new_streams = []
-        for t in range(num_comp):
-            cols = []
-            for w in range(len(group)):
-                if shared:
-                    mu_t, sig_t = mus[w], sigmas[w]
-                else:
-                    mu_t = mus[w][t * n : (t + 1) * n]
-                    sig_t = sigmas[w][t * n : (t + 1) * n]
-                mult = multipliers[t][l][w]
-                scaled = (
-                    mult * sig_t if isinstance(mult, Tensor) else sig_t * ad.constant(mult)
-                )
-                cols.append(ad.reshape(mu_t + scaled, (n, 1)))
-            feats = cols + ([x] if skip else [])
-            new_streams.append(feats[0] if len(feats) == 1 else ad.concatenate(feats, axis=1))
-        streams = new_streams
-    return streams, kls
-
-
-def output_components(
-    out_lt: LayerTensors, streams: list[Tensor], jitter: float
-):
-    """Output-layer latent moments per component stream.
-
-    Identical streams (depth 0) are evaluated once and the component list
-    collapses to length 1, which keeps the degenerate model bit-identical to
-    the flat sparse GP. Returns (mus, vars, kl).
-    """
-    n = streams[0].shape[0]
-    shared = all(s is streams[0] for s in streams)
-    stacked = streams[0] if shared else ad.concatenate(streams, axis=0)
-    mu, var, kl = latent_graph(out_lt, stacked, jitter)
-    if shared:
-        return [mu], [var], kl
-    mus = [mu[t * n : (t + 1) * n] for t in range(len(streams))]
-    vars_ = [var[t * n : (t + 1) * n] for t in range(len(streams))]
-    return mus, vars_, kl
+# -- the bound ------------------------------------------------------------------------
 
 
 def deep_objective_graph(
-    mus: list,
-    vars_: list,
+    mu: Tensor,
+    var: Tensor,
     kl_total: Tensor,
     obs_variance: Tensor,
     spec: ObjectiveSpec,
@@ -125,32 +66,24 @@ def deep_objective_graph(
     scale: float,
     log_weights,
 ) -> Tensor:
-    """Negated deep bound on a batch from the per-component output moments.
+    """Negated deep bound on a batch from the (T, n) output-layer moments of
+    its T components.
 
     ``log_weights`` is None for equal-weight MC components (log 1/T handled in
-    closed form) or a Tensor of per-component log weights (sigma points).
+    closed form) or a (T,) Tensor of per-component log weights (sigma points).
     """
-    num_comp = len(mus)
-    n = y.shape[0]
+    num_comp, n = mu.shape
     if spec.kind == "elbo":
         if log_weights is not None:
             raise ValueError("weighted components require the ppgpr objective")
-        ones = ad.constant(np.ones(n))
-        acc = None
-        for t in range(num_comp):
-            ll = gaussian_loglik_graph(y, mus[t], obs_variance * ones)
-            corrected = ll - vars_[t] / (obs_variance * 2.0)
-            acc = corrected.sum() if acc is None else acc + corrected.sum()
-        bound = (acc / float(num_comp)) * scale - kl_total
+        ll = gaussian_loglik_graph(y, mu, obs_variance * ad.constant(np.ones(n)))
+        corrected = ll - var / (obs_variance * 2.0)
+        bound = (corrected.sum() / float(num_comp)) * scale - kl_total
         return -bound
-    rows = []
-    for t in range(num_comp):
-        ll = gaussian_loglik_graph(y, mus[t], vars_[t] + obs_variance)
-        if log_weights is not None:
-            ll = ll + log_weights[t]
-        rows.append(ad.reshape(ll, (1, n)))
-    stacked = rows[0] if num_comp == 1 else ad.concatenate(rows, axis=0)
-    log_mix = ad.logsumexp(stacked, axis=0)
+    ll = gaussian_loglik_graph(y, mu, var + obs_variance)
+    if log_weights is not None:
+        ll = ll + ad.reshape(log_weights, (num_comp, 1))
+    log_mix = ad.logsumexp(ll, axis=0)
     if log_weights is None and num_comp > 1:
         log_mix = log_mix - math.log(num_comp)
     bound = log_mix.sum() * scale - spec.beta_reg * kl_total
@@ -199,27 +132,14 @@ class DeepGPModel:
         self.target_shift = float(target_shift)
         self.target_scale = float(target_scale)
         self.params = ParamVector()
-        hidden_dims, out_dim = self._layer_dims()
-        hidden_prefixes, out_prefix = self._prefixes()
-        for l, group in enumerate(hidden_prefixes):
-            for prefix in group:
-                register_layer(self.params, prefix, self.num_inducing, hidden_dims[l])
-        register_layer(self.params, out_prefix, self.num_inducing, out_dim)
+        # each layer's input: x, then the hidden features (and x with the skip)
+        dim = self.input_dim
+        for l in range(self.depth):
+            register_layer(self.params, f"h{l}", self.num_inducing, dim, (self.width,))
+            dim = self.width + (self.input_dim if self.skip_connection else 0)
+        register_layer(self.params, "out", self.num_inducing, dim)
         self.params.register("obs_variance", (), POSITIVE, init=0.25)
         self._factors = KmmFactors()
-
-    # widths of the GP inputs per hidden layer and for the output layer
-    def _layer_dims(self):
-        dims = []
-        current = self.input_dim
-        for _ in range(self.depth):
-            dims.append(current)
-            current = self.width + (self.input_dim if self.skip_connection else 0)
-        return dims, current
-
-    def _prefixes(self):
-        hidden = [[f"h{l}.{w}" for w in range(self.width)] for l in range(self.depth)]
-        return hidden, "out"
 
     @classmethod
     def create(
@@ -272,14 +192,12 @@ class DeepGPModel:
         plus the same subset in the skip block.
         """
         subset = init_inducing(X, self.num_inducing, inducing_strategy, rng.derive(0))
-        hidden_prefixes, out_prefix = self._prefixes()
         draw = rng.derive(1)
-        for l, group in enumerate(hidden_prefixes):
-            for prefix in group:
-                z = subset if l == 0 else self._lifted(subset, draw)
-                self.params.set_value(f"{prefix}.z", z)
+        for l in range(self.depth):
+            stack = [subset if l == 0 else self._lifted(subset, draw) for _ in range(self.width)]
+            self.params.set_value(f"h{l}.z", np.stack(stack))
         z_out = subset if self.depth == 0 else self._lifted(subset, draw)
-        self.params.set_value(f"{out_prefix}.z", z_out)
+        self.params.set_value("out.z", z_out)
 
     def _lifted(self, subset: np.ndarray, rng: RngStream) -> np.ndarray:
         g = rng.normal(size=(subset.shape[0], self.width))
@@ -287,15 +205,10 @@ class DeepGPModel:
 
     # -- graph builders ---------------------------------------------------------
 
-    def _multipliers(self, view: ParamView, eps: np.ndarray):
-        """Slice a (T, n, depth * width) draw block into per-GP columns."""
-        return [
-            [
-                [eps[t, :, l * self.width + w] for w in range(self.width)]
-                for l in range(self.depth)
-            ]
-            for t in range(eps.shape[0])
-        ]
+    def _multiplier(self, view: ParamView, eps):
+        """The (T, n, depth * width) block that scales the hidden GPs' latent
+        stds: the standard-normal draws ``eps``."""
+        return eps
 
     def _log_weights(self, view: ParamView):
         return None
@@ -303,40 +216,48 @@ class DeepGPModel:
     def _moments(
         self, view: ParamView, X: np.ndarray, eps, factors: Optional[KmmFactors] = None
     ):
-        """Output-layer latent moments per component, in standardized target
-        space, and the summed KL of every inducing set.
+        """Output-layer latent moments of every component, each (T, n) in
+        standardized target space, and the summed KL of every inducing set.
 
         ``eps`` is the (T, n, depth * width) block of standard-normal hidden
         draws, or None for the sigma-point model, whose sites replace it. The
         training objective and the predictive both build on this; prediction
         passes the model's factor memo.
         """
-        if eps is not None and eps.shape[1:] != (X.shape[0], self.depth * self.width):
+        n, dim, width = X.shape[0], X.shape[1], self.width
+        mult = self._multiplier(view, eps)
+        if mult.ndim != 3 or mult.shape[1] not in (1, n) or mult.shape[2] != self.depth * width:
             raise ValueError(
-                f"eps has shape {eps.shape}, expected (T, {X.shape[0]}, {self.depth * self.width})"
+                f"multipliers have shape {mult.shape}, expected (T, {n}, {self.depth * width})"
             )
-        hidden_prefixes, out_prefix = self._prefixes()
-        groups = [
-            [layer_from_view(view, pref, factors, self.jitter) for pref in group]
-            for group in hidden_prefixes
-        ]
-        out_lt = layer_from_view(view, out_prefix, factors, self.jitter)
-        streams, kls = propagate_components(
-            groups, ad.constant(X), self._multipliers(view, eps), self.skip_connection, self.jitter
-        )
-        mus, vars_, kl_total = output_components(out_lt, streams, self.jitter)
-        for k in kls:
-            kl_total = kl_total + k
-        return mus, vars_, kl_total
+        num_comp = mult.shape[0]
+        x = ad.constant(X)
+        # the first hidden layer reads x once for every component
+        feats, rows = x, 1
+        hidden_kls = []
+        for l in range(self.depth):
+            lt = layer_from_view(view, f"h{l}", factors, self.jitter)
+            mu, var, kl = latent_graph(lt, feats, self.jitter)
+            hidden_kls.append(kl)
+            shape = (rows, n, width)
+            g = ad.reshape(mu, shape) + ad.reshape(ad.sqrt(var), shape) * mult[
+                :, :, l * width : (l + 1) * width
+            ]
+            if self.skip_connection:
+                skip = ad.constant(np.broadcast_to(X, (num_comp, n, dim)))
+                g = ad.concatenate([g, skip], axis=2)
+            feats, rows = ad.reshape(g, (num_comp * n, g.shape[2])), num_comp
+        out_lt = layer_from_view(view, "out", factors, self.jitter)
+        mu, var, kl_total = latent_graph(out_lt, feats, self.jitter)
+        for kl in hidden_kls:
+            kl_total = kl_total + kl.sum()
+        return ad.reshape(mu, (rows, n)), ad.reshape(var, (rows, n)), kl_total
 
     def _component_moments(self, X: np.ndarray, eps=None):
         """``_moments`` on a constant view of the parameters, as (T, n) arrays."""
         view = ParamView(self.params, trainable=False)
-        mus, vars_, _ = self._moments(view, X, eps, self._factors)
-        return (
-            np.stack([m.data for m in mus], axis=0),
-            np.stack([v.data for v in vars_], axis=0),
-        )
+        mu, var, _ = self._moments(view, X, eps, self._factors)
+        return mu.data, var.data
 
     def _draw_eps(self, n: int, samples: int, rng: Optional[RngStream]) -> np.ndarray:
         if self.depth == 0:
@@ -347,10 +268,10 @@ class DeepGPModel:
         return rng.normal(size=(samples, n, self.depth * self.width))
 
     def _build(self, view: ParamView, X, y, scale: float, eps) -> Tensor:
-        mus, vars_, kl_total = self._moments(view, X, eps)
+        mu, var, kl_total = self._moments(view, X, eps)
         return deep_objective_graph(
-            mus,
-            vars_,
+            mu,
+            var,
             kl_total,
             view.get("obs_variance"),
             self.objective_spec,

@@ -1,12 +1,17 @@
 """Deep sigma-point process regression.
 
-Same layer stack as the deep GP, but the hidden integral is carried by a
-small set of learnable quadrature sites instead of Monte-Carlo draws: hidden
-activations for component s are mu + xi_w^(s) * sigma (one shared component
-index across every hidden GP), weighted by a learnable simplex. Sites start
-at the Gauss-Hermite nodes, log-weights at the Gauss-Hermite log-weights.
-Both the objective and the predictive distribution are deterministic finite
-mixtures, so training needs no sampling and two runs agree bit for bit.
+Same layer stack as the deep GP, stacked hidden layers ``h{l}`` included,
+but the hidden integral is carried by a small set of learnable quadrature
+sites instead of Monte-Carlo draws: hidden activations for component s are
+mu + xi_w^(s) * sigma (one shared component index across every hidden GP),
+weighted by a learnable simplex. The sites are one (S, depth * width) slice,
+``sites``, that scales the hidden stds as an (S, 1, depth * width) block in
+place of the deep GP's (T, n, depth * width) draws; that block and the log
+weights are all that differ from :class:`rulkit.dgp.DeepGPModel`. Sites
+start at the Gauss-Hermite nodes, log-weights at the Gauss-Hermite
+log-weights. Both the objective and the predictive distribution are
+deterministic finite mixtures, so training needs no sampling and two runs
+agree bit for bit.
 
 Objective per point: log sum_s omega_s N(y_i | mu_f^(s), s2_f^(s) + s2_obs),
 summed with the minibatch scale, minus beta_reg times the summed KL.
@@ -19,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import autodiff as ad
 from . import svgp
 from .dgp import DeepGPModel
 from .mathcore import gauss_hermite
@@ -84,13 +90,9 @@ class DSPPModel(DeepGPModel):
             target_scale=target_scale,
         )
         self.num_sites = int(num_sites)
-        start = init_sigma_points(self.num_sites, self.total_width)
+        start = init_sigma_points(self.num_sites, self.depth * self.width)
         self.params.register("sites", start.sites.shape, IDENTITY, init=start.sites)
         self.params.register("site_logits", (self.num_sites,), SIMPLEX, init=start.weights)
-
-    @property
-    def total_width(self) -> int:
-        return self.depth * self.width
 
     @classmethod
     def create(
@@ -132,17 +134,10 @@ class DSPPModel(DeepGPModel):
 
     # -- sigma points as components of the deep GP's builders --------------------
 
-    def _multipliers(self, view: ParamView, eps):
-        """[s][l][w] scalar Tensors pulled from the trainable site matrix; the
-        sites replace the hidden draws, so ``eps`` is unused."""
-        sites = view.get("sites")
-        return [
-            [
-                [sites[s, l * self.width + w] for w in range(self.width)]
-                for l in range(self.depth)
-            ]
-            for s in range(self.num_sites)
-        ]
+    def _multiplier(self, view: ParamView, eps):
+        """The trainable sites as one (S, 1, depth * width) block; they
+        replace the hidden draws, so ``eps`` is unused."""
+        return ad.reshape(view.get("sites"), (self.num_sites, 1, -1))
 
     def _log_weights(self, view: ParamView):
         return view.log_simplex("site_logits")

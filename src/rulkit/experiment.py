@@ -366,6 +366,8 @@ def run_experiment(
     """
     config.validate()
     split.check_against(data)
+    if not split.test_ids:
+        raise ValueError("split.test_ids is empty; run_experiment needs at least one test unit")
     normed, stats = normalize(data, split.train_ids)
     (X_tr, y_tr, _, _), val = train_val_rows(normed, split)
     if config.rul_cap is not None:
@@ -446,7 +448,8 @@ def run_experiment(
 # -- checkpoints -------------------------------------------------------------------
 
 # 2: sparse-GP layers store the whitened posterior q(v) = N(m, S S^T)
-FORMAT_VERSION = 2
+# 3: a deep model's hidden layer is one stack of GPs, prefix h{l}, not h{l}.{w}
+FORMAT_VERSION = 3
 
 _MODEL_CLASSES = {
     "svgp": SVGPModel,

@@ -93,52 +93,58 @@ class Simplex:
 
 
 class CholeskyFactor:
-    """Packed lower-triangular factor of size n with softplus-positive diagonal.
+    """Packed lower-triangular factors of size n with softplus-positive diagonal.
 
-    Raw entries are laid out row-major over the lower triangle.
+    A slice of shape (n, n) holds one factor and one of shape (W, n, n) a
+    stack of W, the leading axis outermost in the raw layout. Each factor's
+    raw entries are laid out row-major over its lower triangle, so a stack of
+    one has the same raw bytes as a single factor.
     """
 
     name = "tril"
 
     def __init__(self, n: int):
         self.n = int(n)
-        self._rows, self._cols = np.tril_indices(self.n)
-        self._diag = np.flatnonzero(self._rows == self._cols)
+        rows, cols = np.tril_indices(self.n)
+        self._diag = np.flatnonzero(rows == cols)
         # positions of the packed entries in the row-major n*n matrix
-        self._flat = self._rows * self.n + self._cols
+        self._flat = rows * self.n + cols
 
     def raw_size(self, shape: tuple) -> int:
-        return self.n * (self.n + 1) // 2
+        return int(np.prod(shape[:-2], dtype=int)) * self._flat.size
 
     def apply(self, t: Tensor, shape: tuple) -> Tensor:
-        raw = t.data
+        raw = t.data.reshape(-1, self._flat.size)
 
         def vjp(g):
-            gp = g.take(self._flat)
-            gp[self._diag] *= _expit(raw[self._diag])
-            return (gp,)
+            gp = g.reshape(raw.shape[0], -1).take(self._flat, axis=1)
+            gp[:, self._diag] *= _expit(raw[:, self._diag])
+            return (gp.reshape(-1),)
 
-        return ad.make_node(self.apply_np(raw, shape), (t,), vjp)
+        return ad.make_node(self.apply_np(t.data, shape), (t,), vjp)
 
     def apply_np(self, x: np.ndarray, shape: tuple) -> np.ndarray:
-        if x.shape != self._flat.shape:
-            raise ValueError(f"packed vector must have length {self._flat.size}, got {x.shape}")
-        vals = x.copy()
-        vals[self._diag] = np.logaddexp(0.0, vals[self._diag])
-        out = np.zeros(self.n * self.n)
-        out[self._flat] = vals
-        return out.reshape(self.n, self.n)
+        if x.shape != (self.raw_size(shape),):
+            raise ValueError(
+                f"packed vector must have length {self.raw_size(shape)}, got {x.shape}"
+            )
+        vals = x.reshape(-1, self._flat.size).copy()
+        vals[:, self._diag] = np.logaddexp(0.0, vals[:, self._diag])
+        out = np.zeros((vals.shape[0], self.n * self.n))
+        for row, packed in zip(out, vals):  # 1-d scatters: 2-d ones take twice as long
+            row[self._flat] = packed
+        return out.reshape(shape)
 
     def invert(self, value: np.ndarray, shape: tuple) -> np.ndarray:
         L = np.asarray(value, dtype=np.float64)
-        if L.shape != (self.n, self.n):
-            raise ValueError(f"expected a ({self.n}, {self.n}) factor, got {L.shape}")
-        d = np.diag(L)
+        if L.shape != tuple(shape):
+            raise ValueError(f"expected a {tuple(shape)} factor, got {L.shape}")
+        packed = L.reshape(-1, self.n * self.n).take(self._flat, axis=1)
+        d = packed[:, self._diag]
         if np.any(d <= 0.0):
             raise ValueError("factor diagonal must be positive")
-        packed = L[self._rows, self._cols].copy()
-        packed[self._diag] = d + np.log1p(-np.exp(-d))
-        return packed
+        packed[:, self._diag] = d + np.log1p(-np.exp(-d))
+        return packed.reshape(-1)
 
 
 IDENTITY = Identity()

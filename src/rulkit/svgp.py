@@ -17,9 +17,14 @@ The differentiable graph builders here are the model's only representation:
 training evaluates them on trainable views of the flat parameter vector and
 prediction on constant ones. A layer is one tape node, ``sparse_gp_layer``,
 whose forward pass and vector-Jacobian product are written by hand in
-numpy/scipy: one Cholesky factor, one triangular solve and one triangular
-product forward, and one triangular inverse reused for every L^{-T} product
-backward. The deep variants stack the same node.
+numpy/scipy: per GP, one Cholesky factor, one triangular solve and one
+triangular product forward, and one triangular inverse reused for every
+L^{-T} product backward.
+
+A layer is one GP or a stack of W independent GPs that read the same input.
+A stack's slices carry a leading axis of length W, and one GP's raw values
+are laid out as a stack of one. The node loops over the stack, so each GP is
+factored and solved on its own.
 
 L = chol(Kmm) depends only on a layer's inducing inputs, kernel variance and
 lengthscales, so prediction takes it from the model's :class:`KmmFactors`
@@ -115,9 +120,10 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, iters: int) -> np.ndarray:
 
 @dataclass
 class LayerTensors:
-    """Tensors of one GP layer: inducing inputs Z, the whitened posterior
-    q(v) = N(m, S S^T) over v = L^{-1} u, and the kernel hyperparameters;
-    ``factor`` is L = chol(Kmm) when it is already known (prediction)."""
+    """Tensors of one GP layer, a single GP or a stack: inducing inputs Z,
+    the whitened posterior q(v) = N(m, S S^T) over v = L^{-1} u, and the
+    kernel hyperparameters; ``factor`` is the (W, M, M) stack of factors
+    L = chol(Kmm) when it is already known (prediction)."""
 
     inducing: Tensor
     mean: Tensor
@@ -127,15 +133,20 @@ class LayerTensors:
     factor: Optional[np.ndarray] = None
 
 
-def register_layer(params: ParamVector, prefix: str, num_inducing: int, input_dim: int):
-    """Register the slices of one GP layer under ``prefix``."""
-    m = num_inducing
-    params.register(f"{prefix}.z", (m, input_dim), IDENTITY)
-    params.register(f"{prefix}.m", (m,), IDENTITY)
+def register_layer(
+    params: ParamVector, prefix: str, num_inducing: int, input_dim: int, batch_shape: tuple = ()
+):
+    """Register the slices of one GP layer under ``prefix``: a single GP, or
+    with ``batch_shape=(W,)`` a stack of W GPs."""
+    m, b = num_inducing, tuple(batch_shape)
+    params.register(f"{prefix}.z", b + (m, input_dim), IDENTITY)
+    params.register(f"{prefix}.m", b + (m,), IDENTITY)
     # q(v) starts at the whitened prior N(0, I)
-    params.register(f"{prefix}.L", (m, m), CholeskyFactor(m), init=np.eye(m))
-    params.register(f"{prefix}.kernel_variance", (), POSITIVE, init=1.0)
-    params.register(f"{prefix}.lengthscales", (input_dim,), POSITIVE, init=np.ones(input_dim))
+    eye = np.broadcast_to(np.eye(m), b + (m, m))
+    params.register(f"{prefix}.L", b + (m, m), CholeskyFactor(m), init=eye)
+    params.register(f"{prefix}.kernel_variance", b, POSITIVE, init=np.ones(b))
+    shape = b + (input_dim,)
+    params.register(f"{prefix}.lengthscales", shape, POSITIVE, init=np.ones(shape))
 
 
 def layer_from_view(
@@ -145,7 +156,7 @@ def layer_from_view(
     jitter: float = DEFAULT_JITTER,
 ) -> LayerTensors:
     """The layer's tensors from a view; with a memo (constant views only) the
-    layer also carries its factor of Kmm."""
+    layer also carries its factors of Kmm."""
     lt = LayerTensors(
         inducing=view.get(f"{prefix}.z"),
         mean=view.get(f"{prefix}.m"),
@@ -161,25 +172,31 @@ def layer_from_view(
 class KmmFactors:
     """A model's memo of its GP layers' factors L = chol(Kmm) for prediction.
 
-    L is a function of the layer's raw ``z``, ``kernel_variance`` and
-    ``lengthscales`` slices alone, so each layer's entry keeps a copy of those
-    values (and the jitter) and is reused only while they are exactly equal.
-    Any write to ``params.values`` that touches them, in place or not, makes
-    the next lookup factor afresh; a factorization that raises stores nothing.
+    A layer's factors are a function of its raw ``z``, ``kernel_variance``
+    and ``lengthscales`` slices alone, so each layer's entry (one per prefix,
+    covering every GP of a stack) keeps a copy of those values and the jitter,
+    and is reused only while they are exactly equal. Any write to
+    ``params.values`` that touches them, in place or not, makes the next
+    lookup factor the whole layer afresh; a factorization that raises stores
+    nothing.
     """
 
     def __init__(self):
         self._entries: dict[str, tuple[float, np.ndarray, np.ndarray]] = {}
 
     def factor(self, view: ParamView, prefix: str, lt: LayerTensors, jitter: float) -> np.ndarray:
-        """L for the layer ``lt`` read from ``view`` under ``prefix``."""
+        """The (W, M, M) factors of the layer ``lt`` read from ``view`` under
+        ``prefix`` (W = 1 for a single GP)."""
         names = ("z", "kernel_variance", "lengthscales")
         key = np.concatenate([view.raw[f"{prefix}.{name}"].data for name in names])
         hit = self._entries.get(prefix)
         if hit is not None and hit[0] == jitter and np.array_equal(hit[1], key):
             return hit[2]
-        zs = lt.inducing.data / lt.lengthscales.data
-        chol = _prior_factor(zs, (zs * zs).sum(axis=1), float(lt.kernel_variance.data), jitter)[2]
+        zss, variances, _ = _stacked(lt.inducing, lt.kernel_variance, lt.lengthscales)
+        chol = np.stack([
+            _prior_factor(zs, (zs * zs).sum(axis=1), float(variance), jitter)[2]
+            for zs, variance in zip(zss, variances)
+        ])
         chol.flags.writeable = False
         self._entries[prefix] = (jitter, key, chol)
         return chol
@@ -204,96 +221,129 @@ def sparse_gp_layer(
     jitter: float = DEFAULT_JITTER,
     factor: Optional[np.ndarray] = None,
 ):
-    """One whitened sparse-GP layer as a single tape node.
+    """One whitened sparse-GP layer, a single GP or a stack, as one tape node.
 
-    With Kmm = k(Z, Z), L = chol(Kmm), b = L^{-1} k(Z, x) and c = S^T b:
+    Per GP, with Kmm = k(Z, Z), L = chol(Kmm), b = L^{-1} k(Z, x) and c = S^T b:
 
     mu  = b^T m
     s2  = k(x, x) - ||b||^2 + ||c||^2          (per column, clamped at the floor)
     kl  = 1/2 (||S||_F^2 + ||m||^2 - M) - log|S|
 
-    S must be lower triangular. Returns the Tensors (mu, s2, kl). The VJP
-    inverts L once and applies L^{-T} with triangular products, both to the
-    gradient of b and in the Cholesky update sym(L^{-T} Phi(L^T Lbar) L^{-1})
-    (Murray 2016), where Phi keeps the lower triangle and halves the diagonal.
+    S must be lower triangular. z, the kernel variance, the lengthscales, m
+    and S carry a leading stack axis of length W together, or none does (one
+    GP); every GP reads the same x (n, d). A stack returns the Tensors mu
+    (n, W), s2 (n, W) and kl (W,), one GP mu (n,), s2 (n,) and kl (). The VJP
+    inverts each L once and applies L^{-T} with triangular products, both to
+    the gradient of b and in the Cholesky update sym(L^{-T} Phi(L^T Lbar)
+    L^{-1}) (Murray 2016), where Phi keeps the lower triangle and halves the
+    diagonal.
 
-    A given ``factor`` is taken as L, and Kmm is then neither built nor
-    factored; it is for constant z, kernel variance, lengthscales and x only.
+    A given ``factor``, the (W, M, M) stack of L, is taken as L, and Kmm is
+    then neither built nor factored; it is for constant z, kernel variance,
+    lengthscales and x only.
     """
+    parents = (z, kernel_variance, lengthscales, m, s, x)
     kernel_parents = (z, kernel_variance, lengthscales, x)
     if factor is not None and any(p.requires_grad for p in kernel_parents):
         raise ValueError("a given Kmm factor needs constant kernel inputs")
-    zd, ell, md, sd, xd = z.data, lengthscales.data, m.data, s.data, x.data
-    variance = float(kernel_variance.data)
-    num, n = zd.shape[0], xd.shape[0]
-    zs, xs = zd / ell, xd / ell
-    zz, xx = (zs * zs).sum(axis=1), (xs * xs).sum(axis=1)
-    if factor is None:
-        kmm, kmm_live, chol = _prior_factor(zs, zz, variance, jitter)
-    else:
-        chol = factor
-    kxz, kxz_live = _se_gram(xs @ zs.T, xx, zz, variance)
-    # chol.T is the Fortran-ordered upper view of L that BLAS takes uncopied;
-    # b and c are (M, n) Fortran-ordered like kxz.T
-    b = dtrsm(1.0, chol.T, kxz.T, lower=0, trans_a=1)
-    c = dtrmm(1.0, sd.T, b, lower=0)
-    mu = b.T @ md
-    raw = variance - np.einsum("ij,ij->j", b, b) + np.einsum("ij,ij->j", c, c)
-    # only a negative minimum matters; initial=0.0 lets a zero-row batch through
-    worst = float(raw.min(initial=0.0))
-    if worst < NEG_VARIANCE_TOL:
-        raise NumericalError(f"latent variance fell to {worst:.3e}; matrix too ill-conditioned")
-    var_live = raw > VARIANCE_FLOOR
-    kl = ((sd * sd).sum() + (md * md).sum() - float(num)) * 0.5 - np.log(np.diagonal(sd)).sum()
-    packed = np.concatenate([mu, np.maximum(raw, VARIANCE_FLOOR), [kl]])
+    zss, variances, ells = _stacked(z, kernel_variance, lengthscales)
+    width, num = zss.shape[:2]
+    md, sd = m.data.reshape(width, num), s.data.reshape(width, num, num)
+    xd = x.data
+    n = xd.shape[0]
+    # rows: mu (n), clamped s2 (n), kl (1); one column per GP
+    packed = np.empty((2 * n + 1, width))
+    state = []  # per GP, what the VJP reuses
+    for w in range(width):
+        zs, xs, variance = zss[w], xd / ells[w], float(variances[w])
+        zz, xx = (zs * zs).sum(axis=1), (xs * xs).sum(axis=1)
+        if factor is None:
+            kmm, kmm_live, chol = _prior_factor(zs, zz, variance, jitter)
+        else:
+            kmm = kmm_live = None
+            chol = factor.reshape(width, num, num)[w]
+        kxz, kxz_live = _se_gram(xs @ zs.T, xx, zz, variance)
+        # chol.T is the Fortran-ordered upper view of L that BLAS takes uncopied;
+        # b and c are (M, n) Fortran-ordered like kxz.T
+        b = dtrsm(1.0, chol.T, kxz.T, lower=0, trans_a=1)
+        c = dtrmm(1.0, sd[w].T, b, lower=0)
+        raw = variance - np.einsum("ij,ij->j", b, b) + np.einsum("ij,ij->j", c, c)
+        # only a negative minimum matters; initial=0.0 lets a zero-row batch through
+        worst = float(raw.min(initial=0.0))
+        if worst < NEG_VARIANCE_TOL:
+            raise NumericalError(f"latent variance fell to {worst:.3e}; matrix too ill-conditioned")
+        packed[:n, w] = b.T @ md[w]
+        packed[n : 2 * n, w] = np.maximum(raw, VARIANCE_FLOOR)
+        packed[2 * n, w] = (
+            ((sd[w] * sd[w]).sum() + (md[w] * md[w]).sum() - float(num)) * 0.5
+            - np.log(np.diagonal(sd[w])).sum()
+        )
+        state.append((xs, kmm, kmm_live, chol, kxz, kxz_live, b, c, raw > VARIANCE_FLOOR))
 
     def vjp(g):
-        gmu, gkl = g[:n], g[2 * n]
-        # the clamp passes no gradient on its floor side
-        gvar = g[n : 2 * n] * var_live
-        gvar2 = 2.0 * gvar
-        gm = b @ gmu + gkl * md if m.requires_grad else None
-        gs = None
-        if s.requires_grad:
-            gs = b @ (c * gvar2).T + gkl * sd
-            gs[np.diag_indices(num)] -= gkl / np.diagonal(sd)
-        if not any(p.requires_grad for p in kernel_parents):
-            return None, None, None, gm, gs, None
-        # d/db of mu, -||b||^2 and ||S^T b||^2
-        gb = dtrmm(1.0, sd.T, c, lower=0, trans_a=1)
-        gb -= b
-        gb *= gvar2
-        gb += np.outer(md, gmu)
-        # b = L^{-1} Kzx gives Kzx the gradient L^{-T} gb and L the gradient
-        # Lbar = -tril(L^{-T} gb b^T). The Cholesky update needs only the lower
-        # triangle of L^T Lbar, which L^T (upper) takes from Lbar's lower
-        # triangle alone, so Phi(L^T Lbar) = -Phi(gb b^T). np.triu of the
-        # C-ordered transpose leaves phi Fortran-ordered for BLAS.
-        phi = np.triu(b @ gb.T).T
-        phi[np.diag_indices(num)] *= 0.5
-        linv_t = dtrtri(chol.T, lower=0)[0]  # L^{-T}, upper, Fortran-ordered
-        gkzx = dtrmm(1.0, linv_t, gb, lower=0, overwrite_b=1)
-        phi = dtrmm(-1.0, linv_t, phi, lower=0, overwrite_b=1)
-        phi = dtrmm(1.0, linv_t, phi, side=1, lower=0, trans_a=1, overwrite_b=1)
-        gkmm = (phi + phi.T) / 2.0
-        gd_mm, gkv_mm = _se_gram_vjp(gkmm, kmm, kmm_live, variance)
-        gd_xz, gkv_xz = _se_gram_vjp(gkzx.T, kxz, kxz_live, variance)
-        # d2 = |a|^2 + |b|^2 - 2 a.b per pair; gd_mm is symmetric
-        gzs = 4.0 * (zs * gd_mm.sum(axis=1)[:, None] - gd_mm @ zs)
-        gzs += 2.0 * (zs * gd_xz.sum(axis=0)[:, None] - gd_xz.T @ xs)
-        gxs = 2.0 * (xs * gd_xz.sum(axis=1)[:, None] - gd_xz @ zs)
-        gell = -((gzs * zs).sum(axis=0) + (gxs * xs).sum(axis=0)) / ell
-        return (
-            gzs / ell,
-            np.asarray(gkv_mm + gkv_xz + gvar.sum()),
-            gell,
-            gm,
-            gs,
-            gxs / ell if x.requires_grad else None,
-        )
+        kernel = any(p.requires_grad for p in kernel_parents)
+        gm = np.empty((width, num)) if m.requires_grad else None
+        gs = np.empty((width, num, num)) if s.requires_grad else None
+        gz = gkv = gell = gx = None
+        if kernel:
+            gz, gkv, gell = np.empty(zss.shape), np.empty(width), np.empty(ells.shape)
+        for w, (xs, kmm, kmm_live, chol, kxz, kxz_live, b, c, var_live) in enumerate(state):
+            zs, variance, gmu, gkl = zss[w], float(variances[w]), g[:n, w], g[2 * n, w]
+            # the clamp passes no gradient on its floor side
+            gvar = g[n : 2 * n, w] * var_live
+            gvar2 = 2.0 * gvar
+            if gm is not None:
+                gm[w] = b @ gmu + gkl * md[w]
+            if gs is not None:
+                gs[w] = b @ (c * gvar2).T + gkl * sd[w]
+                gs[w][np.diag_indices(num)] -= gkl / np.diagonal(sd[w])
+            if not kernel:
+                continue
+            # d/db of mu, -||b||^2 and ||S^T b||^2
+            gb = dtrmm(1.0, sd[w].T, c, lower=0, trans_a=1)
+            gb -= b
+            gb *= gvar2
+            gb += np.outer(md[w], gmu)
+            # b = L^{-1} Kzx gives Kzx the gradient L^{-T} gb and L the gradient
+            # Lbar = -tril(L^{-T} gb b^T). The Cholesky update needs only the lower
+            # triangle of L^T Lbar, which L^T (upper) takes from Lbar's lower
+            # triangle alone, so Phi(L^T Lbar) = -Phi(gb b^T). np.triu of the
+            # C-ordered transpose leaves phi Fortran-ordered for BLAS.
+            phi = np.triu(b @ gb.T).T
+            phi[np.diag_indices(num)] *= 0.5
+            linv_t = dtrtri(chol.T, lower=0)[0]  # L^{-T}, upper, Fortran-ordered
+            gkzx = dtrmm(1.0, linv_t, gb, lower=0, overwrite_b=1)
+            phi = dtrmm(-1.0, linv_t, phi, lower=0, overwrite_b=1)
+            phi = dtrmm(1.0, linv_t, phi, side=1, lower=0, trans_a=1, overwrite_b=1)
+            gkmm = (phi + phi.T) / 2.0
+            gd_mm, gkv_mm = _se_gram_vjp(gkmm, kmm, kmm_live, variance)
+            gd_xz, gkv_xz = _se_gram_vjp(gkzx.T, kxz, kxz_live, variance)
+            # d2 = |a|^2 + |b|^2 - 2 a.b per pair; gd_mm is symmetric
+            gzs = 4.0 * (zs * gd_mm.sum(axis=1)[:, None] - gd_mm @ zs)
+            gzs += 2.0 * (zs * gd_xz.sum(axis=0)[:, None] - gd_xz.T @ xs)
+            gxs = 2.0 * (xs * gd_xz.sum(axis=1)[:, None] - gd_xz @ zs)
+            ell = ells[w]
+            gz[w] = gzs / ell
+            gkv[w] = gkv_mm + gkv_xz + gvar.sum()
+            gell[w] = -((gzs * zs).sum(axis=0) + (gxs * xs).sum(axis=0)) / ell
+            if x.requires_grad:
+                gx = gxs / ell if gx is None else gx + gxs / ell
+        grads = (gz, gkv, gell, gm, gs, gx)
+        return tuple(None if g_ is None else g_.reshape(p.shape) for g_, p in zip(grads, parents))
 
-    node = ad.make_node(packed, (z, kernel_variance, lengthscales, m, s, x), vjp)
+    node = ad.make_node(packed, parents, vjp)
+    if z.ndim == 2:  # a single GP
+        return node[:n, 0], node[n : 2 * n, 0], node[2 * n, 0]
     return node[:n], node[n : 2 * n], node[2 * n]
+
+
+def _stacked(z: Tensor, kernel_variance: Tensor, lengthscales: Tensor):
+    """A layer's kernel inputs with the stack axis explicit, W = 1 for a
+    single GP: the scaled inducing inputs Z / ell (W, M, d), the kernel
+    variances (W,) and the lengthscales (W, d)."""
+    num, dim = z.shape[-2:]
+    ells = lengthscales.data.reshape(-1, dim)
+    return z.data.reshape(-1, num, dim) / ells[:, None, :], kernel_variance.data.reshape(-1), ells
 
 
 def _prior_factor(zs: np.ndarray, zz: np.ndarray, variance: float, jitter: float):

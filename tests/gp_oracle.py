@@ -3,25 +3,41 @@ divergences, a dense exact GP, and unwhitened sparse-GP formulas.
 
 The library parameterizes each GP layer by the whitened posterior
 q(v) = N(m, S S^T) with u = L v and L = chol(Kmm), held as named slices of a
-model's flat parameter vector. ``layer_of`` reads such a layer into plain
-arrays and ``u_space`` maps it to the equivalent posterior over the inducing
-values themselves, q(u) = N(L m, (L S)(L S)^T), which the textbook
-expressions below expect.
+model's flat parameter vector; a deep model keeps each hidden layer as one
+stack of GPs whose slices carry a leading stack axis. ``layer_of`` reads a
+single GP, or one GP of a stack, into plain arrays and ``u_space`` maps it
+to the equivalent posterior over the inducing values themselves,
+q(u) = N(L m, (L S)(L S)^T), which the textbook expressions below expect. ``single_gp_layer`` is the one-GP layer node the
+stacked ``rulkit.svgp.sparse_gp_layer`` must agree with GP by GP.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrmm, dtrsm
+from scipy.linalg.lapack import dtrtri
 
+from rulkit import autodiff as ad
+from rulkit.autodiff import Tensor
 from rulkit.mathcore import (
     DimensionError,
     Kernel,
+    NumericalError,
     _check_inputs,
     cholesky_jittered,
     gaussian_logpdf,
     kernel_eval,
+)
+from rulkit.svgp import (
+    DEFAULT_JITTER,
+    NEG_VARIANCE_TOL,
+    VARIANCE_FLOOR,
+    _prior_factor,
+    _se_gram,
+    _se_gram_vjp,
 )
 
 
@@ -151,15 +167,19 @@ class Layer:
         return self.inducing_points.shape[0]
 
 
-def layer_of(params, prefix: str) -> Layer:
-    """The GP layer a model keeps under ``prefix`` in its parameter vector."""
+def layer_of(params, prefix: str, gp=None) -> Layer:
+    """The GP layer a model keeps under ``prefix`` in its parameter vector;
+    for a stacked prefix, the stack's GP number ``gp``."""
+
+    def read(name):
+        value = params.decode(f"{prefix}.{name}")
+        return value if gp is None else value[gp]
+
     return Layer(
-        inducing_points=params.decode(f"{prefix}.z"),
-        variational_mean=params.decode(f"{prefix}.m"),
-        variational_cov_factor=params.decode(f"{prefix}.L"),
-        kernel=Kernel(
-            params.decode(f"{prefix}.kernel_variance"), params.decode(f"{prefix}.lengthscales")
-        ),
+        inducing_points=read("z"),
+        variational_mean=read("m"),
+        variational_cov_factor=read("L"),
+        kernel=Kernel(float(read("kernel_variance")), read("lengthscales")),
     )
 
 
@@ -194,3 +214,93 @@ def np_latent(layer: Layer, X):
     mu = C.T @ layer.variational_mean
     var = kv - (B * B).sum(axis=0) + ((layer.variational_cov_factor.T @ C) ** 2).sum(axis=0)
     return mu, np.maximum(var, 1e-12)
+
+
+def single_gp_layer(
+    z: Tensor,
+    kernel_variance: Tensor,
+    lengthscales: Tensor,
+    m: Tensor,
+    s: Tensor,
+    x: Tensor,
+    jitter: float = DEFAULT_JITTER,
+    factor: Optional[np.ndarray] = None,
+):
+    """One whitened single-GP sparse layer as one tape node: a literal copy
+    of ``rulkit.svgp.sparse_gp_layer`` from before that node took a stack of
+    GPs, kept as the per-GP oracle of the stacked node's values and
+    gradients. Returns the Tensors (mu (n,), s2 (n,), kl)."""
+    kernel_parents = (z, kernel_variance, lengthscales, x)
+    if factor is not None and any(p.requires_grad for p in kernel_parents):
+        raise ValueError("a given Kmm factor needs constant kernel inputs")
+    zd, ell, md, sd, xd = z.data, lengthscales.data, m.data, s.data, x.data
+    variance = float(kernel_variance.data)
+    num, n = zd.shape[0], xd.shape[0]
+    zs, xs = zd / ell, xd / ell
+    zz, xx = (zs * zs).sum(axis=1), (xs * xs).sum(axis=1)
+    if factor is None:
+        kmm, kmm_live, chol = _prior_factor(zs, zz, variance, jitter)
+    else:
+        chol = factor
+    kxz, kxz_live = _se_gram(xs @ zs.T, xx, zz, variance)
+    # chol.T is the Fortran-ordered upper view of L that BLAS takes uncopied;
+    # b and c are (M, n) Fortran-ordered like kxz.T
+    b = dtrsm(1.0, chol.T, kxz.T, lower=0, trans_a=1)
+    c = dtrmm(1.0, sd.T, b, lower=0)
+    mu = b.T @ md
+    raw = variance - np.einsum("ij,ij->j", b, b) + np.einsum("ij,ij->j", c, c)
+    # only a negative minimum matters; initial=0.0 lets a zero-row batch through
+    worst = float(raw.min(initial=0.0))
+    if worst < NEG_VARIANCE_TOL:
+        raise NumericalError(f"latent variance fell to {worst:.3e}; matrix too ill-conditioned")
+    var_live = raw > VARIANCE_FLOOR
+    kl = ((sd * sd).sum() + (md * md).sum() - float(num)) * 0.5 - np.log(np.diagonal(sd)).sum()
+    packed = np.concatenate([mu, np.maximum(raw, VARIANCE_FLOOR), [kl]])
+
+    def vjp(g):
+        gmu, gkl = g[:n], g[2 * n]
+        # the clamp passes no gradient on its floor side
+        gvar = g[n : 2 * n] * var_live
+        gvar2 = 2.0 * gvar
+        gm = b @ gmu + gkl * md if m.requires_grad else None
+        gs = None
+        if s.requires_grad:
+            gs = b @ (c * gvar2).T + gkl * sd
+            gs[np.diag_indices(num)] -= gkl / np.diagonal(sd)
+        if not any(p.requires_grad for p in kernel_parents):
+            return None, None, None, gm, gs, None
+        # d/db of mu, -||b||^2 and ||S^T b||^2
+        gb = dtrmm(1.0, sd.T, c, lower=0, trans_a=1)
+        gb -= b
+        gb *= gvar2
+        gb += np.outer(md, gmu)
+        # b = L^{-1} Kzx gives Kzx the gradient L^{-T} gb and L the gradient
+        # Lbar = -tril(L^{-T} gb b^T). The Cholesky update needs only the lower
+        # triangle of L^T Lbar, which L^T (upper) takes from Lbar's lower
+        # triangle alone, so Phi(L^T Lbar) = -Phi(gb b^T). np.triu of the
+        # C-ordered transpose leaves phi Fortran-ordered for BLAS.
+        phi = np.triu(b @ gb.T).T
+        phi[np.diag_indices(num)] *= 0.5
+        linv_t = dtrtri(chol.T, lower=0)[0]  # L^{-T}, upper, Fortran-ordered
+        gkzx = dtrmm(1.0, linv_t, gb, lower=0, overwrite_b=1)
+        phi = dtrmm(-1.0, linv_t, phi, lower=0, overwrite_b=1)
+        phi = dtrmm(1.0, linv_t, phi, side=1, lower=0, trans_a=1, overwrite_b=1)
+        gkmm = (phi + phi.T) / 2.0
+        gd_mm, gkv_mm = _se_gram_vjp(gkmm, kmm, kmm_live, variance)
+        gd_xz, gkv_xz = _se_gram_vjp(gkzx.T, kxz, kxz_live, variance)
+        # d2 = |a|^2 + |b|^2 - 2 a.b per pair; gd_mm is symmetric
+        gzs = 4.0 * (zs * gd_mm.sum(axis=1)[:, None] - gd_mm @ zs)
+        gzs += 2.0 * (zs * gd_xz.sum(axis=0)[:, None] - gd_xz.T @ xs)
+        gxs = 2.0 * (xs * gd_xz.sum(axis=1)[:, None] - gd_xz @ zs)
+        gell = -((gzs * zs).sum(axis=0) + (gxs * xs).sum(axis=0)) / ell
+        return (
+            gzs / ell,
+            np.asarray(gkv_mm + gkv_xz + gvar.sum()),
+            gell,
+            gm,
+            gs,
+            gxs / ell if x.requires_grad else None,
+        )
+
+    node = ad.make_node(packed, (z, kernel_variance, lengthscales, m, s, x), vjp)
+    return node[:n], node[n : 2 * n], node[2 * n]

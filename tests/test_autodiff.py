@@ -173,6 +173,17 @@ class TestStructured:
 
         check_grad(build, RNG.standard_normal(n * (n + 1) // 2))
 
+    def test_stacked_cholesky_factor_transform(self):
+        n, width = 3, 2
+        rng = np.random.default_rng(5)
+        w = ad.constant(rng.standard_normal((width, n, n)))
+
+        def build(t):
+            L = CholeskyFactor(n).apply(t, (width, n, n))
+            return ad.total(L * L * w)
+
+        check_grad(build, rng.standard_normal(width * n * (n + 1) // 2))
+
     def test_cholesky_murray_vjp(self):
         base = RNG.standard_normal((4, 4))
         spd = base @ base.T + 4.0 * np.eye(4)

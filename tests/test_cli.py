@@ -159,6 +159,21 @@ class TestUnitsFlag:
         assert capsys.readouterr().err.startswith(f"error: --units {units!r} names no unit ids")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag", ["--train-units", "--test-units"])
+    @pytest.mark.parametrize("command", ["train", "gridsearch"])
+    def test_a_split_flag_naming_no_unit_is_refused(
+        self, command, flag, fleet_dir, mcd_config, tmp_path, capsys
+    ):
+        units = {"--train-units": UNITS, "--test-units": TEST_UNIT, flag: ","}
+        rc = main([
+            command, "--data", str(fleet_dir), "--out", str(tmp_path / "o"),
+            "--config", str(mcd_config), "--epochs", "1",
+            "--train-units", units["--train-units"], "--test-units", units["--test-units"],
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} ',' names no unit ids")
+        assert not (tmp_path / "o").exists()
+
 
 class TestEvaluate:
     def test_report_files_and_stdout(self, trained, fleet_dir, tmp_path, capsys):

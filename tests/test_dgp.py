@@ -16,6 +16,7 @@ from scipy.special import logsumexp
 from gp_oracle import layer_of, np_latent, u_space
 from rulkit import autodiff as ad
 from rulkit.dgp import DeepGPModel
+from rulkit.dspp import DSPPModel
 from rulkit.experiment import model_from_config
 from rulkit.metrics import Predictions
 from rulkit.params import ParamView, RngStream, fd_check
@@ -58,8 +59,10 @@ def _objective(model, X, y, eps, spec=None) -> float:
 
 
 def _hidden_layers(model):
-    groups, _ = model._prefixes()
-    return [[layer_of(model.params, pref) for pref in group] for group in groups]
+    return [
+        [layer_of(model.params, f"h{l}", w) for w in range(model.width)]
+        for l in range(model.depth)
+    ]
 
 
 # -- mixture plumbing ------------------------------------------------------------
@@ -115,6 +118,26 @@ class TestForwardSample:
         mu_ref, var_ref = np_latent(u_space(layer_of(model.params, "out")), feats)
         np.testing.assert_allclose(mus[0], mu_ref, atol=1e-9)
         np.testing.assert_allclose(vars_[0], var_ref, atol=1e-9)
+
+    def test_drawn_eps_match_hand_propagation(self):
+        # depth 2: component t's draws for GP w of layer l sit in column
+        # l * width + w of its (n, depth * width) block
+        model, X, _ = _toy_dgp(depth=2, width=2)
+        eps = RngStream(5).normal(size=(3, X.shape[0], model.depth * model.width))
+        mus, vars_ = model._component_moments(X, eps)
+        hidden = [[u_space(gp) for gp in layer] for layer in _hidden_layers(model)]
+        output = u_space(layer_of(model.params, "out"))
+        for t in range(eps.shape[0]):
+            feats = X
+            for l, layer in enumerate(hidden):
+                cols = []
+                for w, gp in enumerate(layer):
+                    mu, var = np_latent(gp, feats)
+                    cols.append(mu + np.sqrt(var) * eps[t, :, l * model.width + w])
+                feats = np.column_stack(cols + [X])
+            mu_ref, var_ref = np_latent(output, feats)
+            np.testing.assert_allclose(mus[t], mu_ref, atol=1e-9)
+            np.testing.assert_allclose(vars_[t], var_ref, atol=1e-9)
 
     def test_zero_eps_components_are_identical(self):
         model, X, _ = _toy_dgp()
@@ -298,6 +321,64 @@ class TestMonteCarlo:
         for var, variances in zip(mix.var, mix.variances):
             assert var >= floor * (1.0 - 1e-12)
             assert np.all(variances >= floor * (1.0 - 1e-12))
+
+
+# -- graph size ---------------------------------------------------------------------
+
+
+def _op_nodes(root) -> int:
+    """Operation nodes the backward pass from ``root`` visits (leaves excluded)."""
+    seen: set[int] = set()
+    stack = [root]
+    ops = 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        ops += node._vjp is not None
+        stack.extend(p for p in node._parents if p.requires_grad)
+    return ops
+
+
+def _step_nodes(model, X, y, monkeypatch) -> int:
+    """Operation nodes in the graph of one ``objective_grad`` step."""
+    roots = []
+    backward = ad.Tensor.backward
+
+    def recording(self):
+        roots.append(self)
+        return backward(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ad.Tensor, "backward", recording)
+        model.objective_grad(X, y, rng=RngStream(4))
+    return _op_nodes(roots[0])
+
+
+class TestGraphSize:
+    """The component axis is an array axis: one step's graph has the same
+    nodes whatever the number of hidden samples or sigma points."""
+
+    @pytest.mark.parametrize("kind", ["elbo", "ppgpr"])
+    def test_dgp_nodes_do_not_grow_with_samples(self, kind, monkeypatch):
+        counts = []
+        for samples in (2, 10):
+            model, X, y = _toy_dgp(depth=2, width=3, objective_kind=kind,
+                                   num_train_samples=samples)
+            counts.append(_step_nodes(model, X, y, monkeypatch))
+        assert counts[0] == counts[1]
+
+    def test_dspp_nodes_do_not_grow_with_sites(self, monkeypatch):
+        counts = []
+        for sites in (3, 15):
+            rng = np.random.default_rng(3)
+            X = rng.standard_normal((10, 2))
+            y = np.sin(X[:, 0])
+            model = DSPPModel.create(X, y, width=3, depth=2, num_inducing=4, num_sites=sites,
+                                     rng=RngStream(3))
+            counts.append(_step_nodes(model, X, y, monkeypatch))
+        assert counts[0] == counts[1]
 
 
 # -- checkpoint round trip --------------------------------------------------------------

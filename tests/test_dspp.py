@@ -132,8 +132,8 @@ class TestPredictDeterminism:
         model = DSPPModel.create(
             X, y, width=1, depth=1, num_inducing=6, num_sites=5, rng=RngStream(4)
         )
-        model.params.set_value("h0.0.z", X)
-        model.params.set_value("h0.0.L", np.eye(6) * 1e-8)
+        model.params.set_value("h0.z", X[None])
+        model.params.set_value("h0.L", np.eye(6)[None] * 1e-8)
         means, variances = model._component_moments(X)
         assert np.ptp(means, axis=0).max() < 1e-5
         assert np.ptp(variances, axis=0).max() < 1e-5
@@ -200,9 +200,12 @@ class TestObjective:
             data_term += logsumexp(log_w + gaussian_logpdf(y_std, mu_std, var_std))
 
         kl = 0.0
-        hidden, out = model._prefixes()
-        layers = [layer_of(model.params, pref) for group in hidden for pref in group]
-        layers.append(layer_of(model.params, out))
+        layers = [
+            layer_of(model.params, f"h{l}", w)
+            for l in range(model.depth)
+            for w in range(model.width)
+        ]
+        layers.append(layer_of(model.params, "out"))
         for gp in map(u_space, layers):
             kmm = kernel_eval(gp.kernel, gp.inducing_points, gp.inducing_points)
             kl += mvn_kl(

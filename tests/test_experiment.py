@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rulkit import svgp
+from rulkit import experiment, svgp
 from rulkit.data import FleetDataset, SplitSpec, UnitSeries, load_fleet, normalize, synth_fleet
 from rulkit.mathcore import cholesky_jittered
 from rulkit.metrics import Predictions, Records, compute_report
@@ -256,6 +256,16 @@ class TestRunExperiment:
         assert res.val_report is None
         assert res.val_records is None
 
+    def test_empty_test_ids_are_refused_before_training(self, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(experiment, "build_model", never)
+        split = SplitSpec(("u001", "u002", "u003"), ())
+        with pytest.raises(ValueError, match="test_ids is empty"):
+            run_experiment(tiny_mcd(), small_fleet(), split, out_dir=tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
     def test_point_baseline_beats_constant_predictor(self):
         # noiseless single-mode fleet with shared operating regime: features
         # determine health exactly, so the net must do far better than
@@ -387,7 +397,7 @@ class TestCheckpoints:
         write_predictions(tmp_path / "apart.csv", apart)
         assert (tmp_path / "together.csv").read_bytes() == (tmp_path / "apart.csv").read_bytes()
 
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_format_version_enforced(self, tmp_path, version):
         run_experiment(tiny_mcd(), small_fleet(), small_split(), out_dir=tmp_path)
         path = tmp_path / "checkpoint.npz"
@@ -396,7 +406,7 @@ class TestCheckpoints:
         arrays["format_version"] = np.asarray(version)
         np.savez(path, **arrays)
         # the message names the file's version and the one this code reads
-        with pytest.raises(ValueError, match=rf"format_version {version};.*format_version 2$"):
+        with pytest.raises(ValueError, match=rf"format_version {version};.*format_version 3$"):
             load_checkpoint(path)
 
 

@@ -92,6 +92,22 @@ class TestTransforms:
         packed = t.invert(L, (n, n))
         np.testing.assert_allclose(t.apply_np(packed, (n, n)), L, atol=1e-12)
 
+    def test_stacked_cholesky_factor_round_trip(self):
+        # a stack of W factors packs each one as a single factor would, the
+        # stack axis outermost
+        n, width = 4, 3
+        L = np.tril(np.random.default_rng(5).standard_normal((width, n, n)))
+        for one in L:
+            np.fill_diagonal(one, np.abs(np.diag(one)) + 0.5)
+        t = CholeskyFactor(n)
+        packed = t.invert(L, (width, n, n))
+        assert t.raw_size((width, n, n)) == packed.size == width * n * (n + 1) // 2
+        np.testing.assert_allclose(t.apply_np(packed, (width, n, n)), L, atol=1e-12)
+        singles = np.concatenate([t.invert(one, (n, n)) for one in L])
+        np.testing.assert_array_equal(packed, singles)
+        graph = t.apply(ad.constant(packed), (width, n, n)).data
+        np.testing.assert_array_equal(graph, t.apply_np(packed, (width, n, n)))
+
     def test_cholesky_factor_rejects_bad_input(self):
         t = CholeskyFactor(3)
         with pytest.raises(ValueError):
@@ -100,6 +116,12 @@ class TestTransforms:
         bad[1, 1] = -1.0
         with pytest.raises(ValueError):
             t.invert(bad, (3, 3))
+        with pytest.raises(ValueError):
+            t.invert(np.eye(3), (2, 3, 3))
+        with pytest.raises(ValueError):
+            t.invert(np.broadcast_to(bad, (2, 3, 3)), (2, 3, 3))
+        with pytest.raises(ValueError):
+            t.apply_np(np.zeros(6), (2, 3, 3))
 
     def test_transform_agrees_with_graph_apply(self):
         # apply (graph) and apply_np (plain numpy) must be the same function

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gp_oracle import MultivariateNormal, layer_of, mvn_kl, np_latent, u_space
+from gp_oracle import MultivariateNormal, layer_of, mvn_kl, np_latent, single_gp_layer, u_space
 from rulkit import autodiff as ad
 from rulkit import svgp
 from rulkit.dgp import DeepGPModel
@@ -238,6 +238,11 @@ def _weighted_loss(outputs, weights):
     return (mu * ad.constant(weights[0])).sum() + (var * ad.constant(weights[1])).sum() + kl * 0.7
 
 
+def _stack_loss(mu, var, kl, weights, kl_weights):
+    return ((mu * ad.constant(weights[0])).sum() + (var * ad.constant(weights[1])).sum()
+            + (kl * ad.constant(kl_weights)).sum())
+
+
 class TestSparseGPLayer:
     @pytest.mark.parametrize("x_grad", [False, True])
     @pytest.mark.parametrize("num,n,d,clamp", [
@@ -289,6 +294,83 @@ class TestSparseGPLayer:
             if want is None:
                 continue
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("x_grad", [False, True])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_stack_against_fd(self, width, x_grad):
+        num, n, d = 4, 6, 2
+        gps = [_layer_inputs(num, n, d, seed=60 + w) for w in range(width)]
+        z, variance, ell, m, s = (np.stack([gp[i] for gp in gps]) for i in range(5))
+        x = gps[0][5]
+        p = ParamVector()
+        p.register("z", z.shape, init=z)
+        p.register("kernel_variance", (width,), POSITIVE, init=variance)
+        p.register("lengthscales", (width, d), POSITIVE, init=ell)
+        p.register("m", (width, num), init=m)
+        p.register("s", (width, num, num), CholeskyFactor(num), init=s)
+        if x_grad:
+            p.register("x", x.shape, init=x)
+        rng = np.random.default_rng(width)
+        weights = rng.standard_normal((2, n, width))
+        kl_weights = rng.standard_normal(width)
+
+        def build(view):
+            mu, var, kl = sparse_gp_layer(
+                *(view.get(name) for name in ("z", "kernel_variance", "lengthscales", "m", "s")),
+                view.get("x") if x_grad else ad.constant(x),
+            )
+            assert mu.shape == var.shape == (n, width) and kl.shape == (width,)
+            return _stack_loss(mu, var, kl, weights, kl_weights)
+
+        err = fd_check(lambda q: value_and_grad(q, build), p, probes=p.size, rng=RngStream(1))
+        assert err < 1e-5
+
+    @pytest.mark.parametrize("x_grad", [False, True])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_stack_equals_separate_gps(self, width, x_grad):
+        # every GP of a stack gives the values and gradients of the single-GP
+        # node evaluated on its own, and x the sum of their x gradients
+        num, n, d = 5, 9, 3
+        gps = [_layer_inputs(num, n, d, seed=80 + w) for w in range(width)]
+        x = gps[0][5]
+        rng = np.random.default_rng(width)
+        weights = rng.standard_normal((2, n, width))
+        kl_weights = rng.standard_normal(width)
+        leaves = [ad.leaf(np.stack([gp[i] for gp in gps])) for i in range(5)]
+        x_leaf = ad.leaf(x) if x_grad else ad.constant(x)
+        mu, var, kl = sparse_gp_layer(*leaves, x_leaf)
+        _stack_loss(mu, var, kl, weights, kl_weights).backward()
+
+        def close(got, want):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+        x_grads = []
+        for w, gp in enumerate(gps):
+            ref = [ad.leaf(v) for v in gp[:5]]
+            ref_x = ad.leaf(x) if x_grad else ad.constant(x)
+            mu_w, var_w, kl_w = single_gp_layer(*ref, ref_x)
+            loss = ((mu_w * ad.constant(weights[0, :, w])).sum()
+                    + (var_w * ad.constant(weights[1, :, w])).sum() + kl_w * kl_weights[w])
+            loss.backward()
+            close(mu.data[:, w], mu_w.data)
+            close(var.data[:, w], var_w.data)
+            close(kl.data[w], kl_w.data)
+            for leaf, ref_leaf in zip(leaves, ref):
+                close(leaf.grad[w], ref_leaf.grad)
+            x_grads.append(ref_x.grad)
+        if x_grad:
+            close(x_leaf.grad, sum(x_grads))
+        else:
+            assert x_leaf.grad is None
+
+    def test_single_gp_is_a_stack_of_one(self):
+        values = _layer_inputs(4, 7, 2, seed=9)
+        single = sparse_gp_layer(*map(ad.constant, values))
+        stacked = sparse_gp_layer(*(ad.constant(v[None]) for v in values[:5]),
+                                  ad.constant(values[5]))
+        assert [t.shape for t in single] == [(7,), (7,), ()]
+        for one, stack in zip(single, stacked):
+            np.testing.assert_array_equal(one.data, stack.data[..., 0])
 
     def test_floor_rows_pass_no_gradient(self):
         leaves = [ad.leaf(v) for v in _layer_inputs(5, 8, 3, seed=0, clamp=True)]
@@ -534,8 +616,9 @@ class TestSVGPModel:
 
 def _memo_models():
     """svgp, a two-by-two deep GP and a sigma-point model on one small data
-    set, each with a GP layer to change: (model, X, y, prefix). Every layer's
-    posterior is moved off the prior, where Kmm would not show in the output."""
+    set, each with a GP layer to change, a stack of two in the deep models:
+    (model, X, y, prefix). Every layer's posterior is moved off the prior,
+    where Kmm would not show in the output."""
     rng = np.random.default_rng(8)
     X = rng.standard_normal((40, 3))
     y = X[:, 0] - 2.0 * X[:, 2] + 0.1 * rng.standard_normal(40)
@@ -546,19 +629,20 @@ def _memo_models():
                 X, y, width=2, depth=2, num_inducing=6, num_train_samples=2,
                 num_test_samples=3, rng=RngStream(1),
             ),
-            X, y, "h1.0",
+            X, y, "h1",
         ),
         "dspp": (
             DSPPModel.create(X, y, width=2, depth=1, num_inducing=6, num_sites=3, rng=RngStream(1)),
-            X, y, "h0.1",
+            X, y, "h0",
         ),
     }
     for model, *_ in models.values():
         for name in model.params.names():
+            shape = model.params.entry(name).shape
             if name.endswith(".m"):
-                model.params.set_value(name, rng.standard_normal(6))
+                model.params.set_value(name, rng.standard_normal(shape))
             elif name.endswith(".L"):
-                model.params.set_value(name, 0.5 * np.eye(6))
+                model.params.set_value(name, 0.5 * np.broadcast_to(np.eye(6), shape))
     return models
 
 
@@ -630,6 +714,19 @@ class TestKmmFactorMemo:
         model.objective_grad(X, y, rng=RngStream(2))
         assert len(used) == 2 * layers
 
+    @pytest.mark.parametrize("kind", ["dgp", "dspp"])
+    def test_a_write_to_one_gp_of_a_stack_misses_that_layer_only(self, kind, monkeypatch):
+        model, X, _, prefix = _memo_models()[kind]
+        before = _prediction_bytes(model, X)
+        used = _recording_factorizations(monkeypatch)
+        # the last raw value of the stack's inducing inputs: its last GP's
+        e = model.params.entry(f"{prefix}.z")
+        model.params.values[e.offset + e.size - 1] += 0.5
+        after = _prediction_bytes(model, X)
+        assert len(used) == model.width  # every GP of that stack, no other layer
+        assert after != before
+        assert after == _fresh_bytes(model, X)
+
     def test_every_chunk_of_a_deep_prediction_shares_the_factors(self, monkeypatch):
         model, X, _, _ = _memo_models()["dgp"]
         rows = np.tile(X, (14, 1))  # 560 rows: two chunks
@@ -645,9 +742,10 @@ class TestKmmFactorMemo:
         # a duplicate inducing point at a kernel variance so large that the
         # jitter ladder's largest step is below its rounding
         z = model.params.decode(f"{prefix}.z")
-        z[1] = z[0]
+        z[..., 1, :] = z[..., 0, :]
         model.params.set_value(f"{prefix}.z", z)
-        model.params.set_value(f"{prefix}.kernel_variance", 1e30)
+        shape = model.params.entry(f"{prefix}.kernel_variance").shape
+        model.params.set_value(f"{prefix}.kernel_variance", np.full(shape, 1e30))
         used = _recording_factorizations(monkeypatch)
         for attempt in (1, 2):
             with pytest.raises(NumericalError, match="not positive definite"):
@@ -660,7 +758,7 @@ class TestKmmFactorMemo:
     def test_a_jittered_factor_is_reused_as_it_was_made(self, kind, monkeypatch):
         model, X, _, prefix = _memo_models()[kind]
         z = model.params.decode(f"{prefix}.z")
-        z[1] = z[0]
+        z[..., 1, :] = z[..., 0, :]
         model.params.set_value(f"{prefix}.z", z)
         used = _recording_factorizations(monkeypatch)
         first = _prediction_bytes(model, X)
