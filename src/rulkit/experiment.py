@@ -24,6 +24,7 @@ from .dspp import DSPPModel
 from .mathcore import MAX_QUADRATURE_SITES, NumericalError
 from .mcd import MCDModel
 from .metrics import MetricsReport, Predictions, Records, compute_report
+from .parallel import run_indexed, usable_cpus
 from .params import GradientError, OptimizerState, RngStream, adam_step, minibatch_iter
 from .svgp import ObjectiveSpec, SVGPModel
 
@@ -165,13 +166,17 @@ class ExperimentConfig:
             raise ValueError(f"rul_cap must be positive when set, got {self.rul_cap}")
         if self.inducing_init not in ("random-subset", "kmeans"):
             raise ValueError(f"unknown inducing_init {self.inducing_init!r}")
+        for name in ("train_units", "test_units"):
+            v = getattr(self, name)
+            if v is not None and len(v) == 0:
+                raise ValueError(f"{name} must name at least one unit when set, got {v!r}")
         return self
 
     def replace(self, **overrides) -> "ExperimentConfig":
         return dataclasses.replace(self, **overrides)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return _fields_of(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -187,6 +192,13 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def _fields_of(obj) -> dict:
+    """A dataclass's fields as a dict that shares their values; unlike
+    ``dataclasses.asdict`` it copies nothing, and it encodes to the same JSON
+    for the flat values configs and grid runs hold."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 def default_config(kind: str) -> ExperimentConfig:
@@ -593,11 +605,7 @@ class GridSearchResult:
         return {
             "selection_metric": self.selection_metric,
             "order": list(self.order),
-            "runs": [
-                {k: v for k, v in dataclasses.asdict(r).items() if k != "config"}
-                | {"config": r.config.to_dict()}
-                for r in self.runs
-            ],
+            "runs": [_fields_of(r) | {"config": r.config.to_dict()} for r in self.runs],
         }
 
     def to_text(self) -> str:
@@ -639,12 +647,16 @@ def grid_search(
 ) -> GridSearchResult:
     """Train every combination of ``grid`` on top of ``base``.
 
-    Runs execute in deterministic order (sorted keys, given value order);
-    run i trains with a seed derived from (base.seed, i). Every cell's config
-    is validated before the first run, so an invalid grid value raises before
-    any run directory is written. A failed run is recorded and the search
-    continues. Ranking uses the validation NLL, or validation RMSE for the
-    point baseline.
+    Runs are numbered in deterministic order (sorted keys, given value
+    order); run i trains with a seed derived from (base.seed, i). Every cell's
+    config is validated before the first run, so an invalid grid value raises
+    before any run directory is written. Cells run on one thread per usable
+    CPU (``parallel.run_indexed``), each a pure function of its config, the
+    fleet and the split, so every result and file is the same for any thread
+    count. A run that fails to train or does not fit the data is recorded and
+    the search continues; any other exception stops the search once the
+    running cells finish and is raised with a note naming its cell. Ranking
+    uses the validation NLL, or validation RMSE for the point baseline.
     """
     if not grid:
         raise ValueError("grid must name at least one hyperparameter")
@@ -665,22 +677,27 @@ def grid_search(
         cfg = base.replace(**overrides, seed=_child_seed(base.seed, i))
         cells.append((overrides, cfg.validate()))
 
-    runs = []
-    for i, (overrides, cfg) in enumerate(cells):
+    def run_cell(i: int) -> GridRun:
+        overrides, cfg = cells[i]
         run_dir = out / f"run_{i:03d}" if out is not None else None
         try:
             res = run_experiment(cfg, data, split, out_dir=run_dir)
-            vr, tr = res.val_report, res.test_report
-            runs.append(GridRun(
-                i, overrides, cfg, "ok",
-                val_rmse=vr.rmse, val_nll=vr.nll,
-                test_rmse=tr.rmse, test_nll=tr.nll,
-                test_alpha_lambda=tr.alpha_lambda,
-                test_prob_alpha_lambda=tr.prob_alpha_lambda,
-                checkpoint_path=res.checkpoint_path,
-            ))
         except (ConfigDataMismatch, TrainingDiverged, NumericalError, GradientError) as exc:
-            runs.append(GridRun(i, overrides, cfg, f"failed: {exc}"))
+            return GridRun(i, overrides, cfg, f"failed: {exc}")
+        except Exception as exc:
+            exc.add_note(f"in grid cell {i} with overrides {overrides}")
+            raise
+        vr, tr = res.val_report, res.test_report
+        return GridRun(
+            i, overrides, cfg, "ok",
+            val_rmse=vr.rmse, val_nll=vr.nll,
+            test_rmse=tr.rmse, test_nll=tr.nll,
+            test_alpha_lambda=tr.alpha_lambda,
+            test_prob_alpha_lambda=tr.prob_alpha_lambda,
+            checkpoint_path=res.checkpoint_path,
+        )
+
+    runs = run_indexed(run_cell, len(cells), usable_cpus())
 
     def key(r: GridRun):
         return (getattr(r, metric), r.index)

@@ -23,10 +23,13 @@ With p = 1 the mask is a no-op and the epistemic part collapses to zero. The
 same class doubles as the deterministic FFNN baseline: train with dropout,
 predict with the maskless pass and no noise model.
 
-The T passes run in contiguous blocks on one thread per usable CPU (numpy's
-matmuls, ufuncs and uniform draws release the GIL) once a call draws at least
-``PARALLEL_MIN_UNIFORMS`` mask uniforms; smaller calls run on the calling
-thread, where thread start-up and hand-offs would cost more than they save.
+The T passes run in contiguous blocks on one thread per usable CPU
+(``parallel.run_indexed``; numpy's matmuls, ufuncs and uniform draws release
+the GIL) once a call draws at least ``PARALLEL_MIN_UNIFORMS`` mask uniforms;
+smaller calls run on the calling thread, where thread start-up and hand-offs
+would cost more than they save. Inside a grid cell, usable CPUs means the
+cell's share of them, so a grid that already runs a cell per CPU leaves its
+cells' passes on one thread.
 Pass k's masks come from a copy of the caller's stream moved on by the
 k * n * sum(hidden sizes) uniforms the passes before it take
 (``RngStream.ahead``), and the caller's stream ends past all T passes. Every
@@ -36,8 +39,6 @@ loop, whatever the thread count.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -45,6 +46,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .metrics import Predictions
+from .parallel import run_indexed, usable_cpus
 from .params import IDENTITY, ParamVector, ParamView, RngStream, value_and_grad
 from .svgp import _target_stats, input_rows
 
@@ -55,15 +57,6 @@ NOISE_FLOOR = 1e-8
 # the one-thread loop is faster (on a 2-vCPU x86-64 VM, 10^7 uniforms are
 # 0.1-0.3 s of passes, depending on the layer sizes).
 PARALLEL_MIN_UNIFORMS = 10_000_000
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has
-    one, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def sample_mask(keep_prob: float, hidden_sizes, n: int, rng: RngStream) -> list:
@@ -275,20 +268,12 @@ class MCDModel:
 
         workers = max(1, min(t, usable_cpus())) if t * per_pass >= PARALLEL_MIN_UNIFORMS else 1
         blocks = [range(t * w // workers, t * (w + 1) // workers) for w in range(workers)]
-        # Each block's mask arrays are allocated here and refilled every pass.
-        # A worker thread's malloc arena keeps its high-water mark after the
-        # thread ends, so the workers themselves allocate as little as they can,
-        # and this thread runs the first block.
+        # Each block's mask arrays are allocated here and refilled every pass,
+        # so the helper threads allocate as little as they can (their malloc
+        # arenas keep their high-water marks; see rulkit.parallel).
         buffers = [[np.empty((n, self.hidden_units)) for _ in range(self.hidden_layers)]
                    for _ in blocks]
-        if workers == 1:
-            run(blocks[0], buffers[0])
-        else:
-            with ThreadPoolExecutor(workers - 1) as pool:
-                rest = [pool.submit(run, b, m) for b, m in zip(blocks[1:], buffers[1:])]
-                run(blocks[0], buffers[0])
-                for future in rest:
-                    future.result()
+        run_indexed(lambda k: run(blocks[k], buffers[k]), workers, workers)
         rng.skip(t * per_pass)
         mean = draws.mean(axis=0)
         var = taus.mean(axis=0) + np.mean((draws - mean) ** 2, axis=0)

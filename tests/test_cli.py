@@ -174,6 +174,26 @@ class TestUnitsFlag:
         assert capsys.readouterr().err.startswith(f"error: {flag} ',' names no unit ids")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("field", ["train_units", "test_units"])
+    @pytest.mark.parametrize("command", ["train", "gridsearch"])
+    def test_an_empty_unit_list_in_a_config_file_is_refused(
+        self, command, field, fleet_dir, tmp_path, capsys
+    ):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "kind": "mcd", "hidden_layers": 1, "hidden_units": 4, "test_samples": 4,
+            "train_units": UNITS.split(","), "test_units": [TEST_UNIT], field: [],
+        }))
+        rc = main([
+            command, "--data", str(fleet_dir), "--out", str(tmp_path / "o"),
+            "--config", str(cfg), "--epochs", "1",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must name at least one unit when set, got []")
+        assert "no split given" not in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestEvaluate:
     def test_report_files_and_stdout(self, trained, fleet_dir, tmp_path, capsys):

@@ -7,12 +7,14 @@ fleet where it must beat a constant predictor by a wide margin.
 """
 
 import json
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rulkit import experiment, svgp
+from rulkit import experiment, mcd, parallel, svgp
 from rulkit.data import FleetDataset, SplitSpec, UnitSeries, load_fleet, normalize, synth_fleet
 from rulkit.mathcore import cholesky_jittered
 from rulkit.metrics import Predictions, Records, compute_report
@@ -63,6 +65,11 @@ def tiny_mcd(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def file_tree(root: Path) -> dict:
+    """Every file under ``root``, by path relative to it, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 class TestKeepProbGrid:
@@ -170,6 +177,8 @@ class TestExperimentConfig:
             (dict(noise_variance=float("nan")), "noise_variance must be positive, got nan"),
             (dict(weight_decay=float("nan")), "weight_decay must be >= 0, got nan"),
             (dict(rul_cap=float("nan")), "rul_cap must be positive when set, got nan"),
+            (dict(train_units=[]), r"train_units must name at least one unit when set, got \[\]"),
+            (dict(test_units=[]), r"test_units must name at least one unit when set, got \[\]"),
         ],
     )
     def test_validation(self, overrides, msg):
@@ -451,6 +460,93 @@ class TestGridSearch:
         assert "failed: " in text
         grid_json = json.loads((tmp_path / "grid.json").read_text())
         assert grid_json["runs"][1]["val_nll"] is None
+
+    def test_outputs_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
+        real_run = experiment.run_experiment
+        seen = []  # per cell: whether the calling thread ran it, and its errstate
+        both_running = threading.Barrier(2, timeout=30)
+
+        def run(*args, **kwargs):
+            if workers == 2:
+                both_running.wait()  # so that a helper thread runs one of the cells
+            seen.append((threading.current_thread() is threading.main_thread(),
+                         np.geterr()["over"]))
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_experiment", run)
+        trees = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(experiment, "usable_cpus", lambda w=workers: w)
+            out = tmp_path / f"w{workers}"
+            # the absurd learning rate overflows the noise head on purpose
+            with np.errstate(over="ignore", invalid="ignore"):
+                gs = grid_search(
+                    tiny_mcd(epochs=3),
+                    {"learning_rate": [1e-2, 1e20]},
+                    small_fleet(), small_split(), out_dir=out,
+                )
+            assert [r.status[:7] for r in gs.runs] == ["ok", "failed:"]
+            tree = file_tree(out)
+            tree["grid.json"] = tree["grid.json"].replace(str(out).encode(), b"<out>")
+            trees[workers] = tree
+        assert {"grid.json", "grid.txt", "run_000/report.txt",
+                "run_000/checkpoint.npz"} <= set(trees[1])
+        assert trees[2] == trees[1]
+        assert (False, "ignore") in seen  # a helper thread saw the caller's errstate
+        assert {over for _, over in seen} == {"ignore"}
+
+    def test_mcd_prediction_in_a_grid_cell_starts_no_thread(self, tmp_path, monkeypatch):
+        # Two CPUs, and every prediction big enough to spread its passes: alone,
+        # a cell's val and test predictions would each start a helper thread.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(mcd, "PARALLEL_MIN_UNIFORMS", 0)
+        started = []
+        real_thread = parallel.Thread
+
+        def thread(*args, **kwargs):
+            started.append(kwargs)
+            return real_thread(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "Thread", thread)
+        gs = grid_search(tiny_mcd(), {"hidden_units": [4, 8]}, small_fleet(), small_split(),
+                         out_dir=tmp_path / "grid")
+        assert len(started) == 1  # the grid's one helper
+        run_experiment(gs.runs[0].config, small_fleet(), small_split(), out_dir=tmp_path / "alone")
+        assert len(started) == 3
+        assert file_tree(tmp_path / "alone") == file_tree(tmp_path / "grid" / "run_000")
+
+    def test_unexpected_exception_stops_the_search_and_names_its_cell(
+        self, tmp_path, monkeypatch
+    ):
+        # Cell 2 fails first, then cell 1, while cell 0 is still running.
+        real_run = experiment.run_experiment
+        two_failed, one_failed = threading.Event(), threading.Event()
+        started, finished = [], []
+
+        def run(cfg, *args, **kwargs):
+            i = cfg.hidden_units - 1
+            started.append(i)
+            if i == 2:
+                two_failed.set()
+                raise KeyError("cell 2")
+            if i == 1:
+                two_failed.wait(30)
+                one_failed.set()
+                raise RuntimeError("cell 1")
+            one_failed.wait(30)
+            result = real_run(cfg, *args, **kwargs)
+            finished.append(i)
+            return result
+
+        monkeypatch.setattr(experiment, "run_experiment", run)
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 3)
+        with pytest.raises(RuntimeError, match="cell 1") as info:
+            grid_search(tiny_mcd(), {"hidden_units": [1, 2, 3, 4]}, small_fleet(),
+                        small_split(), out_dir=tmp_path)
+        assert info.value.__notes__ == ["in grid cell 1 with overrides {'hidden_units': 2}"]
+        assert sorted(started) == [0, 1, 2]  # cell 3 never starts
+        assert finished == [0]  # the running cell is joined
+        assert not (tmp_path / "grid.json").exists()
 
     def test_ffnn_selects_on_rmse(self):
         assert selection_metric_for("ffnn") == "val_rmse"

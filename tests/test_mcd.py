@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import rulkit.autodiff as ad
-from rulkit import mcd
+from rulkit import mcd, parallel
 from rulkit.experiment import model_from_config
 from rulkit.mcd import NOISE_FLOOR, MCDModel, _forward_graph, sample_mask
 from rulkit.params import OptimizerState, ParamView, RngStream, adam_step, fd_check, value_and_grad
@@ -245,10 +245,10 @@ class TestMcPredict:
 
     def test_small_calls_and_one_cpu_start_no_thread(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
+            raise AssertionError("a thread was started")
 
         model = _rigged_net(test_samples=4)
-        monkeypatch.setattr(mcd, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(parallel, "Thread", refuse)
         monkeypatch.setattr(mcd, "usable_cpus", lambda: 4)
         model.predictive(np.zeros((3, 1)), RngStream(0))  # 12 uniforms, below the cutoff
         monkeypatch.setattr(mcd, "PARALLEL_MIN_UNIFORMS", 0)
