@@ -457,6 +457,11 @@ def run_experiment(
     return result
 
 
+# grid_search spreads its cells over threads only while the module's
+# ``run_experiment`` is this function; see there.
+_OWN_RUN_EXPERIMENT = run_experiment
+
+
 # -- checkpoints -------------------------------------------------------------------
 
 # 2: sparse-GP layers store the whitened posterior q(v) = N(m, S S^T)
@@ -653,7 +658,10 @@ def grid_search(
     before any run directory is written. Cells run on one thread per usable
     CPU (``parallel.run_indexed``), each a pure function of its config, the
     fleet and the split, so every result and file is the same for any thread
-    count. A run that fails to train or does not fit the data is recorded and
+    count. If the module's ``run_experiment`` has been rebound (a tracer, a
+    profiler), the cells run in order on the calling thread instead: such a
+    wrapper need not be thread-safe, and one that keeps a stack of open calls
+    would parent one cell's calls to another's. A run that fails to train or does not fit the data is recorded and
     the search continues; any other exception stops the search once the
     running cells finish and is raised with a note naming its cell. Ranking
     uses the validation NLL, or validation RMSE for the point baseline.
@@ -697,7 +705,8 @@ def grid_search(
             checkpoint_path=res.checkpoint_path,
         )
 
-    runs = run_indexed(run_cell, len(cells), usable_cpus())
+    workers = usable_cpus() if run_experiment is _OWN_RUN_EXPERIMENT else 1
+    runs = run_indexed(run_cell, len(cells), workers)
 
     def key(r: GridRun):
         return (getattr(r, metric), r.index)

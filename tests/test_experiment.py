@@ -462,18 +462,18 @@ class TestGridSearch:
         assert grid_json["runs"][1]["val_nll"] is None
 
     def test_outputs_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
-        real_run = experiment.run_experiment
+        real_build = experiment.build_model
         seen = []  # per cell: whether the calling thread ran it, and its errstate
         both_running = threading.Barrier(2, timeout=30)
 
-        def run(*args, **kwargs):
+        def build(*args, **kwargs):
             if workers == 2:
                 both_running.wait()  # so that a helper thread runs one of the cells
             seen.append((threading.current_thread() is threading.main_thread(),
                          np.geterr()["over"]))
-            return real_run(*args, **kwargs)
+            return real_build(*args, **kwargs)
 
-        monkeypatch.setattr(experiment, "run_experiment", run)
+        monkeypatch.setattr(experiment, "build_model", build)
         trees = {}
         for workers in (1, 2):
             monkeypatch.setattr(experiment, "usable_cpus", lambda w=workers: w)
@@ -519,11 +519,11 @@ class TestGridSearch:
         self, tmp_path, monkeypatch
     ):
         # Cell 2 fails first, then cell 1, while cell 0 is still running.
-        real_run = experiment.run_experiment
+        real_build = experiment.build_model
         two_failed, one_failed = threading.Event(), threading.Event()
-        started, finished = [], []
+        started = []
 
-        def run(cfg, *args, **kwargs):
+        def build(cfg, *args, **kwargs):
             i = cfg.hidden_units - 1
             started.append(i)
             if i == 2:
@@ -534,19 +534,51 @@ class TestGridSearch:
                 one_failed.set()
                 raise RuntimeError("cell 1")
             one_failed.wait(30)
-            result = real_run(cfg, *args, **kwargs)
-            finished.append(i)
-            return result
+            return real_build(cfg, *args, **kwargs)
 
-        monkeypatch.setattr(experiment, "run_experiment", run)
+        monkeypatch.setattr(experiment, "build_model", build)
         monkeypatch.setattr(experiment, "usable_cpus", lambda: 3)
         with pytest.raises(RuntimeError, match="cell 1") as info:
             grid_search(tiny_mcd(), {"hidden_units": [1, 2, 3, 4]}, small_fleet(),
                         small_split(), out_dir=tmp_path)
         assert info.value.__notes__ == ["in grid cell 1 with overrides {'hidden_units': 2}"]
         assert sorted(started) == [0, 1, 2]  # cell 3 never starts
-        assert finished == [0]  # the running cell is joined
-        assert not (tmp_path / "grid.json").exists()
+        # the running cell is joined: it wrote its last file before the raise
+        assert [p.name for p in tmp_path.iterdir()] == ["run_000"]
+        assert (tmp_path / "run_000" / "predictions_test.csv").is_file()
+
+    def test_rebound_run_experiment_gets_the_cells_in_order_on_the_calling_thread(
+        self, tmp_path, monkeypatch
+    ):
+        # A wrapper that keeps a stack of open calls, as a span tracer does,
+        # stays consistent only if no two cells run at once.
+        real_run = experiment.run_experiment
+        open_calls, seen = [], []
+
+        def run(cfg, *args, **kwargs):
+            seen.append((cfg.hidden_units, threading.current_thread() is threading.main_thread(),
+                         list(open_calls)))
+            open_calls.append(cfg.hidden_units)
+            try:
+                return real_run(cfg, *args, **kwargs)
+            finally:
+                open_calls.pop()
+
+        monkeypatch.setattr(experiment, "run_experiment", run)
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 3)
+        trees = {}
+        for name in ("wrapped", "own"):
+            if name == "own":
+                monkeypatch.setattr(experiment, "run_experiment", real_run)
+            out = tmp_path / name
+            gs = grid_search(tiny_mcd(), {"hidden_units": [4, 8, 12]}, small_fleet(),
+                             small_split(), out_dir=out)
+            assert [r.status for r in gs.runs] == ["ok"] * 3
+            tree = file_tree(out)
+            tree["grid.json"] = tree["grid.json"].replace(str(out).encode(), b"<out>")
+            trees[name] = tree
+        assert seen == [(4, True, []), (8, True, []), (12, True, [])]
+        assert trees["wrapped"] == trees["own"]
 
     def test_ffnn_selects_on_rmse(self):
         assert selection_metric_for("ffnn") == "val_rmse"
