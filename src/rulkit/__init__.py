@@ -37,13 +37,11 @@ from .experiment import (
     save_checkpoint,
 )
 from .mathcore import (
-    Kernel,
     NumericalError,
     QuadratureRule,
     cholesky_jittered,
     gauss_hermite,
     gaussian_cdf,
-    kernel_eval,
 )
 from .mcd import MCDModel
 from .metrics import (
@@ -93,13 +91,11 @@ __all__ = [
     "load_checkpoint",
     "run_experiment",
     "save_checkpoint",
-    "Kernel",
     "NumericalError",
     "QuadratureRule",
     "cholesky_jittered",
     "gauss_hermite",
     "gaussian_cdf",
-    "kernel_eval",
     "MCDModel",
     "MetricsReport",
     "Predictions",

@@ -55,13 +55,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
-    def item(self) -> float:
-        return float(self.data)
-
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable leaf."""
         if self.data.size != 1:
@@ -95,14 +88,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, wrap(other))
 
-    def __radd__(self, other):
-        return add(wrap(other), self)
-
     def __sub__(self, other):
         return sub(self, wrap(other))
-
-    def __rsub__(self, other):
-        return sub(wrap(other), self)
 
     def __mul__(self, other):
         return mul(self, wrap(other))
@@ -113,14 +100,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, wrap(other))
 
-    def __rtruediv__(self, other):
-        return div(wrap(other), self)
-
     def __neg__(self):
         return mul(self, wrap(-1.0))
-
-    def __pow__(self, exponent):
-        return power(self, float(exponent))
 
     def __matmul__(self, other):
         return matmul(self, wrap(other))
@@ -133,11 +114,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return average(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], tuple):
-            shape = shape[0]
-        return reshape(self, shape)
 
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
@@ -225,34 +201,19 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return make_node(a.data / b.data, (a, b), vjp)
 
 
-def power(a: Tensor, exponent: float) -> Tensor:
-    def vjp(g):
-        return (g * exponent * a.data ** (exponent - 1.0),)
-
-    return make_node(a.data**exponent, (a,), vjp)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product covering the 2d/1d combinations used by the models."""
+    """Product of two 2-d tensors."""
     ad, bd = a.data, b.data
-    out = ad @ bd
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ValueError(f"matmul takes 2-d tensors, got {ad.ndim}-d and {bd.ndim}-d")
 
     def vjp(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            ga = g @ bd.T if a.requires_grad else None
-            gb = ad.T @ g if b.requires_grad else None
-        elif ad.ndim == 2 and bd.ndim == 1:
-            ga = np.outer(g, bd) if a.requires_grad else None
-            gb = ad.T @ g if b.requires_grad else None
-        elif ad.ndim == 1 and bd.ndim == 2:
-            ga = bd @ g if a.requires_grad else None
-            gb = np.outer(ad, g) if b.requires_grad else None
-        else:
-            ga = g * bd if a.requires_grad else None
-            gb = g * ad if b.requires_grad else None
-        return ga, gb
+        return (
+            g @ bd.T if a.requires_grad else None,
+            ad.T @ g if b.requires_grad else None,
+        )
 
-    return make_node(out, (a, b), vjp)
+    return make_node(ad @ bd, (a, b), vjp)
 
 
 def dense_relu(x: Tensor, w: Tensor, b: Tensor, mask: Optional[Array] = None) -> Tensor:
@@ -324,16 +285,6 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     return make_node(a.data.reshape(shape), (a,), vjp)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError("transpose is defined for 2d tensors")
-
-    def vjp(g):
-        return (g.T,)
-
-    return make_node(a.data.T, (a,), vjp)
-
-
 def take(a: Tensor, idx) -> Tensor:
     """Basic indexing; gradient scatters back with np.add.at."""
 
@@ -382,13 +333,6 @@ def sqrt(a: Tensor) -> Tensor:
         return (g * 0.5 / out,)
 
     return make_node(out, (a,), vjp)
-
-
-def relu(a: Tensor) -> Tensor:
-    def vjp(g):
-        return (g * (a.data > 0.0),)
-
-    return make_node(np.maximum(a.data, 0.0), (a,), vjp)
 
 
 def softplus(a: Tensor) -> Tensor:

@@ -22,6 +22,7 @@ from .experiment import (
     default_config,
     default_grid,
     family_table,
+    grid_cells,
     grid_search,
     load_checkpoint,
     run_experiment,
@@ -174,7 +175,7 @@ def _cmd_gridsearch(args) -> int:
         if args.grid:
             grid = json.loads(Path(args.grid).read_text())
         run_dir = out / cfg.kind if args.all_families else out
-        _note(f"{cfg.kind}: {_grid_size(grid)} runs")
+        _note(f"{cfg.kind}: {len(grid_cells(grid))} runs")
         result = grid_search(cfg, grid, data, split, out_dir=run_dir)
         if result.order:
             best = result.best
@@ -205,13 +206,6 @@ def _cmd_gridsearch(args) -> int:
         ) + "\n")
         print(table, end="")
     return 0
-
-
-def _grid_size(grid: dict) -> int:
-    n = 1
-    for v in grid.values():
-        n *= len(v)
-    return n
 
 
 def _test_report_of(best, data, split):

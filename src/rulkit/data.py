@@ -164,9 +164,6 @@ class FleetDataset:
                 return u
         raise KeyError(f"no unit {unit_id!r} in fleet (have {self.unit_ids})")
 
-    def subset(self, unit_ids: Sequence[str]) -> "FleetDataset":
-        return FleetDataset(tuple(self.unit(i) for i in unit_ids), self.stats)
-
 
 @dataclass(frozen=True)
 class SplitSpec:

@@ -156,7 +156,6 @@ class DeepGPModel:
         num_test_samples: int = 64,
         rng: Optional[RngStream] = None,
         inducing_strategy: str = "random-subset",
-        obs_variance_init: float = 0.25,
         standardize_targets: bool = True,
         jitter: float = DEFAULT_JITTER,
     ) -> "DeepGPModel":
@@ -178,7 +177,6 @@ class DeepGPModel:
             shift,
             scale,
         )
-        model.params.set_value("obs_variance", obs_variance_init)
         model._init_structure(X, rng, inducing_strategy)
         return model
 

@@ -107,7 +107,6 @@ class DSPPModel(DeepGPModel):
         objective_spec: Optional[ObjectiveSpec] = None,
         skip_connection: bool = True,
         rng: Optional[RngStream] = None,
-        obs_variance_init: float = 0.25,
         standardize_targets: bool = True,
         jitter: float = DEFAULT_JITTER,
     ) -> "DSPPModel":
@@ -128,7 +127,6 @@ class DSPPModel(DeepGPModel):
             shift,
             scale,
         )
-        model.params.set_value("obs_variance", obs_variance_init)
         model._init_structure(X, rng)
         return model
 

@@ -140,9 +140,18 @@ class ExperimentConfig:
         for name in ("epochs", "batch_size", "num_inducing", "width", "train_samples",
                      "test_samples", "num_sites", "hidden_layers", "hidden_units"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if self.depth < 0 or (self.kind == "dspp" and self.depth < 1):
+        for name in ("depth", "seed"):
+            v = getattr(self, name)
+            if not _is_int(v) or v < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
+        for name in ("standardize_targets", "freeze_inducing", "skip_connection",
+                     "heteroscedastic"):
+            v = getattr(self, name)
+            if not isinstance(v, bool):
+                raise ValueError(f"{name} must be true or false, got {v!r}")
+        if self.kind == "dspp" and self.depth < 1:
             raise ValueError(f"invalid depth {self.depth} for kind {self.kind}")
         if self.kind in ("dgp", "dspp") and self.depth > MAX_DEPTH:
             raise ValueError(f"depth must be at most {MAX_DEPTH} for kind {self.kind}, "
@@ -192,6 +201,10 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _fields_of(obj) -> dict:
@@ -643,6 +656,23 @@ def _child_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((int(master_seed), 6, int(index))).generate_state(1)[0])
 
 
+def grid_cells(grid: dict) -> list[dict]:
+    """The overrides of every cell of ``grid`` in run order: keys sorted,
+    values in the given order. Refuses, by key, a grid that names no or an
+    unknown hyperparameter, or a value that is not a non-empty list."""
+    if not grid:
+        raise ValueError("grid must name at least one hyperparameter")
+    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    unknown = sorted(set(grid) - known)
+    if unknown:
+        raise ValueError(f"grid names unknown config keys: {', '.join(unknown)}")
+    keys = sorted(grid)
+    for k in keys:
+        if not isinstance(grid[k], list) or not grid[k]:
+            raise ValueError(f"grid values for {k} must be a non-empty list, got {grid[k]!r}")
+    return [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
+
+
 def grid_search(
     base: ExperimentConfig,
     grid: dict,
@@ -666,22 +696,13 @@ def grid_search(
     running cells finish and is raised with a note naming its cell. Ranking
     uses the validation NLL, or validation RMSE for the point baseline.
     """
-    if not grid:
-        raise ValueError("grid must name at least one hyperparameter")
     if split.val_fraction <= 0.0:
         raise ValueError("grid search needs a validation split (val_fraction > 0)")
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = sorted(set(grid) - known)
-    if unknown:
-        raise ValueError(f"grid names unknown config keys: {', '.join(unknown)}")
-    keys = sorted(grid)
-    combos = list(itertools.product(*(list(grid[k]) for k in keys)))
     metric = selection_metric_for(base.kind)
     out = Path(out_dir) if out_dir is not None else None
 
     cells = []
-    for i, combo in enumerate(combos):
-        overrides = dict(zip(keys, combo))
+    for i, overrides in enumerate(grid_cells(grid)):
         cfg = base.replace(**overrides, seed=_child_seed(base.seed, i))
         cells.append((overrides, cfg.validate()))
 

@@ -1,9 +1,10 @@
 """Shared numerical primitives.
 
-The squared-exponential kernel, stabilized Cholesky factorization, the
-Gaussian log density, Gauss-Hermite quadrature and the normal CDF.
-Everything here is plain numpy/scipy; the training objectives differentiate
-the kernel and the factorization inside :func:`rulkit.svgp.sparse_gp_layer`.
+Stabilized Cholesky factorization, the Gaussian log density, Gauss-Hermite
+quadrature and the normal CDF. Everything here is plain numpy/scipy; the
+squared-exponential kernel lives with its VJP in :mod:`rulkit.svgp`, whose
+:func:`~rulkit.svgp.sparse_gp_layer` differentiates the kernel and the
+factorization.
 """
 
 from __future__ import annotations
@@ -24,55 +25,6 @@ class NumericalError(RuntimeError):
 
 class DimensionError(ValueError):
     """Shapes passed to a routine are inconsistent."""
-
-
-# -- kernels ----------------------------------------------------------------
-
-
-@dataclass
-class Kernel:
-    """Squared-exponential kernel with per-dimension lengthscales.
-
-    k(x, z) = variance * exp(-1/2 * sum_d ((x_d - z_d) / lengthscale_d)^2)
-    """
-
-    variance: float
-    lengthscales: np.ndarray
-
-    def __post_init__(self):
-        self.lengthscales = np.atleast_1d(np.asarray(self.lengthscales, dtype=np.float64))
-        if not np.isfinite(self.variance) or self.variance <= 0.0:
-            raise ValueError(f"kernel variance must be positive, got {self.variance}")
-        if self.lengthscales.ndim != 1 or np.any(self.lengthscales <= 0.0):
-            raise ValueError("lengthscales must be a vector of positive values")
-
-    @property
-    def input_dim(self) -> int:
-        return self.lengthscales.shape[0]
-
-
-def _check_inputs(kernel: Kernel, X: np.ndarray, name: str) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != kernel.input_dim:
-        raise DimensionError(
-            f"{name} has {X.shape[1]} columns, kernel expects {kernel.input_dim}"
-        )
-    return X
-
-
-def kernel_eval(kernel: Kernel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Cross-covariance matrix k(X, Z) of shape (n, m)."""
-    X = _check_inputs(kernel, X, "X")
-    Z = _check_inputs(kernel, Z, "Z")
-    xs = X / kernel.lengthscales
-    zs = Z / kernel.lengthscales
-    d2 = (
-        np.sum(xs * xs, axis=1)[:, None]
-        + np.sum(zs * zs, axis=1)[None, :]
-        - 2.0 * xs @ zs.T
-    )
-    np.clip(d2, 0.0, None, out=d2)
-    return kernel.variance * np.exp(-0.5 * d2)
 
 
 # -- stabilized Cholesky ------------------------------------------------------

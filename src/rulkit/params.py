@@ -75,9 +75,6 @@ class Simplex:
     def raw_size(self, shape: tuple) -> int:
         return int(np.prod(shape, dtype=int))
 
-    def apply(self, t: Tensor, shape: tuple) -> Tensor:
-        return ad.reshape(ad.exp(self.log_apply(t, shape)), shape)
-
     def log_apply(self, t: Tensor, shape: tuple) -> Tensor:
         return t - ad.logsumexp(t)
 
@@ -176,9 +173,6 @@ class ParamVector:
     def size(self) -> int:
         return self.values.size
 
-    def names(self) -> Iterator[str]:
-        return iter(self._entries)
-
     def register(self, name: str, shape, transform=IDENTITY, init=None, trainable: bool = True):
         """Append a named slice; ``init`` is given in constrained space."""
         if name in self._entries:
@@ -255,6 +249,9 @@ class ParamView:
         return self.raw[name]
 
     def get(self, name: str) -> Tensor:
+        """The constrained value of a slice. A simplex slice is read only
+        through :meth:`log_simplex` (and ``ParamVector.decode``); its
+        transform has no ``apply``."""
         if name not in self._cache:
             e = self._params.entry(name)
             self._cache[name] = e.transform.apply(self._raw(name), e.shape)
@@ -367,9 +364,6 @@ class RngStream:
     def skip(self, draws: int) -> None:
         """Move this stream on by ``draws`` float64 uniforms without drawing them."""
         self._gen = self.ahead(draws)._gen
-
-    def integers(self, low, high=None, size=None) -> np.ndarray:
-        return self._gen.integers(low, high, size)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

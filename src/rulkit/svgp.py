@@ -450,9 +450,6 @@ class SVGPModel:
         *,
         rng: Optional[RngStream] = None,
         inducing_strategy: str = "random-subset",
-        kernel_variance_init: float = 1.0,
-        obs_variance_init: float = 0.25,
-        lengthscale_init: float = 1.0,
         standardize_targets: bool = True,
         freeze_inducing: bool = False,
         jitter: float = DEFAULT_JITTER,
@@ -465,13 +462,9 @@ class SVGPModel:
         z = init_inducing(X, num_inducing, inducing_strategy, rng)
         spec = objective_spec or ObjectiveSpec()
         model = cls(spec, X.shape[1], num_inducing, jitter, shift, scale)
-        params = model.params
-        params.set_value("gp.z", z)
-        params.set_value("gp.kernel_variance", kernel_variance_init)
-        params.set_value("gp.lengthscales", np.full(X.shape[1], lengthscale_init))
-        params.set_value("obs_variance", obs_variance_init)
+        model.params.set_value("gp.z", z)
         if freeze_inducing:
-            params.set_trainable("gp.z", False)
+            model.params.set_trainable("gp.z", False)
         return model
 
     # -- training and prediction -------------------------------------------

@@ -1,5 +1,6 @@
 """Independent numpy oracles for the tests: Gaussian distributions and
-divergences, a dense exact GP, and unwhitened sparse-GP formulas.
+divergences, a squared-exponential kernel, a dense exact GP, unwhitened
+sparse-GP formulas, and the tape ops the models no longer build.
 
 The library parameterizes each GP layer by the whitened posterior
 q(v) = N(m, S S^T) with u = L v and L = chol(Kmm), held as named slices of a
@@ -24,12 +25,9 @@ from rulkit import autodiff as ad
 from rulkit.autodiff import Tensor
 from rulkit.mathcore import (
     DimensionError,
-    Kernel,
     NumericalError,
-    _check_inputs,
     cholesky_jittered,
     gaussian_logpdf,
-    kernel_eval,
 )
 from rulkit.svgp import (
     DEFAULT_JITTER,
@@ -107,6 +105,55 @@ def mvn_kl(q: MultivariateNormal, p: MultivariateNormal) -> float:
 def gaussian_nll(y: float, dist: GaussianDist) -> float:
     """Negative log density of y under a univariate Gaussian."""
     return float(-gaussian_logpdf(y, dist.mean, dist.variance))
+
+
+# -- squared-exponential kernel -----------------------------------------------------
+
+
+@dataclass
+class Kernel:
+    """Squared-exponential kernel with per-dimension lengthscales.
+
+    k(x, z) = variance * exp(-1/2 * sum_d ((x_d - z_d) / lengthscale_d)^2)
+    """
+
+    variance: float
+    lengthscales: np.ndarray
+
+    def __post_init__(self):
+        self.lengthscales = np.atleast_1d(np.asarray(self.lengthscales, dtype=np.float64))
+        if not np.isfinite(self.variance) or self.variance <= 0.0:
+            raise ValueError(f"kernel variance must be positive, got {self.variance}")
+        if self.lengthscales.ndim != 1 or np.any(self.lengthscales <= 0.0):
+            raise ValueError("lengthscales must be a vector of positive values")
+
+    @property
+    def input_dim(self) -> int:
+        return self.lengthscales.shape[0]
+
+
+def _check_inputs(kernel: Kernel, X: np.ndarray, name: str) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != kernel.input_dim:
+        raise DimensionError(
+            f"{name} has {X.shape[1]} columns, kernel expects {kernel.input_dim}"
+        )
+    return X
+
+
+def kernel_eval(kernel: Kernel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Cross-covariance matrix k(X, Z) of shape (n, m)."""
+    X = _check_inputs(kernel, X, "X")
+    Z = _check_inputs(kernel, Z, "Z")
+    xs = X / kernel.lengthscales
+    zs = Z / kernel.lengthscales
+    d2 = (
+        np.sum(xs * xs, axis=1)[:, None]
+        + np.sum(zs * zs, axis=1)[None, :]
+        - 2.0 * xs @ zs.T
+    )
+    np.clip(d2, 0.0, None, out=d2)
+    return kernel.variance * np.exp(-0.5 * d2)
 
 
 # -- dense GP reference -------------------------------------------------------------
@@ -304,3 +351,25 @@ def single_gp_layer(
 
     node = ad.make_node(packed, (z, kernel_variance, lengthscales, m, s, x), vjp)
     return node[:n], node[n : 2 * n], node[2 * n]
+
+
+# -- tape ops the models no longer build --------------------------------------------
+
+
+def relu(a: Tensor) -> Tensor:
+    """max(a, 0) as its own node: the composed-graph reference of
+    ``rulkit.autodiff.dense_relu``."""
+
+    def vjp(g):
+        return (g * (a.data > 0.0),)
+
+    return ad.make_node(np.maximum(a.data, 0.0), (a,), vjp)
+
+
+def transpose(a: Tensor) -> Tensor:
+    """The transpose of a 2-d Tensor as its own node."""
+
+    def vjp(g):
+        return (g.T,)
+
+    return ad.make_node(a.data.T, (a,), vjp)

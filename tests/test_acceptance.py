@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from gp_oracle import exact_gp_predict
+from gp_oracle import Kernel, exact_gp_predict, kernel_eval
 from rulkit import autodiff as ad
 from rulkit.data import SplitSpec, normalize, stack_rows, synth_fleet
 from rulkit.dgp import DeepGPModel
@@ -26,7 +26,7 @@ from rulkit.experiment import (
     run_experiment,
     write_predictions,
 )
-from rulkit.mathcore import Kernel, gauss_hermite, kernel_eval
+from rulkit.mathcore import gauss_hermite
 from rulkit.mcd import MCDModel
 from rulkit.metrics import (
     Predictions,

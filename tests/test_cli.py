@@ -263,6 +263,25 @@ class TestGridsearch:
         assert (tmp_path / "g" / "run_000" / "checkpoint.npz").exists()
         assert (tmp_path / "g" / "run_001" / "checkpoint.npz").exists()
 
+    @pytest.mark.parametrize("grid", [
+        {"hidden_units": []}, {"hidden_units": 16}, {"inducing_init": "kmeans"},
+    ])
+    def test_grid_value_that_is_not_a_non_empty_list_is_refused(
+        self, grid, fleet_dir, mcd_config, tmp_path, capsys
+    ):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        rc = main([
+            "gridsearch", "--data", str(fleet_dir), "--out", str(tmp_path / "g"),
+            "--config", str(mcd_config), "--grid", str(path), "--epochs", "1",
+            "--train-units", UNITS, "--test-units", TEST_UNIT,
+        ])
+        assert rc == 1
+        (key,) = grid
+        assert capsys.readouterr().err.startswith(
+            f"error: grid values for {key} must be a non-empty list, got {grid[key]!r}")
+        assert not (tmp_path / "g").exists()
+
     def test_all_families_rejects_custom_grid(self, fleet_dir, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"num_inducing": [4]}))

@@ -94,13 +94,6 @@ class TestFleetDataset:
         with pytest.raises(KeyError, match="u9"):
             fleet.unit("u9")
 
-    def test_subset_keeps_order_and_stats(self):
-        raw = FleetDataset((unit("u1"), unit("u2"), unit("u3")))
-        norm, stats = normalize(raw, raw.unit_ids)
-        sub = norm.subset(["u3", "u1"])
-        assert sub.unit_ids == ["u3", "u1"]
-        assert sub.stats is stats
-
     def test_num_rows(self):
         fleet = FleetDataset((unit("u1", n=4), unit("u2", n=6)))
         assert fleet.num_rows == 10

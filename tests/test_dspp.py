@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from gp_oracle import MultivariateNormal, layer_of, mvn_kl, u_space
+from gp_oracle import MultivariateNormal, kernel_eval, layer_of, mvn_kl, u_space
 from rulkit import autodiff as ad
 from rulkit.dgp import DeepGPModel
 from rulkit.dspp import DSPPModel, SigmaPointSet, init_sigma_points
 from rulkit.experiment import model_from_config
-from rulkit.mathcore import gaussian_logpdf, kernel_eval
+from rulkit.mathcore import gaussian_logpdf
 from rulkit.params import ParamView, RngStream, fd_check
 from rulkit.svgp import ObjectiveSpec
 

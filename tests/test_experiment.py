@@ -179,6 +179,18 @@ class TestExperimentConfig:
             (dict(rul_cap=float("nan")), "rul_cap must be positive when set, got nan"),
             (dict(train_units=[]), r"train_units must name at least one unit when set, got \[\]"),
             (dict(test_units=[]), r"test_units must name at least one unit when set, got \[\]"),
+            (dict(kind="dgp", depth=1.5), "depth must be a non-negative integer, got 1.5"),
+            (dict(kind="dgp", depth=True), "depth must be a non-negative integer, got True"),
+            (dict(kind="dgp", depth=-1), "depth must be a non-negative integer, got -1"),
+            (dict(seed=0.5), "seed must be a non-negative integer, got 0.5"),
+            (dict(seed=False), "seed must be a non-negative integer, got False"),
+            (dict(seed=-3), "seed must be a non-negative integer, got -3"),
+            (dict(epochs=True), "epochs must be a positive integer, got True"),
+            (dict(hidden_units="16"), "hidden_units must be a positive integer, got '16'"),
+            (dict(standardize_targets=1), "standardize_targets must be true or false, got 1"),
+            (dict(freeze_inducing=None), "freeze_inducing must be true or false, got None"),
+            (dict(skip_connection="true"), "skip_connection must be true or false, got 'true'"),
+            (dict(heteroscedastic="false"), "heteroscedastic must be true or false, got 'false'"),
         ],
     )
     def test_validation(self, overrides, msg):
@@ -591,6 +603,19 @@ class TestGridSearch:
         assert gs.selection_metric == "val_rmse"
         assert all(r.val_nll is None for r in gs.runs)
 
+    @pytest.mark.parametrize("grid,key,shown", [
+        ({"hidden_units": []}, "hidden_units", r"\[\]"),
+        ({"hidden_units": 16}, "hidden_units", "16"),
+        ({"inducing_init": "kmeans"}, "inducing_init", "'kmeans'"),
+        ({"hidden_units": [4], "keep_prob": (0.5,)}, "keep_prob", r"\(0\.5,\)"),
+    ])
+    def test_grid_value_that_is_not_a_non_empty_list_is_refused_by_key(
+        self, grid, key, shown, tmp_path
+    ):
+        with pytest.raises(ValueError, match=f"grid values for {key} must be a non-empty list, got {shown}"):
+            grid_search(tiny_mcd(), grid, small_fleet(), small_split(), out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_grid_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys: dropout"):
             grid_search(tiny_mcd(), {"dropout": [0.5]}, small_fleet(), small_split())
@@ -734,6 +759,26 @@ class TestBuildModel:
         for bad in (np.zeros((2, 4)), np.zeros((0, 2)), np.zeros((2, 3, 1))):
             with pytest.raises(ValueError, match=r"expected inputs of shape \(n, 3\)"):
                 model.predictive(bad, rng=RngStream(1))
+
+    @pytest.mark.parametrize("kind", ["svgp", "ppgpr", "dspp", "ffnn"])
+    def test_predictive_on_a_row_subset_is_those_rows_of_the_whole(self, kind):
+        # the kinds that draw nothing: a row's prediction does not depend on
+        # the other rows of the call, here on both sides of dspp's 2,048-row
+        # chunk boundary
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((2100, 3))
+        y = rng.standard_normal(12)
+        cfg = default_config(kind).replace(
+            num_inducing=4, hidden_layers=1, hidden_units=4, width=2, num_sites=3,
+        )
+        model = build_model(cfg, X[:12], y, RngStream(0))
+        model.params.values += 0.3 * rng.standard_normal(model.params.size)  # off the prior
+        whole = model.predictive(X)
+        for rows in (np.array([0, 5, 2047, 2048, 2049, 2099]), np.arange(2040, 2060),
+                     np.arange(1, 2100, 3)):
+            part = model.predictive(X[rows])
+            for name in ("weights", "means", "variances", "mean", "var"):
+                assert getattr(part, name).tobytes() == getattr(whole, name)[rows].tobytes(), name
 
     def test_ffnn_is_a_point_baseline(self):
         rng = np.random.default_rng(0)

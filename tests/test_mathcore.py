@@ -1,7 +1,8 @@
 """Kernel, Cholesky, Gaussian, quadrature and dense-GP reference tests.
 
-The Gaussian-distribution, KL and dense-GP references live in ``gp_oracle``
-with the other test oracles; they are checked here like the library code.
+The Gaussian-distribution, KL, kernel and dense-GP references live in
+``gp_oracle`` with the other test oracles; they are checked here like the
+library code.
 
 Expected values are frozen from independent oracles computed in-line:
 closed forms, mpmath's arbitrary-precision erf, and the double-factorial
@@ -17,21 +18,21 @@ from hypothesis import strategies as st
 
 from gp_oracle import (
     GaussianDist,
+    Kernel,
     MultivariateNormal,
     exact_gp_predict,
     gaussian_nll,
     kernel_diag,
+    kernel_eval,
     mvn_kl,
 )
 from rulkit.mathcore import (
     DimensionError,
-    Kernel,
     NumericalError,
     cholesky_jittered,
     gauss_hermite,
     gaussian_cdf,
     gaussian_logpdf,
-    kernel_eval,
 )
 
 RNG = np.random.default_rng(20240817)

@@ -16,13 +16,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gp_oracle import MultivariateNormal, layer_of, mvn_kl, np_latent, single_gp_layer, u_space
+from gp_oracle import (
+    Kernel,
+    MultivariateNormal,
+    kernel_eval,
+    layer_of,
+    mvn_kl,
+    np_latent,
+    single_gp_layer,
+    transpose,
+    u_space,
+)
 from rulkit import autodiff as ad
 from rulkit import svgp
 from rulkit.dgp import DeepGPModel
 from rulkit.dspp import DSPPModel
 from rulkit.experiment import model_from_config
-from rulkit.mathcore import Kernel, NumericalError, cholesky_jittered, kernel_eval
+from rulkit.mathcore import NumericalError, cholesky_jittered
 from rulkit.params import (
     POSITIVE,
     CholeskyFactor,
@@ -185,7 +195,9 @@ def _composed_layer(z, kernel_variance, lengthscales, m, s, x, jitter):
     """The layer as a composed tape graph: a literal copy of the ``gram``,
     ``latent_graph`` and ``kl_graph`` builders the fused node replaced, kept
     as the oracle of its values and gradients. S's diagonal is taken with
-    ``take`` where the copy used a dedicated diagonal op."""
+    ``take`` where the copy used a dedicated diagonal op, transposes are the
+    oracle ``transpose`` node, squares are products and the matrix-vector
+    product is a one-column matrix product."""
 
     def gram(a, b):
         ascaled = a / lengthscales
@@ -193,7 +205,7 @@ def _composed_layer(z, kernel_variance, lengthscales, m, s, x, jitter):
         d2 = (
             (ascaled * ascaled).sum(axis=1, keepdims=True)
             + (bscaled * bscaled).sum(axis=1)
-            - 2.0 * (ascaled @ bscaled.T)
+            - 2.0 * (ascaled @ transpose(bscaled))
         )
         d2 = ad.clamp_min(d2, 0.0)
         return kernel_variance * ad.exp(d2 * -0.5)
@@ -201,13 +213,14 @@ def _composed_layer(z, kernel_variance, lengthscales, m, s, x, jitter):
     kmm = gram(z, z)
     kxz = gram(x, z)
     chol = ad.cholesky(kmm, base_jitter=jitter)
-    b = ad.solve_triangular(chol, kxz.T)
-    mu = b.T @ m
+    b = ad.solve_triangular(chol, transpose(kxz))
+    num = z.shape[0]
+    mu = ad.reshape(transpose(b) @ ad.reshape(m, (num, 1)), (x.shape[0],))
     kdiag = kernel_variance * ad.constant(np.ones(x.shape[0]))
     qdiag = (b * b).sum(axis=0)
-    sdiag = ((s.T @ b) ** 2).sum(axis=0)
+    sb = transpose(s) @ b
+    sdiag = (sb * sb).sum(axis=0)
     raw = kdiag - qdiag + sdiag
-    num = z.shape[0]
     trace = (s * s).sum()
     quad = (m * m).sum()
     logdet_q = ad.log(s[np.diag_indices(num)]).sum()
@@ -637,7 +650,7 @@ def _memo_models():
         ),
     }
     for model, *_ in models.values():
-        for name in model.params.names():
+        for name in model.params._entries:
             shape = model.params.entry(name).shape
             if name.endswith(".m"):
                 model.params.set_value(name, rng.standard_normal(shape))
