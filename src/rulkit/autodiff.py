@@ -112,8 +112,8 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return total(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return average(self, axis=axis, keepdims=keepdims)
+    def mean(self):
+        return average(self)
 
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
@@ -265,17 +265,13 @@ def total(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return make_node(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
-def average(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([a.data.shape[ax] for ax in axes]))
+def average(a: Tensor) -> Tensor:
+    count = a.data.size
 
     def vjp(g):
-        return (_expand_reduced(g, a.data.shape, axis, keepdims) / count,)
+        return (_expand_reduced(g, a.data.shape, None, False) / count,)
 
-    return make_node(a.data.mean(axis=axis, keepdims=keepdims), (a,), vjp)
+    return make_node(a.data.mean(), (a,), vjp)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -351,19 +347,14 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
     return make_node(np.maximum(a.data, floor), (a,), vjp)
 
 
-def logsumexp(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def logsumexp(a: Tensor, axis=None) -> Tensor:
     m = np.max(a.data, axis=axis, keepdims=True)
     out_keep = m + np.log(np.sum(np.exp(a.data - m), axis=axis, keepdims=True))
-    if keepdims:
-        out = out_keep
-    elif axis is None:
-        out = out_keep.reshape(())
-    else:
-        out = np.squeeze(out_keep, axis=axis)
+    out = out_keep.reshape(()) if axis is None else np.squeeze(out_keep, axis=axis)
 
     def vjp(g):
         soft = np.exp(a.data - out_keep)
-        return (soft * _expand_reduced(g, a.data.shape, axis, keepdims),)
+        return (soft * _expand_reduced(g, a.data.shape, axis, False),)
 
     return make_node(out, (a,), vjp)
 

@@ -31,7 +31,6 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from . import svgp
 from .autodiff import Tensor
 # unused here, but the benchmark's span timer rebinds this module's name
 from .mathcore import cholesky_jittered  # noqa: F401
@@ -141,55 +140,15 @@ class DeepGPModel:
         self.params.register("obs_variance", (), POSITIVE, init=0.25)
         self._factors = KmmFactors()
 
-    @classmethod
-    def create(
-        cls,
-        X: np.ndarray,
-        y: np.ndarray,
-        *,
-        width: int = 4,
-        depth: int = 1,
-        num_inducing: int = 100,
-        objective_spec: Optional[ObjectiveSpec] = None,
-        skip_connection: bool = True,
-        num_train_samples: int = 10,
-        num_test_samples: int = 64,
-        rng: Optional[RngStream] = None,
-        inducing_strategy: str = "random-subset",
-        standardize_targets: bool = True,
-        jitter: float = DEFAULT_JITTER,
-    ) -> "DeepGPModel":
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        y = np.asarray(y, dtype=np.float64)
-        if rng is None:
-            rng = RngStream(0)
-        shift, scale = svgp._target_stats(y, standardize_targets)
-        model = cls(
-            objective_spec or ObjectiveSpec("elbo"),
-            X.shape[1],
-            width,
-            depth,
-            num_inducing,
-            skip_connection,
-            num_train_samples,
-            num_test_samples,
-            jitter,
-            shift,
-            scale,
-        )
-        model._init_structure(X, rng, inducing_strategy)
-        return model
-
-    def _init_structure(
-        self, X: np.ndarray, rng: RngStream, inducing_strategy: str = "random-subset"
-    ):
+    def init_from_data(self, X: np.ndarray, rng: RngStream, inducing_init: str = "random-subset"):
         """Data-dependent initialization of every GP's inducing set.
 
-        First hidden layer anchors on a data subset; deeper layers and the
-        output layer see sampled prior activations in the hidden coordinates
-        plus the same subset in the skip block.
+        First hidden layer anchors on a subset of X's rows (or their k-means
+        centers); deeper layers and the output layer see sampled prior
+        activations in the hidden coordinates plus the same subset in the skip
+        block.
         """
-        subset = init_inducing(X, self.num_inducing, inducing_strategy, rng.derive(0))
+        subset = init_inducing(X, self.num_inducing, inducing_init, rng.derive(0))
         draw = rng.derive(1)
         for l in range(self.depth):
             stack = [subset if l == 0 else self._lifted(subset, draw) for _ in range(self.width)]

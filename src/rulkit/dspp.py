@@ -20,17 +20,15 @@ summed with the minibatch scale, minus beta_reg times the summed KL.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
-from . import svgp
 from .dgp import DeepGPModel
 from .mathcore import gauss_hermite
 from .metrics import Predictions
-from .params import IDENTITY, SIMPLEX, ParamView, RngStream, value_and_grad
-from .svgp import DEFAULT_JITTER, ObjectiveSpec
+from .params import IDENTITY, SIMPLEX, ParamView, value_and_grad
+from .svgp import DEFAULT_JITTER
 
 _PREDICT_CHUNK = 2048
 
@@ -47,10 +45,6 @@ class SigmaPointSet:
         self.sites = np.atleast_2d(np.asarray(self.sites, dtype=np.float64))
         if self.logits.ndim != 1 or self.sites.shape[0] != self.logits.shape[0]:
             raise ValueError("need one row of sites per logit")
-
-    @property
-    def num_components(self) -> int:
-        return self.logits.shape[0]
 
     @property
     def weights(self) -> np.ndarray:
@@ -93,42 +87,6 @@ class DSPPModel(DeepGPModel):
         start = init_sigma_points(self.num_sites, self.depth * self.width)
         self.params.register("sites", start.sites.shape, IDENTITY, init=start.sites)
         self.params.register("site_logits", (self.num_sites,), SIMPLEX, init=start.weights)
-
-    @classmethod
-    def create(
-        cls,
-        X: np.ndarray,
-        y: np.ndarray,
-        *,
-        width: int = 2,
-        depth: int = 1,
-        num_inducing: int = 100,
-        num_sites: int = 15,
-        objective_spec: Optional[ObjectiveSpec] = None,
-        skip_connection: bool = True,
-        rng: Optional[RngStream] = None,
-        standardize_targets: bool = True,
-        jitter: float = DEFAULT_JITTER,
-    ) -> "DSPPModel":
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        y = np.asarray(y, dtype=np.float64)
-        if rng is None:
-            rng = RngStream(0)
-        shift, scale = svgp._target_stats(y, standardize_targets)
-        model = cls(
-            objective_spec or ObjectiveSpec("ppgpr"),
-            X.shape[1],
-            width,
-            depth,
-            num_inducing,
-            num_sites,
-            skip_connection,
-            jitter,
-            shift,
-            scale,
-        )
-        model._init_structure(X, rng)
-        return model
 
     # -- sigma points as components of the deep GP's builders --------------------
 

@@ -91,6 +91,26 @@ class ExperimentConfig:
     ``kind`` selects the model family; fields that do not apply to the
     selected family are ignored. ``ppgpr`` is a sparse GP trained with the
     predictive-distribution objective instead of the classic bound.
+
+    Every kind reads the run fields ``epochs``, ``batch_size``,
+    ``learning_rate``, ``seed``, ``alpha``, ``val_fraction``,
+    ``standardize_targets``, ``rul_cap``, ``train_units`` and ``test_units``.
+    Beyond those:
+
+    - svgp, ppgpr: ``objective``, ``beta_reg``, ``jitter``, ``num_inducing``,
+      ``inducing_init`` and ``freeze_inducing``;
+    - dgp: the same but ``freeze_inducing``, which only svgp and ppgpr honour,
+      plus ``width``, ``depth``, ``skip_connection``, ``train_samples`` and
+      ``test_samples``;
+    - dspp: ``objective`` (always ppgpr), ``beta_reg``, ``jitter``,
+      ``num_inducing``, ``width``, ``depth``, ``skip_connection`` and
+      ``num_sites``; its inducing inputs always start at a random subset, so
+      it reads neither ``inducing_init`` nor ``freeze_inducing``;
+    - mcd: ``hidden_layers``, ``hidden_units``, ``keep_prob``,
+      ``heteroscedastic``, ``noise_variance``, ``weight_decay`` and
+      ``test_samples``;
+    - ffnn: the same as mcd but ``heteroscedastic`` (the point baseline has no
+      noise head) and ``test_samples`` (it predicts with one maskless pass).
     """
 
     kind: str = "svgp"
@@ -135,6 +155,11 @@ class ExperimentConfig:
             raise ValueError("kind=ppgpr requires objective=ppgpr")
         if self.kind == "dspp" and self.objective != "ppgpr":
             raise ValueError("dspp trains only with the ppgpr objective")
+        for name in ("beta_reg", "learning_rate", "alpha", "val_fraction", "jitter",
+                     "keep_prob", "weight_decay", "noise_variance", "rul_cap"):
+            v = getattr(self, name)
+            if not (_is_real(v) or (name == "rul_cap" and v is None)):
+                raise ValueError(f"{name} must be a number, got {v!r}")
         if not self.beta_reg > 0.0:
             raise ValueError(f"beta_reg must be positive, got {self.beta_reg}")
         for name in ("epochs", "batch_size", "num_inducing", "width", "train_samples",
@@ -177,7 +202,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown inducing_init {self.inducing_init!r}")
         for name in ("train_units", "test_units"):
             v = getattr(self, name)
-            if v is not None and len(v) == 0:
+            if v is None:
+                continue
+            if not isinstance(v, (list, tuple)) or not all(isinstance(u, str) for u in v):
+                raise ValueError(f"{name} must be a list of unit ids when set, got {v!r}")
+            if len(v) == 0:
                 raise ValueError(f"{name} must name at least one unit when set, got {v!r}")
         return self
 
@@ -205,6 +234,10 @@ class ExperimentConfig:
 
 def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
 def _fields_of(obj) -> dict:
@@ -274,62 +307,68 @@ def default_grid(kind: str) -> dict:
 # -- model construction --------------------------------------------------------------
 
 
+def _same_named(*names) -> dict:
+    return {name: name for name in names}
+
+
+_GP_FIELDS = _same_named("num_inducing", "objective", "beta_reg", "jitter")
+_DEEP_FIELDS = _GP_FIELDS | _same_named("width", "depth", "skip_connection")
+_NN_FIELDS = _same_named("hidden_layers", "hidden_units", "keep_prob", "heteroscedastic",
+                         "noise_variance", "weight_decay", "test_samples")
+_GP_INIT = ("inducing_init", "freeze_inducing")
+
+# The class of each model kind a checkpoint names.
+_MODEL_CLASSES = {
+    "svgp": SVGPModel,
+    "dgp": DeepGPModel,
+    "dspp": DSPPModel,
+    "mcd": MCDModel,
+    "ffnn": MCDModel,
+}
+
+# Per kind: the model kind a checkpoint names, the ExperimentConfig field each
+# hyperparameter of its model_config (keyed as ``config_dict()`` keys it) is
+# read from, and the fields its ``init_from_data`` reads. dspp reads neither
+# inducing_init nor freeze_inducing, and a dspp model draws no samples: both of
+# its sample counts are the number of sites.
+_MODEL_TABLE = {
+    "svgp": ("svgp", _GP_FIELDS, _GP_INIT),
+    "ppgpr": ("svgp", _GP_FIELDS, _GP_INIT),
+    "dgp": ("dgp", _DEEP_FIELDS | {"num_train_samples": "train_samples",
+                                   "num_test_samples": "test_samples"}, ("inducing_init",)),
+    "dspp": ("dspp", _DEEP_FIELDS | {"num_sites": "num_sites", "num_train_samples": "num_sites",
+                                     "num_test_samples": "num_sites"}, ()),
+    "mcd": ("mcd", _NN_FIELDS, ()),
+    "ffnn": ("ffnn", _NN_FIELDS, ()),
+}
+
+
+def _target_stats(y: np.ndarray, standardize: bool):
+    """The shift and scale a model standardizes its targets with."""
+    if not standardize or y.size == 0:
+        return 0.0, 1.0
+    spread = float(y.std())
+    return float(y.mean()), max(spread, 1e-8)
+
+
 def build_model(config: ExperimentConfig, X: np.ndarray, y: np.ndarray, rng: RngStream):
+    """A fresh model for ``config`` on the training rows (X, y): the
+    model_config its checkpoint stores, built by :func:`model_from_config`,
+    with the data-dependent starting values of ``init_from_data`` drawn from
+    ``rng``."""
     config.validate()
-    kind = config.kind
-    if kind in ("svgp", "ppgpr"):
-        return SVGPModel.create(
-            X, y, config.num_inducing,
-            ObjectiveSpec(config.objective, config.beta_reg),
-            rng=rng,
-            inducing_strategy=config.inducing_init,
-            standardize_targets=config.standardize_targets,
-            freeze_inducing=config.freeze_inducing,
-            jitter=config.jitter,
-        )
-    if kind == "dgp":
-        return DeepGPModel.create(
-            X, y,
-            width=config.width,
-            depth=config.depth,
-            num_inducing=config.num_inducing,
-            objective_spec=ObjectiveSpec(config.objective, config.beta_reg),
-            skip_connection=config.skip_connection,
-            num_train_samples=config.train_samples,
-            num_test_samples=config.test_samples,
-            rng=rng,
-            inducing_strategy=config.inducing_init,
-            standardize_targets=config.standardize_targets,
-            jitter=config.jitter,
-        )
-    if kind == "dspp":
-        return DSPPModel.create(
-            X, y,
-            width=config.width,
-            depth=config.depth,
-            num_inducing=config.num_inducing,
-            num_sites=config.num_sites,
-            objective_spec=ObjectiveSpec("ppgpr", config.beta_reg),
-            skip_connection=config.skip_connection,
-            rng=rng,
-            standardize_targets=config.standardize_targets,
-            jitter=config.jitter,
-        )
-    if kind in ("mcd", "ffnn"):
-        return MCDModel.create(
-            X, y,
-            hidden_layers=config.hidden_layers,
-            hidden_units=config.hidden_units,
-            keep_prob=config.keep_prob,
-            heteroscedastic=config.heteroscedastic and kind == "mcd",
-            noise_variance=config.noise_variance,
-            weight_decay=config.weight_decay,
-            test_samples=config.test_samples,
-            point_baseline=kind == "ffnn",
-            rng=rng,
-            standardize_targets=config.standardize_targets,
-        )
-    raise ValueError(f"kind must be one of {MODEL_KINDS}, got {kind!r}")
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64)
+    model_kind, fields, init_fields = _MODEL_TABLE[config.kind]
+    cfg = {key: getattr(config, name) for key, name in fields.items()}
+    if model_kind == "ffnn":  # the point baseline has no noise head
+        cfg["heteroscedastic"] = False
+    shift, scale = _target_stats(y, config.standardize_targets)
+    model = model_from_config(cfg | {
+        "kind": model_kind, "input_dim": X.shape[1], "target_shift": shift, "target_scale": scale,
+    })
+    model.init_from_data(X, rng, **{name: getattr(config, name) for name in init_fields})
+    return model
 
 
 # -- split handling ------------------------------------------------------------------
@@ -481,14 +520,6 @@ _OWN_RUN_EXPERIMENT = run_experiment
 # 3: a deep model's hidden layer is one stack of GPs, prefix h{l}, not h{l}.{w}
 FORMAT_VERSION = 3
 
-_MODEL_CLASSES = {
-    "svgp": SVGPModel,
-    "dgp": DeepGPModel,
-    "dspp": DSPPModel,
-    "mcd": MCDModel,
-    "ffnn": MCDModel,
-}
-
 
 def save_checkpoint(path, model, config: ExperimentConfig, stats: NormalizationStats):
     np.savez(
@@ -502,9 +533,10 @@ def save_checkpoint(path, model, config: ExperimentConfig, stats: NormalizationS
     )
 
 
-def model_from_config(config: dict, theta: np.ndarray):
+def model_from_config(config: dict, theta: Optional[np.ndarray] = None):
     """The model a ``config_dict()`` describes, carrying the raw parameter
-    vector ``theta``: the one path that rebuilds a saved model."""
+    vector ``theta``, or its registered starting values without one: the one
+    path that constructs a model, fresh (:func:`build_model`) or saved."""
     cfg = dict(config)
     kind = cfg.pop("kind", None)
     if kind not in _MODEL_CLASSES:
@@ -516,6 +548,8 @@ def model_from_config(config: dict, theta: np.ndarray):
     if kind == "dspp":  # both sample counts are the number of sites
         del cfg["num_train_samples"], cfg["num_test_samples"]
     model = _MODEL_CLASSES[kind](**cfg)
+    if theta is None:
+        return model
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != model.params.values.shape:
         raise ValueError(
@@ -659,13 +693,18 @@ def _child_seed(master_seed: int, index: int) -> int:
 def grid_cells(grid: dict) -> list[dict]:
     """The overrides of every cell of ``grid`` in run order: keys sorted,
     values in the given order. Refuses, by key, a grid that names no or an
-    unknown hyperparameter, or a value that is not a non-empty list."""
+    unknown hyperparameter, ``kind`` or ``seed``, or a value that is not a
+    non-empty list."""
     if not grid:
         raise ValueError("grid must name at least one hyperparameter")
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = sorted(set(grid) - known)
     if unknown:
         raise ValueError(f"grid names unknown config keys: {', '.join(unknown)}")
+    if "kind" in grid:
+        raise ValueError("grid cannot vary kind: a search ranks its cells by one family's metric")
+    if "seed" in grid:
+        raise ValueError("grid cannot vary seed: each cell's seed derives from the base seed")
     keys = sorted(grid)
     for k in keys:
         if not isinstance(grid[k], list) or not grid[k]:

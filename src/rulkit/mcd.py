@@ -48,7 +48,7 @@ from .autodiff import Tensor
 from .metrics import Predictions
 from .parallel import run_indexed, usable_cpus
 from .params import IDENTITY, ParamVector, ParamView, RngStream, value_and_grad
-from .svgp import _target_stats, input_rows
+from .svgp import input_rows
 
 NOISE_FLOOR = 1e-8
 # Fewest mask uniforms (T * n * sum of hidden sizes) for which a prediction
@@ -161,50 +161,17 @@ class MCDModel:
         sizes.append(2 if self.heteroscedastic else 1)
         return [(sizes[i], sizes[i + 1]) for i in range(len(sizes) - 1)]
 
-    @classmethod
-    def create(
-        cls,
-        X: np.ndarray,
-        y: np.ndarray,
-        *,
-        hidden_layers: int = 5,
-        hidden_units: int = 200,
-        keep_prob: float = 0.4642,
-        heteroscedastic: bool = True,
-        noise_variance: float = 1.0,
-        weight_decay: float = 1e-6,
-        test_samples: int = 128,
-        point_baseline: bool = False,
-        rng: Optional[RngStream] = None,
-        standardize_targets: bool = True,
-    ) -> "MCDModel":
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        y = np.asarray(y, dtype=np.float64)
-        if rng is None:
-            rng = RngStream(0)
-        shift, scale = _target_stats(y, standardize_targets)
-        model = cls(
-            X.shape[1],
-            hidden_layers,
-            hidden_units,
-            keep_prob,
-            heteroscedastic,
-            noise_variance,
-            weight_decay,
-            test_samples,
-            point_baseline,
-            shift,
-            scale,
-        )
-        shapes = model._shapes()
+    def init_from_data(self, X: np.ndarray, rng: RngStream):
+        """He-initialized hidden weights and a small output layer drawn from
+        ``rng``, with the noise head starting at log 0.25 in standardized
+        space; the sizes alone set the scales, so X is not read."""
+        shapes = self._shapes()
         for i, (fan_in, fan_out) in enumerate(shapes):
             last = i == len(shapes) - 1
             sd = 0.01 if last else np.sqrt(2.0 / fan_in)
-            model.params.set_value(f"w{i}", sd * rng.normal(size=(fan_in, fan_out)))
-            if last and heteroscedastic:
-                # start the noise head at log 0.25 in standardized space
-                model.params.set_value(f"b{i}", np.array([0.0, np.log(0.25)]))
-        return model
+            self.params.set_value(f"w{i}", sd * rng.normal(size=(fan_in, fan_out)))
+            if last and self.heteroscedastic:
+                self.params.set_value(f"b{i}", np.array([0.0, np.log(0.25)]))
 
     # -- graph builders --------------------------------------------------------------
 

@@ -440,32 +440,18 @@ class SVGPModel:
         self.params.register("obs_variance", (), POSITIVE, init=0.25)
         self._factors = KmmFactors()
 
-    @classmethod
-    def create(
-        cls,
+    def init_from_data(
+        self,
         X: np.ndarray,
-        y: np.ndarray,
-        num_inducing: int,
-        objective_spec: Optional[ObjectiveSpec] = None,
-        *,
-        rng: Optional[RngStream] = None,
-        inducing_strategy: str = "random-subset",
-        standardize_targets: bool = True,
+        rng: RngStream,
+        inducing_init: str = "random-subset",
         freeze_inducing: bool = False,
-        jitter: float = DEFAULT_JITTER,
-    ) -> "SVGPModel":
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        y = np.asarray(y, dtype=np.float64)
-        if rng is None:
-            rng = RngStream(0)
-        shift, scale = _target_stats(y, standardize_targets)
-        z = init_inducing(X, num_inducing, inducing_strategy, rng)
-        spec = objective_spec or ObjectiveSpec()
-        model = cls(spec, X.shape[1], num_inducing, jitter, shift, scale)
-        model.params.set_value("gp.z", z)
+    ):
+        """Start the inducing inputs at a random subset of the rows of X, or at
+        k-means centers seeded from one; frozen ones stay there in training."""
+        self.params.set_value("gp.z", init_inducing(X, self.num_inducing, inducing_init, rng))
         if freeze_inducing:
-            model.params.set_trainable("gp.z", False)
-        return model
+            self.params.set_trainable("gp.z", False)
 
     # -- training and prediction -------------------------------------------
 
@@ -518,9 +504,3 @@ def input_rows(X, input_dim: int) -> np.ndarray:
         raise ValueError(f"expected inputs of shape (n, {input_dim}), got {X.shape}")
     return X
 
-
-def _target_stats(y: np.ndarray, standardize: bool):
-    if not standardize or y.size == 0:
-        return 0.0, 1.0
-    spread = float(y.std())
-    return float(y.mean()), max(spread, 1e-8)

@@ -15,10 +15,11 @@ import pytest
 from gp_oracle import Kernel, exact_gp_predict, kernel_eval
 from rulkit import autodiff as ad
 from rulkit.data import SplitSpec, normalize, stack_rows, synth_fleet
-from rulkit.dgp import DeepGPModel
-from rulkit.dspp import DSPPModel, init_sigma_points
+from rulkit.dspp import init_sigma_points
 from rulkit.experiment import (
     TABLE_FAMILIES,
+    ExperimentConfig,
+    build_model,
     default_config,
     default_grid,
     family_table,
@@ -27,7 +28,6 @@ from rulkit.experiment import (
     write_predictions,
 )
 from rulkit.mathcore import gauss_hermite
-from rulkit.mcd import MCDModel
 from rulkit.metrics import (
     Predictions,
     Records,
@@ -42,7 +42,7 @@ from rulkit.params import (
     fd_check,
     minibatch_iter,
 )
-from rulkit.svgp import ObjectiveSpec, SVGPModel, latent_graph, layer_from_view
+from rulkit.svgp import latent_graph, layer_from_view
 
 
 def _gate(num: int, label: str, passed: bool) -> None:
@@ -61,8 +61,8 @@ def test_gradients_match_finite_differences_across_all_objectives():
     X = rng.standard_normal((12, 2))
     y = 3.0 * X[:, 0] - X[:, 1] + 0.1 * rng.standard_normal(12)
     for kind in ("elbo", "ppgpr"):
-        model = SVGPModel.create(
-            X, y, num_inducing=4, objective_spec=ObjectiveSpec(kind), rng=RngStream(6)
+        model = build_model(
+            ExperimentConfig(kind="svgp", objective=kind, num_inducing=4), X, y, RngStream(6)
         )
         model.params.values += 0.05 * rng.standard_normal(model.params.size)
         errs[f"svgp-{kind}"] = fd_check(
@@ -71,10 +71,9 @@ def test_gradients_match_finite_differences_across_all_objectives():
 
     Xd = rng.standard_normal((10, 2))
     yd = np.sin(Xd[:, 0]) + 0.1 * rng.standard_normal(10)
-    deep = DeepGPModel.create(
-        Xd, yd, width=2, depth=1, num_inducing=4,
-        objective_spec=ObjectiveSpec("elbo"), rng=RngStream(2), num_train_samples=3,
-    )
+    deep = build_model(ExperimentConfig(
+        kind="dgp", width=2, depth=1, num_inducing=4, objective="elbo", train_samples=3,
+    ), Xd, yd, RngStream(2))
     deep.params.values += 0.2 * rng.standard_normal(deep.params.size)
     # a fresh stream per evaluation freezes the hidden-layer draws, so the
     # objective is deterministic
@@ -87,9 +86,9 @@ def test_gradients_match_finite_differences_across_all_objectives():
 
     Xs = rng.standard_normal((9, 2))
     ys = np.cos(Xs[:, 1]) + 0.1 * rng.standard_normal(9)
-    sigma = DSPPModel.create(
-        Xs, ys, width=2, depth=1, num_inducing=3, num_sites=3, rng=RngStream(21)
-    )
+    sigma = build_model(ExperimentConfig(
+        kind="dspp", objective="ppgpr", width=2, depth=1, num_inducing=3, num_sites=3,
+    ), Xs, ys, RngStream(21))
     sigma.params.values += 0.15 * rng.standard_normal(sigma.params.size)
     errs["dspp"] = fd_check(
         lambda p: sigma.objective_grad(Xs, ys), sigma.params, probes=20, rng=RngStream(2)
@@ -97,10 +96,9 @@ def test_gradients_match_finite_differences_across_all_objectives():
 
     Xm = rng.standard_normal((16, 2))
     ym = Xm[:, 0] - 0.5 * Xm[:, 1] + 0.05 * rng.standard_normal(16)
-    mcd = MCDModel.create(
-        Xm, ym, hidden_layers=2, hidden_units=6, keep_prob=0.7,
-        test_samples=16, rng=RngStream(1),
-    )
+    mcd = build_model(ExperimentConfig(
+        kind="mcd", hidden_layers=2, hidden_units=6, keep_prob=0.7, test_samples=16,
+    ), Xm, ym, RngStream(1))
     # a fresh stream per evaluation freezes the dropout masks across the
     # probed evaluations
     errs["mcd"] = fd_check(
@@ -131,10 +129,10 @@ def test_svgp_with_inducing_at_data_matches_exact_gp():
     X = (np.arange(N) * 1.2)[:, None]
     y = np.sin(0.6 * X[:, 0]) + 0.3 * rng.standard_normal(N)
 
-    model = SVGPModel.create(
-        X, y, N, ObjectiveSpec("elbo"), rng=RngStream(0),
+    model = build_model(ExperimentConfig(
+        kind="svgp", objective="elbo", num_inducing=N,
         standardize_targets=False, freeze_inducing=True,
-    )
+    ), X, y, RngStream(0))
     p = model.params
     for name in ("gp.kernel_variance", "gp.lengthscales", "obs_variance"):
         p.set_trainable(name, False)
@@ -180,13 +178,12 @@ def test_degenerate_deep_models_reduce_to_their_shallow_counterparts():
     worst = 0.0
 
     for kind in ("elbo", "ppgpr"):
-        flat = SVGPModel.create(
-            X, y, num_inducing=4, objective_spec=ObjectiveSpec(kind), rng=RngStream(3)
+        flat = build_model(
+            ExperimentConfig(kind="svgp", objective=kind, num_inducing=4), X, y, RngStream(3)
         )
-        deep = DeepGPModel.create(
-            X, y, width=1, depth=0, num_inducing=4,
-            objective_spec=ObjectiveSpec(kind), rng=RngStream(3),
-        )
+        deep = build_model(ExperimentConfig(
+            kind="dgp", width=1, depth=0, num_inducing=4, objective=kind,
+        ), X, y, RngStream(3))
         flat.params.values += 0.1 * rng.standard_normal(flat.params.size)
         deep.params.values[:] = flat.params.values
         worst = max(worst, abs(deep.objective_grad(X, y) - flat.objective_grad(X, y)))
@@ -201,14 +198,12 @@ def test_degenerate_deep_models_reduce_to_their_shallow_counterparts():
         worst = max(worst, float(np.max(np.abs(mus[0] - mu_ref))))
         worst = max(worst, float(np.max(np.abs(vars_[0] - var_ref))))
 
-    spec = ObjectiveSpec("ppgpr")
-    sigma = DSPPModel.create(
-        X, y, width=2, depth=1, num_inducing=3, num_sites=1,
-        objective_spec=spec, rng=RngStream(6),
-    )
-    deep = DeepGPModel.create(
-        X, y, width=2, depth=1, num_inducing=3, objective_spec=spec, rng=RngStream(6)
-    )
+    sigma = build_model(ExperimentConfig(
+        kind="dspp", width=2, depth=1, num_inducing=3, num_sites=1, objective="ppgpr",
+    ), X, y, RngStream(6))
+    deep = build_model(ExperimentConfig(
+        kind="dgp", width=2, depth=1, num_inducing=3, objective="ppgpr",
+    ), X, y, RngStream(6))
     noise = 0.1 * rng.standard_normal(deep.params.size)
     sigma.params.values[: deep.params.size] += noise
     deep.params.values += noise
@@ -311,7 +306,9 @@ def test_two_sigma_coverage_on_well_specified_fleet():
     y_tr = y_tr + sigma * RngStream(77).derive(0).normal(y_tr.shape)
     y_te = y_te + sigma * RngStream(77).derive(1).normal(y_te.shape)
 
-    model = SVGPModel.create(X_tr, y_tr, 64, ObjectiveSpec("ppgpr"), rng=RngStream(5))
+    model = build_model(
+        ExperimentConfig(kind="svgp", objective="ppgpr", num_inducing=64), X_tr, y_tr, RngStream(5)
+    )
     state = OptimizerState(learning_rate=5e-3)
     n = len(y_tr)
     for epoch in range(250):

@@ -118,11 +118,11 @@ class TestReductionsAndShape:
 
 
 class TestLogSumExp:
-    @pytest.mark.parametrize("axis,keepdims", [(None, False), (0, False), (1, True)])
-    def test_against_fd(self, axis, keepdims):
+    @pytest.mark.parametrize("axis", [None, 0])
+    def test_against_fd(self, axis):
         def build(t):
             m = ad.reshape(t, (3, 4))
-            return ad.total(ad.logsumexp(m, axis=axis, keepdims=keepdims))
+            return ad.total(ad.logsumexp(m, axis=axis))
 
         check_grad(build, RNG.standard_normal(12))
 

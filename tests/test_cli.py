@@ -124,6 +124,18 @@ class TestTrain:
         assert rc == 1
         assert "ppgpr" in capsys.readouterr().err
 
+    def test_a_config_value_of_the_wrong_type_is_refused_by_field(
+        self, fleet_dir, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"kind": "mcd", "learning_rate": "0.01"}))
+        rc = main(["train", "--data", str(fleet_dir),
+                   "--out", str(tmp_path / "o"), "--config", str(bad)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: learning_rate must be a number, got '0.01'")
+        assert not (tmp_path / "o").exists()
+
 
 class TestPredict:
     def test_writes_predictions(self, trained, fleet_dir, tmp_path, capsys):

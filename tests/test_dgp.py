@@ -15,12 +15,10 @@ from scipy.special import logsumexp
 
 from gp_oracle import layer_of, np_latent, u_space
 from rulkit import autodiff as ad
-from rulkit.dgp import DeepGPModel
-from rulkit.dspp import DSPPModel
-from rulkit.experiment import model_from_config
+from rulkit.experiment import ExperimentConfig, build_model, model_from_config
 from rulkit.metrics import Predictions
 from rulkit.params import ParamView, RngStream, fd_check
-from rulkit.svgp import ObjectiveSpec, SVGPModel, latent_graph, layer_from_view
+from rulkit.svgp import ObjectiveSpec, latent_graph, layer_from_view
 
 RNG = np.random.default_rng(401)
 
@@ -29,16 +27,10 @@ def _toy_dgp(depth=1, width=2, seed=2, objective_kind="elbo", **kwargs):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((10, 2))
     y = np.sin(X[:, 0]) + 0.1 * rng.standard_normal(10)
-    model = DeepGPModel.create(
-        X,
-        y,
-        width=width,
-        depth=depth,
-        num_inducing=4,
-        objective_spec=ObjectiveSpec(objective_kind),
-        rng=RngStream(seed),
-        **kwargs,
+    config = ExperimentConfig(
+        kind="dgp", width=width, depth=depth, num_inducing=4, objective=objective_kind, **kwargs
     )
+    model = build_model(config, X, y, RngStream(seed))
     # nonzero variational means so hidden samples actually vary
     model.params.values += 0.2 * rng.standard_normal(model.params.size)
     return model, X, y
@@ -170,17 +162,12 @@ class TestDepthZeroReduction:
         rng = np.random.default_rng(7)
         X = rng.standard_normal((9, 2))
         y = rng.standard_normal(9)
-        flat = SVGPModel.create(
-            X, y, num_inducing=4, objective_spec=ObjectiveSpec(kind), rng=RngStream(3)
+        flat = build_model(
+            ExperimentConfig(kind="svgp", objective=kind, num_inducing=4), X, y, RngStream(3)
         )
-        deep = DeepGPModel.create(
-            X,
-            y,
-            width=1,
-            depth=0,
-            num_inducing=4,
-            objective_spec=ObjectiveSpec(kind),
-            rng=RngStream(3),
+        deep = build_model(
+            ExperimentConfig(kind="dgp", objective=kind, width=1, depth=0, num_inducing=4),
+            X, y, RngStream(3),
         )
         # same registration order (out.* mirrors gp.*), so raw vectors align
         flat.params.values += 0.1 * rng.standard_normal(flat.params.size)
@@ -218,7 +205,7 @@ class TestDepthZeroReduction:
 class TestObjective:
     @pytest.mark.parametrize("kind", ["elbo", "ppgpr"])
     def test_gradients_pass_fd_check(self, kind):
-        model, X, y = _toy_dgp(objective_kind=kind, num_train_samples=3)
+        model, X, y = _toy_dgp(objective_kind=kind, train_samples=3)
         err = fd_check(
             lambda p: model.objective_grad(X, y, rng=RngStream(4)),
             model.params,
@@ -365,7 +352,7 @@ class TestGraphSize:
         counts = []
         for samples in (2, 10):
             model, X, y = _toy_dgp(depth=2, width=3, objective_kind=kind,
-                                   num_train_samples=samples)
+                                   train_samples=samples)
             counts.append(_step_nodes(model, X, y, monkeypatch))
         assert counts[0] == counts[1]
 
@@ -375,8 +362,9 @@ class TestGraphSize:
             rng = np.random.default_rng(3)
             X = rng.standard_normal((10, 2))
             y = np.sin(X[:, 0])
-            model = DSPPModel.create(X, y, width=3, depth=2, num_inducing=4, num_sites=sites,
-                                     rng=RngStream(3))
+            config = ExperimentConfig(kind="dspp", objective="ppgpr", width=3, depth=2,
+                                      num_inducing=4, num_sites=sites)
+            model = build_model(config, X, y, RngStream(3))
             counts.append(_step_nodes(model, X, y, monkeypatch))
         assert counts[0] == counts[1]
 

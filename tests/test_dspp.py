@@ -14,9 +14,8 @@ from scipy.special import logsumexp
 
 from gp_oracle import MultivariateNormal, kernel_eval, layer_of, mvn_kl, u_space
 from rulkit import autodiff as ad
-from rulkit.dgp import DeepGPModel
 from rulkit.dspp import DSPPModel, SigmaPointSet, init_sigma_points
-from rulkit.experiment import model_from_config
+from rulkit.experiment import ExperimentConfig, build_model, default_config, model_from_config
 from rulkit.mathcore import gaussian_logpdf
 from rulkit.params import ParamView, RngStream, fd_check
 from rulkit.svgp import ObjectiveSpec
@@ -24,20 +23,14 @@ from rulkit.svgp import ObjectiveSpec
 RNG = np.random.default_rng(555)
 
 
-def _toy_dspp(num_sites=3, width=2, seed=21, perturb=0.15, **kwargs):
+def _toy_dspp(num_sites=3, width=2, seed=21, perturb=0.15):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((9, 2))
     y = np.cos(X[:, 1]) + 0.1 * rng.standard_normal(9)
-    model = DSPPModel.create(
-        X,
-        y,
-        width=width,
-        depth=1,
-        num_inducing=3,
-        num_sites=num_sites,
-        rng=RngStream(seed),
-        **kwargs,
+    config = ExperimentConfig(
+        kind="dspp", objective="ppgpr", width=width, depth=1, num_inducing=3, num_sites=num_sites
     )
+    model = build_model(config, X, y, RngStream(seed))
     if perturb:
         model.params.values += perturb * rng.standard_normal(model.params.size)
     return model, X, y
@@ -129,9 +122,10 @@ class TestPredictDeterminism:
         rng = np.random.default_rng(2)
         X = np.linspace(-1.0, 1.0, 6)[:, None]
         y = X[:, 0] ** 2
-        model = DSPPModel.create(
-            X, y, width=1, depth=1, num_inducing=6, num_sites=5, rng=RngStream(4)
+        config = ExperimentConfig(
+            kind="dspp", objective="ppgpr", width=1, depth=1, num_inducing=6, num_sites=5
         )
+        model = build_model(config, X, y, RngStream(4))
         model.params.set_value("h0.z", X[None])
         model.params.set_value("h0.L", np.eye(6)[None] * 1e-8)
         means, variances = model._component_moments(X)
@@ -150,15 +144,11 @@ class TestSingleSiteReduction:
         rng = np.random.default_rng(14)
         X = rng.standard_normal((8, 2))
         y = rng.standard_normal(8)
-        spec = ObjectiveSpec("ppgpr")
-        sigma = DSPPModel.create(
-            X, y, width=2, depth=1, num_inducing=3, num_sites=1,
-            objective_spec=spec, rng=RngStream(6),
+        config = ExperimentConfig(
+            kind="dspp", objective="ppgpr", width=2, depth=1, num_inducing=3, num_sites=1
         )
-        deep = DeepGPModel.create(
-            X, y, width=2, depth=1, num_inducing=3,
-            objective_spec=spec, rng=RngStream(6),
-        )
+        sigma = build_model(config, X, y, RngStream(6))
+        deep = build_model(config.replace(kind="dgp"), X, y, RngStream(6))
         # shared stack parameters: randomize them, keep the single site at 0
         noise = 0.1 * rng.standard_normal(deep.params.size)
         sigma.params.values[: deep.params.size] += noise
@@ -266,8 +256,8 @@ class TestObjective:
 class TestModel:
     def test_needs_a_hidden_layer(self):
         X = RNG.standard_normal((5, 2))
-        with pytest.raises(ValueError):
-            DSPPModel.create(X, np.zeros(5), width=2, depth=0, num_inducing=2)
+        with pytest.raises(ValueError, match="at least one hidden layer"):
+            DSPPModel(ObjectiveSpec("ppgpr"), X.shape[1], width=2, depth=0, num_inducing=2)
 
     def test_state_round_trip(self):
         model, X, _ = _toy_dspp(seed=47)
@@ -278,5 +268,6 @@ class TestModel:
         np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_default_objective_is_ppgpr(self):
-        model, _, _ = _toy_dspp(seed=49)
-        assert model.objective_spec.kind == "ppgpr"
+        _, X, y = _toy_dspp(seed=49)
+        config = default_config("dspp").replace(num_inducing=3, num_sites=3)
+        assert build_model(config, X, y, RngStream(49)).objective_spec.kind == "ppgpr"

@@ -191,11 +191,31 @@ class TestExperimentConfig:
             (dict(freeze_inducing=None), "freeze_inducing must be true or false, got None"),
             (dict(skip_connection="true"), "skip_connection must be true or false, got 'true'"),
             (dict(heteroscedastic="false"), "heteroscedastic must be true or false, got 'false'"),
+            (dict(learning_rate="0.01"), "learning_rate must be a number, got '0.01'"),
+            (dict(alpha=None), "alpha must be a number, got None"),
+            (dict(keep_prob=True), "keep_prob must be a number, got True"),
+            (dict(beta_reg=True), "beta_reg must be a number, got True"),
+            (dict(rul_cap=True), "rul_cap must be a number, got True"),
+            (dict(jitter=[1e-6]), r"jitter must be a number, got \[1e-06\]"),
+            (dict(val_fraction="0.1"), "val_fraction must be a number, got '0.1'"),
+            (dict(weight_decay=None), "weight_decay must be a number, got None"),
+            (dict(noise_variance=False), "noise_variance must be a number, got False"),
+            (dict(train_units="u001"),
+             "train_units must be a list of unit ids when set, got 'u001'"),
+            (dict(test_units=["u004", 4]),
+             r"test_units must be a list of unit ids when set, got \['u004', 4\]"),
         ],
     )
     def test_validation(self, overrides, msg):
         with pytest.raises(ValueError, match=msg):
             ExperimentConfig(**overrides).validate()
+
+    def test_float_fields_take_ints_and_rul_cap_takes_none(self):
+        ExperimentConfig(
+            learning_rate=1, alpha=np.float32(0.5), keep_prob=1, beta_reg=2, rul_cap=None,
+            jitter=np.float64(1e-6), weight_decay=0, noise_variance=np.int64(1),
+        ).validate()
+        ExperimentConfig(rul_cap=125, train_units=["u001"], test_units=("u002",)).validate()
 
     def test_replace_does_not_mutate(self):
         cfg = tiny_mcd()
@@ -430,6 +450,110 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=rf"format_version {version};.*format_version 3$"):
             load_checkpoint(path)
 
+    # Each kind's checkpoint strings for ``tiny_config(kind)`` on the small
+    # fleet: the model_config that build_model maps the run's config to, then
+    # the run's config itself.
+    PINNED = {
+        "svgp": (
+            '{"beta_reg": 1.0, "input_dim": 4, "jitter": 1e-06, "kind": "svgp", '
+            '"num_inducing": 8, "objective": "elbo", "target_scale": 4.565355313204272, '
+            '"target_shift": 8.155555555555555}',
+            '{"alpha": 0.2, "batch_size": 64, "beta_reg": 1.0, "depth": 1, "epochs": 1, '
+            '"freeze_inducing": false, "heteroscedastic": true, "hidden_layers": 1, '
+            '"hidden_units": 4, "inducing_init": "random-subset", "jitter": 1e-06, '
+            '"keep_prob": 0.4642, "kind": "svgp", "learning_rate": 0.001, '
+            '"noise_variance": 1.0, "num_inducing": 8, "num_sites": 3, "objective": "elbo", '
+            '"rul_cap": null, "seed": 4, "skip_connection": true, '
+            '"standardize_targets": true, "test_samples": 4, "test_units": null, '
+            '"train_samples": 2, "train_units": null, "val_fraction": 0.1, '
+            '"weight_decay": 1e-06, "width": 2}',
+        ),
+        "ppgpr": (
+            '{"beta_reg": 1.0, "input_dim": 4, "jitter": 1e-06, "kind": "svgp", '
+            '"num_inducing": 8, "objective": "ppgpr", "target_scale": 4.565355313204272, '
+            '"target_shift": 8.155555555555555}',
+            '{"alpha": 0.2, "batch_size": 64, "beta_reg": 1.0, "depth": 1, "epochs": 1, '
+            '"freeze_inducing": false, "heteroscedastic": true, "hidden_layers": 1, '
+            '"hidden_units": 4, "inducing_init": "random-subset", "jitter": 1e-06, '
+            '"keep_prob": 0.4642, "kind": "ppgpr", "learning_rate": 0.001, '
+            '"noise_variance": 1.0, "num_inducing": 8, "num_sites": 3, "objective": "ppgpr", '
+            '"rul_cap": null, "seed": 4, "skip_connection": true, '
+            '"standardize_targets": true, "test_samples": 4, "test_units": null, '
+            '"train_samples": 2, "train_units": null, "val_fraction": 0.1, '
+            '"weight_decay": 1e-06, "width": 2}',
+        ),
+        "dgp": (
+            '{"beta_reg": 1.0, "depth": 2, "input_dim": 4, "jitter": 1e-06, "kind": "dgp", '
+            '"num_inducing": 8, "num_test_samples": 4, "num_train_samples": 2, '
+            '"objective": "elbo", "skip_connection": true, '
+            '"target_scale": 4.565355313204272, "target_shift": 8.155555555555555, '
+            '"width": 2}',
+            '{"alpha": 0.2, "batch_size": 64, "beta_reg": 1.0, "depth": 2, "epochs": 1, '
+            '"freeze_inducing": false, "heteroscedastic": true, "hidden_layers": 1, '
+            '"hidden_units": 4, "inducing_init": "random-subset", "jitter": 1e-06, '
+            '"keep_prob": 0.4642, "kind": "dgp", "learning_rate": 0.001, '
+            '"noise_variance": 1.0, "num_inducing": 8, "num_sites": 3, "objective": "elbo", '
+            '"rul_cap": null, "seed": 4, "skip_connection": true, '
+            '"standardize_targets": true, "test_samples": 4, "test_units": null, '
+            '"train_samples": 2, "train_units": null, "val_fraction": 0.1, '
+            '"weight_decay": 1e-06, "width": 2}',
+        ),
+        "dspp": (
+            '{"beta_reg": 1.0, "depth": 1, "input_dim": 4, "jitter": 1e-06, "kind": "dspp", '
+            '"num_inducing": 8, "num_sites": 3, "num_test_samples": 3, '
+            '"num_train_samples": 3, "objective": "ppgpr", "skip_connection": true, '
+            '"target_scale": 4.565355313204272, "target_shift": 8.155555555555555, '
+            '"width": 2}',
+            '{"alpha": 0.2, "batch_size": 64, "beta_reg": 1.0, "depth": 1, "epochs": 1, '
+            '"freeze_inducing": false, "heteroscedastic": true, "hidden_layers": 1, '
+            '"hidden_units": 4, "inducing_init": "random-subset", "jitter": 1e-06, '
+            '"keep_prob": 0.4642, "kind": "dspp", "learning_rate": 0.001, '
+            '"noise_variance": 1.0, "num_inducing": 8, "num_sites": 3, "objective": "ppgpr", '
+            '"rul_cap": null, "seed": 4, "skip_connection": true, '
+            '"standardize_targets": true, "test_samples": 4, "test_units": null, '
+            '"train_samples": 2, "train_units": null, "val_fraction": 0.1, '
+            '"weight_decay": 1e-06, "width": 2}',
+        ),
+        "mcd": (
+            '{"heteroscedastic": true, "hidden_layers": 1, "hidden_units": 4, '
+            '"input_dim": 4, "keep_prob": 0.4642, "kind": "mcd", "noise_variance": 1.0, '
+            '"target_scale": 4.565355313204272, "target_shift": 8.155555555555555, '
+            '"test_samples": 4, "weight_decay": 1e-06}',
+            '{"alpha": 0.2, "batch_size": 64, "beta_reg": 1.0, "depth": 1, "epochs": 1, '
+            '"freeze_inducing": false, "heteroscedastic": true, "hidden_layers": 1, '
+            '"hidden_units": 4, "inducing_init": "random-subset", "jitter": 1e-06, '
+            '"keep_prob": 0.4642, "kind": "mcd", "learning_rate": 0.001, '
+            '"noise_variance": 1.0, "num_inducing": 8, "num_sites": 3, "objective": "elbo", '
+            '"rul_cap": null, "seed": 4, "skip_connection": true, '
+            '"standardize_targets": true, "test_samples": 4, "test_units": null, '
+            '"train_samples": 2, "train_units": null, "val_fraction": 0.1, '
+            '"weight_decay": 1e-06, "width": 2}',
+        ),
+        "ffnn": (
+            '{"heteroscedastic": false, "hidden_layers": 1, "hidden_units": 4, '
+            '"input_dim": 4, "keep_prob": 0.15, "kind": "ffnn", "noise_variance": 1.0, '
+            '"target_scale": 4.565355313204272, "target_shift": 8.155555555555555, '
+            '"test_samples": 4, "weight_decay": 1e-06}',
+            '{"alpha": 0.2, "batch_size": 64, "beta_reg": 1.0, "depth": 1, "epochs": 1, '
+            '"freeze_inducing": false, "heteroscedastic": false, "hidden_layers": 1, '
+            '"hidden_units": 4, "inducing_init": "random-subset", "jitter": 1e-06, '
+            '"keep_prob": 0.15, "kind": "ffnn", "learning_rate": 0.001, '
+            '"noise_variance": 1.0, "num_inducing": 8, "num_sites": 3, "objective": "elbo", '
+            '"rul_cap": null, "seed": 4, "skip_connection": true, '
+            '"standardize_targets": true, "test_samples": 4, "test_units": null, '
+            '"train_samples": 2, "train_units": null, "val_fraction": 0.1, '
+            '"weight_decay": 1e-06, "width": 2}',
+        ),
+
+    }
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_checkpoint_config_strings_are_pinned(self, kind, tmp_path):
+        run_experiment(tiny_config(kind), small_fleet(), small_split(), out_dir=tmp_path)
+        with np.load(tmp_path / "checkpoint.npz") as z:
+            saved = (str(z["model_config"]), str(z["experiment_config"]))
+        assert saved == self.PINNED[kind]
+
 
 class TestGridSearch:
     def test_single_cell_matches_run_experiment_with_child_seed(self):
@@ -619,6 +743,15 @@ class TestGridSearch:
     def test_unknown_grid_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys: dropout"):
             grid_search(tiny_mcd(), {"dropout": [0.5]}, small_fleet(), small_split())
+
+    @pytest.mark.parametrize("grid,msg", [
+        ({"kind": ["mcd", "ffnn"]}, "grid cannot vary kind"),
+        ({"seed": [1, 2], "hidden_units": [4]}, "grid cannot vary seed"),
+    ])
+    def test_kind_and_seed_are_refused_as_grid_keys(self, grid, msg, tmp_path):
+        with pytest.raises(ValueError, match=msg):
+            grid_search(tiny_mcd(), grid, small_fleet(), small_split(), out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_needs_validation_split(self):
         split = SplitSpec(("u001", "u002", "u003"), ("u004",), val_fraction=0.0)

@@ -17,7 +17,7 @@ import pytest
 from gp_oracle import relu
 import rulkit.autodiff as ad
 from rulkit import mcd, parallel
-from rulkit.experiment import model_from_config
+from rulkit.experiment import ExperimentConfig, build_model, model_from_config
 from rulkit.mcd import NOISE_FLOOR, MCDModel, _forward_graph, sample_mask
 from rulkit.params import OptimizerState, ParamView, RngStream, adam_step, fd_check, value_and_grad
 
@@ -338,10 +338,11 @@ class TestAgainstComposedGraph:
         rng = np.random.default_rng(21)
         X = rng.standard_normal((40, 3))
         y = X @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.standard_normal(40)
-        model = MCDModel.create(
-            X, y, hidden_layers=3, hidden_units=7, keep_prob=0.6,
-            heteroscedastic=heteroscedastic, test_samples=9, rng=RngStream(4),
+        config = ExperimentConfig(
+            kind="mcd", hidden_layers=3, hidden_units=7, keep_prob=0.6,
+            heteroscedastic=heteroscedastic, test_samples=9,
         )
+        model = build_model(config, X, y, RngStream(4))
         state = OptimizerState(learning_rate=1e-2)
         for step in range(3):
             want = self._objective_grad(model, X, y, RngStream(50 + step))
@@ -384,9 +385,9 @@ class TestMCDModel:
         rng = np.random.default_rng(15)
         X = rng.standard_normal((16, 2))
         y = X[:, 0] - 0.5 * X[:, 1] + 0.05 * rng.standard_normal(16)
-        defaults = dict(hidden_layers=2, hidden_units=6, keep_prob=0.7, test_samples=16)
+        defaults = dict(kind="mcd", hidden_layers=2, hidden_units=6, keep_prob=0.7, test_samples=16)
         defaults.update(kwargs)
-        return MCDModel.create(X, y, rng=RngStream(1), **defaults), X, y
+        return build_model(ExperimentConfig(**defaults), X, y, RngStream(1)), X, y
 
     @pytest.mark.parametrize("heteroscedastic", [True, False])
     def test_gradients_pass_fd_check(self, heteroscedastic):
@@ -400,11 +401,11 @@ class TestMCDModel:
         assert err < 1e-4
 
     def test_point_baseline_with_noise_head_rejected(self):
-        with pytest.raises(ValueError):
-            self._toy(point_baseline=True, heteroscedastic=True)
+        with pytest.raises(ValueError, match="no noise head"):
+            MCDModel(2, 2, 6, 0.7, heteroscedastic=True, point_baseline=True)
 
     def test_point_baseline_predicts_masklessly(self):
-        model, X, y = self._toy(point_baseline=True, heteroscedastic=False)
+        model, X, y = self._toy(kind="ffnn")
         preds = model.predictive(X)
         assert preds.kind == "point"
         raw, _ = _forward(model, X)
@@ -441,17 +442,11 @@ class TestMCDModel:
         rng = np.random.default_rng(0)
         X = rng.uniform(-1.0, 1.0, size=(64, 1))
         y = 2.0 * X[:, 0]
-        model = MCDModel.create(
-            X,
-            y,
-            hidden_layers=1,
-            hidden_units=16,
-            keep_prob=0.9,
-            heteroscedastic=False,
-            point_baseline=True,
-            weight_decay=1e-6,
-            rng=RngStream(2),
+        config = ExperimentConfig(
+            kind="ffnn", hidden_layers=1, hidden_units=16, keep_prob=0.9, weight_decay=1e-6,
+            test_samples=128,
         )
+        model = build_model(config, X, y, RngStream(2))
         state = OptimizerState(learning_rate=1e-2)
         train = RngStream(3)
         for step in range(400):
@@ -468,7 +463,7 @@ class TestMCDModel:
         assert list(zip(a.mean, a.var)) == list(zip(b.mean, b.var))
 
     def test_config_reports_ffnn_for_point_baseline(self):
-        model, _, _ = self._toy(point_baseline=True, heteroscedastic=False)
+        model, _, _ = self._toy(kind="ffnn")
         assert model.config_dict()["kind"] == "ffnn"
         assert self._toy()[0].config_dict()["kind"] == "mcd"
 

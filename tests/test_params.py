@@ -29,7 +29,7 @@ from rulkit.params import (
     minibatch_iter,
     value_and_grad,
 )
-from rulkit.svgp import SVGPModel
+from rulkit.experiment import ExperimentConfig, build_model
 
 RNG = np.random.default_rng(77)
 
@@ -256,9 +256,8 @@ class TestFdCheck:
     def test_svgp_elbo_small_instance(self):
         X = RNG.standard_normal((8, 2))
         y = RNG.standard_normal(8)
-        model = SVGPModel.create(
-            X, y, num_inducing=3, rng=RngStream(5), inducing_strategy="random-subset"
-        )
+        config = ExperimentConfig(kind="svgp", num_inducing=3, inducing_init="random-subset")
+        model = build_model(config, X, y, RngStream(5))
         # randomize the variational parameters so no gradient is trivially zero
         model.params.values += 0.05 * RNG.standard_normal(model.params.size)
         err = fd_check(

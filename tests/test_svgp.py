@@ -29,9 +29,7 @@ from gp_oracle import (
 )
 from rulkit import autodiff as ad
 from rulkit import svgp
-from rulkit.dgp import DeepGPModel
-from rulkit.dspp import DSPPModel
-from rulkit.experiment import model_from_config
+from rulkit.experiment import ExperimentConfig, build_model, model_from_config
 from rulkit.mathcore import NumericalError, cholesky_jittered
 from rulkit.params import (
     POSITIVE,
@@ -556,9 +554,8 @@ class TestSVGPModel:
     def _toy(self, kind="elbo", **kwargs):
         X = RNG.standard_normal((12, 2))
         y = 3.0 * X[:, 0] - X[:, 1] + 0.1 * RNG.standard_normal(12)
-        model = SVGPModel.create(
-            X, y, num_inducing=4, objective_spec=ObjectiveSpec(kind), rng=RngStream(6), **kwargs
-        )
+        config = ExperimentConfig(kind="svgp", objective=kind, num_inducing=4, **kwargs)
+        model = build_model(config, X, y, RngStream(6))
         return model, X, y
 
     @pytest.mark.parametrize("kind", ["elbo", "ppgpr"])
@@ -615,7 +612,7 @@ class TestSVGPModel:
         # natural units, not the standardized internal scale
         X = RNG.standard_normal((10, 2))
         y = 500.0 + RNG.standard_normal(10)
-        model = SVGPModel.create(X, y, num_inducing=3, rng=RngStream(0))
+        model = build_model(ExperimentConfig(kind="svgp", num_inducing=3), X, y, RngStream(0))
         state = OptimizerState(learning_rate=0.05)
         for _ in range(200):
             model.objective_grad(X, y)
@@ -635,19 +632,22 @@ def _memo_models():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((40, 3))
     y = X[:, 0] - 2.0 * X[:, 2] + 0.1 * rng.standard_normal(40)
-    models = {
-        "svgp": (SVGPModel.create(X, y, num_inducing=6, rng=RngStream(1)), X, y, "gp"),
+    configs = {
+        "svgp": (ExperimentConfig(kind="svgp", num_inducing=6), "gp"),
         "dgp": (
-            DeepGPModel.create(
-                X, y, width=2, depth=2, num_inducing=6, num_train_samples=2,
-                num_test_samples=3, rng=RngStream(1),
-            ),
-            X, y, "h1",
+            ExperimentConfig(kind="dgp", width=2, depth=2, num_inducing=6, train_samples=2,
+                             test_samples=3),
+            "h1",
         ),
         "dspp": (
-            DSPPModel.create(X, y, width=2, depth=1, num_inducing=6, num_sites=3, rng=RngStream(1)),
-            X, y, "h0",
+            ExperimentConfig(kind="dspp", objective="ppgpr", width=2, depth=1, num_inducing=6,
+                             num_sites=3),
+            "h0",
         ),
+    }
+    models = {
+        kind: (build_model(config, X, y, RngStream(1)), X, y, prefix)
+        for kind, (config, prefix) in configs.items()
     }
     for model, *_ in models.values():
         for name in model.params._entries:
