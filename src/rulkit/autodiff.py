@@ -216,26 +216,56 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return make_node(ad @ bd, (a, b), vjp)
 
 
-def dense_relu(x: Tensor, w: Tensor, b: Tensor, mask: Optional[Array] = None) -> Tensor:
-    """One hidden layer, ``relu(x @ w + b) * mask``, as a single node.
+def inverted_dropout(a: Array, keep: Array, keep_prob: float, out: Optional[Array] = None) -> Array:
+    """``a * keep / keep_prob`` for a boolean keep mask, formed as
+    ``(a * keep) * (1 / keep_prob)`` and written into ``out`` (which may be
+    ``a``; None allocates). A kept entry is ``(a * 1) * s = a * s`` and a dropped
+    one ``(a * 0) * s``, which keeps the sign and NaN of ``a * 0``, so the result
+    equals ``a * (keep * s)`` bit for bit."""
+    out = np.multiply(a, keep, out=out)
+    out *= 1.0 / keep_prob
+    return out
 
-    ``mask`` is a constant array (or None for no mask). The bias, relu and
-    mask are applied in place on the fresh matmul output, and the VJP forms
-    the same products in the same order as the composed graph
-    ``relu(x @ w + b) * constant(mask)``, so values and gradients match it
-    bit for bit.
+
+def dense_relu_forward(
+    x: Array, w: Array, b: Array, keep: Optional[Array] = None, keep_prob: float = 1.0,
+    out: Optional[Array] = None,
+) -> Array:
+    """The value of :func:`dense_relu` on arrays: the matmul goes into ``out``
+    (a C-contiguous (n, h) float64 array, or None to allocate), and the bias,
+    relu and mask are applied to it in place."""
+    out = np.matmul(x, w, out=out)
+    out += b
+    np.maximum(out, 0.0, out=out)
+    if keep is not None:
+        inverted_dropout(out, keep, keep_prob, out=out)
+    return out
+
+
+def dense_relu(
+    x: Tensor, w: Tensor, b: Tensor, keep: Optional[Array] = None, keep_prob: float = 1.0
+) -> Tensor:
+    """One hidden layer with inverted dropout, ``relu(x @ w + b) * keep /
+    keep_prob``, as a single node.
+
+    ``keep`` is a constant boolean keep mask (or None for no mask). The bias,
+    relu and mask are applied in place on the fresh matmul output
+    (:func:`dense_relu_forward`), the mask as ``*= keep`` then
+    ``*= 1 / keep_prob`` (:func:`inverted_dropout`); the VJP scales the
+    incoming gradient the same way before gating it, forming the same products
+    in the same order as the composed graph
+    ``relu(x @ w + b) * constant(keep * (1 / keep_prob))``, so values and
+    gradients match it bit for bit.
     """
     xd, wd = x.data, w.data
-    out = xd @ wd
-    out += b.data
-    np.maximum(out, 0.0, out=out)
-    if mask is not None:
-        out *= mask
+    out = dense_relu_forward(xd, wd, b.data, keep, keep_prob)
 
     def vjp(g):
-        if mask is not None:
-            g = g * mask
-        gz = g * (out > 0.0)
+        if keep is None:
+            gz = g * (out > 0.0)
+        else:  # gated in place on the fresh masked copy
+            gz = inverted_dropout(g, keep, keep_prob)
+            gz *= out > 0.0
         return (
             gz @ wd.T if x.requires_grad else None,
             xd.T @ gz if w.requires_grad else None,

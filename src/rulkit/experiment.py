@@ -38,6 +38,8 @@ __all__ = [
     "default_grid",
     "build_model",
     "train_val_rows",
+    "PreparedSplit",
+    "prepare_split",
     "ExperimentResult",
     "run_experiment",
     "GridRun",
@@ -399,6 +401,37 @@ def train_val_rows(data: FleetDataset, split: SplitSpec):
     return pack(tr), (pack(va) if va else None)
 
 
+@dataclass(frozen=True)
+class PreparedSplit:
+    """The rows a run reads from a raw fleet and a split: the training units'
+    normalization statistics, and the normalized training rows ``(X, y)``,
+    validation rows ``(X, y, unit ids, times)`` (None without a validation
+    tail) and test rows ``(X, y, unit ids, times)``.
+
+    Every array is read-only, so one value can be shared by the cells of a
+    grid, concurrent ones included.
+    """
+
+    stats: NormalizationStats
+    train: tuple
+    val: Optional[tuple]
+    test: tuple
+
+
+def prepare_split(data: FleetDataset, split: SplitSpec) -> PreparedSplit:
+    """Normalize a raw fleet with its training units' statistics and stack
+    the training, validation and test rows of ``split``."""
+    split.check_against(data)
+    if not split.test_ids:
+        raise ValueError("split.test_ids is empty; run_experiment needs at least one test unit")
+    normed, stats = normalize(data, split.train_ids)
+    (X_tr, y_tr, _, _), val = train_val_rows(normed, split)
+    test = stack_rows(normed, list(split.test_ids))
+    for a in (X_tr, y_tr, *(val or ()), *test, stats.mean, stats.std):
+        a.flags.writeable = False
+    return PreparedSplit(stats, (X_tr, y_tr), val, test)
+
+
 def _records(preds: Predictions, y, uid, t, rul_cap) -> Records:
     y = np.minimum(y, rul_cap) if rul_cap is not None else y
     return Records(uid, t, y, preds)
@@ -423,17 +456,20 @@ def run_experiment(
     data: FleetDataset,
     split: SplitSpec,
     out_dir=None,
+    *,
+    prepared: Optional[PreparedSplit] = None,
 ) -> ExperimentResult:
     """Train one model per ``config`` and evaluate it on validation and test
     rows. ``data`` must be a raw (unnormalized) fleet; normalization
-    statistics come from the training units alone.
+    statistics come from the training units alone. ``prepared`` is
+    ``prepare_split(data, split)`` when the caller already holds it (a grid
+    shares one among its cells); None prepares it here.
     """
     config.validate()
-    split.check_against(data)
-    if not split.test_ids:
-        raise ValueError("split.test_ids is empty; run_experiment needs at least one test unit")
-    normed, stats = normalize(data, split.train_ids)
-    (X_tr, y_tr, _, _), val = train_val_rows(normed, split)
+    if prepared is None:
+        prepared = prepare_split(data, split)
+    stats, val = prepared.stats, prepared.val
+    X_tr, y_tr = prepared.train
     if config.rul_cap is not None:
         y_tr = np.minimum(y_tr, config.rul_cap)
 
@@ -475,7 +511,7 @@ def run_experiment(
         val_records = _records(preds, y_v, uid_v, t_v, config.rul_cap)
         val_report = compute_report(val_records, config.alpha)
 
-    X_te, y_te, uid_te, t_te = stack_rows(normed, list(split.test_ids))
+    X_te, y_te, uid_te, t_te = prepared.test
     preds = model.predictive(X_te, rng=rng.derive(4))
     test_records = _records(preds, y_te, uid_te, t_te, config.rul_cap)
     test_report = compute_report(test_records, config.alpha)
@@ -724,16 +760,22 @@ def grid_search(
     Runs are numbered in deterministic order (sorted keys, given value
     order); run i trains with a seed derived from (base.seed, i). Every cell's
     config is validated before the first run, so an invalid grid value raises
-    before any run directory is written. Cells run on one thread per usable
-    CPU (``parallel.run_indexed``), each a pure function of its config, the
-    fleet and the split, so every result and file is the same for any thread
-    count. If the module's ``run_experiment`` has been rebound (a tracer, a
-    profiler), the cells run in order on the calling thread instead: such a
-    wrapper need not be thread-safe, and one that keeps a stack of open calls
-    would parent one cell's calls to another's. A run that fails to train or does not fit the data is recorded and
-    the search continues; any other exception stops the search once the
-    running cells finish and is raised with a note naming its cell. Ranking
-    uses the validation NLL, or validation RMSE for the point baseline.
+    before any run directory is written. The fleet is then normalized and
+    split once (:func:`prepare_split`), and every cell reads that one
+    read-only value.
+
+    Cells run on one thread per usable CPU (``parallel.run_indexed``), each a
+    pure function of its config and the prepared split, so every result and
+    file is the same for any thread count. If the module's ``run_experiment``
+    has been rebound (a tracer, a profiler), the cells run in order on the
+    calling thread instead: such a wrapper need not be thread-safe, and one
+    that keeps a stack of open calls would parent one cell's calls to
+    another's.
+
+    A run that fails to train or does not fit the data is recorded and the
+    search continues; any other exception stops the search once the running
+    cells finish and is raised with a note naming its cell. Ranking uses the
+    validation NLL, or validation RMSE for the point baseline.
     """
     if split.val_fraction <= 0.0:
         raise ValueError("grid search needs a validation split (val_fraction > 0)")
@@ -744,12 +786,13 @@ def grid_search(
     for i, overrides in enumerate(grid_cells(grid)):
         cfg = base.replace(**overrides, seed=_child_seed(base.seed, i))
         cells.append((overrides, cfg.validate()))
+    prepared = prepare_split(data, split)
 
     def run_cell(i: int) -> GridRun:
         overrides, cfg = cells[i]
         run_dir = out / f"run_{i:03d}" if out is not None else None
         try:
-            res = run_experiment(cfg, data, split, out_dir=run_dir)
+            res = run_experiment(cfg, data, split, out_dir=run_dir, prepared=prepared)
         except (ConfigDataMismatch, TrainingDiverged, NumericalError, GradientError) as exc:
             return GridRun(i, overrides, cfg, f"failed: {exc}")
         except Exception as exc:

@@ -2,11 +2,12 @@
 
 A rectifier network trained with inverted dropout: each hidden activation is
 multiplied by a Bernoulli(p) mask divided by the keep probability p, so the
-masked pass is unbiased for the maskless one. Masks carry that 1/p: a drawn
-mask holds 0 for a dropped unit and 1/p for a kept one. Each hidden layer is
-one ``autodiff.dense_relu`` node. The weights live only in the model's flat
-parameter vector; training builds the graph below on a trainable view of it
-and prediction on a constant one. Training minimizes
+masked pass is unbiased for the maskless one. A drawn mask is boolean, True
+for a kept unit, and a layer applies it in place as ``*= keep`` and then
+``*= 1/p``. Each hidden layer is one ``autodiff.dense_relu`` node. The
+weights live only in the model's flat parameter vector; training builds the
+graph below on a trainable view of it, and prediction runs the same layers
+on the arrays (``autodiff.dense_relu_forward``). Training minimizes
 
     1/N sum_i E(y_i, f(x_i)) + lambda_wd sum_l ||W_l||^2
 
@@ -34,7 +35,11 @@ Pass k's masks come from a copy of the caller's stream moved on by the
 k * n * sum(hidden sizes) uniforms the passes before it take
 (``RngStream.ahead``), and the caller's stream ends past all T passes. Every
 pass therefore sees the masks, and the prediction the bytes, of a one-thread
-loop, whatever the thread count.
+loop, whatever the thread count. The first hidden layer's activations come
+before its mask, so a prediction computes them once and each pass masks a
+copy; each block of passes refills its own buffers, so passes allocate
+nothing. With p = 1 every mask keeps every unit, and one maskless pass stands
+for all T.
 """
 
 from __future__ import annotations
@@ -60,28 +65,32 @@ PARALLEL_MIN_UNIFORMS = 10_000_000
 
 
 def sample_mask(keep_prob: float, hidden_sizes, n: int, rng: RngStream) -> list:
-    """Fresh masks for every hidden unit of an n-row batch, one (n, h) array
-    per hidden layer: 1/keep_prob where a Bernoulli(keep_prob) draw keeps the
-    unit, 0 where it drops it."""
-    return draw_masks(keep_prob, [np.empty((n, h)) for h in hidden_sizes], rng)
+    """Fresh keep masks for every hidden unit of an n-row batch, one boolean
+    (n, h) array per hidden layer: True where a Bernoulli(keep_prob) draw
+    keeps the unit."""
+    keeps = [np.empty((n, h), dtype=bool) for h in hidden_sizes]
+    return draw_masks(keep_prob, keeps, rng, np.empty(max(k.size for k in keeps)))
 
 
-def draw_masks(keep_prob: float, masks: list, rng: RngStream) -> list:
-    """Overwrite each (n, h) array of ``masks`` in turn with the masks
-    ``sample_mask`` would draw from ``rng``, and return the list."""
-    for m in masks:
-        rng.random(out=m)
-        np.multiply(m < keep_prob, 1.0 / keep_prob, out=m)
-    return masks
+def draw_masks(keep_prob: float, keeps: list, rng: RngStream, uniforms: np.ndarray) -> list:
+    """Overwrite each boolean array of ``keeps`` in turn with ``u < keep_prob``
+    for fresh uniforms u from ``rng``, drawn into the flat float64 scratch
+    ``uniforms`` (at least as long as the largest mask), and return the list:
+    the masks ``sample_mask`` would draw."""
+    for keep in keeps:
+        u = uniforms[: keep.size].reshape(keep.shape)
+        rng.random(out=u)
+        np.less(u, keep_prob, out=keep)
+    return keeps
 
 
-def _forward_graph(weights, biases, x: Tensor, masks, heteroscedastic: bool):
-    """Shared forward pass; weights/biases/x are Tensors, masks a list of
-    pre-scaled numpy arrays (one per hidden layer) or None."""
+def _forward_graph(weights, biases, x: Tensor, keeps, keep_prob: float, heteroscedastic: bool):
+    """Shared forward pass; weights/biases/x are Tensors, keeps a list of
+    boolean keep masks (one per hidden layer) or None."""
     h = x
     for i in range(len(weights) - 1):
-        mask = None if masks is None else masks[i]
-        h = ad.dense_relu(h, weights[i], biases[i], mask)
+        keep = None if keeps is None else keeps[i]
+        h = ad.dense_relu(h, weights[i], biases[i], keep, keep_prob)
     out = h @ weights[-1] + biases[-1]
     mean = out[:, 0]
     if heteroscedastic:
@@ -90,9 +99,9 @@ def _forward_graph(weights, biases, x: Tensor, masks, heteroscedastic: bool):
 
 
 def _loss_graph(
-    weights, biases, x, y, masks, heteroscedastic: bool, weight_decay: float
+    weights, biases, x, y, keeps, keep_prob: float, heteroscedastic: bool, weight_decay: float
 ) -> Tensor:
-    mean, noise = _forward_graph(weights, biases, x, masks, heteroscedastic)
+    mean, noise = _forward_graph(weights, biases, x, keeps, keep_prob, heteroscedastic)
     if heteroscedastic:
         resid = y - mean
         fit = ((ad.log(noise) + resid * resid / noise + np.log(2.0 * np.pi)) * 0.5).mean()
@@ -182,14 +191,15 @@ class MCDModel:
     def _masks(self, n: int, rng: RngStream):
         return sample_mask(self.keep_prob, [self.hidden_units] * self.hidden_layers, n, rng)
 
-    def _build(self, view: ParamView, X, y, masks) -> Tensor:
+    def _build(self, view: ParamView, X, y, keeps) -> Tensor:
         wts, bts = self._layers(view)
         return _loss_graph(
             wts,
             bts,
             ad.constant(X),
             ad.constant((y - self.target_shift) / self.target_scale),
-            masks,
+            keeps,
+            self.keep_prob,
             self.heteroscedastic,
             self.weight_decay,
         )
@@ -202,8 +212,8 @@ class MCDModel:
         y = np.asarray(y, dtype=np.float64)
         if rng is None:
             rng = RngStream(0)
-        masks = self._masks(X.shape[0], rng) if self.keep_prob < 1.0 else None
-        return value_and_grad(self.params, lambda view: self._build(view, X, y, masks))
+        keeps = self._masks(X.shape[0], rng) if self.keep_prob < 1.0 else None
+        return value_and_grad(self.params, lambda view: self._build(view, X, y, keeps))
 
     def predictive(self, X, rng: Optional[RngStream] = None) -> Predictions:
         """Gaussians from MC moments per row of X, or point estimates for the
@@ -211,36 +221,69 @@ class MCDModel:
         passes on ``min(T, usable_cpus())`` threads; see the module docstring."""
         X = input_rows(X, self.input_dim)
         wts, bts = self._layers(ParamView(self.params, trainable=False))
-        x = ad.constant(X)
+        wts, bts = [w.data for w in wts], [b.data for b in bts]
+        n, h = X.shape[0], self.hidden_units
+        # the first hidden layer before its mask is the same in every pass
+        h0 = ad.dense_relu_forward(X, wts[0], bts[0])
         s = self.target_scale
-        if self.point_baseline:
-            mean, _ = _forward_graph(wts, bts, x, None, self.heteroscedastic)
-            return Predictions.point(mean.data * s + self.target_shift)
-        if rng is None:
-            rng = RngStream(0)
-        n = X.shape[0]
-        t = self.test_samples
-        per_pass = n * self.hidden_units * self.hidden_layers  # uniforms one pass's masks take
+        t = 1 if self.point_baseline else self.test_samples
         draws = np.empty((t, n))
         taus = np.empty((t, n))
 
-        def run(passes: range, masks: list):
-            # pass k draws its masks from where the sequential loop would
-            stream = rng.ahead(passes.start * per_pass)
-            for k in passes:
-                draw_masks(self.keep_prob, masks, stream)
-                f, tau = _forward_graph(wts, bts, x, masks, self.heteroscedastic)
-                draws[k] = f.data
-                taus[k] = tau.data if tau is not None else self.noise_variance
+        def new_buffers():
+            # one pass's scratch: two (n, h) activation arrays the hidden
+            # layers alternate between, and the output layer's (n, 1 or 2)
+            return [np.empty((n, h)), np.empty((n, h))], np.empty((n, len(bts[-1])))
 
-        workers = max(1, min(t, usable_cpus())) if t * per_pass >= PARALLEL_MIN_UNIFORMS else 1
-        blocks = [range(t * w // workers, t * (w + 1) // workers) for w in range(workers)]
-        # Each block's mask arrays are allocated here and refilled every pass,
-        # so the helper threads allocate as little as they can (their malloc
-        # arenas keep their high-water marks; see rulkit.parallel).
-        buffers = [[np.empty((n, self.hidden_units)) for _ in range(self.hidden_layers)]
-                   for _ in blocks]
-        run_indexed(lambda k: run(blocks[k], buffers[k]), workers, workers)
+        def run_pass(k, keeps, acts, head):
+            # pass k from h0 and its keep masks (None: the maskless pass),
+            # into row k of draws and taus; allocates nothing
+            x = h0
+            if keeps is not None:
+                x = ad.inverted_dropout(h0, keeps[0], self.keep_prob, out=acts[0])
+            for i in range(1, len(wts) - 1):
+                keep = None if keeps is None else keeps[i]
+                x = ad.dense_relu_forward(x, wts[i], bts[i], keep, self.keep_prob, out=acts[i % 2])
+            np.matmul(x, wts[-1], out=head)
+            head += bts[-1]
+            draws[k] = head[:, 0]
+            if self.heteroscedastic:
+                np.exp(head[:, 1], out=taus[k])
+                np.maximum(taus[k], NOISE_FLOOR, out=taus[k])
+            else:
+                taus[k] = self.noise_variance
+
+        if self.point_baseline:
+            run_pass(0, None, *new_buffers())
+            return Predictions.point(draws[0] * s + self.target_shift)
+        if rng is None:
+            rng = RngStream(0)
+        per_pass = n * h * self.hidden_layers  # uniforms one pass's masks take
+        if self.keep_prob == 1.0:
+            # every mask keeps every unit, so all T passes equal the maskless one
+            run_pass(0, None, *new_buffers())
+            draws[1:] = draws[0]
+            taus[1:] = taus[0]
+        else:
+            def run(passes: range, buffers):
+                # pass k draws its masks from where the sequential loop would
+                keeps, uniforms, acts, head = buffers
+                stream = rng.ahead(passes.start * per_pass)
+                for k in passes:
+                    draw_masks(self.keep_prob, keeps, stream, uniforms)
+                    run_pass(k, keeps, acts, head)
+
+            workers = max(1, min(t, usable_cpus())) if t * per_pass >= PARALLEL_MIN_UNIFORMS else 1
+            blocks = [range(t * w // workers, t * (w + 1) // workers) for w in range(workers)]
+            # Each block's buffers are allocated here and refilled every pass,
+            # so the passes allocate nothing (helper threads' malloc arenas
+            # keep their high-water marks; see rulkit.parallel).
+            buffers = [
+                ([np.empty((n, h), dtype=bool) for _ in range(self.hidden_layers)],
+                 np.empty(n * h), *new_buffers())
+                for _ in blocks
+            ]
+            run_indexed(lambda k: run(blocks[k], buffers[k]), workers, workers)
         rng.skip(t * per_pass)
         mean = draws.mean(axis=0)
         var = taus.mean(axis=0) + np.mean((draws - mean) ** 2, axis=0)

@@ -280,30 +280,31 @@ class TestDenseRelu:
         x = rng.standard_normal((n, d))
         w = rng.standard_normal((d, h))
         b = rng.standard_normal(h)
-        mask = (rng.random((n, h)) < self.P) * (1.0 / self.P)
-        return x, w, b, mask
+        keep = rng.random((n, h)) < self.P
+        return x, w, b, keep
+
+    def _run(self, x0, w0, b0, keep, up, fused, x_is_leaf=True):
+        """The layer's value and the gradients of sum(h * up) for x, w, b."""
+        x = ad.leaf(x0) if x_is_leaf else ad.constant(x0)
+        w, b = ad.leaf(w0), ad.leaf(b0)
+        if fused:
+            h = ad.dense_relu(x, w, b, keep, self.P)
+        else:
+            h = relu(x @ w + b)
+            if keep is not None:
+                h = h * ad.constant(keep * (1.0 / self.P))
+        out = ad.total(h * ad.constant(up))
+        out.backward()
+        return h.data, [t.grad for t in (x, w, b)]
 
     @pytest.mark.parametrize("masked", [True, False])
     @pytest.mark.parametrize("x_is_leaf", [True, False])
     def test_bit_identical_to_composed_graph(self, masked, x_is_leaf):
-        x0, w0, b0, mask = self._inputs()
-        mask = mask if masked else None
+        x0, w0, b0, keep = self._inputs()
+        keep = keep if masked else None
         up = np.random.default_rng(1).standard_normal((5, 4))  # a downstream weighting
-
-        def run(fused):
-            x = ad.leaf(x0) if x_is_leaf else ad.constant(x0)
-            w, b = ad.leaf(w0), ad.leaf(b0)
-            if fused:
-                h = ad.dense_relu(x, w, b, mask)
-            else:
-                h = relu(x @ w + b)
-                if mask is not None:
-                    h = h * ad.constant(mask)
-            out = ad.total(h * ad.constant(up))
-            out.backward()
-            return h.data, [t.grad for t in (x, w, b)]
-
-        (h_f, g_f), (h_c, g_c) = run(True), run(False)
+        (h_f, g_f), (h_c, g_c) = (self._run(x0, w0, b0, keep, up, fused, x_is_leaf)
+                                  for fused in (True, False))
         np.testing.assert_array_equal(h_f, h_c)
         for gf, gc in zip(g_f, g_c):
             if gc is None:
@@ -312,17 +313,46 @@ class TestDenseRelu:
                 assert gf.tobytes() == gc.tobytes()
         assert (g_f[0] is None) == (not x_is_leaf)
 
+    def test_boolean_mask_matches_float_mask_on_special_values(self):
+        # a * keep * (1/p) against a * (keep * (1/p)): a dropped negative entry
+        # gives -0, a dropped infinity NaN, and a NaN stays NaN either way
+        a = np.array([-3.0, -3.0, 2.5, 2.5, -0.0, 0.0, np.inf, np.inf, -np.inf, np.nan, np.nan])
+        keep = np.array([1, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0], dtype=bool)
+        with np.errstate(invalid="ignore"):
+            got = ad.inverted_dropout(a, keep, self.P)
+            want = a * (keep * (1.0 / self.P))
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[1]) and got[1] == 0.0 and np.isnan(got[7])
+
+    def test_bit_identical_on_infinite_and_nan_rows(self):
+        # rows of infinite and NaN pre-activations under an incoming gradient
+        # that is negative everywhere, so that every dropped unit passes back
+        # a -0 gradient and a dropped infinite unit holds inf * 0 = NaN
+        x0, w0, b0, keep = self._inputs(n=8)
+        x0[1] = np.inf
+        x0[2] = -np.inf
+        x0[3, 0] = np.nan
+        keep[1:4] = [True, False, True, False]  # kept and dropped units in each
+        up = -np.abs(np.random.default_rng(2).standard_normal((8, 4))) - 0.5
+        with np.errstate(invalid="ignore"):
+            (h_f, g_f), (h_c, g_c) = (self._run(x0, w0, b0, keep, up, fused)
+                                      for fused in (True, False))
+        assert np.isnan(h_f[1:4]).any(axis=1).all() and not np.isnan(h_f[4:]).any()
+        assert h_f.tobytes() == h_c.tobytes()
+        for gf, gc in zip(g_f, g_c):
+            assert gf.tobytes() == gc.tobytes()
+
     @pytest.mark.parametrize("masked", [True, False])
     def test_against_fd(self, masked):
-        x0, w0, b0, mask = self._inputs(n=4, d=2, h=3)
-        mask = mask if masked else None
+        x0, w0, b0, keep = self._inputs(n=4, d=2, h=3)
+        keep = keep if masked else None
         sizes = np.cumsum([x0.size, w0.size])
 
         def build(t):
             x = ad.reshape(ad.take(t, np.arange(sizes[0])), x0.shape)
             w = ad.reshape(ad.take(t, np.arange(sizes[0], sizes[1])), w0.shape)
             b = ad.take(t, np.arange(sizes[1], sizes[1] + b0.size))
-            h = ad.dense_relu(x, w, b, mask)
+            h = ad.dense_relu(x, w, b, keep, self.P)
             return ad.total(h * h)
 
         # finite differences need pre-activations away from the relu kink

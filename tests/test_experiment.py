@@ -16,7 +16,7 @@ import pytest
 
 from rulkit import experiment, mcd, parallel, svgp
 from rulkit.data import FleetDataset, SplitSpec, UnitSeries, load_fleet, normalize, synth_fleet
-from rulkit.mathcore import cholesky_jittered
+from rulkit.mathcore import NumericalError, cholesky_jittered
 from rulkit.metrics import Predictions, Records, compute_report
 from rulkit.params import RngStream
 from rulkit.experiment import (
@@ -630,6 +630,58 @@ class TestGridSearch:
         assert trees[2] == trees[1]
         assert (False, "ignore") in seen  # a helper thread saw the caller's errstate
         assert {over for _, over in seen} == {"ignore"}
+
+    def test_cells_match_standalone_runs_and_share_one_prepared_split(
+        self, tmp_path, monkeypatch
+    ):
+        # mcd cells, one of them a keep_prob <= 0.1 corner that fails at this
+        # learning rate and one with keep_prob 1, and an svgp cell: each
+        # cell's files must be those of a standalone run on the raw fleet,
+        # while each grid normalizes the fleet once for all of its cells
+        real_normalize = experiment.normalize
+        normalized = []
+
+        def normalize_counted(*args, **kwargs):
+            normalized.append(args)
+            return real_normalize(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "normalize", normalize_counted)
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 2)
+        fleet, split = small_fleet(), small_split()
+        searches = [
+            (tiny_mcd(epochs=3, learning_rate=1.0, hidden_layers=2, hidden_units=16),
+             {"keep_prob": [0.05, 0.5, 1.0]}),
+            (tiny_config("svgp"), {"num_inducing": [8]}),
+        ]
+        for g, (base, grid) in enumerate(searches):
+            out = tmp_path / f"grid{g}"
+            normalized.clear()
+            with np.errstate(over="ignore", invalid="ignore"):
+                gs = grid_search(base, grid, fleet, split, out_dir=out)
+            assert len(normalized) == 1
+            for cell in gs.runs:
+                alone = tmp_path / f"alone{g}_{cell.index}"
+                run_dir = out / f"run_{cell.index:03d}"
+                if cell.status != "ok":
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        with pytest.raises((TrainingDiverged, NumericalError)) as info:
+                            run_experiment(cell.config, fleet, split, out_dir=alone)
+                    assert cell.status == f"failed: {info.value}"
+                    assert not run_dir.exists() and not alone.exists()
+                    continue
+                run_experiment(cell.config, fleet, split, out_dir=alone)
+                assert file_tree(alone) == file_tree(run_dir)
+            statuses = [r.status[:7] for r in gs.runs]
+            assert statuses == (["failed:", "ok", "ok"] if g == 0 else ["ok"])
+
+    def test_prepared_split_is_read_only(self):
+        prepared = experiment.prepare_split(small_fleet(), small_split())
+        arrays = [*prepared.train, *prepared.val, *prepared.test,
+                  prepared.stats.mean, prepared.stats.std]
+        assert len(arrays) == 12
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[:1] = a[:1]
 
     def test_mcd_prediction_in_a_grid_cell_starts_no_thread(self, tmp_path, monkeypatch):
         # Two CPUs, and every prediction big enough to spread its passes: alone,

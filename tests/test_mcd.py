@@ -44,12 +44,12 @@ def _net(weights, biases, keep_prob, heteroscedastic, noise_variance=1.0, test_s
     return model
 
 
-def _forward(model: MCDModel, X, masks=None):
+def _forward(model: MCDModel, X, keeps=None):
     """Prediction (and noise variance when heteroscedastic) per row of X from
-    the model's forward builder; ``masks=None`` is the maskless pass."""
+    the model's forward builder; ``keeps=None`` is the maskless pass."""
     wts, bts = model._layers(ParamView(model.params, trainable=False))
     x = ad.constant(np.atleast_2d(np.asarray(X, dtype=np.float64)))
-    mean, noise = _forward_graph(wts, bts, x, masks, model.heteroscedastic)
+    mean, noise = _forward_graph(wts, bts, x, keeps, model.keep_prob, model.heteroscedastic)
     return mean.data, (None if noise is None else noise.data)
 
 
@@ -115,10 +115,11 @@ class TestForward:
     def test_full_keep_mask_equals_maskless(self):
         net = _random_net(keep_prob=1.0)
         X = RNG.standard_normal((7, 2))
-        masks = _masks(net, 7, RngStream(1))
-        for m in masks:
-            np.testing.assert_array_equal(m, 1.0)  # Bernoulli(1) keeps all
-        masked, tau_m = _forward(net, X, masks)
+        keeps = _masks(net, 7, RngStream(1))
+        for keep in keeps:
+            assert keep.dtype == bool
+            np.testing.assert_array_equal(keep, True)  # Bernoulli(1) keeps all
+        masked, tau_m = _forward(net, X, keeps)
         plain, tau_p = _forward(net, X)
         np.testing.assert_array_equal(masked, plain)
         np.testing.assert_array_equal(tau_m, tau_p)
@@ -150,7 +151,7 @@ class TestForward:
 
     def test_mask_shape_mismatch_raises(self):
         net = _random_net()
-        bad = [np.ones((3, 8)), np.ones((3, 5))]
+        bad = [np.ones((3, 8), dtype=bool), np.ones((3, 5), dtype=bool)]
         with pytest.raises(ValueError):
             _forward(net, RNG.standard_normal((3, 2)), bad)
 
@@ -216,7 +217,7 @@ class TestMcPredict:
 
         def first_two(s):
             r = RngStream(s)
-            return tuple(_masks(model, 1, r)[0][0, 0] > 0.0 for _ in range(2))
+            return tuple(bool(_masks(model, 1, r)[0][0, 0]) for _ in range(2))
 
         seed = next(s for s in range(1000) if first_two(s) == (True, False))
         r = RngStream(seed)
@@ -243,6 +244,34 @@ class TestMcPredict:
             r = RngStream(seed)
             taus = [_forward(model, x, _masks(model, 1, r))[1][0] for _ in range(32)]
             assert var >= min(taus) - 1e-9
+
+    @pytest.mark.parametrize("hidden", [(6,), (6, 6)])
+    @pytest.mark.parametrize("keep_prob", [0.5, 1.0])
+    @pytest.mark.parametrize("heteroscedastic", [True, False])
+    def test_passes_equal_the_graph_for_any_worker_count(
+        self, hidden, keep_prob, heteroscedastic, monkeypatch
+    ):
+        # predictive computes the first hidden layer once and masks it per
+        # pass (one maskless pass when keep_prob is 1); its moments must be
+        # the bytes of T passes through the forward graph with masks drawn in
+        # turn from the same stream, for one worker or two
+        model = _random_net(hidden=hidden, keep_prob=keep_prob,
+                            heteroscedastic=heteroscedastic, test_samples=5)
+        X = RNG.standard_normal((9, 2))
+        want_rng = RngStream(4)
+        passes = [_forward(model, X, _masks(model, 9, want_rng)) for _ in range(5)]
+        draws = np.array([f for f, _ in passes])
+        taus = np.array([model.noise_variance if tau is None else tau for _, tau in passes])
+        mean = draws.mean(axis=0)
+        var = np.maximum(taus.mean(axis=0) + np.mean((draws - mean) ** 2, axis=0), NOISE_FLOOR)
+        monkeypatch.setattr(mcd, "PARALLEL_MIN_UNIFORMS", 0)
+        for workers in (1, 2):
+            monkeypatch.setattr(mcd, "usable_cpus", lambda w=workers: w)
+            rng = RngStream(4)
+            pred = model.predictive(X, rng=rng)
+            assert pred.mean.tobytes() == mean.tobytes()
+            assert pred.var.tobytes() == var.tobytes()
+            assert rng._gen.bit_generator.state == want_rng._gen.bit_generator.state
 
     def test_small_calls_and_one_cpu_start_no_thread(self, monkeypatch):
         def refuse(*args, **kwargs):
