@@ -210,7 +210,9 @@ def _parse_cell(text: str, path: Path, lineno: int, column: str) -> float:
         ) from None
 
 
-def _load_unit_file(path: Path, expect_header: Optional[list]) -> UnitSeries:
+def _load_unit_file(path: Path, expect_header: Optional[list]):
+    """The unit a csv table holds and its header cells; a header other than
+    ``expect_header`` (when given) is refused."""
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     if not lines:
         raise DataFormatError(f"{path.name}: empty file")
@@ -253,7 +255,7 @@ def _load_unit_file(path: Path, expect_header: Optional[list]) -> UnitSeries:
         # report in file coordinates: +1 for header, +1 for the offending row
         row = int(np.argmax(np.diff(r) > 0.0)) + 1
         raise DataFormatError(f"{path.name} line {row + 2}: rul increases at row {row}")
-    return UnitSeries(unit_id, np.asarray(time), np.asarray(rows), r)
+    return UnitSeries(unit_id, np.asarray(time), np.asarray(rows), r), header
 
 
 def load_fleet(path) -> FleetDataset:
@@ -264,8 +266,8 @@ def load_fleet(path) -> FleetDataset:
     files = sorted(root.glob("*.csv"))
     if not files:
         raise DataFormatError(f"no *.csv unit files under {root}")
-    header = [c.strip() for c in files[0].read_text().splitlines()[0].split(",")]
-    units = [_load_unit_file(f, header if i else None) for i, f in enumerate(files)]
+    first, header = _load_unit_file(files[0], None)
+    units = [first] + [_load_unit_file(f, header)[0] for f in files[1:]]
     return FleetDataset(tuple(units))
 
 

@@ -13,34 +13,35 @@ activations are sampled by reparametrization, g = mu + e * sigma, with e the
 (T, n, depth * W) block of standard-normal draws; the raw input is
 concatenated onto the hidden features when the skip connection is on, so
 each later layer reads (T n, W [+ d]) features, and the output moments are
-(T, n). The evidence bound averages the per-sample corrected likelihood over
-the T draws and subtracts the KL of every inducing set; the
+(T, n). Training uses :func:`rulkit.svgp.objective_graph` on those moments:
+the evidence bound averages the corrected likelihood over the T draws; the
 predictive-variance variant scores the log of the T-sample average density
 (a biased but well-behaved estimate of the predictive likelihood). The
 predictive distribution is an equal-weight Gaussian mixture over T draws.
 
-Depth 0 collapses the model to the sparse GP layer it wraps: no sampling
-happens and objective and predictions agree with :mod:`rulkit.svgp` exactly.
+:class:`DeepGPModel` is :class:`rulkit.svgp.SVGPModel` plus hidden layers:
+it overrides the hidden-layer hooks and the predictive and inherits the
+moments path, the bound and ``objective_grad``. At depth 0 no hook adds a
+layer or a draw, so the model is the flat GP by construction, under the
+output prefix ``out``.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 # unused here, but the benchmark's span timer rebinds this module's name
 from .mathcore import cholesky_jittered  # noqa: F401
 from .metrics import Predictions
-from .params import POSITIVE, ParamVector, ParamView, RngStream, value_and_grad
+from .params import ParamView, RngStream
 from .svgp import (
     DEFAULT_JITTER,
     KmmFactors,
     ObjectiveSpec,
-    gaussian_loglik_graph,
+    SVGPModel,
     init_inducing,
     input_rows,
     latent_graph,
@@ -52,54 +53,12 @@ _PREDICT_CHUNK = 512
 MAX_DEPTH = 3
 
 
-# -- the bound ------------------------------------------------------------------------
-
-
-def deep_objective_graph(
-    mu: Tensor,
-    var: Tensor,
-    kl_total: Tensor,
-    obs_variance: Tensor,
-    spec: ObjectiveSpec,
-    y: Tensor,
-    scale: float,
-    log_weights,
-) -> Tensor:
-    """Negated deep bound on a batch from the (T, n) output-layer moments of
-    its T components.
-
-    ``log_weights`` is None for equal-weight MC components (log 1/T handled in
-    closed form) or a (T,) Tensor of per-component log weights (sigma points).
-    """
-    num_comp, n = mu.shape
-    if spec.kind == "elbo":
-        if log_weights is not None:
-            raise ValueError("weighted components require the ppgpr objective")
-        ll = gaussian_loglik_graph(y, mu, obs_variance * ad.constant(np.ones(n)))
-        corrected = ll - var / (obs_variance * 2.0)
-        bound = (corrected.sum() / float(num_comp)) * scale - kl_total
-        return -bound
-    ll = gaussian_loglik_graph(y, mu, var + obs_variance)
-    if log_weights is not None:
-        ll = ll + ad.reshape(log_weights, (num_comp, 1))
-    log_mix = ad.logsumexp(ll, axis=0)
-    if log_weights is None and num_comp > 1:
-        log_mix = log_mix - math.log(num_comp)
-    bound = log_mix.sum() * scale - spec.beta_reg * kl_total
-    return -bound
-
-
-# -- trainable model ---------------------------------------------------------------
-
-
-class DeepGPModel:
-    """Deep GP with one shared flat parameter vector.
-
-    Structure: ``depth`` hidden layers of ``width`` GPs each, then a single
-    output GP. Targets are standardized internally like the flat model.
-    """
+class DeepGPModel(SVGPModel):
+    """Deep GP: ``depth`` hidden layers of ``width`` GPs each feeding the
+    output GP of :class:`rulkit.svgp.SVGPModel`."""
 
     kind = "dgp"
+    output_prefix = "out"
 
     def __init__(
         self,
@@ -119,26 +78,13 @@ class DeepGPModel:
             raise ValueError(f"supported hidden depth is 0 to {MAX_DEPTH}")
         if depth > 0 and width < 1:
             raise ValueError("hidden layers need width >= 1")
-        self.objective_spec = objective_spec
-        self.input_dim = int(input_dim)
         self.width = int(width)
         self.depth = int(depth)
-        self.num_inducing = int(num_inducing)
         self.skip_connection = bool(skip_connection)
         self.num_train_samples = int(num_train_samples)
         self.num_test_samples = int(num_test_samples)
-        self.jitter = float(jitter)
-        self.target_shift = float(target_shift)
-        self.target_scale = float(target_scale)
-        self.params = ParamVector()
-        # each layer's input: x, then the hidden features (and x with the skip)
-        dim = self.input_dim
-        for l in range(self.depth):
-            register_layer(self.params, f"h{l}", self.num_inducing, dim, (self.width,))
-            dim = self.width + (self.input_dim if self.skip_connection else 0)
-        register_layer(self.params, "out", self.num_inducing, dim)
-        self.params.register("obs_variance", (), POSITIVE, init=0.25)
-        self._factors = KmmFactors()
+        super().__init__(objective_spec, input_dim, num_inducing, jitter, target_shift,
+                         target_scale)
 
     def init_from_data(self, X: np.ndarray, rng: RngStream, inducing_init: str = "random-subset"):
         """Data-dependent initialization of every GP's inducing set.
@@ -160,27 +106,27 @@ class DeepGPModel:
         g = rng.normal(size=(subset.shape[0], self.width))
         return np.hstack([g, subset]) if self.skip_connection else g
 
-    # -- graph builders ---------------------------------------------------------
+    # -- the hidden layers ----------------------------------------------------------
+
+    def _register_hidden(self) -> int:
+        # each layer's input: x, then the hidden features (and x with the skip)
+        dim = self.input_dim
+        for l in range(self.depth):
+            register_layer(self.params, f"h{l}", self.num_inducing, dim, (self.width,))
+            dim = self.width + (self.input_dim if self.skip_connection else 0)
+        return dim
 
     def _multiplier(self, view: ParamView, eps):
         """The (T, n, depth * width) block that scales the hidden GPs' latent
         stds: the standard-normal draws ``eps``."""
         return eps
 
-    def _log_weights(self, view: ParamView):
-        return None
-
-    def _moments(
-        self, view: ParamView, X: np.ndarray, eps, factors: Optional[KmmFactors] = None
-    ):
-        """Output-layer latent moments of every component, each (T, n) in
-        standardized target space, and the summed KL of every inducing set.
-
-        ``eps`` is the (T, n, depth * width) block of standard-normal hidden
-        draws, or None for the sigma-point model, whose sites replace it. The
-        training objective and the predictive both build on this; prediction
-        passes the model's factor memo.
-        """
+    def _hidden(self, view: ParamView, X: np.ndarray, eps, factors: Optional[KmmFactors]):
+        """Hidden activations g = mu + e * sigma of every component, each
+        layer reading the previous one's (with x concatenated on under the
+        skip connection). ``eps`` is the (T, n, depth * width) block of
+        standard-normal hidden draws, or None for the sigma-point model, whose
+        sites replace it."""
         n, dim, width = X.shape[0], X.shape[1], self.width
         mult = self._multiplier(view, eps)
         if mult.ndim != 3 or mult.shape[1] not in (1, n) or mult.shape[2] != self.depth * width:
@@ -204,17 +150,7 @@ class DeepGPModel:
                 skip = ad.constant(np.broadcast_to(X, (num_comp, n, dim)))
                 g = ad.concatenate([g, skip], axis=2)
             feats, rows = ad.reshape(g, (num_comp * n, g.shape[2])), num_comp
-        out_lt = layer_from_view(view, "out", factors, self.jitter)
-        mu, var, kl_total = latent_graph(out_lt, feats, self.jitter)
-        for kl in hidden_kls:
-            kl_total = kl_total + kl.sum()
-        return ad.reshape(mu, (rows, n)), ad.reshape(var, (rows, n)), kl_total
-
-    def _component_moments(self, X: np.ndarray, eps=None):
-        """``_moments`` on a constant view of the parameters, as (T, n) arrays."""
-        view = ParamView(self.params, trainable=False)
-        mu, var, _ = self._moments(view, X, eps, self._factors)
-        return mu.data, var.data
+        return feats, rows, hidden_kls
 
     def _draw_eps(self, n: int, samples: int, rng: Optional[RngStream]) -> np.ndarray:
         if self.depth == 0:
@@ -224,24 +160,11 @@ class DeepGPModel:
             rng = RngStream(0)
         return rng.normal(size=(samples, n, self.depth * self.width))
 
-    def _build(self, view: ParamView, X, y, scale: float, eps) -> Tensor:
-        mu, var, kl_total = self._moments(view, X, eps)
-        return deep_objective_graph(
-            mu,
-            var,
-            kl_total,
-            view.get("obs_variance"),
-            self.objective_spec,
-            ad.constant((y - self.target_shift) / self.target_scale),
-            scale,
-            self._log_weights(view),
-        )
+    # -- prediction -----------------------------------------------------------------
 
-    def _mixture(
-        self, X, weights: np.ndarray, chunk: int, rng: Optional[RngStream]
-    ) -> Predictions:
+    def _mixture(self, X, weights: np.ndarray, chunk: int, rng: RngStream) -> Predictions:
         """Mixture over the model's components per row of X, in natural target
-        units; hidden draws come from ``rng``, or none are drawn without one."""
+        units; hidden draws come from ``rng``."""
         X = input_rows(X, self.input_dim)
         obs = self.params.decode("obs_variance")
         s = self.target_scale
@@ -249,21 +172,11 @@ class DeepGPModel:
         # one pass even for zero rows, so an empty input gives an empty batch
         for start in range(0, max(X.shape[0], 1), chunk):
             block = X[start : start + chunk]
-            eps = None
-            if rng is not None:
-                eps = self._draw_eps(block.shape[0], self.num_test_samples, rng)
+            eps = self._draw_eps(block.shape[0], self.num_test_samples, rng)
             mu, var = self._component_moments(block, eps)
             means.append((mu * s + self.target_shift).T)
             variances.append(((var + obs) * s * s).T)
         return Predictions.mixture(weights, np.concatenate(means), np.concatenate(variances))
-
-    # -- training and prediction -------------------------------------------------
-
-    def objective_grad(self, X, y, scale: float = 1.0, rng: Optional[RngStream] = None) -> float:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        y = np.asarray(y, dtype=np.float64)
-        eps = self._draw_eps(X.shape[0], self.num_train_samples, rng)
-        return value_and_grad(self.params, lambda view: self._build(view, X, y, scale, eps))
 
     def predictive(self, X, rng: Optional[RngStream] = None) -> Predictions:
         """Equal-weight Gaussian mixture over sampled forward passes per row of
@@ -272,18 +185,10 @@ class DeepGPModel:
         return self._mixture(X, np.full(t, 1.0 / t), _PREDICT_CHUNK, rng or RngStream(0))
 
     def config_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "input_dim": self.input_dim,
+        return super().config_dict() | {
             "width": self.width,
             "depth": self.depth,
-            "num_inducing": self.num_inducing,
             "skip_connection": self.skip_connection,
             "num_train_samples": self.num_train_samples,
             "num_test_samples": self.num_test_samples,
-            "objective": self.objective_spec.kind,
-            "beta_reg": self.objective_spec.beta_reg,
-            "jitter": self.jitter,
-            "target_shift": self.target_shift,
-            "target_scale": self.target_scale,
         }

@@ -6,8 +6,9 @@ sites instead of Monte-Carlo draws: hidden activations for component s are
 mu + xi_w^(s) * sigma (one shared component index across every hidden GP),
 weighted by a learnable simplex. The sites are one (S, depth * width) slice,
 ``sites``, that scales the hidden stds as an (S, 1, depth * width) block in
-place of the deep GP's (T, n, depth * width) draws; that block and the log
-weights are all that differ from :class:`rulkit.dgp.DeepGPModel`. Sites
+place of the deep GP's (T, n, depth * width) draws; that block, the log
+weights and the predictive are all it overrides of
+:class:`rulkit.dgp.DeepGPModel`, whose training path it inherits. Sites
 start at the Gauss-Hermite nodes, log-weights at the Gauss-Hermite
 log-weights. Both the objective and the predictive distribution are
 deterministic finite mixtures, so training needs no sampling and two runs
@@ -27,7 +28,7 @@ from . import autodiff as ad
 from .dgp import DeepGPModel
 from .mathcore import gauss_hermite
 from .metrics import Predictions
-from .params import IDENTITY, SIMPLEX, ParamView, value_and_grad
+from .params import IDENTITY, SIMPLEX, ParamView
 from .svgp import DEFAULT_JITTER
 
 _PREDICT_CHUNK = 2048
@@ -70,19 +71,9 @@ class DSPPModel(DeepGPModel):
                  target_scale: float = 1.0):
         if depth < 1:
             raise ValueError("sigma-point models need at least one hidden layer")
-        super().__init__(
-            objective_spec,
-            input_dim,
-            width,
-            depth,
-            num_inducing,
-            skip_connection,
-            num_train_samples=num_sites,
-            num_test_samples=num_sites,
-            jitter=jitter,
-            target_shift=target_shift,
-            target_scale=target_scale,
-        )
+        super().__init__(objective_spec, input_dim, width, depth, num_inducing, skip_connection,
+                         num_train_samples=num_sites, num_test_samples=num_sites, jitter=jitter,
+                         target_shift=target_shift, target_scale=target_scale)
         self.num_sites = int(num_sites)
         start = init_sigma_points(self.num_sites, self.depth * self.width)
         self.params.register("sites", start.sites.shape, IDENTITY, init=start.sites)
@@ -95,24 +86,18 @@ class DSPPModel(DeepGPModel):
         replace the hidden draws, so ``eps`` is unused."""
         return ad.reshape(view.get("sites"), (self.num_sites, 1, -1))
 
+    def _draw_eps(self, n: int, samples: int, rng):
+        """None: the sites replace the hidden draws, so training and
+        prediction are deterministic and need no ``rng``."""
+        return None
+
     def _log_weights(self, view: ParamView):
         return view.log_simplex("site_logits")
-
-    # -- training and prediction ---------------------------------------------------
-
-    def objective_grad(self, X, y, scale: float = 1.0, rng=None) -> float:
-        """Sigma-point bound on a batch; deterministic, so ``rng`` is unused.
-        Only the ppgpr objective takes weighted components."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        y = np.asarray(y, dtype=np.float64)
-        return value_and_grad(self.params, lambda view: self._build(view, X, y, scale, None))
 
     def predictive(self, X, rng=None) -> Predictions:
         """Deterministic mixture over sigma points per row of X, in natural
         target units."""
-        return self._mixture(X, self.params.decode("site_logits"), _PREDICT_CHUNK, None)
+        return self._mixture(X, self.params.decode("site_logits"), _PREDICT_CHUNK, rng)
 
     def config_dict(self) -> dict:
-        cfg = super().config_dict()
-        cfg["num_sites"] = self.num_sites
-        return cfg
+        return super().config_dict() | {"num_sites": self.num_sites}

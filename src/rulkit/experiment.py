@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -330,9 +331,10 @@ _MODEL_CLASSES = {
 
 # Per kind: the model kind a checkpoint names, the ExperimentConfig field each
 # hyperparameter of its model_config (keyed as ``config_dict()`` keys it) is
-# read from, and the fields its ``init_from_data`` reads. dspp reads neither
-# inducing_init nor freeze_inducing, and a dspp model draws no samples: both of
-# its sample counts are the number of sites.
+# read from, and the fields its ``init_from_data`` reads. Those keys, with
+# input_dim and the target statistics, are the ones model_from_config accepts.
+# dspp reads neither inducing_init nor freeze_inducing, and a dspp model draws
+# no samples: both of its sample counts are the number of sites.
 _MODEL_TABLE = {
     "svgp": ("svgp", _GP_FIELDS, _GP_INIT),
     "ppgpr": ("svgp", _GP_FIELDS, _GP_INIT),
@@ -572,11 +574,19 @@ def save_checkpoint(path, model, config: ExperimentConfig, stats: NormalizationS
 def model_from_config(config: dict, theta: Optional[np.ndarray] = None):
     """The model a ``config_dict()`` describes, carrying the raw parameter
     vector ``theta``, or its registered starting values without one: the one
-    path that constructs a model, fresh (:func:`build_model`) or saved."""
+    path that constructs a model, fresh (:func:`build_model`) or saved. A
+    config with keys its kind does not take, or without ones it needs, is
+    refused with a ValueError naming them."""
     cfg = dict(config)
     kind = cfg.pop("kind", None)
     if kind not in _MODEL_CLASSES:
         raise ValueError(f"checkpoint has unknown model kind {kind!r}")
+    expected = set(_MODEL_TABLE[kind][1]) | {"input_dim", "target_shift", "target_scale"}
+    unknown, missing = sorted(cfg.keys() - expected), sorted(expected - cfg.keys())
+    if unknown or missing:
+        parts = [f"{what} {', '.join(keys)}"
+                 for what, keys in (("unknown keys", unknown), ("missing keys", missing)) if keys]
+        raise ValueError(f"model_config of kind {kind!r} has {' and '.join(parts)}")
     if kind in ("mcd", "ffnn"):
         cfg["point_baseline"] = kind == "ffnn"
     else:
@@ -597,8 +607,15 @@ def model_from_config(config: dict, theta: Optional[np.ndarray] = None):
 
 
 def load_checkpoint(path):
-    """Returns (model, experiment config, normalization stats)."""
-    with np.load(path, allow_pickle=False) as z:
+    """Returns (model, experiment config, normalization stats). A file that is
+    not an npz archive is refused with a ValueError naming it."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path} is not a checkpoint: expected an npz archive") from exc
+    if isinstance(archive, np.ndarray):  # a lone .npy array
+        raise ValueError(f"{path} is not a checkpoint: expected an npz archive")
+    with archive as z:
         version = int(z["format_version"])
         if version != FORMAT_VERSION:
             raise ValueError(

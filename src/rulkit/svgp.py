@@ -30,10 +30,17 @@ L = chol(Kmm) depends only on a layer's inducing inputs, kernel variance and
 lengthscales, so prediction takes it from the model's :class:`KmmFactors`
 memo and builds and factors Kmm once per value of those parameters. Training
 factors Kmm on every evaluation and never reads the memo.
+
+:class:`SVGPModel` is the GP with no hidden layer, and the deep models of
+:mod:`rulkit.dgp` and :mod:`rulkit.dspp` extend it with hidden layers. All of
+them build (T, n) output moments in ``SVGPModel._moments`` and train on the
+one bound :func:`objective_graph`, T = 1 here, so a depth-0 deep GP computes
+the flat model's objective by construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -387,23 +394,38 @@ def gaussian_loglik_graph(y: Tensor, mu: Tensor, var: Tensor) -> Tensor:
 
 
 def objective_graph(
-    lt: LayerTensors,
+    mu: Tensor,
+    var: Tensor,
+    kl_total: Tensor,
     obs_variance: Tensor,
     spec: ObjectiveSpec,
-    x: Tensor,
     y: Tensor,
     scale: float,
-    jitter: float = DEFAULT_JITTER,
+    log_weights: Optional[Tensor] = None,
 ) -> Tensor:
-    """Negated training bound for one sparse GP layer on a batch."""
-    mu, var, kl = latent_graph(lt, x, jitter)
+    """Negated training bound on a batch from the (T, n) output-layer latent
+    moments of its T components (T = 1 without hidden layers) and the summed
+    KL of every inducing set. The evidence bound averages the corrected
+    likelihood over the components; the predictive-variance bound scores the
+    log of their mixture density. ``log_weights`` is None for equal-weight
+    components or a (T,) Tensor of per-component log weights (sigma points),
+    which only the predictive-variance bound takes.
+    """
+    num_comp, n = mu.shape
     if spec.kind == "elbo":
-        ll = gaussian_loglik_graph(y, mu, obs_variance * ad.constant(np.ones(y.shape[0])))
+        if log_weights is not None:
+            raise ValueError("weighted components require the ppgpr objective")
+        ll = gaussian_loglik_graph(y, mu, obs_variance * ad.constant(np.ones(n)))
         corrected = ll - var / (obs_variance * 2.0)
-        bound = corrected.sum() * scale - kl
-    else:
-        ll = gaussian_loglik_graph(y, mu, var + obs_variance)
-        bound = ll.sum() * scale - spec.beta_reg * kl
+        bound = (corrected.sum() / float(num_comp)) * scale - kl_total
+        return -bound
+    ll = gaussian_loglik_graph(y, mu, var + obs_variance)
+    if log_weights is not None:
+        ll = ll + ad.reshape(log_weights, (num_comp, 1))
+    log_mix = ad.logsumexp(ll, axis=0)
+    if log_weights is None and num_comp > 1:
+        log_mix = log_mix - math.log(num_comp)
+    bound = log_mix.sum() * scale - spec.beta_reg * kl_total
     return -bound
 
 
@@ -413,12 +435,16 @@ def objective_graph(
 class SVGPModel:
     """Sparse variational GP regressor backed by a flat parameter vector.
 
-    Targets are standardized internally (shift/scale recorded with the model)
-    so the zero-mean prior is sensible on natural-unit labels; predictions are
-    mapped back before they leave the model.
+    Deep models override the hidden-layer hooks. Targets are standardized
+    internally (shift/scale recorded with the model) so the zero-mean prior
+    is sensible on natural-unit labels; predictions are mapped back before
+    they leave the model.
     """
 
     kind = "svgp"
+    output_prefix = "gp"
+    # no hidden draws: one exact component
+    num_train_samples = 1
 
     def __init__(
         self,
@@ -436,7 +462,8 @@ class SVGPModel:
         self.target_shift = float(target_shift)
         self.target_scale = float(target_scale)
         self.params = ParamVector()
-        register_layer(self.params, "gp", self.num_inducing, self.input_dim)
+        dim = self._register_hidden()
+        register_layer(self.params, self.output_prefix, self.num_inducing, dim)
         self.params.register("obs_variance", (), POSITIVE, init=0.25)
         self._factors = KmmFactors()
 
@@ -453,35 +480,70 @@ class SVGPModel:
         if freeze_inducing:
             self.params.set_trainable("gp.z", False)
 
+    # -- hidden-layer hooks, no-ops without hidden layers -----------------------
+
+    def _register_hidden(self) -> int:
+        """Register hidden-layer slices; returns the output GP's input dim."""
+        return self.input_dim
+
+    def _hidden(self, view: ParamView, X: np.ndarray, eps, factors: Optional[KmmFactors]):
+        """The output GP's input rows (T n, d), the component count T and
+        each hidden layer's KL."""
+        return ad.constant(X), 1, []
+
+    def _draw_eps(self, n: int, samples: int, rng: Optional[RngStream]):
+        return None
+
+    def _log_weights(self, view: ParamView):
+        return None
+
+    def _moments(
+        self, view: ParamView, X: np.ndarray, eps, factors: Optional[KmmFactors] = None
+    ):
+        """Output-layer latent moments of every component, each (T, n) in
+        standardized target space, and the summed KL of every inducing set.
+
+        The training objective and the predictive both build on this;
+        prediction passes the model's factor memo.
+        """
+        feats, rows, hidden_kls = self._hidden(view, X, eps, factors)
+        out_lt = layer_from_view(view, self.output_prefix, factors, self.jitter)
+        mu, var, kl_total = latent_graph(out_lt, feats, self.jitter)
+        for kl in hidden_kls:
+            kl_total = kl_total + kl.sum()
+        n = X.shape[0]
+        return ad.reshape(mu, (rows, n)), ad.reshape(var, (rows, n)), kl_total
+
+    def _component_moments(self, X: np.ndarray, eps=None):
+        """``_moments`` on a constant view of the parameters, as (T, n) arrays."""
+        view = ParamView(self.params, trainable=False)
+        mu, var, _ = self._moments(view, X, eps, self._factors)
+        return mu.data, var.data
+
+    def _build(self, view: ParamView, X: np.ndarray, y: np.ndarray, scale: float, eps) -> Tensor:
+        mu, var, kl_total = self._moments(view, X, eps)
+        y_std = ad.constant((y - self.target_shift) / self.target_scale)
+        return objective_graph(mu, var, kl_total, view.get("obs_variance"), self.objective_spec,
+                               y_std, scale, self._log_weights(view))
+
     # -- training and prediction -------------------------------------------
 
-    def _build(self, view: ParamView, X: np.ndarray, y: np.ndarray, scale: float) -> Tensor:
-        return objective_graph(
-            layer_from_view(view, "gp"),
-            view.get("obs_variance"),
-            self.objective_spec,
-            ad.constant(X),
-            ad.constant((y - self.target_shift) / self.target_scale),
-            scale,
-            self.jitter,
-        )
-
-    def objective_grad(self, X, y, scale: float = 1.0, rng=None) -> float:
-        """Loss on a batch; leaves the gradient on ``self.params``."""
+    def objective_grad(self, X, y, scale: float = 1.0, rng: Optional[RngStream] = None) -> float:
+        """Loss on a batch; leaves the gradient on ``self.params``. Hidden
+        draws, if any, come from ``rng``."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64)
-        return value_and_grad(self.params, lambda view: self._build(view, X, y, scale))
+        eps = self._draw_eps(X.shape[0], self.num_train_samples, rng)
+        return value_and_grad(self.params, lambda view: self._build(view, X, y, scale, eps))
 
     def predictive(self, X, rng=None) -> Predictions:
         """Observation-space Gaussian N(mu_f, s2_f + s2_obs) per row of X,
         in natural target units."""
         X = input_rows(X, self.input_dim)
-        view = ParamView(self.params, trainable=False)
-        lt = layer_from_view(view, "gp", self._factors, self.jitter)
-        mu, var, _ = latent_graph(lt, ad.constant(X), self.jitter)
+        mu, var = self._component_moments(X)
         obs = self.params.decode("obs_variance")
         s = self.target_scale
-        return Predictions.gaussian(mu.data * s + self.target_shift, (var.data + obs) * s * s)
+        return Predictions.gaussian(mu[0] * s + self.target_shift, (var[0] + obs) * s * s)
 
     def config_dict(self) -> dict:
         return {

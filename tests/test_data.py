@@ -202,6 +202,19 @@ class TestLoadFleet:
         with pytest.raises(DataFormatError, match="no data rows"):
             load_fleet(tmp_path)
 
+    @pytest.mark.parametrize("text", ["", "\n \n"])
+    def test_empty_first_file_is_named(self, tmp_path, text):
+        self._write(tmp_path, "a.csv", text)
+        self._write(tmp_path, "b.csv", "unit_id,t,f_1,rul\nb,0,1.0,1\nb,1,1.0,0\n")
+        with pytest.raises(DataFormatError, match=r"a\.csv: empty file"):
+            load_fleet(tmp_path)
+
+    def test_blank_lines_before_the_first_header(self, tmp_path):
+        # the first file's header is its first non-blank line, as for every file
+        self._write(tmp_path, "a.csv", "\nunit_id,t,f_1,rul\na,0,1.0,1\na,1,1.0,0\n")
+        self._write(tmp_path, "b.csv", "unit_id,t,f_1,rul\nb,0,1.0,1\nb,1,1.0,0\n")
+        assert load_fleet(tmp_path).unit_ids == ["a", "b"]
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(DataFormatError, match="not a directory"):
             load_fleet(tmp_path / "nowhere")

@@ -15,10 +15,12 @@ from scipy.special import logsumexp
 
 from gp_oracle import layer_of, np_latent, u_space
 from rulkit import autodiff as ad
+from rulkit.dgp import DeepGPModel
+from rulkit.dspp import DSPPModel
 from rulkit.experiment import ExperimentConfig, build_model, model_from_config
 from rulkit.metrics import Predictions
 from rulkit.params import ParamView, RngStream, fd_check
-from rulkit.svgp import ObjectiveSpec, latent_graph, layer_from_view
+from rulkit.svgp import ObjectiveSpec, SVGPModel, latent_graph, layer_from_view
 
 RNG = np.random.default_rng(401)
 
@@ -158,6 +160,15 @@ class TestForwardSample:
 
 
 class TestDepthZeroReduction:
+    """A deep GP is the flat sparse GP plus hidden layers, so at depth 0 the
+    two agree by construction; these pin that the construction holds."""
+
+    def test_deep_models_train_through_the_flat_models_path(self):
+        for cls in (DeepGPModel, DSPPModel):
+            assert issubclass(cls, SVGPModel)
+            for name in ("objective_grad", "_build", "_moments"):
+                assert name not in vars(cls)
+
     def _paired_models(self, kind):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((9, 2))

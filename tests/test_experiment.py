@@ -8,6 +8,7 @@ fleet where it must beat a constant predictor by a wide margin.
 
 import json
 import os
+import re
 import threading
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from rulkit.experiment import (
     family_table,
     grid_search,
     load_checkpoint,
+    model_from_config,
     run_experiment,
     selection_metric_for,
     train_val_rows,
@@ -450,6 +452,30 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=rf"format_version {version};.*format_version 3$"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("content", [b"PK\x03\x04 not an archive", b"plain text", b"", None])
+    def test_a_file_that_is_not_an_npz_archive_is_refused_by_path(self, tmp_path, content):
+        path = tmp_path / "checkpoint.npz"
+        if content is None:  # a lone .npy array
+            with path.open("wb") as fh:
+                np.save(fh, np.zeros(3))
+        else:
+            path.write_bytes(content)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} is not a checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_model_config_with_an_unknown_or_missing_key_is_refused(self, kind):
+        X, y = np.ones((10, 4)), np.arange(10.0)
+        config = build_model(tiny_config(kind), X, y, RngStream(0)).config_dict()
+        with pytest.raises(ValueError, match=rf"kind '{config['kind']}' has unknown keys extra$"):
+            model_from_config(config | {"extra": 1})
+        dropped = dict(config)
+        del dropped["input_dim"], dropped["target_scale"]
+        with pytest.raises(ValueError, match="has missing keys input_dim, target_scale$"):
+            model_from_config(dropped)
+        with pytest.raises(ValueError, match="has unknown keys extra and missing keys input_dim"):
+            model_from_config(dropped | {"extra": 1})
+
     # Each kind's checkpoint strings for ``tiny_config(kind)`` on the small
     # fleet: the model_config that build_model maps the run's config to, then
     # the run's config itself.
@@ -553,6 +579,25 @@ class TestCheckpoints:
         with np.load(tmp_path / "checkpoint.npz") as z:
             saved = (str(z["model_config"]), str(z["experiment_config"]))
         assert saved == self.PINNED[kind]
+
+
+class TestPinnedCheckpoints:
+    """FORMAT_VERSION 3 checkpoints of every sparse-GP kind written by an
+    earlier rulkit (``fixtures/checkpoints/generate.py``) still load and give
+    the predictions they gave then: slice names, the order of the raw
+    parameter vector and the model_config keys are unchanged."""
+
+    HERE = Path(__file__).parent / "fixtures" / "checkpoints"
+
+    @pytest.mark.parametrize("kind", ["svgp", "ppgpr", "dgp", "dspp"])
+    def test_pinned_checkpoint_reproduces_its_predictions(self, kind):
+        model, _, _ = load_checkpoint(self.HERE / f"{kind}.npz")
+        with np.load(self.HERE / "expected.npz") as expected:
+            preds = model.predictive(expected["X"])
+            for name in ("weights", "means", "variances"):
+                np.testing.assert_allclose(
+                    getattr(preds, name), expected[f"{kind}.{name}"], rtol=1e-12, atol=0.0
+                )
 
 
 class TestGridSearch:

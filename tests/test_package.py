@@ -27,8 +27,10 @@ def test_benchmark_instrumentation_points_exist():
     # bench/spans.py rebinds each name below in every module listed with it,
     # where each module must hold the same object as the first; it also wraps
     # the tape's backward pass and each family's training step and prediction,
-    # looking only in the class's own namespace. autodiff.cholesky and
-    # autodiff.solve_triangular are timed by name though no model calls them.
+    # looking only in the class's own namespace. The deep GP models inherit
+    # the flat model's training step, so its wrapper times theirs as well.
+    # autodiff.cholesky and autodiff.solve_triangular are timed by name though
+    # no model calls them.
     bound_in = {
         "run_experiment": [experiment],
         "grid_search": [experiment],
@@ -48,5 +50,8 @@ def test_benchmark_instrumentation_points_exist():
         for owner in owners:
             assert vars(owner).get(name) is vars(owners[0])[name], (owner.__name__, name)
     assert "backward" in vars(autodiff.Tensor)
-    for cls in (svgp.SVGPModel, dgp.DeepGPModel, dspp.DSPPModel, mcd.MCDModel):
+    for cls in (svgp.SVGPModel, mcd.MCDModel):
         assert {"objective_grad", "predictive"} <= set(vars(cls)), cls.__name__
+    for cls in (dgp.DeepGPModel, dspp.DSPPModel):
+        assert "predictive" in vars(cls), cls.__name__
+        assert cls.objective_grad is svgp.SVGPModel.objective_grad, cls.__name__
