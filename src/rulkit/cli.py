@@ -179,14 +179,11 @@ def _cmd_gridsearch(args) -> int:
         result = grid_search(cfg, grid, data, split, out_dir=run_dir)
         if result.order:
             best = result.best
-            entries[cfg.kind] = {
-                "report": _test_report_of(best, data, split),
-                "selected": best.overrides,
-            }
+            entries[cfg.kind] = {"report": best.test_report, "selected": best.overrides}
             _note(f"{cfg.kind}: best run {best.index} {best.overrides} "
                   f"({result.selection_metric} {getattr(best, result.selection_metric):.6f})")
         else:
-            entries[cfg.kind] = {"status": "failed: all runs diverged"}
+            entries[cfg.kind] = {"status": _failure_status(result.runs)}
         if not args.all_families:
             print(result.to_text())
     if args.all_families:
@@ -208,10 +205,13 @@ def _cmd_gridsearch(args) -> int:
     return 0
 
 
-def _test_report_of(best, data, split):
-    model, cfg, stats = load_checkpoint(best.checkpoint_path)
-    records = checkpoint_records(model, cfg, stats, data, list(split.test_ids))
-    return compute_report(records, cfg.alpha)
+def _failure_status(runs) -> str:
+    """The summary status of a family none of whose runs was ranked: the
+    exception classes its runs raised."""
+    causes = sorted({r.error for r in runs if r.error is not None})
+    if not causes:
+        return "failed: no run was ranked"
+    return f"failed: every run raised {' or '.join(causes)}"
 
 
 # -- parser -----------------------------------------------------------------------

@@ -244,10 +244,15 @@ def _is_real(v) -> bool:
 
 
 def _fields_of(obj) -> dict:
-    """A dataclass's fields as a dict that shares their values; unlike
+    """A dataclass's fields as a dict that shares their values, leaving out
+    fields marked ``metadata={"saved": False}``; unlike
     ``dataclasses.asdict`` it copies nothing, and it encodes to the same JSON
     for the flat values configs and grid runs hold."""
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return {
+        f.name: getattr(obj, f.name)
+        for f in dataclasses.fields(obj)
+        if f.metadata.get("saved", True)
+    }
 
 
 def default_config(kind: str) -> ExperimentConfig:
@@ -692,6 +697,13 @@ class GridRun:
     test_alpha_lambda: Optional[float] = None
     test_prob_alpha_lambda: Optional[float] = None
     checkpoint_path: Optional[str] = None
+    # In memory only, not in grid.json: the cell's test report, which a
+    # family summary shows for the best cell, and the class name of the
+    # exception a failed cell recorded.
+    test_report: Optional[MetricsReport] = field(
+        default=None, repr=False, compare=False, metadata={"saved": False}
+    )
+    error: Optional[str] = field(default=None, metadata={"saved": False})
 
 
 @dataclass
@@ -811,7 +823,7 @@ def grid_search(
         try:
             res = run_experiment(cfg, data, split, out_dir=run_dir, prepared=prepared)
         except (ConfigDataMismatch, TrainingDiverged, NumericalError, GradientError) as exc:
-            return GridRun(i, overrides, cfg, f"failed: {exc}")
+            return GridRun(i, overrides, cfg, f"failed: {exc}", error=type(exc).__name__)
         except Exception as exc:
             exc.add_note(f"in grid cell {i} with overrides {overrides}")
             raise
@@ -823,6 +835,7 @@ def grid_search(
             test_alpha_lambda=tr.alpha_lambda,
             test_prob_alpha_lambda=tr.prob_alpha_lambda,
             checkpoint_path=res.checkpoint_path,
+            test_report=tr,
         )
 
     workers = usable_cpus() if run_experiment is _OWN_RUN_EXPERIMENT else 1

@@ -19,12 +19,25 @@ prediction on constant ones. A layer is one tape node, ``sparse_gp_layer``,
 whose forward pass and vector-Jacobian product are written by hand in
 numpy/scipy: per GP, one Cholesky factor, one triangular solve and one
 triangular product forward, and one triangular inverse reused for every
-L^{-T} product backward.
+L^{-T} product backward. The triangular routines are scipy's own, called
+without the GIL (:func:`rulkit.mathcore.trsm` and friends).
 
 A layer is one GP or a stack of W independent GPs that read the same input.
 A stack's slices carry a leading axis of length W, and one GP's raw values
-are laid out as a stack of one. The node loops over the stack, so each GP is
-factored and solved on its own.
+are laid out as a stack of one. The node takes the GPs of a stack one after
+another, and spreads each GP over ``usable_cpus()`` threads
+(``parallel.run_indexed``) once its triangular products reach
+``PARALLEL_MIN_WORK`` multiply-adds. The forward pass then computes the
+kernel matrix, the triangular solve and product and the variances in
+contiguous blocks of rows of x, one block per thread; the VJP overlaps the
+products that do not depend on one another (the gradient of S, S c and
+L^{-1}; then L^{-T} gb and the two-sided L^{-T} product). The Cholesky
+factorization stays on the calling thread, every sum over rows stays whole,
+and blocks start at multiples of ``ROW_ALIGN`` rows, so each BLAS call and
+each sum sees the operands of the one-thread computation in the same order:
+the values and gradients do not depend on the thread count. The threads
+write only into arrays the calling thread allocated, since each thread that
+allocates keeps its own malloc arena at its high-water mark.
 
 L = chol(Kmm) depends only on a layer's inducing inputs, kernel variance and
 lengthscales, so prediction takes it from the model's :class:`KmmFactors`
@@ -45,15 +58,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.blas import dtrmm, dtrsm
-from scipy.linalg.lapack import dtrtri
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .mathcore import NumericalError
+from .mathcore import NumericalError, trmm, trsm, trtri
 # the benchmark's span timer counts factorizations through this binding
 from .mathcore import cholesky_jittered
 from .metrics import Predictions
+from .parallel import run_indexed, usable_cpus
 from .params import (
     IDENTITY,
     POSITIVE,
@@ -69,6 +81,27 @@ DEFAULT_JITTER = 1e-6
 # are clamped to the floor
 NEG_VARIANCE_TOL = -1e-9
 VARIANCE_FLOOR = 1e-12
+# Fewest multiply-adds of one GP's triangular products, M^2 (n + M), for
+# which a layer spreads that GP's work over threads (see sparse_gp_layer).
+# Starting, waking and joining threads and handing the GIL between them costs
+# about 0.2-0.7 ms per GP and training step on a 2-vCPU x86-64 VM; at this
+# size (M = 200 on 1,033 rows) the step takes 15-20 ms on one thread, and
+# smaller layers gained nothing measurable from a second one.
+PARALLEL_MIN_WORK = 50_000_000
+# Row blocks of x start at multiples of this. A block's triangular product
+# has the bits of the whole one only where OpenBLAS cuts both into the same
+# column panels: with its Haswell kernels, dtrmm gives other bits in the last
+# M mod 8 rows when a block starts at a column that is not a multiple of 12
+# (3 x the kernel's unroll width). 48 is a multiple of 3 x each unroll width
+# 2, 4, 8 and 16. Blocks of at least this many rows also keep numpy from
+# taking its one-row (gemv, dot) paths for a matrix product.
+ROW_ALIGN = 48
+# Longest row block when a layer runs on several threads. Each thread's BLAS
+# call packs its block into scratch that OpenBLAS keeps per concurrent call,
+# so this bounds what a second thread adds to the peak memory (without it, a
+# default dgp's prediction on W1 peaked about 6 MB higher).
+MAX_BLOCK_ROWS = 2048
+_OUTER_COLUMNS = 128  # columns of the VJP's outer-product scratch
 
 
 @dataclass
@@ -248,6 +281,10 @@ def sparse_gp_layer(
     A given ``factor``, the (W, M, M) stack of L, is taken as L, and Kmm is
     then neither built nor factored; it is for constant z, kernel variance,
     lengthscales and x only.
+
+    From ``PARALLEL_MIN_WORK`` on, each GP runs on ``usable_cpus()`` threads
+    (see the module docstring); the values and gradients are the same bits
+    for every thread count.
     """
     parents = (z, kernel_variance, lengthscales, m, s, x)
     kernel_parents = (z, kernel_variance, lengthscales, x)
@@ -255,13 +292,21 @@ def sparse_gp_layer(
         raise ValueError("a given Kmm factor needs constant kernel inputs")
     zss, variances, ells = _stacked(z, kernel_variance, lengthscales)
     width, num = zss.shape[:2]
-    md, sd = m.data.reshape(width, num), s.data.reshape(width, num, num)
+    # C-ordered, so each S.T (and L.T below) is the Fortran-ordered upper
+    # triangle the BLAS routines take uncopied
+    md = m.data.reshape(width, num)
+    sd = np.ascontiguousarray(s.data).reshape(width, num, num)
     xd = x.data
     n = xd.shape[0]
+    # a thread per usable CPU once one GP's triangular products reach
+    # PARALLEL_MIN_WORK multiply-adds, else the calling thread alone
+    workers = usable_cpus() if num * num * (n + num) >= PARALLEL_MIN_WORK else 1
+    blocks = _row_blocks(n, workers)
     # rows: mu (n), clamped s2 (n), kl (1); one column per GP
     packed = np.empty((2 * n + 1, width))
-    state = []  # per GP, what the VJP reuses
-    for w in range(width):
+
+    def forward(w: int):
+        """Fill GP w's column of ``packed``; returns what the VJP reuses."""
         zs, xs, variance = zss[w], xd / ells[w], float(variances[w])
         zz, xx = (zs * zs).sum(axis=1), (xs * xs).sum(axis=1)
         if factor is None:
@@ -269,23 +314,37 @@ def sparse_gp_layer(
         else:
             kmm = kmm_live = None
             chol = factor.reshape(width, num, num)[w]
-        kxz, kxz_live = _se_gram(xs @ zs.T, xx, zz, variance)
-        # chol.T is the Fortran-ordered upper view of L that BLAS takes uncopied;
-        # b and c are (M, n) Fortran-ordered like kxz.T
-        b = dtrsm(1.0, chol.T, kxz.T, lower=0, trans_a=1)
-        c = dtrmm(1.0, sd[w].T, b, lower=0)
-        raw = variance - np.einsum("ij,ij->j", b, b) + np.einsum("ij,ij->j", c, c)
+        chol = np.ascontiguousarray(chol)
+        # b = L^{-1} Kzx and c = S^T b are (M, n) Fortran-ordered, so a block
+        # of rows of x is a block of their columns
+        kxz, kxz_live = np.empty((n, num)), np.empty((n, num), dtype=bool)
+        b, c, raw = np.empty((num, n), order="F"), np.empty((num, n), order="F"), np.empty(n)
+
+        def rows(r: slice):
+            cross = b.T[r]  # the cross product goes into the b block it becomes
+            np.matmul(xs[r], zs.T, out=cross)
+            _se_gram(cross, xx[r], zz, variance, out=kxz[r], live=kxz_live[r])
+            np.copyto(cross, kxz[r])
+            trsm(1.0, chol.T, b[:, r], trans=True)
+            np.copyto(c[:, r], b[:, r])
+            trmm(1.0, sd[w].T, c[:, r])
+            br, cr = b[:, r], c[:, r]
+            raw[r] = variance - np.einsum("ij,ij->j", br, br) + np.einsum("ij,ij->j", cr, cr)
+            packed[r, w] = cross @ md[w]
+
+        _at_once([lambda r=r: rows(r) for r in blocks], workers)
         # only a negative minimum matters; initial=0.0 lets a zero-row batch through
         worst = float(raw.min(initial=0.0))
         if worst < NEG_VARIANCE_TOL:
             raise NumericalError(f"latent variance fell to {worst:.3e}; matrix too ill-conditioned")
-        packed[:n, w] = b.T @ md[w]
         packed[n : 2 * n, w] = np.maximum(raw, VARIANCE_FLOOR)
         packed[2 * n, w] = (
             ((sd[w] * sd[w]).sum() + (md[w] * md[w]).sum() - float(num)) * 0.5
             - np.log(np.diagonal(sd[w])).sum()
         )
-        state.append((xs, kmm, kmm_live, chol, kxz, kxz_live, b, c, raw > VARIANCE_FLOOR))
+        return xs, kmm, kmm_live, chol, kxz, kxz_live, b, c, raw > VARIANCE_FLOOR
+
+    state = [forward(w) for w in range(width)]
 
     def vjp(g):
         kernel = any(p.requires_grad for p in kernel_parents)
@@ -294,34 +353,75 @@ def sparse_gp_layer(
         gz = gkv = gell = gx = None
         if kernel:
             gz, gkv, gell = np.empty(zss.shape), np.empty(width), np.empty(ells.shape)
-        for w, (xs, kmm, kmm_live, chol, kxz, kxz_live, b, c, var_live) in enumerate(state):
+
+        def backward(w, xs, kmm, kmm_live, chol, kxz, kxz_live, b, c, var_live):
+            """GP w's gradients into row w of gz, gkv, gell, gm and gs; returns
+            its x gradient (None unless x needs one)."""
             zs, variance, gmu, gkl = zss[w], float(variances[w]), g[:n, w], g[2 * n, w]
             # the clamp passes no gradient on its floor side
             gvar = g[n : 2 * n, w] * var_live
             gvar2 = 2.0 * gvar
             if gm is not None:
                 gm[w] = b @ gmu + gkl * md[w]
+            # Independent products run at once on the layer's workers, into
+            # buffers allocated here. First the S gradient, S c and L^{-1}.
+            products = []
             if gs is not None:
-                gs[w] = b @ (c * gvar2).T + gkl * sd[w]
+                scaled = np.empty((num, n), order="F")
+
+                def s_grad():
+                    np.multiply(c, gvar2, out=scaled)
+                    np.matmul(b, scaled.T, out=gs[w])
+
+                products.append(s_grad)
+            if kernel:
+                gb, prod = np.empty((num, n), order="F"), np.empty((num, num))
+                outer = np.empty((num, min(n, _OUTER_COLUMNS)), order="F")
+                linv_t = np.empty((num, num), order="F")
+                below = np.tri(num, k=-1, dtype=bool)
+
+                def b_grad():
+                    # d/db of mu, -||b||^2 and ||S^T b||^2, with the outer
+                    # product m gmu^T added a block of columns at a time
+                    np.copyto(gb, c)
+                    trmm(1.0, sd[w].T, gb, trans=True)
+                    np.subtract(gb, b, out=gb)
+                    np.multiply(gb, gvar2, out=gb)
+                    for j in range(0, n, _OUTER_COLUMNS):
+                        cols = slice(j, min(n, j + _OUTER_COLUMNS))
+                        part = outer[:, : cols.stop - j]
+                        np.multiply(md[w][:, None], gmu[cols], out=part)
+                        gb[:, cols] += part
+                    np.matmul(b, gb.T, out=prod)
+                    np.copyto(prod, 0.0, where=below)  # np.triu
+
+                def inverse():
+                    np.copyto(linv_t, chol.T)
+                    trtri(linv_t)  # L^{-T}, upper, Fortran-ordered
+
+                products += [b_grad, inverse]
+            _at_once(products, workers)
+            scaled = outer = None  # free the first round's scratch before the second
+            if gs is not None:
+                gs[w] += gkl * sd[w]
                 gs[w][np.diag_indices(num)] -= gkl / np.diagonal(sd[w])
             if not kernel:
-                continue
-            # d/db of mu, -||b||^2 and ||S^T b||^2
-            gb = dtrmm(1.0, sd[w].T, c, lower=0, trans_a=1)
-            gb -= b
-            gb *= gvar2
-            gb += np.outer(md[w], gmu)
+                return None
             # b = L^{-1} Kzx gives Kzx the gradient L^{-T} gb and L the gradient
             # Lbar = -tril(L^{-T} gb b^T). The Cholesky update needs only the lower
             # triangle of L^T Lbar, which L^T (upper) takes from Lbar's lower
-            # triangle alone, so Phi(L^T Lbar) = -Phi(gb b^T). np.triu of the
-            # C-ordered transpose leaves phi Fortran-ordered for BLAS.
-            phi = np.triu(b @ gb.T).T
+            # triangle alone, so Phi(L^T Lbar) = -Phi(gb b^T). The transpose of
+            # the C-ordered triu(b gb^T) is phi, Fortran-ordered for BLAS.
+            phi = prod.T
             phi[np.diag_indices(num)] *= 0.5
-            linv_t = dtrtri(chol.T, lower=0)[0]  # L^{-T}, upper, Fortran-ordered
-            gkzx = dtrmm(1.0, linv_t, gb, lower=0, overwrite_b=1)
-            phi = dtrmm(-1.0, linv_t, phi, lower=0, overwrite_b=1)
-            phi = dtrmm(1.0, linv_t, phi, side=1, lower=0, trans_a=1, overwrite_b=1)
+
+            def two_sided():
+                trmm(-1.0, linv_t, phi)
+                trmm(1.0, linv_t, phi, trans=True, right=True)
+
+            # then L^{-T} gb and the two-sided product on phi
+            _at_once([lambda: trmm(1.0, linv_t, gb), two_sided], workers)
+            gkzx, linv_t = gb, None
             gkmm = (phi + phi.T) / 2.0
             gd_mm, gkv_mm = _se_gram_vjp(gkmm, kmm, kmm_live, variance)
             gd_xz, gkv_xz = _se_gram_vjp(gkzx.T, kxz, kxz_live, variance)
@@ -333,8 +433,12 @@ def sparse_gp_layer(
             gz[w] = gzs / ell
             gkv[w] = gkv_mm + gkv_xz + gvar.sum()
             gell[w] = -((gzs * zs).sum(axis=0) + (gxs * xs).sum(axis=0)) / ell
-            if x.requires_grad:
-                gx = gxs / ell if gx is None else gx + gxs / ell
+            return gxs / ell if x.requires_grad else None
+
+        for w, saved in enumerate(state):
+            gxs = backward(w, *saved)
+            if gxs is not None:
+                gx = gxs if gx is None else gx + gxs
         grads = (gz, gkv, gell, gm, gs, gx)
         return tuple(None if g_ is None else g_.reshape(p.shape) for g_, p in zip(grads, parents))
 
@@ -342,6 +446,29 @@ def sparse_gp_layer(
     if z.ndim == 2:  # a single GP
         return node[:n, 0], node[n : 2 * n, 0], node[2 * n, 0]
     return node[:n], node[n : 2 * n], node[2 * n]
+
+
+def _row_blocks(n: int, workers: int) -> list:
+    """Contiguous blocks of the rows 0..n-1 of x for ``workers`` threads:
+    one block for one thread, else at least one per thread and none longer
+    than about ``MAX_BLOCK_ROWS``, as near equal as blocks that start at
+    multiples of ``ROW_ALIGN`` rows can be; none is shorter than that unless
+    it is the only one."""
+    parts = 1 if workers == 1 else max(workers, -(-n // MAX_BLOCK_ROWS))
+    cuts = {ROW_ALIGN * round(n * i / parts / ROW_ALIGN) for i in range(1, parts)}
+    bounds = [0] + sorted(c for c in cuts if ROW_ALIGN <= c <= n - ROW_ALIGN) + [n]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _at_once(tasks: list, workers: int):
+    """Run the independent no-argument callables ``tasks`` on up to
+    ``workers`` threads, the calling thread among them; with one worker or
+    one task, in order on the calling thread alone."""
+    if workers == 1 or len(tasks) == 1:
+        for task in tasks:
+            task()
+    else:
+        run_indexed(lambda k: tasks[k](), len(tasks), workers)
 
 
 def _stacked(z: Tensor, kernel_variance: Tensor, lengthscales: Tensor):
@@ -361,15 +488,17 @@ def _prior_factor(zs: np.ndarray, zz: np.ndarray, variance: float, jitter: float
     return kmm, live, cholesky_jittered(kmm, base_jitter=jitter).factor
 
 
-def _se_gram(cross: np.ndarray, aa: np.ndarray, bb: np.ndarray, variance: float):
+def _se_gram(cross: np.ndarray, aa: np.ndarray, bb: np.ndarray, variance: float,
+              out: Optional[np.ndarray] = None, live: Optional[np.ndarray] = None):
     """Squared-exponential Gram matrix variance * exp(-d2 / 2) from the scaled
     cross products a b^T and squared row norms, with d2 = |a|^2 + |b|^2 - 2 a.b
     clamped at 0. Overwrites ``cross``; also returns where d2 > 0, the side on
-    which the clamp passes gradients."""
-    d2 = aa[:, None] + bb
+    which the clamp passes gradients. Both results go into ``out`` and
+    ``live`` when given."""
+    d2 = np.add(aa[:, None], bb, out=out)
     cross *= -2.0
     d2 += cross
-    live = d2 > 0.0
+    live = np.greater(d2, 0.0, out=live)
     np.maximum(d2, 0.0, out=d2)
     d2 *= -0.5
     np.exp(d2, out=d2)

@@ -303,3 +303,49 @@ class TestGridsearch:
         ])
         assert rc == 1
         assert "--all-families" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def family_summary(tmp_path_factory):
+    """``gridsearch --all-families --epochs 1`` on ``synth --units 5 --steps
+    40 --seed 1``, training on u001-u003 (125 training rows) and testing on
+    u004-u005. Only svgp, whose default grid asks for 200 to 800 inducing
+    points, and mcd run; mcd's grid is cut to two cells that both draw
+    dropout masks, which keeps the test short."""
+    from rulkit import cli
+
+    root = tmp_path_factory.mktemp("families")
+    assert main(["synth", "--out", str(root / "fleet"), "--units", "5", "--steps", "40",
+                 "--seed", "1"]) == 0
+    small = {"hidden_layers": [2], "hidden_units": [50], "keep_prob": [0.5, 0.9]}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_TABLE_KINDS", ("svgp", "mcd"))
+        mp.setattr(cli, "default_grid",
+                   lambda kind, grid=cli.default_grid: small if kind == "mcd" else grid(kind))
+        rc = main([
+            "gridsearch", "--data", str(root / "fleet"), "--out", str(root / "out"),
+            "--all-families", "--epochs", "1",
+            "--train-units", "u001,u002,u003", "--test-units", "u004,u005",
+        ])
+    assert rc == 0
+    return root / "out"
+
+
+class TestFamilySummary:
+    def test_the_summary_shows_the_best_runs_own_test_numbers(self, family_summary):
+        grid = json.loads((family_summary / "mcd" / "grid.json").read_text())
+        best = grid["runs"][grid["order"][0]]
+        summary = json.loads((family_summary / "summary.json").read_text())["mcd"]
+        assert summary["status"] == "ok"
+        assert summary["test"]["nll"] == best["test_nll"]
+        assert summary["test"]["rmse"] == best["test_rmse"]
+        assert summary["selected"] == best["overrides"]
+
+    def test_a_family_whose_runs_all_fail_names_their_exception(self, family_summary):
+        runs = json.loads((family_summary / "svgp" / "grid.json").read_text())["runs"]
+        assert len(runs) == 3
+        assert all(r["status"].startswith("failed: num_inducing=") for r in runs)
+        status = "failed: every run raised ConfigDataMismatch"
+        summary = json.loads((family_summary / "summary.json").read_text())["svgp"]
+        assert summary == {"selected": None, "status": status, "test": None}
+        assert f"svgp\t-\t-\t-\t-\t{status}" in (family_summary / "summary.txt").read_text()

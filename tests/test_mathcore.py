@@ -10,11 +10,16 @@ moment formula for standard-normal monomials.
 """
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dtrmm, dtrsm
+from scipy.linalg.lapack import dtrtri
 
 from gp_oracle import (
     GaussianDist,
@@ -33,6 +38,9 @@ from rulkit.mathcore import (
     gauss_hermite,
     gaussian_cdf,
     gaussian_logpdf,
+    trmm,
+    trsm,
+    trtri,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -129,6 +137,152 @@ class TestCholeskyJittered:
         A[i, j] = 1e-6
         with pytest.raises(NumericalError, match="not symmetric"):
             cholesky_jittered(A)
+
+
+# -- triangular BLAS without the GIL -------------------------------------------
+
+
+def _triangle(k: int, lower: bool, seed: int) -> np.ndarray:
+    """A well-conditioned Fortran-ordered triangular k x k matrix whose other
+    triangle holds noise, which the routines must not read."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((k, k))
+    a[np.diag_indices(k)] = 2.0 + rng.random(k)
+    tri = np.tril(a, -1) * 0.3 + np.diag(np.diagonal(a)) if lower else np.triu(a, 1) * 0.3 + np.diag(np.diagonal(a))
+    noise = np.triu(rng.standard_normal((k, k)), 1) if lower else np.tril(rng.standard_normal((k, k)), -1)
+    return np.asfortranarray(tri + noise)
+
+
+_SCIPY = {"trsm": dtrsm, "trmm": dtrmm}
+_OURS = {"trsm": trsm, "trmm": trmm}
+
+
+class TestTriangularBlas:
+    """``trsm``, ``trmm`` and ``trtri`` are scipy's own dtrsm, dtrmm and
+    dtrtri called without the GIL, so they must equal scipy's f2py wrappers
+    bit for bit."""
+
+    @pytest.mark.parametrize("routine", ["trsm", "trmm"])
+    @pytest.mark.parametrize("right", [False, True])
+    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (5, 3), (37, 61), (130, 9), (0, 4), (4, 0)])
+    def test_equals_scipy(self, routine, right, lower, trans, rows, cols):
+        k = cols if right else rows
+        a = _triangle(k, lower, seed=rows * 100 + cols)
+        b = np.asfortranarray(np.random.default_rng(cols).standard_normal((rows, cols)))
+        want = _SCIPY[routine](-0.7, a, b, side=int(right), lower=int(lower), trans_a=int(trans))
+        out = b.copy(order="F")
+        got = _OURS[routine](-0.7, a, out, lower=lower, trans=trans, right=right)
+        assert got is out
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("routine", ["trsm", "trmm"])
+    @pytest.mark.parametrize("trans", [False, True])
+    def test_column_blocks_of_a_fortran_array(self, routine, trans):
+        # each block is worked in place inside the parent array, whose other
+        # columns stay as they were
+        a = _triangle(29, lower=False, seed=4)
+        b = np.asfortranarray(np.random.default_rng(5).standard_normal((29, 101)))
+        out = b.copy(order="F")
+        for lo, hi in [(0, 48), (48, 49), (49, 101)]:
+            want = _SCIPY[routine](1.5, a, b[:, lo:hi], lower=0, trans_a=int(trans))
+            _OURS[routine](1.5, a, out[:, lo:hi], trans=trans)
+            np.testing.assert_array_equal(out[:, lo:hi], want)
+            np.testing.assert_array_equal(out[:, hi:], b[:, hi:])
+
+    def test_the_transpose_of_a_c_ordered_array_is_taken_uncopied(self):
+        lower = _triangle(12, lower=True, seed=6)
+        c_ordered = np.ascontiguousarray(lower)
+        b = np.asfortranarray(np.random.default_rng(7).standard_normal((12, 5)))
+        want = dtrsm(1.0, c_ordered.T, b, lower=0, trans_a=1)
+        np.testing.assert_array_equal(trsm(1.0, c_ordered.T, b.copy(order="F"), trans=True), want)
+
+    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 7, 64, 150])
+    def test_trtri_equals_scipy(self, lower, k):
+        a = _triangle(k, lower, seed=k)
+        want, info = dtrtri(a, lower=int(lower))
+        assert info == 0
+        out = a.copy(order="F")
+        assert trtri(out, lower=lower) is out
+        np.testing.assert_array_equal(out, want)
+
+    def test_trtri_of_nothing_is_nothing(self):
+        assert trtri(np.zeros((0, 0), order="F")).shape == (0, 0)
+
+    def test_a_singular_triangle_is_refused(self):
+        a = _triangle(4, lower=False, seed=8)
+        a[2, 2] = 0.0
+        with pytest.raises(NumericalError, match="diagonal entry 3"):
+            trtri(a)
+
+    def test_arguments_it_cannot_take_in_place_are_refused(self):
+        a = _triangle(4, lower=False, seed=9)
+        with pytest.raises(ValueError, match="contiguous columns"):
+            trsm(1.0, a, np.zeros((4, 3)))  # C-ordered
+        with pytest.raises(ValueError, match="contiguous columns"):
+            trmm(1.0, np.ascontiguousarray(a), np.zeros((4, 3), order="F"))
+        with pytest.raises(DimensionError):
+            trsm(1.0, a, np.zeros((5, 3), order="F"))
+        with pytest.raises(DimensionError):
+            trsm(1.0, a, np.zeros((4, 3), dtype=np.float32, order="F"))
+        frozen = np.zeros((4, 3), order="F")
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError, match="writable"):
+            trmm(1.0, a, frozen)
+
+    def test_two_threads_at_once_get_one_threads_results(self):
+        a = _triangle(200, lower=False, seed=10)
+        bs = [np.asfortranarray(np.random.default_rng(s).standard_normal((200, 300)))
+              for s in range(2)]
+
+        def work(b):
+            out = b.copy(order="F")
+            for _ in range(5):
+                trsm(1.0, a, out, trans=True)
+                trmm(0.5, a, out)
+            return out
+
+        alone = [work(b) for b in bs]
+        together = [None, None]
+        threads = [threading.Thread(target=lambda i=i: together.__setitem__(i, work(bs[i])))
+                   for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for got, want in zip(together, alone):
+            np.testing.assert_array_equal(got, want)
+
+    def test_another_thread_runs_python_during_a_solve(self):
+        # With a switch interval far longer than the test, a thread holding
+        # the GIL is never made to hand it over, so the counting thread can
+        # advance while the solve runs only if the solve released the GIL.
+        a = _triangle(1200, lower=False, seed=11)
+        b = np.asfortranarray(np.random.default_rng(12).standard_normal((1200, 1200)))
+        count, started, stop = [0], threading.Event(), threading.Event()
+
+        def counter():
+            started.set()
+            while not stop.is_set():
+                count[0] += 1
+                time.sleep(0)  # hands the GIL back every turn
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1000.0)
+        thread = threading.Thread(target=counter)
+        try:
+            thread.start()
+            started.wait()
+            before = count[0]
+            trsm(1.0, a, b, trans=True)
+            during = count[0] - before
+        finally:
+            stop.set()
+            thread.join()
+            sys.setswitchinterval(interval)
+        assert during > 0
 
 
 # -- multivariate KL ----------------------------------------------------------

@@ -10,6 +10,7 @@ posterior mapped to u-space.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from rulkit import autodiff as ad
 from rulkit import svgp
 from rulkit.experiment import ExperimentConfig, build_model, model_from_config
 from rulkit.mathcore import NumericalError, cholesky_jittered
+from rulkit.parallel import run_indexed
 from rulkit.params import (
     POSITIVE,
     CholeskyFactor,
@@ -414,6 +416,79 @@ class TestSparseGPLayer:
         inputs = (z, np.array(1e12), ell, m, 1e-12 * np.eye(10), z.copy())
         with pytest.raises(NumericalError, match="latent variance fell"):
             sparse_gp_layer(*map(ad.constant, inputs))
+
+
+class TestLayerThreads:
+    """Above ``PARALLEL_MIN_WORK`` a layer spreads each GP over the usable
+    CPUs: the forward in row blocks of x, the VJP's independent products at
+    once. Every BLAS call and every sum sees the same operands in the same
+    order as on one thread, so the values and gradients are bitwise equal."""
+
+    @staticmethod
+    def _run(width, n, kernel_grad):
+        num, d = 13, 3
+        gps = [_layer_inputs(num, n, d, seed=90 + w) for w in range(width)]
+        values = [np.stack([gp[i] for gp in gps]) if width > 1 else gps[0][i] for i in range(5)]
+        weights = np.random.default_rng(n).standard_normal((2, n, width))
+        leaves = [ad.leaf(v) if kernel_grad or i >= 3 else ad.constant(v)
+                  for i, v in enumerate(values)]
+        x = (ad.leaf if kernel_grad else ad.constant)(gps[0][5])
+        mu, var, kl = sparse_gp_layer(*leaves, x)
+        loss = _stack_loss(ad.reshape(mu, (n, width)), ad.reshape(var, (n, width)),
+                           ad.reshape(kl, (width,)), weights, np.arange(1.0, width + 1.0))
+        loss.backward()
+        return [mu.data, var.data, kl.data] + [t.grad for t in leaves + [x]]
+
+    @pytest.mark.parametrize("kernel_grad", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 257])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_one_and_two_threads_agree_bitwise(self, width, n, kernel_grad, monkeypatch):
+        monkeypatch.setattr(svgp, "PARALLEL_MIN_WORK", 0)
+        calls = []
+
+        def spy(task, tasks, workers):
+            calls.append((tasks, workers))
+            return run_indexed(task, tasks, workers)
+
+        monkeypatch.setattr(svgp, "run_indexed", spy)
+        results = {}
+        # one thread; two; two with more row blocks than threads; more
+        # threads than this host has cores, handing the GIL over every 1 us
+        configs = [(1, 2048), (2, 2048), (2, 96), (4, 48)]
+        interval = sys.getswitchinterval()
+        try:
+            for workers, max_rows in configs:
+                monkeypatch.setattr(svgp, "usable_cpus", lambda w=workers: w)
+                monkeypatch.setattr(svgp, "MAX_BLOCK_ROWS", max_rows)
+                sys.setswitchinterval(1e-6 if workers == 4 else interval)
+                calls.clear()
+                results[workers, max_rows] = self._run(width, n, kernel_grad)
+                threaded = {(tasks, w) for tasks, w in calls if tasks > 1 and w > 1}
+                if workers == 1:
+                    assert not threaded
+                elif n == 257:  # the forward's row blocks
+                    assert ({2048: 2, 96: 3, 48: 5}[max_rows], workers) in threaded
+                if workers > 1 and kernel_grad:  # the VJP's overlapped products
+                    assert (3, workers) in threaded
+        finally:
+            sys.setswitchinterval(interval)
+        one = results[1, 2048]
+        for other in (results[c] for c in configs[1:]):
+            for got, want in zip(other, one):
+                if want is None:
+                    assert got is None
+                else:
+                    np.testing.assert_array_equal(got, want)
+
+    def test_row_blocks(self):
+        assert svgp._row_blocks(1033, 1) == [slice(0, 1033)]
+        assert svgp._row_blocks(1033, 2) == [slice(0, 528), slice(528, 1033)]
+        # a block shorter than ROW_ALIGN rows is never split off
+        assert svgp._row_blocks(95, 2) == [slice(0, 95)]
+        assert svgp._row_blocks(0, 2) == [slice(0, 0)]
+        blocks = svgp._row_blocks(10_000, 2)
+        assert len(blocks) == 5 and all(b.start % svgp.ROW_ALIGN == 0 for b in blocks)
+        assert blocks[-1].stop == 10_000
 
 
 # -- the training objectives -------------------------------------------------------
