@@ -175,7 +175,7 @@ def _cmd_gridsearch(args) -> int:
         if args.grid:
             grid = json.loads(Path(args.grid).read_text())
         run_dir = out / cfg.kind if args.all_families else out
-        _note(f"{cfg.kind}: {len(grid_cells(grid))} runs")
+        _note(f"{cfg.kind}: {len(grid_cells(grid, cfg.kind))} runs")
         result = grid_search(cfg, grid, data, split, out_dir=run_dir)
         if result.order:
             best = result.best

@@ -86,131 +86,141 @@ class ConfigDataMismatch(ValueError):
 
 # -- configuration -----------------------------------------------------------------
 
+_GP_KINDS = ("svgp", "ppgpr", "dgp", "dspp")
+_DEEP_KINDS = ("dgp", "dspp")
+_NN_KINDS = ("mcd", "ffnn")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
+# Checks of a field value: (test, message) pairs, the message formatted with
+# the field's name and value.
+_NUMBER = (_is_real, "{name} must be a number, got {v!r}")
+_POSITIVE = (lambda v: v > 0.0, "{name} must be positive, got {v}")
+_POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "{name} must be a positive integer, got {v!r}")
+_NON_NEGATIVE_INT = (lambda v: _is_int(v) and v >= 0,
+                     "{name} must be a non-negative integer, got {v!r}")
+_FLAG = (lambda v: isinstance(v, bool), "{name} must be true or false, got {v!r}")
+_UNIT_IDS = (
+    (lambda v: v is None or isinstance(v, (list, tuple)) and all(isinstance(u, str) for u in v),
+     "{name} must be a list of unit ids when set, got {v!r}"),
+    (lambda v: v is None or len(v) > 0, "{name} must name at least one unit when set, got {v!r}"),
+)
+
+
+def _field(default, role: str, *checks, kinds: Optional[tuple] = None):
+    """A config field: its default, its role (``run``, ``split``, ``model``
+    or ``init``), the checks ``validate`` applies in order and the kinds that
+    read it (None: every kind)."""
+    return field(default=default, metadata={"role": role, "checks": checks, "kinds": kinds})
+
 
 @dataclass
 class ExperimentConfig:
     """Flat, JSON-serializable description of one training run.
 
     ``kind`` selects the model family; fields that do not apply to the
-    selected family are ignored. ``ppgpr`` is a sparse GP trained with the
-    predictive-distribution objective instead of the classic bound.
+    selected family are ignored, and a grid that varies one is refused.
+    ``ppgpr`` is a sparse GP trained with the predictive-distribution
+    objective instead of the classic bound. Each field's metadata is its
+    entry in the one table of fields: its checks, its role (run, split, model
+    or init) and the kinds that read it.
 
-    Every kind reads the run fields ``epochs``, ``batch_size``,
-    ``learning_rate``, ``seed``, ``alpha``, ``val_fraction``,
-    ``standardize_targets``, ``rul_cap``, ``train_units`` and ``test_units``.
-    Beyond those:
+    Every kind reads ``kind``, the run fields ``epochs``, ``batch_size``,
+    ``learning_rate``, ``seed``, ``alpha``, ``standardize_targets`` and
+    ``rul_cap``, and the split fields ``val_fraction``, ``train_units`` and
+    ``test_units``. Beyond those:
 
     - svgp, ppgpr: ``objective``, ``beta_reg``, ``jitter``, ``num_inducing``,
       ``inducing_init`` and ``freeze_inducing``;
-    - dgp: the same but ``freeze_inducing``, which only svgp and ppgpr honour,
-      plus ``width``, ``depth``, ``skip_connection``, ``train_samples`` and
-      ``test_samples``;
+    - dgp: ``objective``, ``beta_reg``, ``jitter``, ``num_inducing``,
+      ``inducing_init``, ``width``, ``depth``, ``skip_connection``,
+      ``train_samples`` and ``test_samples``;
     - dspp: ``objective`` (always ppgpr), ``beta_reg``, ``jitter``,
       ``num_inducing``, ``width``, ``depth``, ``skip_connection`` and
-      ``num_sites``; its inducing inputs always start at a random subset, so
-      it reads neither ``inducing_init`` nor ``freeze_inducing``;
+      ``num_sites``;
     - mcd: ``hidden_layers``, ``hidden_units``, ``keep_prob``,
       ``heteroscedastic``, ``noise_variance``, ``weight_decay`` and
       ``test_samples``;
-    - ffnn: the same as mcd but ``heteroscedastic`` (the point baseline has no
-      noise head) and ``test_samples`` (it predicts with one maskless pass).
+    - ffnn: ``hidden_layers``, ``hidden_units``, ``keep_prob``,
+      ``noise_variance`` and ``weight_decay``.
+
+    Only svgp and ppgpr honour ``freeze_inducing``. dspp's inducing inputs
+    always start at a random subset, and a dspp model draws no samples. ffnn,
+    the point baseline, has no noise head and predicts with one maskless pass.
     """
 
-    kind: str = "svgp"
-    objective: str = "elbo"
-    beta_reg: float = 1.0
-    epochs: int = 100
-    batch_size: int = 2000
-    learning_rate: float = 1e-3
-    seed: int = 0
-    alpha: float = 0.2
-    val_fraction: float = 0.1
-    standardize_targets: bool = True
-    rul_cap: Optional[float] = None
-    jitter: float = 1e-6
+    kind: str = _field("svgp", "run", (lambda v: v in MODEL_KINDS,
+                                       "{name} must be one of " + str(MODEL_KINDS) + ", got {v!r}"))
+    objective: str = _field("elbo", "model", (lambda v: v in ("elbo", "ppgpr"),
+                                              "{name} must be elbo or ppgpr, got {v!r}"),
+                            kinds=_GP_KINDS)
+    beta_reg: float = _field(1.0, "model", _NUMBER, _POSITIVE, kinds=_GP_KINDS)
+    epochs: int = _field(100, "run", _POSITIVE_INT)
+    batch_size: int = _field(2000, "run", _POSITIVE_INT)
+    learning_rate: float = _field(1e-3, "run", _NUMBER, _POSITIVE)
+    seed: int = _field(0, "run", _NON_NEGATIVE_INT)
+    alpha: float = _field(0.2, "run", _NUMBER,
+                          (lambda v: 0.0 < v < 1.0, "{name} must be in (0, 1), got {v}"))
+    val_fraction: float = _field(0.1, "split", _NUMBER,
+                                 (lambda v: 0.0 <= v < 1.0, "{name} must be in [0, 1), got {v}"))
+    standardize_targets: bool = _field(True, "run", _FLAG)
+    rul_cap: Optional[float] = _field(
+        None, "run", (lambda v: v is None or _is_real(v), "{name} must be a number, got {v!r}"),
+        (lambda v: v is None or v > 0.0, "{name} must be positive when set, got {v}"))
+    jitter: float = _field(1e-6, "model", _NUMBER, _POSITIVE, kinds=_GP_KINDS)
     # sparse GP and deep GP families
-    num_inducing: int = 800
-    inducing_init: str = "random-subset"
-    freeze_inducing: bool = False
-    width: int = 4
-    depth: int = 1
-    skip_connection: bool = True
-    train_samples: int = 10
-    test_samples: int = 64
-    num_sites: int = 15
+    num_inducing: int = _field(800, "model", _POSITIVE_INT, kinds=_GP_KINDS)
+    inducing_init: str = _field(
+        "random-subset", "init",
+        (lambda v: v in ("random-subset", "kmeans"), "unknown {name} {v!r}"),
+        kinds=("svgp", "ppgpr", "dgp"))
+    freeze_inducing: bool = _field(False, "init", _FLAG, kinds=("svgp", "ppgpr"))
+    width: int = _field(4, "model", _POSITIVE_INT, kinds=_DEEP_KINDS)
+    depth: int = _field(1, "model", _NON_NEGATIVE_INT, kinds=_DEEP_KINDS)
+    skip_connection: bool = _field(True, "model", _FLAG, kinds=_DEEP_KINDS)
+    train_samples: int = _field(10, "model", _POSITIVE_INT, kinds=("dgp",))
+    test_samples: int = _field(64, "model", _POSITIVE_INT, kinds=("dgp", "mcd"))
+    num_sites: int = _field(15, "model", _POSITIVE_INT, kinds=("dspp",))
     # neural families
-    hidden_layers: int = 5
-    hidden_units: int = 200
-    keep_prob: float = 0.4642
-    weight_decay: float = 1e-6
-    noise_variance: float = 1.0
-    heteroscedastic: bool = True
+    hidden_layers: int = _field(5, "model", _POSITIVE_INT, kinds=_NN_KINDS)
+    hidden_units: int = _field(200, "model", _POSITIVE_INT, kinds=_NN_KINDS)
+    keep_prob: float = _field(0.4642, "model", _NUMBER,
+                              (lambda v: 0.0 < v <= 1.0, "{name} must be in (0, 1], got {v}"),
+                              kinds=_NN_KINDS)
+    weight_decay: float = _field(1e-6, "model", _NUMBER,
+                                 (lambda v: v >= 0.0, "{name} must be >= 0, got {v}"),
+                                 kinds=_NN_KINDS)
+    noise_variance: float = _field(1.0, "model", _NUMBER, _POSITIVE, kinds=_NN_KINDS)
+    heteroscedastic: bool = _field(True, "model", _FLAG, kinds=("mcd",))
     # optional pinned split
-    train_units: Optional[list] = None
-    test_units: Optional[list] = None
+    train_units: Optional[list] = _field(None, "split", *_UNIT_IDS)
+    test_units: Optional[list] = _field(None, "split", *_UNIT_IDS)
 
     def validate(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-        if self.objective not in ("elbo", "ppgpr"):
-            raise ValueError(f"objective must be elbo or ppgpr, got {self.objective!r}")
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            for test, message in f.metadata["checks"]:
+                if not test(v):
+                    raise ValueError(message.format(name=f.name, v=v))
         if self.kind == "ppgpr" and self.objective != "ppgpr":
             raise ValueError("kind=ppgpr requires objective=ppgpr")
         if self.kind == "dspp" and self.objective != "ppgpr":
             raise ValueError("dspp trains only with the ppgpr objective")
-        for name in ("beta_reg", "learning_rate", "alpha", "val_fraction", "jitter",
-                     "keep_prob", "weight_decay", "noise_variance", "rul_cap"):
-            v = getattr(self, name)
-            if not (_is_real(v) or (name == "rul_cap" and v is None)):
-                raise ValueError(f"{name} must be a number, got {v!r}")
-        if not self.beta_reg > 0.0:
-            raise ValueError(f"beta_reg must be positive, got {self.beta_reg}")
-        for name in ("epochs", "batch_size", "num_inducing", "width", "train_samples",
-                     "test_samples", "num_sites", "hidden_layers", "hidden_units"):
-            v = getattr(self, name)
-            if not _is_int(v) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        for name in ("depth", "seed"):
-            v = getattr(self, name)
-            if not _is_int(v) or v < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
-        for name in ("standardize_targets", "freeze_inducing", "skip_connection",
-                     "heteroscedastic"):
-            v = getattr(self, name)
-            if not isinstance(v, bool):
-                raise ValueError(f"{name} must be true or false, got {v!r}")
         if self.kind == "dspp" and self.depth < 1:
-            raise ValueError(f"invalid depth {self.depth} for kind {self.kind}")
-        if self.kind in ("dgp", "dspp") and self.depth > MAX_DEPTH:
+            raise ValueError(f"depth must be at least 1 for kind dspp, got {self.depth}")
+        if self.kind in _DEEP_KINDS and self.depth > MAX_DEPTH:
             raise ValueError(f"depth must be at most {MAX_DEPTH} for kind {self.kind}, "
                              f"got {self.depth}")
         if self.kind == "dspp" and self.num_sites > MAX_QUADRATURE_SITES:
             raise ValueError(f"num_sites must be at most {MAX_QUADRATURE_SITES} for kind dspp, "
                              f"got {self.num_sites}")
-        for name in ("learning_rate", "jitter", "noise_variance"):
-            v = getattr(self, name)
-            if not v > 0.0:
-                raise ValueError(f"{name} must be positive, got {v}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
-        if not 0.0 < self.keep_prob <= 1.0:
-            raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
-        if not self.weight_decay >= 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.rul_cap is not None and not self.rul_cap > 0.0:
-            raise ValueError(f"rul_cap must be positive when set, got {self.rul_cap}")
-        if self.inducing_init not in ("random-subset", "kmeans"):
-            raise ValueError(f"unknown inducing_init {self.inducing_init!r}")
-        for name in ("train_units", "test_units"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            if not isinstance(v, (list, tuple)) or not all(isinstance(u, str) for u in v):
-                raise ValueError(f"{name} must be a list of unit ids when set, got {v!r}")
-            if len(v) == 0:
-                raise ValueError(f"{name} must name at least one unit when set, got {v!r}")
         return self
 
     def replace(self, **overrides) -> "ExperimentConfig":
@@ -235,12 +245,14 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+def _reads(kind: str, role: Optional[str] = None) -> list[str]:
+    """The fields a run of ``kind`` reads, in field order; with ``role``, only
+    those of that role."""
+    return [
+        f.name for f in dataclasses.fields(ExperimentConfig)
+        if f.metadata["kinds"] is None or kind in f.metadata["kinds"]
+        if role in (None, f.metadata["role"])
+    ]
 
 
 def _fields_of(obj) -> dict:
@@ -255,75 +267,47 @@ def _fields_of(obj) -> dict:
     }
 
 
+# Each kind's benchmark defaults (selected hyperparameters), where they differ
+# from the field defaults.
+_KIND_DEFAULTS = {
+    "svgp": {},
+    "ppgpr": {"objective": "ppgpr"},
+    "dgp": {"num_inducing": 100},
+    "dspp": {"objective": "ppgpr", "num_inducing": 100, "width": 2},
+    "mcd": {"test_samples": 128},
+    "ffnn": {"hidden_units": 65, "keep_prob": 0.15, "heteroscedastic": False},
+}
+
+# Each kind's benchmark hyperparameter search space.
+_KIND_GRIDS = {
+    "svgp": {"num_inducing": [200, 400, 800]},
+    "ppgpr": {"num_inducing": [200, 400, 800]},
+    "dgp": {"num_inducing": [50, 100, 200]},
+    "dspp": {"num_inducing": [50, 100, 200], "width": [2, 3], "num_sites": [5, 8, 10, 15, 20]},
+    "mcd": {
+        "hidden_layers": [2, 3, 4, 5],
+        "hidden_units": [50, 65, 80, 100, 150, 200],
+        "keep_prob": KEEP_PROB_GRID,
+    },
+    "ffnn": {"hidden_layers": [2, 3, 4, 5], "hidden_units": [50, 65, 80, 100, 150, 200]},
+}
+
+
 def default_config(kind: str) -> ExperimentConfig:
     """Benchmark defaults for each family (selected hyperparameters)."""
-    if kind == "svgp":
-        cfg = ExperimentConfig(kind="svgp", objective="elbo", num_inducing=800)
-    elif kind == "ppgpr":
-        cfg = ExperimentConfig(kind="ppgpr", objective="ppgpr", num_inducing=800)
-    elif kind == "dgp":
-        cfg = ExperimentConfig(
-            kind="dgp", objective="elbo", num_inducing=100, width=4, depth=1,
-            train_samples=10, test_samples=64,
-        )
-    elif kind == "dspp":
-        cfg = ExperimentConfig(
-            kind="dspp", objective="ppgpr", num_inducing=100, width=2, depth=1,
-            num_sites=15,
-        )
-    elif kind == "mcd":
-        cfg = ExperimentConfig(
-            kind="mcd", hidden_layers=5, hidden_units=200, keep_prob=0.4642,
-            heteroscedastic=True, test_samples=128,
-        )
-    elif kind == "ffnn":
-        cfg = ExperimentConfig(
-            kind="ffnn", hidden_layers=5, hidden_units=65, keep_prob=0.15,
-            heteroscedastic=False,
-        )
-    else:
+    if kind not in MODEL_KINDS:
         raise ValueError(f"kind must be one of {MODEL_KINDS}, got {kind!r}")
-    return cfg.validate()
+    return ExperimentConfig(kind=kind, **_KIND_DEFAULTS[kind]).validate()
 
 
 def default_grid(kind: str) -> dict:
     """The benchmark hyperparameter search space for each family."""
-    if kind in ("svgp", "ppgpr"):
-        return {"num_inducing": [200, 400, 800]}
-    if kind == "dgp":
-        return {"num_inducing": [50, 100, 200]}
-    if kind == "dspp":
-        return {
-            "num_inducing": [50, 100, 200],
-            "width": [2, 3],
-            "num_sites": [5, 8, 10, 15, 20],
-        }
-    if kind == "mcd":
-        return {
-            "hidden_layers": [2, 3, 4, 5],
-            "hidden_units": [50, 65, 80, 100, 150, 200],
-            "keep_prob": list(KEEP_PROB_GRID),
-        }
-    if kind == "ffnn":
-        return {
-            "hidden_layers": [2, 3, 4, 5],
-            "hidden_units": [50, 65, 80, 100, 150, 200],
-        }
-    raise ValueError(f"kind must be one of {MODEL_KINDS}, got {kind!r}")
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"kind must be one of {MODEL_KINDS}, got {kind!r}")
+    return {k: list(v) for k, v in _KIND_GRIDS[kind].items()}
 
 
 # -- model construction --------------------------------------------------------------
-
-
-def _same_named(*names) -> dict:
-    return {name: name for name in names}
-
-
-_GP_FIELDS = _same_named("num_inducing", "objective", "beta_reg", "jitter")
-_DEEP_FIELDS = _GP_FIELDS | _same_named("width", "depth", "skip_connection")
-_NN_FIELDS = _same_named("hidden_layers", "hidden_units", "keep_prob", "heteroscedastic",
-                         "noise_variance", "weight_decay", "test_samples")
-_GP_INIT = ("inducing_init", "freeze_inducing")
 
 # The class of each model kind a checkpoint names.
 _MODEL_CLASSES = {
@@ -334,22 +318,27 @@ _MODEL_CLASSES = {
     "ffnn": MCDModel,
 }
 
-# Per kind: the model kind a checkpoint names, the ExperimentConfig field each
-# hyperparameter of its model_config (keyed as ``config_dict()`` keys it) is
-# read from, and the fields its ``init_from_data`` reads. Those keys, with
-# input_dim and the target statistics, are the ones model_from_config accepts.
-# dspp reads neither inducing_init nor freeze_inducing, and a dspp model draws
-# no samples: both of its sample counts are the number of sites.
-_MODEL_TABLE = {
-    "svgp": ("svgp", _GP_FIELDS, _GP_INIT),
-    "ppgpr": ("svgp", _GP_FIELDS, _GP_INIT),
-    "dgp": ("dgp", _DEEP_FIELDS | {"num_train_samples": "train_samples",
-                                   "num_test_samples": "test_samples"}, ("inducing_init",)),
-    "dspp": ("dspp", _DEEP_FIELDS | {"num_sites": "num_sites", "num_train_samples": "num_sites",
-                                     "num_test_samples": "num_sites"}, ()),
-    "mcd": ("mcd", _NN_FIELDS, ()),
-    "ffnn": ("ffnn", _NN_FIELDS, ()),
+# A checkpoint's model_config keys each model field its kind reads by the
+# field's name, except for the fields these kinds store under the given keys
+# (key -> field): dgp names its sample counts num_*; a dspp model draws no
+# samples, so both of its counts are its number of sites; ffnn keeps mcd's
+# keys, with its noise head off.
+_CHECKPOINT_KEYS = {
+    "dgp": {"num_train_samples": "train_samples", "num_test_samples": "test_samples"},
+    "dspp": {"num_sites": "num_sites", "num_train_samples": "num_sites",
+             "num_test_samples": "num_sites"},
+    "ffnn": {"heteroscedastic": "heteroscedastic", "test_samples": "test_samples"},
 }
+
+
+def _model_keys(model_kind: str) -> dict:
+    """Each hyperparameter key of a model_config of ``model_kind`` (as
+    ``config_dict()`` keys it), mapped to the ExperimentConfig field it is
+    read from. With input_dim and the target statistics, these are the keys
+    model_from_config accepts."""
+    irregular = _CHECKPOINT_KEYS.get(model_kind, {})
+    same = [name for name in _reads(model_kind, "model") if name not in irregular.values()]
+    return {name: name for name in same} | irregular
 
 
 def _target_stats(y: np.ndarray, standardize: bool):
@@ -368,15 +357,16 @@ def build_model(config: ExperimentConfig, X: np.ndarray, y: np.ndarray, rng: Rng
     config.validate()
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
-    model_kind, fields, init_fields = _MODEL_TABLE[config.kind]
-    cfg = {key: getattr(config, name) for key, name in fields.items()}
+    model_kind = "svgp" if config.kind == "ppgpr" else config.kind
+    cfg = {key: getattr(config, name) for key, name in _model_keys(model_kind).items()}
     if model_kind == "ffnn":  # the point baseline has no noise head
         cfg["heteroscedastic"] = False
     shift, scale = _target_stats(y, config.standardize_targets)
     model = model_from_config(cfg | {
         "kind": model_kind, "input_dim": X.shape[1], "target_shift": shift, "target_scale": scale,
     })
-    model.init_from_data(X, rng, **{name: getattr(config, name) for name in init_fields})
+    model.init_from_data(X, rng, **{name: getattr(config, name)
+                                    for name in _reads(config.kind, "init")})
     return model
 
 
@@ -481,7 +471,7 @@ def run_experiment(
         y_tr = np.minimum(y_tr, config.rul_cap)
 
     n = X_tr.shape[0]
-    if config.kind in ("svgp", "ppgpr", "dgp", "dspp") and config.num_inducing > n:
+    if config.kind in _GP_KINDS and config.num_inducing > n:
         raise ConfigDataMismatch(f"num_inducing={config.num_inducing} exceeds {n} training rows")
 
     rng = RngStream(config.seed)
@@ -586,7 +576,7 @@ def model_from_config(config: dict, theta: Optional[np.ndarray] = None):
     kind = cfg.pop("kind", None)
     if kind not in _MODEL_CLASSES:
         raise ValueError(f"checkpoint has unknown model kind {kind!r}")
-    expected = set(_MODEL_TABLE[kind][1]) | {"input_dim", "target_shift", "target_scale"}
+    expected = set(_model_keys(kind)) | {"input_dim", "target_shift", "target_scale"}
     unknown, missing = sorted(cfg.keys() - expected), sorted(expected - cfg.keys())
     if unknown or missing:
         parts = [f"{what} {', '.join(keys)}"
@@ -755,11 +745,12 @@ def _child_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((int(master_seed), 6, int(index))).generate_state(1)[0])
 
 
-def grid_cells(grid: dict) -> list[dict]:
-    """The overrides of every cell of ``grid`` in run order: keys sorted,
-    values in the given order. Refuses, by key, a grid that names no or an
-    unknown hyperparameter, ``kind`` or ``seed``, or a value that is not a
-    non-empty list."""
+def grid_cells(grid: dict, kind: str) -> list[dict]:
+    """The overrides of every cell of ``grid`` on a base config of ``kind``,
+    in run order: keys sorted, values in the given order. Refuses, by key, a
+    grid that names no or an unknown hyperparameter, ``kind`` or ``seed``, a
+    value that is not a non-empty list, a split field (a search takes its
+    split from its ``split`` argument) or a field ``kind`` does not read."""
     if not grid:
         raise ValueError("grid must name at least one hyperparameter")
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -774,6 +765,13 @@ def grid_cells(grid: dict) -> list[dict]:
     for k in keys:
         if not isinstance(grid[k], list) or not grid[k]:
             raise ValueError(f"grid values for {k} must be a non-empty list, got {grid[k]!r}")
+    split, read = _reads(kind, "split"), _reads(kind)
+    for k in keys:
+        if k in split:
+            raise ValueError(f"grid cannot vary {k}: a search takes its split from its split "
+                             f"argument, so no {kind} cell reads it")
+        if k not in read:
+            raise ValueError(f"grid cannot vary {k}: kind {kind} does not read it")
     return [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
 
 
@@ -812,7 +810,7 @@ def grid_search(
     out = Path(out_dir) if out_dir is not None else None
 
     cells = []
-    for i, overrides in enumerate(grid_cells(grid)):
+    for i, overrides in enumerate(grid_cells(grid, base.kind)):
         cfg = base.replace(**overrides, seed=_child_seed(base.seed, i))
         cells.append((overrides, cfg.validate()))
     prepared = prepare_split(data, split)

@@ -294,6 +294,21 @@ class TestGridsearch:
             f"error: grid values for {key} must be a non-empty list, got {grid[key]!r}")
         assert not (tmp_path / "g").exists()
 
+    def test_grid_key_the_family_does_not_read_is_refused(
+        self, fleet_dir, mcd_config, tmp_path, capsys
+    ):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"num_inducing": [4, 8]}))
+        rc = main([
+            "gridsearch", "--data", str(fleet_dir), "--out", str(tmp_path / "g"),
+            "--config", str(mcd_config), "--grid", str(path), "--epochs", "1",
+            "--train-units", UNITS, "--test-units", TEST_UNIT,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: grid cannot vary num_inducing: kind mcd does not read it")
+        assert not (tmp_path / "g").exists()
+
     def test_all_families_rejects_custom_grid(self, fleet_dir, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"num_inducing": [4]}))

@@ -34,6 +34,7 @@ from rulkit.experiment import (
     default_config,
     default_grid,
     family_table,
+    grid_cells,
     grid_search,
     load_checkpoint,
     model_from_config,
@@ -132,6 +133,11 @@ class TestDefaults:
         for kind in MODEL_KINDS:
             assert "beta_reg" not in default_grid(kind)
 
+    def test_default_grids_vary_only_fields_their_kind_reads(self):
+        for kind in MODEL_KINDS:
+            grid = default_grid(kind)
+            assert len(grid_cells(grid, kind)) == int(np.prod([len(v) for v in grid.values()]))
+
 
 class TestExperimentConfig:
     def test_json_round_trip(self, tmp_path):
@@ -154,6 +160,25 @@ class TestExperimentConfig:
     def test_dspp_needs_depth(self):
         with pytest.raises(ValueError, match="depth"):
             ExperimentConfig(kind="dspp", objective="ppgpr", depth=0).validate()
+
+    def test_dspp_depth_refusal_names_the_bound_and_kind(self):
+        with pytest.raises(ValueError, match=r"^depth must be at least 1 for kind dspp, got 0$"):
+            ExperimentConfig(kind="dspp", objective="ppgpr", depth=0).validate()
+
+    def test_docstring_lists_the_fields_each_kind_reads(self):
+        def names(text):
+            return set(re.findall(r"``(\w+)``", text))
+
+        every, beyond = ExperimentConfig.__doc__.split("Every kind reads")[1].split("Beyond those:")
+        assert names(every) == set.intersection(*(set(experiment._reads(k)) for k in MODEL_KINDS))
+        listed = {}
+        for item in re.split(r"^\s*- ", beyond.strip().split("\n\n")[0], flags=re.M)[1:]:
+            kinds, fields = item.split(":", 1)
+            for kind in kinds.split(", "):
+                listed[kind] = names(fields)
+        assert set(listed) == set(MODEL_KINDS)
+        for kind in MODEL_KINDS:
+            assert listed[kind] == set(experiment._reads(kind)) - names(every), kind
 
     @pytest.mark.parametrize(
         "overrides,msg",
@@ -573,6 +598,57 @@ class TestCheckpoints:
 
     }
 
+    # Per kind: the model kind its checkpoint names, each hyperparameter key of
+    # its model_config with the config field it holds, and the keywords
+    # build_model passes to init_from_data.
+    _GP_KEYS = {"num_inducing": "num_inducing", "objective": "objective",
+                "beta_reg": "beta_reg", "jitter": "jitter"}
+    _DEEP_KEYS = _GP_KEYS | {"width": "width", "depth": "depth",
+                             "skip_connection": "skip_connection"}
+    _NN_KEYS = {"hidden_layers": "hidden_layers", "hidden_units": "hidden_units",
+                "keep_prob": "keep_prob", "heteroscedastic": "heteroscedastic",
+                "noise_variance": "noise_variance", "weight_decay": "weight_decay",
+                "test_samples": "test_samples"}
+    FORMAT = {
+        "svgp": ("svgp", _GP_KEYS, {"inducing_init", "freeze_inducing"}),
+        "ppgpr": ("svgp", _GP_KEYS, {"inducing_init", "freeze_inducing"}),
+        "dgp": ("dgp", _DEEP_KEYS | {"num_train_samples": "train_samples",
+                                     "num_test_samples": "test_samples"}, {"inducing_init"}),
+        "dspp": ("dspp", _DEEP_KEYS | {"num_sites": "num_sites", "num_train_samples": "num_sites",
+                                       "num_test_samples": "num_sites"}, set()),
+        "mcd": ("mcd", _NN_KEYS, set()),
+        "ffnn": ("ffnn", _NN_KEYS, set()),
+    }
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_model_config_keys_and_init_keywords_are_pinned(self, kind, monkeypatch):
+        model_kind, keys, init_keywords = self.FORMAT[kind]
+        seen = {}
+        real = experiment.model_from_config
+
+        def spy(config, theta=None):
+            model = real(config, theta)
+            init = model.init_from_data
+
+            def init_spy(X, rng, **keywords):
+                seen["init"] = set(keywords)
+                return init(X, rng, **keywords)
+
+            model.init_from_data = init_spy
+            return model
+
+        monkeypatch.setattr(experiment, "model_from_config", spy)
+        # every hyperparameter a model_config holds has a value no other has
+        config = tiny_config(kind).replace(beta_reg=0.5, width=3, train_samples=5,
+                                           test_samples=6, num_sites=7, hidden_layers=2)
+        stored = build_model(config, np.ones((10, 4)), np.arange(10.0), RngStream(0)).config_dict()
+        assert stored.pop("kind") == model_kind
+        assert set(stored) == set(keys) | {"input_dim", "target_shift", "target_scale"}
+        for key, name in keys.items():
+            noise_head_off = kind == "ffnn" and key == "heteroscedastic"
+            assert stored[key] == (False if noise_head_off else getattr(config, name)), key
+        assert seen["init"] == init_keywords
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_checkpoint_config_strings_are_pinned(self, kind, tmp_path):
         run_experiment(tiny_config(kind), small_fleet(), small_split(), out_dir=tmp_path)
@@ -835,6 +911,26 @@ class TestGridSearch:
     ):
         with pytest.raises(ValueError, match=f"grid values for {key} must be a non-empty list, got {shown}"):
             grid_search(tiny_mcd(), grid, small_fleet(), small_split(), out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind,grid,msg", [
+        ("mcd", {"val_fraction": [0.1, 0.5], "num_inducing": [7]},
+         "grid cannot vary num_inducing: kind mcd does not read it"),
+        ("mcd", {"num_inducing": [7]}, "grid cannot vary num_inducing: kind mcd does not read it"),
+        ("mcd", {"val_fraction": [0.1, 0.5]},
+         "grid cannot vary val_fraction: a search takes its split from its split argument, "
+         "so no mcd cell reads it"),
+        ("svgp", {"train_units": [["u001"]]}, "grid cannot vary train_units: .* no svgp cell"),
+        ("svgp", {"keep_prob": [0.5, 1.0]}, "grid cannot vary keep_prob: kind svgp does not"),
+        ("dgp", {"freeze_inducing": [True]}, "grid cannot vary freeze_inducing: kind dgp"),
+        ("dspp", {"inducing_init": ["kmeans"]}, "grid cannot vary inducing_init: kind dspp"),
+        ("ffnn", {"heteroscedastic": [True]}, "grid cannot vary heteroscedastic: kind ffnn"),
+        ("ffnn", {"test_samples": [4, 8]}, "grid cannot vary test_samples: kind ffnn"),
+    ], ids=["mcd-split-and-gp", "mcd-gp", "mcd-split", "svgp-units", "svgp-nn", "dgp-freeze",
+            "dspp-init", "ffnn-noise-head", "ffnn-passes"])
+    def test_grid_key_no_cell_reads_is_refused_by_key_and_kind(self, kind, grid, msg, tmp_path):
+        with pytest.raises(ValueError, match=f"^{msg}"):
+            grid_search(tiny_config(kind), grid, small_fleet(), small_split(), out_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_grid_key_rejected(self):
