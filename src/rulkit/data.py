@@ -314,10 +314,16 @@ def normalize(data: FleetDataset, stats_from: Sequence[str]):
 def stack_rows(data: FleetDataset, unit_ids: Optional[Sequence[str]] = None):
     """Flatten units to row arrays: (X, y, unit_id per row, t per row)."""
     units = data.units if unit_ids is None else [data.unit(i) for i in unit_ids]
-    X = np.concatenate([u.features for u in units], axis=0)
-    y = np.concatenate([u.rul for u in units])
-    uid = np.concatenate([np.repeat(u.unit_id, u.num_rows) for u in units])
-    t = np.concatenate([u.time for u in units])
+    return stack_slices([(u, slice(None)) for u in units])
+
+
+def stack_slices(parts: Sequence[tuple]):
+    """Flatten a row slice of each unit, given as (unit, slice) pairs, to row
+    arrays in order: (X, y, unit_id per row, t per row)."""
+    X = np.concatenate([u.features[s] for u, s in parts], axis=0)
+    y = np.concatenate([u.rul[s] for u, s in parts])
+    uid = np.concatenate([np.repeat(u.unit_id, u.rul[s].size) for u, s in parts])
+    t = np.concatenate([u.time[s] for u, s in parts])
     return X, y, uid, t
 
 

@@ -183,12 +183,3 @@ class DeepGPModel(SVGPModel):
         X, in natural target units."""
         t = self.num_test_samples if self.depth else 1
         return self._mixture(X, np.full(t, 1.0 / t), _PREDICT_CHUNK, rng or RngStream(0))
-
-    def config_dict(self) -> dict:
-        return super().config_dict() | {
-            "width": self.width,
-            "depth": self.depth,
-            "skip_connection": self.skip_connection,
-            "num_train_samples": self.num_train_samples,
-            "num_test_samples": self.num_test_samples,
-        }

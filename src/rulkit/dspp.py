@@ -6,13 +6,14 @@ sites instead of Monte-Carlo draws: hidden activations for component s are
 mu + xi_w^(s) * sigma (one shared component index across every hidden GP),
 weighted by a learnable simplex. The sites are one (S, depth * width) slice,
 ``sites``, that scales the hidden stds as an (S, 1, depth * width) block in
-place of the deep GP's (T, n, depth * width) draws; that block, the log
-weights and the predictive are all it overrides of
-:class:`rulkit.dgp.DeepGPModel`, whose training path it inherits. Sites
-start at the Gauss-Hermite nodes, log-weights at the Gauss-Hermite
-log-weights. Both the objective and the predictive distribution are
-deterministic finite mixtures, so training needs no sampling and two runs
-agree bit for bit.
+place of the deep GP's (T, n, depth * width) draws; the weights are the
+softmax of the (S,) slice ``site_logits``, so ``params.decode("site_logits")``
+gives the logits. That block, the log weights and the predictive are all it
+overrides of :class:`rulkit.dgp.DeepGPModel`, whose training path it
+inherits. Sites and logits start at the Gauss-Hermite rule of
+:func:`rulkit.mathcore.gauss_hermite` (:func:`init_sigma_points`). Both the
+objective and the predictive distribution are deterministic finite mixtures,
+so training needs no sampling and two runs agree bit for bit.
 
 Objective per point: log sum_s omega_s N(y_i | mu_f^(s), s2_f^(s) + s2_obs),
 summed with the minibatch scale, minus beta_reg times the summed KL.
@@ -20,44 +21,32 @@ summed with the minibatch scale, minus beta_reg times the summed KL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .dgp import DeepGPModel
-from .mathcore import gauss_hermite
+from .mathcore import QuadratureRule, gauss_hermite
 from .metrics import Predictions
-from .params import IDENTITY, SIMPLEX, ParamView
+from .params import IDENTITY, ParamView
 from .svgp import DEFAULT_JITTER
 
 _PREDICT_CHUNK = 2048
 
 
-@dataclass
-class SigmaPointSet:
-    """Learnable quadrature: logits over components and per-GP sites."""
-
-    logits: np.ndarray
-    sites: np.ndarray
-
-    def __post_init__(self):
-        self.logits = np.asarray(self.logits, dtype=np.float64)
-        self.sites = np.atleast_2d(np.asarray(self.sites, dtype=np.float64))
-        if self.logits.ndim != 1 or self.sites.shape[0] != self.logits.shape[0]:
-            raise ValueError("need one row of sites per logit")
-
-    @property
-    def weights(self) -> np.ndarray:
-        e = np.exp(self.logits - self.logits.max())
-        return e / e.sum()
-
-
-def init_sigma_points(num_sites: int, total_width: int) -> SigmaPointSet:
-    """Gauss-Hermite starting point: nodes replicated across hidden GPs."""
+def init_sigma_points(num_sites: int, total_width: int) -> QuadratureRule:
+    """Gauss-Hermite starting point: the nodes replicated across the hidden
+    GPs as (S, total_width) sites, and as weights the softmax of the rule's
+    log-weights. A model's starting logits are the logs of these weights;
+    they differ from the rule's own weights in the last bits, and dspp's
+    first training step is steered by bits that small."""
     rule = gauss_hermite(num_sites)
-    sites = np.tile(rule.sites[:, None], (1, total_width))
-    return SigmaPointSet(logits=np.log(rule.weights), sites=sites)
+    return QuadratureRule(sites=np.tile(rule.sites[:, None], (1, total_width)),
+                          weights=_softmax(np.log(rule.weights)))
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    e = np.exp(logits - np.max(logits))
+    return e / e.sum()
 
 
 class DSPPModel(DeepGPModel):
@@ -77,7 +66,8 @@ class DSPPModel(DeepGPModel):
         self.num_sites = int(num_sites)
         start = init_sigma_points(self.num_sites, self.depth * self.width)
         self.params.register("sites", start.sites.shape, IDENTITY, init=start.sites)
-        self.params.register("site_logits", (self.num_sites,), SIMPLEX, init=start.weights)
+        self.params.register("site_logits", (self.num_sites,), IDENTITY,
+                             init=np.log(start.weights))
 
     # -- sigma points as components of the deep GP's builders --------------------
 
@@ -92,12 +82,11 @@ class DSPPModel(DeepGPModel):
         return None
 
     def _log_weights(self, view: ParamView):
-        return view.log_simplex("site_logits")
+        logits = view.get("site_logits")
+        return logits - ad.logsumexp(logits)
 
     def predictive(self, X, rng=None) -> Predictions:
         """Deterministic mixture over sigma points per row of X, in natural
         target units."""
-        return self._mixture(X, self.params.decode("site_logits"), _PREDICT_CHUNK, rng)
-
-    def config_dict(self) -> dict:
-        return super().config_dict() | {"num_sites": self.num_sites}
+        weights = _softmax(self.params.decode("site_logits"))
+        return self._mixture(X, weights, _PREDICT_CHUNK, rng)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import FleetDataset, NormalizationStats, SplitSpec, normalize, stack_rows
+from .data import FleetDataset, NormalizationStats, SplitSpec, normalize, stack_rows, stack_slices
 from .dgp import MAX_DEPTH, DeepGPModel
 from .dspp import DSPPModel
 from .mathcore import MAX_QUADRATURE_SITES, NumericalError
@@ -48,6 +48,7 @@ __all__ = [
     "grid_search",
     "save_checkpoint",
     "load_checkpoint",
+    "model_config",
     "model_from_config",
     "checkpoint_records",
     "write_predictions",
@@ -332,10 +333,10 @@ _CHECKPOINT_KEYS = {
 
 
 def _model_keys(model_kind: str) -> dict:
-    """Each hyperparameter key of a model_config of ``model_kind`` (as
-    ``config_dict()`` keys it), mapped to the ExperimentConfig field it is
-    read from. With input_dim and the target statistics, these are the keys
-    model_from_config accepts."""
+    """Each hyperparameter key of a model_config of ``model_kind``, mapped to
+    the ExperimentConfig field it is read from. With input_dim and the target
+    statistics, these are the keys model_from_config accepts and model_config
+    writes."""
     irregular = _CHECKPOINT_KEYS.get(model_kind, {})
     same = [name for name in _reads(model_kind, "model") if name not in irregular.values()]
     return {name: name for name in same} | irregular
@@ -387,15 +388,7 @@ def train_val_rows(data: FleetDataset, split: SplitSpec):
         tr.append((u, slice(0, cut)))
         if n_val:
             va.append((u, slice(cut, u.num_rows)))
-
-    def pack(parts):
-        X = np.concatenate([u.features[s] for u, s in parts], axis=0)
-        y = np.concatenate([u.rul[s] for u, s in parts])
-        uid = np.concatenate([np.repeat(u.unit_id, len(u.rul[s])) for u, s in parts])
-        t = np.concatenate([u.time[s] for u, s in parts])
-        return X, y, uid, t
-
-    return pack(tr), (pack(va) if va else None)
+    return stack_slices(tr), (stack_slices(va) if va else None)
 
 
 @dataclass(frozen=True)
@@ -559,15 +552,29 @@ def save_checkpoint(path, model, config: ExperimentConfig, stats: NormalizationS
         path,
         format_version=np.asarray(FORMAT_VERSION),
         experiment_config=json.dumps(config.to_dict(), sort_keys=True),
-        model_config=json.dumps(model.config_dict(), sort_keys=True),
+        model_config=json.dumps(model_config(model), sort_keys=True),
         norm_mean=stats.mean,
         norm_std=stats.std,
         state_theta=model.params.values,
     )
 
 
+def model_config(model) -> dict:
+    """The model_config a checkpoint stores for ``model``: its kind (``ffnn``
+    for the point baseline), input_dim, the target statistics and each key of
+    ``_model_keys(kind)``, read off the model; ``objective`` and ``beta_reg``
+    come from its ``objective_spec``."""
+    kind = "ffnn" if getattr(model, "point_baseline", False) else model.kind
+    keys = _model_keys(kind)
+    cfg = {key: getattr(model, key) for key in keys if key not in ("objective", "beta_reg")}
+    if "objective" in keys:
+        cfg |= {"objective": model.objective_spec.kind, "beta_reg": model.objective_spec.beta_reg}
+    return cfg | {"kind": kind, "input_dim": model.input_dim,
+                  "target_shift": model.target_shift, "target_scale": model.target_scale}
+
+
 def model_from_config(config: dict, theta: Optional[np.ndarray] = None):
-    """The model a ``config_dict()`` describes, carrying the raw parameter
+    """The model a :func:`model_config` describes, carrying the raw parameter
     vector ``theta``, or its registered starting values without one: the one
     path that constructs a model, fresh (:func:`build_model`) or saved. A
     config with keys its kind does not take, or without ones it needs, is

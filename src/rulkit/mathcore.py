@@ -197,7 +197,8 @@ def gaussian_logpdf(y, mean, variance):
 
 @dataclass
 class QuadratureRule:
-    """Sites and simplex weights approximating E[f(eps)], eps ~ N(0, 1)."""
+    """Sites and simplex weights approximating E[f(eps)], eps ~ N(0, 1). The
+    sites are (S,), or (S, W) for one rule replicated over W variables."""
 
     sites: np.ndarray
     weights: np.ndarray

@@ -53,7 +53,7 @@ from .autodiff import Tensor
 from .metrics import Predictions
 from .parallel import run_indexed, usable_cpus
 from .params import IDENTITY, ParamVector, ParamView, RngStream, value_and_grad
-from .svgp import input_rows
+from .svgp import input_rows, training_rows
 
 NOISE_FLOOR = 1e-8
 # Fewest mask uniforms (T * n * sum of hidden sizes) for which a prediction
@@ -208,8 +208,7 @@ class MCDModel:
 
     def objective_grad(self, X, y, scale: float = 1.0, rng: Optional[RngStream] = None) -> float:
         """Batch-mean training loss (scale is irrelevant for a mean and ignored)."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        y = np.asarray(y, dtype=np.float64)
+        X, y = training_rows(X, y, self.input_dim)
         if rng is None:
             rng = RngStream(0)
         keeps = self._masks(X.shape[0], rng) if self.keep_prob < 1.0 else None
@@ -290,18 +289,3 @@ class MCDModel:
         return Predictions.gaussian(
             mean * s + self.target_shift, np.maximum(var, NOISE_FLOOR) * s * s
         )
-
-    def config_dict(self) -> dict:
-        return {
-            "kind": "ffnn" if self.point_baseline else "mcd",
-            "input_dim": self.input_dim,
-            "hidden_layers": self.hidden_layers,
-            "hidden_units": self.hidden_units,
-            "keep_prob": self.keep_prob,
-            "heteroscedastic": self.heteroscedastic,
-            "noise_variance": self.noise_variance,
-            "weight_decay": self.weight_decay,
-            "test_samples": self.test_samples,
-            "target_shift": self.target_shift,
-            "target_scale": self.target_scale,
-        }

@@ -1,9 +1,11 @@
 """Trainable-parameter registry and optimization utilities.
 
 All model state lives in one flat float64 vector of unconstrained values.
-Named slices carry a transform (identity, positive via softplus, simplex via
-softmax, packed Cholesky factor) that maps raw values to the constrained
-quantity the model consumes. Objectives are callables ``f(params) -> float``
+Named slices carry a transform (identity, positive via softplus, packed
+Cholesky factor) that maps raw values to the constrained quantity the model
+consumes. A transform's one forward map is its graph op ``apply``: the
+training graph, prediction's constant views and ``ParamVector.decode`` all
+evaluate it. Objectives are callables ``f(params) -> float``
 that populate ``params.grad`` with the gradient in raw coordinates; Adam,
 the finite-difference checker and the training loops all speak this contract.
 """
@@ -36,10 +38,7 @@ class Identity:
         return int(np.prod(shape, dtype=int)) if shape else 1
 
     def apply(self, t: Tensor, shape: tuple) -> Tensor:
-        return ad.reshape(t, shape) if shape else ad.reshape(t, ())
-
-    def apply_np(self, x: np.ndarray, shape: tuple) -> np.ndarray:
-        return x.reshape(shape)
+        return ad.reshape(t, shape)
 
     def invert(self, value: np.ndarray, shape: tuple) -> np.ndarray:
         return np.asarray(value, dtype=np.float64).reshape(-1)
@@ -56,37 +55,12 @@ class Positive:
     def apply(self, t: Tensor, shape: tuple) -> Tensor:
         return ad.reshape(ad.softplus(t), shape)
 
-    def apply_np(self, x: np.ndarray, shape: tuple) -> np.ndarray:
-        return np.logaddexp(0.0, x).reshape(shape)
-
     def invert(self, value: np.ndarray, shape: tuple) -> np.ndarray:
         y = np.asarray(value, dtype=np.float64).reshape(-1)
         if np.any(y <= 0.0):
             raise ValueError("positive transform got a nonpositive value")
         # softplus^{-1}(y) = y + log(1 - exp(-y))
         return y + np.log1p(-np.exp(-y))
-
-
-class Simplex:
-    """Softmax map from logits to the probability simplex."""
-
-    name = "simplex"
-
-    def raw_size(self, shape: tuple) -> int:
-        return int(np.prod(shape, dtype=int))
-
-    def log_apply(self, t: Tensor, shape: tuple) -> Tensor:
-        return t - ad.logsumexp(t)
-
-    def apply_np(self, x: np.ndarray, shape: tuple) -> np.ndarray:
-        e = np.exp(x - np.max(x))
-        return (e / e.sum()).reshape(shape)
-
-    def invert(self, value: np.ndarray, shape: tuple) -> np.ndarray:
-        w = np.asarray(value, dtype=np.float64).reshape(-1)
-        if np.any(w <= 0.0):
-            raise ValueError("simplex transform got a nonpositive weight")
-        return np.log(w)
 
 
 class CholeskyFactor:
@@ -111,26 +85,23 @@ class CholeskyFactor:
         return int(np.prod(shape[:-2], dtype=int)) * self._flat.size
 
     def apply(self, t: Tensor, shape: tuple) -> Tensor:
+        if t.shape != (self.raw_size(shape),):
+            raise ValueError(
+                f"packed vector must have length {self.raw_size(shape)}, got {t.shape}"
+            )
         raw = t.data.reshape(-1, self._flat.size)
+        vals = raw.copy()
+        vals[:, self._diag] = np.logaddexp(0.0, vals[:, self._diag])
+        out = np.zeros((vals.shape[0], self.n * self.n))
+        for row, packed in zip(out, vals):  # 1-d scatters: 2-d ones take twice as long
+            row[self._flat] = packed
 
         def vjp(g):
             gp = g.reshape(raw.shape[0], -1).take(self._flat, axis=1)
             gp[:, self._diag] *= _expit(raw[:, self._diag])
             return (gp.reshape(-1),)
 
-        return ad.make_node(self.apply_np(t.data, shape), (t,), vjp)
-
-    def apply_np(self, x: np.ndarray, shape: tuple) -> np.ndarray:
-        if x.shape != (self.raw_size(shape),):
-            raise ValueError(
-                f"packed vector must have length {self.raw_size(shape)}, got {x.shape}"
-            )
-        vals = x.reshape(-1, self._flat.size).copy()
-        vals[:, self._diag] = np.logaddexp(0.0, vals[:, self._diag])
-        out = np.zeros((vals.shape[0], self.n * self.n))
-        for row, packed in zip(out, vals):  # 1-d scatters: 2-d ones take twice as long
-            row[self._flat] = packed
-        return out.reshape(shape)
+        return ad.make_node(out.reshape(shape), (t,), vjp)
 
     def invert(self, value: np.ndarray, shape: tuple) -> np.ndarray:
         L = np.asarray(value, dtype=np.float64)
@@ -146,7 +117,6 @@ class CholeskyFactor:
 
 IDENTITY = Identity()
 POSITIVE = Positive()
-SIMPLEX = Simplex()
 
 
 # -- the flat parameter vector -------------------------------------------------
@@ -197,9 +167,11 @@ class ParamVector:
             raise KeyError(f"unknown parameter {name!r}") from None
 
     def decode(self, name: str):
-        """Constrained value of a slice as a numpy array (or scalar)."""
+        """Constrained value of a slice as a numpy array (or scalar): the
+        transform's ``apply`` on the raw values as a constant."""
         e = self.entry(name)
-        out = e.transform.apply_np(self.values[e.offset : e.offset + e.size], e.shape)
+        raw = ad.constant(self.values[e.offset : e.offset + e.size])
+        out = e.transform.apply(raw, e.shape).data
         return float(out) if e.shape == () else out
 
     def set_value(self, name: str, value):
@@ -249,18 +221,11 @@ class ParamView:
         return self.raw[name]
 
     def get(self, name: str) -> Tensor:
-        """The constrained value of a slice. A simplex slice is read only
-        through :meth:`log_simplex` (and ``ParamVector.decode``); its
-        transform has no ``apply``."""
+        """The constrained value of a slice."""
         if name not in self._cache:
             e = self._params.entry(name)
             self._cache[name] = e.transform.apply(self._raw(name), e.shape)
         return self._cache[name]
-
-    def log_simplex(self, name: str) -> Tensor:
-        """Log-weights of a simplex slice, computed stably from the logits."""
-        e = self._params.entry(name)
-        return e.transform.log_apply(self._raw(name), e.shape)
 
 
 def value_and_grad(params: ParamVector, build: Callable[[ParamView], Tensor]) -> float:

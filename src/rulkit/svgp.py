@@ -660,8 +660,7 @@ class SVGPModel:
     def objective_grad(self, X, y, scale: float = 1.0, rng: Optional[RngStream] = None) -> float:
         """Loss on a batch; leaves the gradient on ``self.params``. Hidden
         draws, if any, come from ``rng``."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        y = np.asarray(y, dtype=np.float64)
+        X, y = training_rows(X, y, self.input_dim)
         eps = self._draw_eps(X.shape[0], self.num_train_samples, rng)
         return value_and_grad(self.params, lambda view: self._build(view, X, y, scale, eps))
 
@@ -674,18 +673,6 @@ class SVGPModel:
         s = self.target_scale
         return Predictions.gaussian(mu[0] * s + self.target_shift, (var[0] + obs) * s * s)
 
-    def config_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "input_dim": self.input_dim,
-            "num_inducing": self.num_inducing,
-            "objective": self.objective_spec.kind,
-            "beta_reg": self.objective_spec.beta_reg,
-            "jitter": self.jitter,
-            "target_shift": self.target_shift,
-            "target_scale": self.target_scale,
-        }
-
 
 def input_rows(X, input_dim: int) -> np.ndarray:
     """Every model's predictive input rule: a float (n, input_dim) array, n >= 0
@@ -695,3 +682,12 @@ def input_rows(X, input_dim: int) -> np.ndarray:
         raise ValueError(f"expected inputs of shape (n, {input_dim}), got {X.shape}")
     return X
 
+
+def training_rows(X, y, input_dim: int):
+    """Every model's training input rule: rows X as :func:`input_rows` checks
+    them, and y a float vector of exactly one target per row."""
+    X = input_rows(X, input_dim)
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (X.shape[0],):
+        raise ValueError(f"expected targets of shape ({X.shape[0]},), got {y.shape}")
+    return X, y

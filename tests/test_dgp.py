@@ -17,7 +17,7 @@ from gp_oracle import layer_of, np_latent, u_space
 from rulkit import autodiff as ad
 from rulkit.dgp import DeepGPModel
 from rulkit.dspp import DSPPModel
-from rulkit.experiment import ExperimentConfig, build_model, model_from_config
+from rulkit.experiment import ExperimentConfig, build_model, model_config, model_from_config
 from rulkit.metrics import Predictions
 from rulkit.params import ParamView, RngStream, fd_check
 from rulkit.svgp import ObjectiveSpec, SVGPModel, latent_graph, layer_from_view
@@ -386,7 +386,7 @@ class TestGraphSize:
 class TestStateRoundTrip:
     def test_predictions_survive_reload(self):
         model, X, y = _toy_dgp(seed=19)
-        clone = model_from_config(model.config_dict(), model.params.values)
+        clone = model_from_config(model_config(model), model.params.values)
         a = model.predictive(X, rng=RngStream(2))
         b = clone.predictive(X, rng=RngStream(2))
         np.testing.assert_array_equal(a.means, b.means)

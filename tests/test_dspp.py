@@ -10,12 +10,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from gp_oracle import MultivariateNormal, kernel_eval, layer_of, mvn_kl, u_space
 from rulkit import autodiff as ad
-from rulkit.dspp import DSPPModel, SigmaPointSet, init_sigma_points
-from rulkit.experiment import ExperimentConfig, build_model, default_config, model_from_config
+from rulkit.dspp import DSPPModel, init_sigma_points
+from rulkit.experiment import (
+    ExperimentConfig,
+    build_model,
+    default_config,
+    model_config,
+    model_from_config,
+)
 from rulkit.mathcore import gaussian_logpdf
 from rulkit.params import ParamView, RngStream, fd_check
 from rulkit.svgp import ObjectiveSpec
@@ -67,10 +75,6 @@ class TestInitSigmaPoints:
         assert np.all(sp.weights > 0.0)
         assert abs(sp.weights.sum() - 1.0) < 1e-12
 
-    def test_set_validation(self):
-        with pytest.raises(ValueError):
-            SigmaPointSet(logits=np.zeros(3), sites=np.zeros((2, 4)))
-
 
 class TestQuadratureAccuracy:
     def test_init_rule_integrates_a_gaussian_likelihood(self):
@@ -106,6 +110,19 @@ class TestPredictDeterminism:
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.variances, b.variances)
         np.testing.assert_array_equal(a.weights, b.weights)
+
+    @given(
+        logits=st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=3, max_size=3),
+        shift=st.floats(min_value=-50.0, max_value=50.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_weights_sum_to_one_and_ignore_a_logit_shift(self, logits, shift):
+        model, X, _ = _toy_dspp()
+        model.params.set_value("site_logits", np.asarray(logits))
+        w = model.predictive(X).weights
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        model.params.set_value("site_logits", np.asarray(logits) + shift)
+        np.testing.assert_allclose(model.predictive(X).weights, w, rtol=0.0, atol=1e-12)
 
     def test_training_is_bitwise_reproducible(self):
         runs = []
@@ -180,7 +197,8 @@ class TestObjective:
         beta = model.objective_spec.beta_reg
         shift, scale = model.target_shift, model.target_scale
 
-        log_w = np.log(model.params.decode("site_logits"))
+        logits = model.params.decode("site_logits")
+        log_w = logits - logsumexp(logits)
         data_term = 0.0
         mix = model.predictive(X)
         for means, variances, target in zip(mix.means, mix.variances, y):
@@ -261,7 +279,7 @@ class TestModel:
 
     def test_state_round_trip(self):
         model, X, _ = _toy_dspp(seed=47)
-        clone = model_from_config(model.config_dict(), model.params.values)
+        clone = model_from_config(model_config(model), model.params.values)
         a, b = model.predictive(X), clone.predictive(X)
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.variances, b.variances)

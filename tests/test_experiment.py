@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulkit import experiment, mcd, parallel, svgp
 from rulkit.data import FleetDataset, SplitSpec, UnitSeries, load_fleet, normalize, synth_fleet
@@ -37,6 +39,7 @@ from rulkit.experiment import (
     grid_cells,
     grid_search,
     load_checkpoint,
+    model_config,
     model_from_config,
     run_experiment,
     selection_metric_for,
@@ -491,7 +494,7 @@ class TestCheckpoints:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_model_config_with_an_unknown_or_missing_key_is_refused(self, kind):
         X, y = np.ones((10, 4)), np.arange(10.0)
-        config = build_model(tiny_config(kind), X, y, RngStream(0)).config_dict()
+        config = model_config(build_model(tiny_config(kind), X, y, RngStream(0)))
         with pytest.raises(ValueError, match=rf"kind '{config['kind']}' has unknown keys extra$"):
             model_from_config(config | {"extra": 1})
         dropped = dict(config)
@@ -500,6 +503,37 @@ class TestCheckpoints:
             model_from_config(dropped)
         with pytest.raises(ValueError, match="has unknown keys extra and missing keys input_dim"):
             model_from_config(dropped | {"extra": 1})
+
+    @given(
+        kind=st.sampled_from(MODEL_KINDS),
+        depth=st.integers(1, 2),
+        width=st.integers(1, 3),
+        num_sites=st.integers(1, 5),
+        hidden_units=st.integers(1, 5),
+        flag=st.booleans(),
+        keep_prob=st.sampled_from(KEEP_PROB_GRID),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_model_config_rebuilds_the_model(self, kind, depth, width, num_sites,
+                                             hidden_units, flag, keep_prob, seed):
+        # model_from_config(model_config(m), theta) is m again: the same
+        # model_config and the same predictive bytes
+        rng = np.random.default_rng(seed)
+        X, y = rng.standard_normal((8, 2)), 10.0 * rng.standard_normal(8)
+        config = default_config(kind).replace(
+            num_inducing=3, depth=depth if kind == "dspp" else depth - 1, width=width,
+            num_sites=num_sites, train_samples=2, test_samples=3, hidden_layers=depth,
+            hidden_units=hidden_units, keep_prob=keep_prob, skip_connection=flag,
+            standardize_targets=flag, heteroscedastic=flag and kind == "mcd",
+        )
+        model = build_model(config, X, y, RngStream(seed))
+        model.params.values += 0.1 * rng.standard_normal(model.params.size)
+        clone = model_from_config(model_config(model), model.params.values)
+        assert model_config(clone) == model_config(model)
+        a, b = model.predictive(X, rng=RngStream(1)), clone.predictive(X, rng=RngStream(1))
+        for name in ("weights", "means", "variances", "mean", "var"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
     # Each kind's checkpoint strings for ``tiny_config(kind)`` on the small
     # fleet: the model_config that build_model maps the run's config to, then
@@ -641,7 +675,8 @@ class TestCheckpoints:
         # every hyperparameter a model_config holds has a value no other has
         config = tiny_config(kind).replace(beta_reg=0.5, width=3, train_samples=5,
                                            test_samples=6, num_sites=7, hidden_layers=2)
-        stored = build_model(config, np.ones((10, 4)), np.arange(10.0), RngStream(0)).config_dict()
+        stored = model_config(build_model(config, np.ones((10, 4)), np.arange(10.0),
+                                          RngStream(0)))
         assert stored.pop("kind") == model_kind
         assert set(stored) == set(keys) | {"input_dim", "target_shift", "target_scale"}
         for key, name in keys.items():
@@ -1085,6 +1120,25 @@ class TestBuildModel:
         for bad in (np.zeros((2, 4)), np.zeros((0, 2)), np.zeros((2, 3, 1))):
             with pytest.raises(ValueError, match=r"expected inputs of shape \(n, 3\)"):
                 model.predictive(bad, rng=RngStream(1))
+
+    @pytest.mark.parametrize("kind", ["svgp", "dgp", "dspp", "mcd"])
+    def test_training_input_rule(self, kind):
+        # objective_grad reads rows as predictive does and exactly one target
+        # per row, as a vector; a column of targets would broadcast the
+        # residuals to an (n, n) objective
+        rng = np.random.default_rng(0)
+        X, y = rng.standard_normal((12, 3)), rng.standard_normal(12)
+        cfg = default_config(kind).replace(
+            num_inducing=4, hidden_layers=1, hidden_units=4,
+            width=2, num_sites=3, train_samples=2, test_samples=2,
+        )
+        model = build_model(cfg, X, y, RngStream(0))
+        assert np.isfinite(model.objective_grad(X, y, rng=RngStream(1)))
+        for bad in (y[:, None], y[:11]):
+            with pytest.raises(ValueError, match=r"expected targets of shape \(12,\)"):
+                model.objective_grad(X, bad, rng=RngStream(1))
+        with pytest.raises(ValueError, match=r"expected inputs of shape \(n, 3\)"):
+            model.objective_grad(X[:, :2], y, rng=RngStream(1))
 
     @pytest.mark.parametrize("kind", ["svgp", "ppgpr", "dspp", "ffnn"])
     def test_predictive_on_a_row_subset_is_those_rows_of_the_whole(self, kind):

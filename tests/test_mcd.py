@@ -17,7 +17,7 @@ import pytest
 from gp_oracle import relu
 import rulkit.autodiff as ad
 from rulkit import mcd, parallel
-from rulkit.experiment import ExperimentConfig, build_model, model_from_config
+from rulkit.experiment import ExperimentConfig, build_model, model_config, model_from_config
 from rulkit.mcd import NOISE_FLOOR, MCDModel, _forward_graph, sample_mask
 from rulkit.params import OptimizerState, ParamView, RngStream, adam_step, fd_check, value_and_grad
 
@@ -486,15 +486,15 @@ class TestMCDModel:
 
     def test_state_round_trip(self):
         model, X, _ = self._toy()
-        clone = model_from_config(model.config_dict(), model.params.values)
+        clone = model_from_config(model_config(model), model.params.values)
         a = model.predictive(X, rng=RngStream(8))
         b = clone.predictive(X, rng=RngStream(8))
         assert list(zip(a.mean, a.var)) == list(zip(b.mean, b.var))
 
     def test_config_reports_ffnn_for_point_baseline(self):
         model, _, _ = self._toy(kind="ffnn")
-        assert model.config_dict()["kind"] == "ffnn"
-        assert self._toy()[0].config_dict()["kind"] == "mcd"
+        assert model_config(model)["kind"] == "ffnn"
+        assert model_config(self._toy()[0])["kind"] == "mcd"
 
 
 # -- constructor validation ---------------------------------------------------------------

@@ -10,15 +10,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rulkit import autodiff as ad
 from rulkit.mathcore import NumericalError
 from rulkit.params import (
     IDENTITY,
     POSITIVE,
-    SIMPLEX,
     CholeskyFactor,
     GradientError,
     OptimizerState,
@@ -43,11 +40,6 @@ class TestTransforms:
         p.register("noise", (), transform=POSITIVE)
         assert p.decode("noise") == pytest.approx(math.log(2.0), abs=1e-12)
 
-    def test_equal_logits_give_uniform_simplex(self):
-        p = ParamVector()
-        p.register("w", (4,), transform=SIMPLEX)
-        np.testing.assert_allclose(p.decode("w"), np.full(4, 0.25), atol=1e-15)
-
     def test_positive_round_trip(self):
         p = ParamVector()
         p.register("scale", (), transform=POSITIVE, init=3.7)
@@ -64,33 +56,13 @@ class TestTransforms:
         with pytest.raises(ValueError):
             p.register("s", (), transform=POSITIVE, init=0.0)
 
-    def test_simplex_round_trip(self):
-        w = np.array([0.1, 0.2, 0.3, 0.4])
-        p = ParamVector()
-        p.register("w", (4,), transform=SIMPLEX, init=w)
-        np.testing.assert_allclose(p.decode("w"), w, atol=1e-12)
-
-    @given(
-        logits=st.lists(
-            st.floats(min_value=-30.0, max_value=30.0), min_size=2, max_size=8
-        ),
-        shift=st.floats(min_value=-50.0, max_value=50.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_simplex_sums_to_one_and_ignores_logit_shift(self, logits, shift):
-        x = np.asarray(logits)
-        w = SIMPLEX.apply_np(x, x.shape)
-        assert abs(w.sum() - 1.0) < 1e-12
-        shifted = SIMPLEX.apply_np(x + shift, x.shape)
-        np.testing.assert_allclose(shifted, w, atol=1e-12)
-
     def test_cholesky_factor_round_trip(self):
         n = 4
         L = np.tril(RNG.standard_normal((n, n)))
         np.fill_diagonal(L, np.abs(np.diag(L)) + 0.5)
         t = CholeskyFactor(n)
         packed = t.invert(L, (n, n))
-        np.testing.assert_allclose(t.apply_np(packed, (n, n)), L, atol=1e-12)
+        np.testing.assert_allclose(t.apply(ad.constant(packed), (n, n)).data, L, atol=1e-12)
 
     def test_stacked_cholesky_factor_round_trip(self):
         # a stack of W factors packs each one as a single factor would, the
@@ -102,11 +74,10 @@ class TestTransforms:
         t = CholeskyFactor(n)
         packed = t.invert(L, (width, n, n))
         assert t.raw_size((width, n, n)) == packed.size == width * n * (n + 1) // 2
-        np.testing.assert_allclose(t.apply_np(packed, (width, n, n)), L, atol=1e-12)
+        np.testing.assert_allclose(t.apply(ad.constant(packed), (width, n, n)).data, L,
+                                   atol=1e-12)
         singles = np.concatenate([t.invert(one, (n, n)) for one in L])
         np.testing.assert_array_equal(packed, singles)
-        graph = t.apply(ad.constant(packed), (width, n, n)).data
-        np.testing.assert_array_equal(graph, t.apply_np(packed, (width, n, n)))
 
     def test_cholesky_factor_rejects_bad_input(self):
         t = CholeskyFactor(3)
@@ -121,22 +92,7 @@ class TestTransforms:
         with pytest.raises(ValueError):
             t.invert(np.broadcast_to(bad, (2, 3, 3)), (2, 3, 3))
         with pytest.raises(ValueError):
-            t.apply_np(np.zeros(6), (2, 3, 3))
-
-    def test_transform_agrees_with_graph_apply(self):
-        # apply (graph) and apply_np (plain numpy) must be the same function;
-        # the graph reads a simplex only as log-weights
-        x = RNG.standard_normal(6)
-        for transform, shape in [
-            (POSITIVE, (6,)),
-            (SIMPLEX, (6,)),
-            (CholeskyFactor(3), (3, 3)),
-        ]:
-            if transform is SIMPLEX:
-                graph = np.exp(transform.log_apply(ad.constant(x), shape).data)
-            else:
-                graph = transform.apply(ad.constant(x), shape).data
-            np.testing.assert_allclose(graph, transform.apply_np(x, shape), atol=1e-14)
+            t.apply(ad.constant(np.zeros(6)), (2, 3, 3))
 
 
 # -- registry layout ------------------------------------------------------------
@@ -147,7 +103,7 @@ class TestParamVector:
         p = ParamVector()
         p.register("a", (2, 3))
         p.register("b", (), transform=POSITIVE)
-        p.register("c", (4,), transform=SIMPLEX)
+        p.register("c", (4,))
         offsets = sorted((p.entry(n).offset, p.entry(n).size) for n in p._entries)
         cursor = 0
         for off, size in offsets:
@@ -182,17 +138,6 @@ class TestParamVector:
         assert p.slices_containing(np.array([0])) == ["a"]
         assert p.slices_containing(np.array([4])) == ["b"]
         assert p.slices_containing(np.array([1, 3])) == ["a", "b"]
-
-    def test_log_simplex_matches_log_of_decode(self):
-        p = ParamVector()
-        w = np.array([0.05, 0.15, 0.8])
-        p.register("w", (3,), transform=SIMPLEX, init=w)
-        from rulkit.params import ParamView
-
-        view = ParamView(p, trainable=False)
-        np.testing.assert_allclose(
-            view.log_simplex("w").data, np.log(p.decode("w")), atol=1e-12
-        )
 
 
 # -- value_and_grad and the gradient contract ----------------------------------

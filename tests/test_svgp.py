@@ -30,7 +30,7 @@ from gp_oracle import (
 )
 from rulkit import autodiff as ad
 from rulkit import svgp
-from rulkit.experiment import ExperimentConfig, build_model, model_from_config
+from rulkit.experiment import ExperimentConfig, build_model, model_config, model_from_config
 from rulkit.mathcore import NumericalError, cholesky_jittered
 from rulkit.parallel import run_indexed
 from rulkit.params import (
@@ -676,7 +676,7 @@ class TestSVGPModel:
         for _ in range(3):
             model.objective_grad(X, y)
             adam_step(state, model.params)
-        clone = model_from_config(model.config_dict(), model.params.values)
+        clone = model_from_config(model_config(model), model.params.values)
         Xq = RNG.standard_normal((5, 2))
         a, b = model.predictive(Xq), clone.predictive(Xq)
         for a_mean, a_var, b_mean, b_var in zip(a.mean, a.var, b.mean, b.var):
@@ -740,7 +740,7 @@ def _prediction_bytes(model, X):
 
 
 def _fresh_bytes(model, X):
-    return _prediction_bytes(model_from_config(model.config_dict(), model.params.values.copy()), X)
+    return _prediction_bytes(model_from_config(model_config(model), model.params.values.copy()), X)
 
 
 def _recording_factorizations(monkeypatch):
