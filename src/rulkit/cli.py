@@ -26,6 +26,7 @@ from .experiment import (
     grid_search,
     load_checkpoint,
     run_experiment,
+    write_json,
     write_predictions,
 )
 from .mathcore import NumericalError
@@ -73,12 +74,8 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def _resolve_split(args, cfg: ExperimentConfig, data) -> SplitSpec:
-    train = _named_ids(args.train_units, "--train-units")
-    test = _named_ids(args.test_units, "--test-units")
-    if train is None and cfg.train_units:
-        train = list(cfg.train_units)
-    if test is None and cfg.test_units:
-        test = list(cfg.test_units)
+    train = _named_ids(args.train_units, "--train-units") or cfg.train_units
+    test = _named_ids(args.test_units, "--test-units") or cfg.test_units
     if train is None or test is None:
         ids = sorted(data.unit_ids)
         if len(ids) < 2:
@@ -113,7 +110,6 @@ def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
     data = load_fleet(args.data)
     split = _resolve_split(args, cfg, data)
-    cfg = cfg.replace(train_units=list(split.train_ids), test_units=list(split.test_ids))
     result = run_experiment(cfg, data, split, out_dir=args.out)
     _note(f"trained {cfg.kind} for {cfg.epochs} epochs; "
           f"final objective {result.epoch_objectives[-1]:.6f}")
@@ -152,9 +148,7 @@ def _cmd_evaluate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_predictions(out / "predictions.csv", records)
     (out / "report.txt").write_text(report.to_text() + "\n")
-    (out / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "report.json", report.to_dict())
     print(report.to_text())
     return 0
 
@@ -190,17 +184,14 @@ def _cmd_gridsearch(args) -> int:
         table = family_table(entries)
         out.mkdir(parents=True, exist_ok=True)
         (out / "summary.txt").write_text(table)
-        (out / "summary.json").write_text(json.dumps(
-            {
-                k: {
-                    "selected": e.get("selected"),
-                    "status": e.get("status", "ok"),
-                    "test": e["report"].to_dict() if e.get("report") else None,
-                }
-                for k, e in entries.items()
-            },
-            indent=2, sort_keys=True,
-        ) + "\n")
+        write_json(out / "summary.json", {
+            k: {
+                "selected": e.get("selected"),
+                "status": e.get("status", "ok"),
+                "test": e["report"].to_dict() if e.get("report") else None,
+            }
+            for k, e in entries.items()
+        })
         print(table, end="")
     return 0
 

@@ -38,7 +38,6 @@ __all__ = [
     "default_config",
     "default_grid",
     "build_model",
-    "train_val_rows",
     "PreparedSplit",
     "prepare_split",
     "ExperimentResult",
@@ -52,6 +51,7 @@ __all__ = [
     "model_from_config",
     "checkpoint_records",
     "write_predictions",
+    "write_json",
     "family_table",
     "TABLE_FAMILIES",
 ]
@@ -155,6 +155,8 @@ class ExperimentConfig:
     Only svgp and ppgpr honour ``freeze_inducing``. dspp's inducing inputs
     always start at a random subset, and a dspp model draws no samples. ffnn,
     the point baseline, has no noise head and predicts with one maskless pass.
+    A run takes its rows from a ``SplitSpec``: the split fields are the split
+    the command line asks for, and in a run's config, the split it used.
     """
 
     kind: str = _field("svgp", "run", (lambda v: v in MODEL_KINDS,
@@ -239,11 +241,16 @@ class ExperimentConfig:
         return cls(**d)
 
     def save(self, path):
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def write_json(path, obj):
+    """Write ``obj`` to ``path`` as the indented, key-sorted JSON of every file."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _reads(kind: str, role: Optional[str] = None) -> list[str]:
@@ -374,34 +381,18 @@ def build_model(config: ExperimentConfig, X: np.ndarray, y: np.ndarray, rng: Rng
 # -- split handling ------------------------------------------------------------------
 
 
-def train_val_rows(data: FleetDataset, split: SplitSpec):
-    """Stack training-unit rows, holding out the last ``val_fraction`` of
-    each training unit's timeline as validation."""
-    split.check_against(data)
-    tr, va = [], []
-    for uid in split.train_ids:
-        u = data.unit(uid)
-        n_val = int(np.floor(split.val_fraction * u.num_rows))
-        if split.val_fraction > 0.0 and n_val == 0:
-            n_val = 1
-        cut = u.num_rows - n_val
-        tr.append((u, slice(0, cut)))
-        if n_val:
-            va.append((u, slice(cut, u.num_rows)))
-    return stack_slices(tr), (stack_slices(va) if va else None)
-
-
 @dataclass(frozen=True)
 class PreparedSplit:
-    """The rows a run reads from a raw fleet and a split: the training units'
-    normalization statistics, and the normalized training rows ``(X, y)``,
-    validation rows ``(X, y, unit ids, times)`` (None without a validation
-    tail) and test rows ``(X, y, unit ids, times)``.
+    """The rows a run reads from a raw fleet and ``split``: the training
+    units' normalization statistics, and the normalized training rows ``(X,
+    y)``, validation rows ``(X, y, unit ids, times)`` (None without a
+    validation tail) and test rows ``(X, y, unit ids, times)``.
 
     Every array is read-only, so one value can be shared by the cells of a
     grid, concurrent ones included.
     """
 
+    split: SplitSpec
     stats: NormalizationStats
     train: tuple
     val: Optional[tuple]
@@ -410,16 +401,34 @@ class PreparedSplit:
 
 def prepare_split(data: FleetDataset, split: SplitSpec) -> PreparedSplit:
     """Normalize a raw fleet with its training units' statistics and stack
-    the training, validation and test rows of ``split``."""
+    the rows of ``split``; validation is the last ``val_fraction`` (at least
+    one row) of each training unit."""
     split.check_against(data)
     if not split.test_ids:
         raise ValueError("split.test_ids is empty; run_experiment needs at least one test unit")
     normed, stats = normalize(data, split.train_ids)
-    (X_tr, y_tr, _, _), val = train_val_rows(normed, split)
+    tr, va = [], []
+    for uid in split.train_ids:
+        u = normed.unit(uid)
+        n_val = int(np.floor(split.val_fraction * u.num_rows))
+        if split.val_fraction > 0.0 and n_val == 0:
+            n_val = 1
+        cut = u.num_rows - n_val
+        tr.append((u, slice(0, cut)))
+        if n_val:
+            va.append((u, slice(cut, u.num_rows)))
+    X_tr, y_tr, _, _ = stack_slices(tr)
+    val = stack_slices(va) if va else None
     test = stack_rows(normed, list(split.test_ids))
     for a in (X_tr, y_tr, *(val or ()), *test, stats.mean, stats.std):
         a.flags.writeable = False
-    return PreparedSplit(stats, (X_tr, y_tr), val, test)
+    return PreparedSplit(split, stats, (X_tr, y_tr), val, test)
+
+
+def _with_split(config: ExperimentConfig, split: SplitSpec) -> ExperimentConfig:
+    """``config`` recording ``split`` in its split fields."""
+    return config.replace(val_fraction=split.val_fraction, train_units=list(split.train_ids),
+                          test_units=list(split.test_ids))
 
 
 def _records(preds: Predictions, y, uid, t, rul_cap) -> Records:
@@ -453,11 +462,14 @@ def run_experiment(
     rows. ``data`` must be a raw (unnormalized) fleet; normalization
     statistics come from the training units alone. ``prepared`` is
     ``prepare_split(data, split)`` when the caller already holds it (a grid
-    shares one among its cells); None prepares it here.
+    shares one among its cells); None prepares it here. The split decides
+    the rows; the result's config, ``config.json`` and the checkpoint's
+    ``experiment_config`` record it in their split fields.
     """
     config.validate()
     if prepared is None:
         prepared = prepare_split(data, split)
+    config = _with_split(config, prepared.split)
     stats, val = prepared.stats, prepared.val
     X_tr, y_tr = prepared.train
     if config.rul_cap is not None:
@@ -520,7 +532,7 @@ def run_experiment(
             "test": test_report.to_dict(),
             "epoch_objectives": epoch_objectives,
         }
-        (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        write_json(out / "report.json", report)
         text = ["# test", test_report.to_text()]
         if val_report is not None:
             text = ["# validation", val_report.to_text(), ""] + text
@@ -796,7 +808,8 @@ def grid_search(
     config is validated before the first run, so an invalid grid value raises
     before any run directory is written. The fleet is then normalized and
     split once (:func:`prepare_split`), and every cell reads that one
-    read-only value.
+    read-only value, whose split every cell's config records (``GridRun``,
+    ``grid.json``, ``config.json``).
 
     Cells run on one thread per usable CPU (``parallel.run_indexed``), each a
     pure function of its config and the prepared split, so every result and
@@ -816,14 +829,14 @@ def grid_search(
     metric = selection_metric_for(base.kind)
     out = Path(out_dir) if out_dir is not None else None
 
-    cells = []
-    for i, overrides in enumerate(grid_cells(grid, base.kind)):
-        cfg = base.replace(**overrides, seed=_child_seed(base.seed, i))
-        cells.append((overrides, cfg.validate()))
+    cells = grid_cells(grid, base.kind)
+    configs = [base.replace(**overrides, seed=_child_seed(base.seed, i)).validate()
+               for i, overrides in enumerate(cells)]
     prepared = prepare_split(data, split)
+    configs = [_with_split(cfg, split) for cfg in configs]
 
     def run_cell(i: int) -> GridRun:
-        overrides, cfg = cells[i]
+        overrides, cfg = cells[i], configs[i]
         run_dir = out / f"run_{i:03d}" if out is not None else None
         try:
             res = run_experiment(cfg, data, split, out_dir=run_dir, prepared=prepared)
@@ -854,9 +867,7 @@ def grid_search(
     result = GridSearchResult(metric, runs, order)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "grid.json").write_text(
-            json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        write_json(out / "grid.json", result.to_dict())
         (out / "grid.txt").write_text(result.to_text() + "\n")
     return result
 

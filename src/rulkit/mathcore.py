@@ -54,13 +54,11 @@ class CholeskyResult:
     jitter: float
 
 
-def cholesky_jittered(
-    A: np.ndarray, base_jitter: float = 1e-6, max_retries: int = 5
-) -> CholeskyResult:
+def cholesky_jittered(A: np.ndarray, base_jitter: float = 1e-6) -> CholeskyResult:
     """Lower Cholesky factor of A + jitter*I.
 
     The first attempt uses no jitter; on failure the jitter starts at
-    ``base_jitter`` and is multiplied by 10 for up to ``max_retries`` attempts.
+    ``base_jitter`` and is multiplied by 10 for up to five more attempts.
     The jitter actually used is reported in the result.
     """
     A = np.asarray(A, dtype=np.float64)
@@ -72,7 +70,7 @@ def cholesky_jittered(
     scale = max(1.0, largest)
     if _asymmetry(A) > 1e-10 * scale:
         raise NumericalError("matrix is not symmetric within 1e-10 relative tolerance")
-    jitters = [0.0] + [base_jitter * 10.0**k for k in range(max_retries)]
+    jitters = [0.0] + [base_jitter * 10.0**k for k in range(5)]
     eye = np.eye(A.shape[0])
     for jitter in jitters:
         try:
@@ -130,7 +128,7 @@ def _columns(x: np.ndarray, name: str, rows: int, cols: int) -> int:
     return max(1, step)
 
 
-def _triangular_product(routine, alpha: float, a, b, lower: bool, trans: bool, right: bool):
+def _triangular_product(routine, alpha: float, a, b, trans: bool, right: bool):
     rows, cols = b.shape if b.ndim == 2 else (-1, -1)
     k = cols if right else rows
     lda = _columns(a, "a", k, k)
@@ -138,41 +136,41 @@ def _triangular_product(routine, alpha: float, a, b, lower: bool, trans: bool, r
     if not b.flags.writeable:
         raise ValueError("b must be writable; it is overwritten with the result")
     if b.size:
-        routine(b"R" if right else b"L", b"L" if lower else b"U", b"T" if trans else b"N", b"N",
+        routine(b"R" if right else b"L", b"U", b"T" if trans else b"N", b"N",
                 ctypes.c_int(rows), ctypes.c_int(cols), ctypes.c_double(alpha),
                 a.ctypes.data, ctypes.c_int(lda), b.ctypes.data, ctypes.c_int(ldb))
     return b
 
 
-def trsm(alpha: float, a: np.ndarray, b: np.ndarray, *, lower: bool = False,
-         trans: bool = False, right: bool = False) -> np.ndarray:
+def trsm(alpha: float, a: np.ndarray, b: np.ndarray, *, trans: bool = False,
+         right: bool = False) -> np.ndarray:
     """Overwrite b with alpha op(A)^{-1} b, or alpha b op(A)^{-1} with
-    ``right``, and return it. A is the lower or upper triangle of the square
-    ``a``, op(A) is A or with ``trans`` its transpose; ``a`` and ``b`` are
-    float64 with contiguous columns. scipy's own dtrsm, without the GIL."""
-    return _triangular_product(_dtrsm, alpha, a, b, lower, trans, right)
+    ``right``, and return it. A is the upper triangle of the square ``a`` (L.T
+    for a lower L), op(A) is A or with ``trans`` its transpose; ``a`` and
+    ``b`` are float64 with contiguous columns. scipy's own dtrsm, without the GIL."""
+    return _triangular_product(_dtrsm, alpha, a, b, trans, right)
 
 
-def trmm(alpha: float, a: np.ndarray, b: np.ndarray, *, lower: bool = False,
-         trans: bool = False, right: bool = False) -> np.ndarray:
+def trmm(alpha: float, a: np.ndarray, b: np.ndarray, *, trans: bool = False,
+         right: bool = False) -> np.ndarray:
     """Overwrite b with alpha op(A) b, or alpha b op(A) with ``right``, and
     return it; arguments as for :func:`trsm`. scipy's own dtrmm, without the
     GIL."""
-    return _triangular_product(_dtrmm, alpha, a, b, lower, trans, right)
+    return _triangular_product(_dtrmm, alpha, a, b, trans, right)
 
 
-def trtri(a: np.ndarray, *, lower: bool = False) -> np.ndarray:
-    """Overwrite the lower or upper triangle of the square float64 ``a``
-    (contiguous columns) with the inverse of that triangle and return ``a``;
-    the other triangle is left as it was. scipy's own dtrtri, without the
-    GIL. Raises NumericalError for a zero on the diagonal."""
+def trtri(a: np.ndarray) -> np.ndarray:
+    """Overwrite the upper triangle of the square float64 ``a`` (contiguous
+    columns) with the inverse of that triangle and return ``a``; the lower
+    triangle is left as it was. scipy's own dtrtri, without the GIL. Raises
+    NumericalError for a zero on the diagonal."""
     n = a.shape[0] if a.ndim == 2 else -1
     lda = _columns(a, "a", n, n)
     if not a.flags.writeable:
         raise ValueError("a must be writable; it is overwritten with the inverse")
     info = ctypes.c_int(0)
     if n:
-        _dtrtri(b"L" if lower else b"U", b"N", ctypes.c_int(n), a.ctypes.data,
+        _dtrtri(b"U", b"N", ctypes.c_int(n), a.ctypes.data,
                 ctypes.c_int(lda), info)
     if info.value > 0:
         raise NumericalError(f"triangular matrix is singular: diagonal entry {info.value} is 0")

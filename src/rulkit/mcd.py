@@ -53,7 +53,7 @@ from .autodiff import Tensor
 from .metrics import Predictions
 from .parallel import run_indexed, usable_cpus
 from .params import IDENTITY, ParamVector, ParamView, RngStream, value_and_grad
-from .svgp import input_rows, training_rows
+from .svgp import gaussian_loglik_graph, input_rows, training_rows
 
 NOISE_FLOOR = 1e-8
 # Fewest mask uniforms (T * n * sum of hidden sizes) for which a prediction
@@ -103,8 +103,7 @@ def _loss_graph(
 ) -> Tensor:
     mean, noise = _forward_graph(weights, biases, x, keeps, keep_prob, heteroscedastic)
     if heteroscedastic:
-        resid = y - mean
-        fit = ((ad.log(noise) + resid * resid / noise + np.log(2.0 * np.pi)) * 0.5).mean()
+        fit = -gaussian_loglik_graph(y, mean, noise).mean()
     else:
         resid = y - mean
         fit = (resid * resid).mean()

@@ -167,10 +167,10 @@ class ParamVector:
             raise KeyError(f"unknown parameter {name!r}") from None
 
     def decode(self, name: str):
-        """Constrained value of a slice as a numpy array (or scalar): the
-        transform's ``apply`` on the raw values as a constant."""
+        """Constrained value of a slice as a new numpy array (or scalar): the
+        transform's ``apply`` on a copy of the raw values as a constant."""
         e = self.entry(name)
-        raw = ad.constant(self.values[e.offset : e.offset + e.size])
+        raw = ad.constant(self.values[e.offset : e.offset + e.size].copy())
         out = e.transform.apply(raw, e.shape).data
         return float(out) if e.shape == () else out
 

@@ -275,6 +275,21 @@ class TestGridsearch:
         assert (tmp_path / "g" / "run_000" / "checkpoint.npz").exists()
         assert (tmp_path / "g" / "run_001" / "checkpoint.npz").exists()
 
+    def test_each_cell_records_the_defaulted_split(self, fleet_dir, mcd_config, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"hidden_units": [4, 8]}))
+        rc = main([
+            "gridsearch", "--data", str(fleet_dir), "--out", str(tmp_path / "g"),
+            "--config", str(mcd_config), "--grid", str(grid), "--epochs", "1",
+            "--val-fraction", "0.2",
+        ])
+        assert rc == 0
+        assert "no split given" in capsys.readouterr().err
+        for run in ("run_000", "run_001"):
+            cfg = json.loads((tmp_path / "g" / run / "config.json").read_text())
+            assert (cfg["train_units"], cfg["test_units"], cfg["val_fraction"]) == \
+                (UNITS.split(","), [TEST_UNIT], 0.2)
+
     @pytest.mark.parametrize("grid", [
         {"hidden_units": []}, {"hidden_units": 16}, {"inducing_init": "kmeans"},
     ])

@@ -41,9 +41,9 @@ from rulkit.experiment import (
     load_checkpoint,
     model_config,
     model_from_config,
+    prepare_split,
     run_experiment,
     selection_metric_for,
-    train_val_rows,
     write_predictions,
 )
 
@@ -255,6 +255,8 @@ class TestExperimentConfig:
 
 
 class TestTrainValRows:
+    """The training and validation rows ``prepare_split`` stacks."""
+
     def _fleet(self, n=10):
         def mk(uid):
             rng = np.random.default_rng(abs(hash(uid)) % 2**32)
@@ -265,33 +267,28 @@ class TestTrainValRows:
         return FleetDataset((mk("u1"), mk("u2"), mk("u3")))
 
     def test_validation_is_the_temporal_tail(self):
-        (X_tr, y_tr, uid_tr, t_tr), val = train_val_rows(
-            self._fleet(), SplitSpec(("u1", "u2"), ("u3",), val_fraction=0.1)
-        )
+        prepared = prepare_split(self._fleet(), SplitSpec(("u1", "u2"), ("u3",), val_fraction=0.1))
+        X_tr, y_tr = prepared.train
         assert X_tr.shape == (18, 2)
-        X_v, y_v, uid_v, t_v = val
+        X_v, y_v, uid_v, t_v = prepared.val
         assert X_v.shape == (2, 2)
         np.testing.assert_array_equal(t_v, [9.0, 9.0])
         np.testing.assert_array_equal(y_v, [0.0, 0.0])
         assert y_tr.min() == 1.0
-        assert set(uid_tr) == {"u1", "u2"}
+        assert set(uid_v) == {"u1", "u2"}
 
     def test_small_fraction_still_holds_one_row_out(self):
-        _, val = train_val_rows(
-            self._fleet(), SplitSpec(("u1",), (), val_fraction=0.05)
-        )
-        assert val[0].shape == (1, 2)
+        prepared = prepare_split(self._fleet(), SplitSpec(("u1",), ("u2",), val_fraction=0.05))
+        assert prepared.val[0].shape == (1, 2)
 
     def test_zero_fraction_means_no_validation(self):
-        (X_tr, *_), val = train_val_rows(
-            self._fleet(), SplitSpec(("u1", "u2"), ("u3",), val_fraction=0.0)
-        )
-        assert val is None
-        assert X_tr.shape == (20, 2)
+        prepared = prepare_split(self._fleet(), SplitSpec(("u1", "u2"), ("u3",), val_fraction=0.0))
+        assert prepared.val is None
+        assert prepared.train[0].shape == (20, 2)
 
     def test_unknown_unit_rejected(self):
         with pytest.raises(ValueError, match="unknown units"):
-            train_val_rows(self._fleet(), SplitSpec(("u9",), ()))
+            prepare_split(self._fleet(), SplitSpec(("u9",), ()))
 
 
 class TestRunExperiment:
@@ -355,6 +352,19 @@ class TestRunExperiment:
         constant = float(np.sqrt(np.mean((y_te - y_te.mean()) ** 2)))
         assert res.test_report.rmse < 0.3 * constant
 
+    def test_the_run_records_the_split_it_used(self, tmp_path):
+        # the config's own split fields ask for another split; the split
+        # argument decides, and every record of the run names it
+        cfg = tiny_mcd(val_fraction=0.5, train_units=["u009"])
+        res = run_experiment(cfg, small_fleet(), small_split(), out_dir=tmp_path)
+        assert len(res.val_records) == 3  # a tenth, not half, of each unit: one row
+        recorded = {"val_fraction": 0.1, "train_units": ["u001", "u002", "u003"],
+                    "test_units": ["u004"]}
+        assert res.config == cfg.replace(**recorded)
+        assert ExperimentConfig.load(tmp_path / "config.json") == res.config
+        _, saved, _ = load_checkpoint(tmp_path / "checkpoint.npz")
+        assert saved == res.config
+
     def test_out_dir_artifacts(self, tmp_path):
         res = run_experiment(tiny_mcd(), small_fleet(), small_split(), out_dir=tmp_path)
         for name in ("checkpoint.npz", "config.json", "report.json", "report.txt",
@@ -367,16 +377,16 @@ class TestRunExperiment:
 
 class TestCheckpoints:
     def test_reload_reproduces_validation_metrics(self, tmp_path):
+        # the split is rebuilt from the checkpoint's config alone
         data = small_fleet()
-        split = small_split()
-        res = run_experiment(tiny_mcd(), data, split, out_dir=tmp_path)
+        res = run_experiment(tiny_mcd(), data, small_split(), out_dir=tmp_path)
         model, cfg, stats = load_checkpoint(tmp_path / "checkpoint.npz")
 
-        normed, stats2 = normalize(data, split.train_ids)
-        np.testing.assert_array_equal(stats.mean, stats2.mean)
-        np.testing.assert_array_equal(stats.std, stats2.std)
-        _, val = train_val_rows(normed, split)
-        X_v, y_v, uid_v, t_v = val
+        prepared = prepare_split(data, SplitSpec(cfg.train_units, cfg.test_units,
+                                                 cfg.val_fraction))
+        np.testing.assert_array_equal(stats.mean, prepared.stats.mean)
+        np.testing.assert_array_equal(stats.std, prepared.stats.std)
+        X_v, y_v, uid_v, t_v = prepared.val
         preds = model.predictive(X_v, rng=RngStream(cfg.seed).derive(3))
         records = Records(uid_v, t_v, y_v, preds)
         assert compute_report(records, cfg.alpha).to_text() == res.val_report.to_text()
@@ -549,9 +559,9 @@ class TestCheckpoints:
             '"keep_prob": 0.4642, "kind": "svgp", "learning_rate": 0.001, '
             '"noise_variance": 1.0, "num_inducing": 8, "num_sites": 3, "objective": "elbo", '
             '"rul_cap": null, "seed": 4, "skip_connection": true, '
-            '"standardize_targets": true, "test_samples": 4, "test_units": null, '
-            '"train_samples": 2, "train_units": null, "val_fraction": 0.1, '
-            '"weight_decay": 1e-06, "width": 2}',
+            '"standardize_targets": true, "test_samples": 4, "test_units": ["u004"], '
+            '"train_samples": 2, "train_units": ["u001", "u002", "u003"], '
+            '"val_fraction": 0.1, "weight_decay": 1e-06, "width": 2}',
         ),
         "ppgpr": (
             '{"beta_reg": 1.0, "input_dim": 4, "jitter": 1e-06, "kind": "svgp", '
@@ -563,9 +573,9 @@ class TestCheckpoints:
             '"keep_prob": 0.4642, "kind": "ppgpr", "learning_rate": 0.001, '
             '"noise_variance": 1.0, "num_inducing": 8, "num_sites": 3, "objective": "ppgpr", '
             '"rul_cap": null, "seed": 4, "skip_connection": true, '
-            '"standardize_targets": true, "test_samples": 4, "test_units": null, '
-            '"train_samples": 2, "train_units": null, "val_fraction": 0.1, '
-            '"weight_decay": 1e-06, "width": 2}',
+            '"standardize_targets": true, "test_samples": 4, "test_units": ["u004"], '
+            '"train_samples": 2, "train_units": ["u001", "u002", "u003"], '
+            '"val_fraction": 0.1, "weight_decay": 1e-06, "width": 2}',
         ),
         "dgp": (
             '{"beta_reg": 1.0, "depth": 2, "input_dim": 4, "jitter": 1e-06, "kind": "dgp", '
@@ -579,9 +589,9 @@ class TestCheckpoints:
             '"keep_prob": 0.4642, "kind": "dgp", "learning_rate": 0.001, '
             '"noise_variance": 1.0, "num_inducing": 8, "num_sites": 3, "objective": "elbo", '
             '"rul_cap": null, "seed": 4, "skip_connection": true, '
-            '"standardize_targets": true, "test_samples": 4, "test_units": null, '
-            '"train_samples": 2, "train_units": null, "val_fraction": 0.1, '
-            '"weight_decay": 1e-06, "width": 2}',
+            '"standardize_targets": true, "test_samples": 4, "test_units": ["u004"], '
+            '"train_samples": 2, "train_units": ["u001", "u002", "u003"], '
+            '"val_fraction": 0.1, "weight_decay": 1e-06, "width": 2}',
         ),
         "dspp": (
             '{"beta_reg": 1.0, "depth": 1, "input_dim": 4, "jitter": 1e-06, "kind": "dspp", '
@@ -595,9 +605,9 @@ class TestCheckpoints:
             '"keep_prob": 0.4642, "kind": "dspp", "learning_rate": 0.001, '
             '"noise_variance": 1.0, "num_inducing": 8, "num_sites": 3, "objective": "ppgpr", '
             '"rul_cap": null, "seed": 4, "skip_connection": true, '
-            '"standardize_targets": true, "test_samples": 4, "test_units": null, '
-            '"train_samples": 2, "train_units": null, "val_fraction": 0.1, '
-            '"weight_decay": 1e-06, "width": 2}',
+            '"standardize_targets": true, "test_samples": 4, "test_units": ["u004"], '
+            '"train_samples": 2, "train_units": ["u001", "u002", "u003"], '
+            '"val_fraction": 0.1, "weight_decay": 1e-06, "width": 2}',
         ),
         "mcd": (
             '{"heteroscedastic": true, "hidden_layers": 1, "hidden_units": 4, '
@@ -610,9 +620,9 @@ class TestCheckpoints:
             '"keep_prob": 0.4642, "kind": "mcd", "learning_rate": 0.001, '
             '"noise_variance": 1.0, "num_inducing": 8, "num_sites": 3, "objective": "elbo", '
             '"rul_cap": null, "seed": 4, "skip_connection": true, '
-            '"standardize_targets": true, "test_samples": 4, "test_units": null, '
-            '"train_samples": 2, "train_units": null, "val_fraction": 0.1, '
-            '"weight_decay": 1e-06, "width": 2}',
+            '"standardize_targets": true, "test_samples": 4, "test_units": ["u004"], '
+            '"train_samples": 2, "train_units": ["u001", "u002", "u003"], '
+            '"val_fraction": 0.1, "weight_decay": 1e-06, "width": 2}',
         ),
         "ffnn": (
             '{"heteroscedastic": false, "hidden_layers": 1, "hidden_units": 4, '
@@ -625,9 +635,9 @@ class TestCheckpoints:
             '"keep_prob": 0.15, "kind": "ffnn", "learning_rate": 0.001, '
             '"noise_variance": 1.0, "num_inducing": 8, "num_sites": 3, "objective": "elbo", '
             '"rul_cap": null, "seed": 4, "skip_connection": true, '
-            '"standardize_targets": true, "test_samples": 4, "test_units": null, '
-            '"train_samples": 2, "train_units": null, "val_fraction": 0.1, '
-            '"weight_decay": 1e-06, "width": 2}',
+            '"standardize_targets": true, "test_samples": 4, "test_units": ["u004"], '
+            '"train_samples": 2, "train_units": ["u001", "u002", "u003"], '
+            '"val_fraction": 0.1, "weight_decay": 1e-06, "width": 2}',
         ),
 
     }
@@ -722,6 +732,19 @@ class TestGridSearch:
         )
         assert gs.runs[0].val_nll == manual.val_report.nll
         assert gs.runs[0].test_rmse == manual.test_report.rmse
+
+    def test_every_record_of_a_cell_names_the_split(self, tmp_path):
+        base = tiny_mcd(val_fraction=0.5, train_units=["u009"])
+        gs = grid_search(base, {"hidden_units": [4, 8]}, small_fleet(), small_split(),
+                         out_dir=tmp_path)
+        saved = json.loads((tmp_path / "grid.json").read_text())["runs"]
+        for run, entry in zip(gs.runs, saved):
+            assert run.config == base.replace(
+                hidden_units=run.overrides["hidden_units"], seed=run.config.seed,
+                val_fraction=0.1, train_units=["u001", "u002", "u003"], test_units=["u004"])
+            assert entry["config"] == run.config.to_dict()
+            assert ExperimentConfig.load(tmp_path / f"run_{run.index:03d}" / "config.json") \
+                == run.config
 
     def test_two_by_two_grid_ranked_by_validation_nll(self):
         gs = grid_search(

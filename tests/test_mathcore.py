@@ -153,6 +153,15 @@ def _triangle(k: int, lower: bool, seed: int) -> np.ndarray:
     return np.asfortranarray(tri + noise)
 
 
+def _operand(k: int, from_lower: bool, seed: int) -> np.ndarray:
+    """The triangle the routines read: a Fortran-ordered upper triangle, or
+    with ``from_lower`` the uncopied transpose of a C-ordered lower factor,
+    the view sparse-GP layers pass their Cholesky factors as."""
+    if from_lower:
+        return np.ascontiguousarray(_triangle(k, lower=True, seed=seed)).T
+    return _triangle(k, lower=False, seed=seed)
+
+
 _SCIPY = {"trsm": dtrsm, "trmm": dtrmm}
 _OURS = {"trsm": trsm, "trmm": trmm}
 
@@ -164,16 +173,16 @@ class TestTriangularBlas:
 
     @pytest.mark.parametrize("routine", ["trsm", "trmm"])
     @pytest.mark.parametrize("right", [False, True])
-    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("from_lower", [False, True])
     @pytest.mark.parametrize("trans", [False, True])
     @pytest.mark.parametrize("rows,cols", [(1, 1), (5, 3), (37, 61), (130, 9), (0, 4), (4, 0)])
-    def test_equals_scipy(self, routine, right, lower, trans, rows, cols):
+    def test_equals_scipy(self, routine, right, from_lower, trans, rows, cols):
         k = cols if right else rows
-        a = _triangle(k, lower, seed=rows * 100 + cols)
+        a = _operand(k, from_lower, seed=rows * 100 + cols)
         b = np.asfortranarray(np.random.default_rng(cols).standard_normal((rows, cols)))
-        want = _SCIPY[routine](-0.7, a, b, side=int(right), lower=int(lower), trans_a=int(trans))
+        want = _SCIPY[routine](-0.7, a, b, side=int(right), lower=0, trans_a=int(trans))
         out = b.copy(order="F")
-        got = _OURS[routine](-0.7, a, out, lower=lower, trans=trans, right=right)
+        got = _OURS[routine](-0.7, a, out, trans=trans, right=right)
         assert got is out
         np.testing.assert_array_equal(got, want)
 
@@ -198,14 +207,14 @@ class TestTriangularBlas:
         want = dtrsm(1.0, c_ordered.T, b, lower=0, trans_a=1)
         np.testing.assert_array_equal(trsm(1.0, c_ordered.T, b.copy(order="F"), trans=True), want)
 
-    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("from_lower", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 7, 64, 150])
-    def test_trtri_equals_scipy(self, lower, k):
-        a = _triangle(k, lower, seed=k)
-        want, info = dtrtri(a, lower=int(lower))
+    def test_trtri_equals_scipy(self, from_lower, k):
+        a = _operand(k, from_lower, seed=k)
+        want, info = dtrtri(a, lower=0)
         assert info == 0
-        out = a.copy(order="F")
-        assert trtri(out, lower=lower) is out
+        out = a.copy(order="F")  # with from_lower, L^T copied as svgp inverts it
+        assert trtri(out) is out
         np.testing.assert_array_equal(out, want)
 
     def test_trtri_of_nothing_is_nothing(self):

@@ -131,6 +131,14 @@ class TestParamVector:
         np.testing.assert_array_equal(p.decode("m"), target)
         assert p.decode("v") == pytest.approx(1.0, abs=1e-12)
 
+    def test_writing_into_a_decoded_slice_leaves_the_parameters(self):
+        p = ParamVector()
+        p.register("z", (2, 3), init=np.arange(6.0).reshape(2, 3))
+        before = p.values.copy()
+        z = p.decode("z")
+        z += 1.0
+        np.testing.assert_array_equal(p.values, before)
+
     def test_slices_containing_names_the_owner(self):
         p = ParamVector()
         p.register("a", (3,))
