@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .data import DataFormatError, SplitSpec, load_fleet, save_fleet, synth_fleet
+from .data import SplitSpec, load_fleet, save_fleet, synth_fleet
 from .experiment import (
     MODEL_KINDS,
     TABLE_FAMILIES,
@@ -40,26 +40,30 @@ def _note(msg: str):
     print(msg, file=sys.stderr)
 
 
-def _comma_list(text):
-    return [s for s in (p.strip() for p in text.split(",")) if s]
-
-
 def _named_ids(text, flag: str):
     """The ids a comma-separated ``flag`` names, or None when it is not given
     (for ``--units``: every unit)."""
     if text is None:
         return None
-    ids = _comma_list(text)
+    ids = [s for s in (p.strip() for p in text.split(",")) if s]
     if not ids:
         raise ValueError(f"{flag} {text!r} names no unit ids")
     return ids
+
+
+def _json_file(path):
+    """The JSON value a file holds; a file that is not JSON is refused by name."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: not a JSON file: {exc}") from None
 
 
 def _resolve_config(args) -> ExperimentConfig:
     """Overlay: family defaults <- config file <- CLI flags."""
     overrides = {}
     if getattr(args, "config", None):
-        overrides = json.loads(Path(args.config).read_text())
+        overrides = _json_file(args.config)
         if not isinstance(overrides, dict):
             raise ValueError(f"{args.config}: expected a JSON object of config keys")
     kind = getattr(args, "kind", None) or overrides.get("kind") or "svgp"
@@ -74,17 +78,25 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def _resolve_split(args, cfg: ExperimentConfig, data) -> SplitSpec:
+    """Each side of the split from its flag, else from the config. A side
+    that neither names is every unit the other side leaves; with neither side
+    named, the first 70 % of the sorted unit ids train and the rest test."""
     train = _named_ids(args.train_units, "--train-units") or cfg.train_units
     test = _named_ids(args.test_units, "--test-units") or cfg.test_units
-    if train is None or test is None:
-        ids = sorted(data.unit_ids)
+    ids = sorted(data.unit_ids)
+    if train is None and test is None:
         if len(ids) < 2:
             raise ValueError("need at least 2 units to split into train and test")
-        cut = max(1, int(round(0.7 * len(ids))))
-        cut = min(cut, len(ids) - 1)
-        train = train or ids[:cut]
-        test = test or [i for i in ids if i not in set(train)][: len(ids) - cut]
+        cut = min(max(1, int(round(0.7 * len(ids)))), len(ids) - 1)
+        train, test = ids[:cut], ids[cut:]
         _note(f"note: no split given; defaulting to train={train} test={test}")
+    elif train is None or test is None:
+        side, other = ("train", "test") if train is None else ("test", "train")
+        rest = [i for i in ids if i not in set(train or test)]
+        if not rest:
+            raise ValueError(f"the {other} units are every unit; name the {side} units too")
+        _note(f"note: no {side} units given; defaulting to {side}={rest}")
+        train, test = train or rest, test or rest
     return SplitSpec(tuple(train), tuple(test), cfg.val_fraction)
 
 
@@ -113,37 +125,30 @@ def _cmd_train(args) -> int:
     result = run_experiment(cfg, data, split, out_dir=args.out)
     _note(f"trained {cfg.kind} for {cfg.epochs} epochs; "
           f"final objective {result.epoch_objectives[-1]:.6f}")
-    if result.val_report is not None:
-        print("# validation")
-        print(result.val_report.to_text())
-        print()
-    print("# test")
-    print(result.test_report.to_text())
+    print(Path(args.out, "report.txt").read_text(), end="")
     _note(f"artifacts in {args.out}")
     return 0
 
 
-def _cmd_predict(args) -> int:
+def _checkpoint_records(args):
+    """The checkpoint's config and its records of the ``--units`` of ``--data``."""
     ids = _named_ids(args.units, "--units")
     model, cfg, stats = load_checkpoint(args.checkpoint)
-    data = load_fleet(args.data)
-    records = checkpoint_records(model, cfg, stats, data, ids)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "predictions.csv"
+    return cfg, checkpoint_records(model, cfg, stats, load_fleet(args.data), ids)
+
+
+def _cmd_predict(args) -> int:
+    _, records = _checkpoint_records(args)
+    path = Path(args.out) / "predictions.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
     write_predictions(path, records)
     print(f"wrote {len(records)} predictions to {path}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    ids = _named_ids(args.units, "--units")
-    model, cfg, stats = load_checkpoint(args.checkpoint)
-    if args.alpha is not None:
-        cfg = cfg.replace(alpha=args.alpha)
-    data = load_fleet(args.data)
-    records = checkpoint_records(model, cfg, stats, data, ids)
-    report = compute_report(records, cfg.alpha)
+    cfg, records = _checkpoint_records(args)
+    report = compute_report(records, cfg.alpha if args.alpha is None else args.alpha)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_predictions(out / "predictions.csv", records)
@@ -165,9 +170,7 @@ def _cmd_gridsearch(args) -> int:
             args.kind = kind
         cfg = _resolve_config(args)
         split = _resolve_split(args, cfg, data)
-        grid = default_grid(cfg.kind)
-        if args.grid:
-            grid = json.loads(Path(args.grid).read_text())
+        grid = _json_file(args.grid) if args.grid else default_grid(cfg.kind)
         run_dir = out / cfg.kind if args.all_families else out
         _note(f"{cfg.kind}: {len(grid_cells(grid, cfg.kind))} runs")
         result = grid_search(cfg, grid, data, split, out_dir=run_dir)
@@ -277,9 +280,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataFormatError, NumericalError, GradientError, TrainingDiverged,
-            ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NumericalError, GradientError, TrainingDiverged, ValueError, KeyError, OSError) as exc:
+        # a KeyError's str() is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -37,7 +37,13 @@ _ID_PATTERN = re.compile(r"[A-Za-z0-9._-]+")
 
 
 class DataFormatError(ValueError):
-    """An ingested fleet table violates the expected format or invariants."""
+    """An ingested fleet table violates the expected format or invariants.
+    ``row`` and ``column`` locate a unit's offending row and cell (column 0
+    unit_id, 1 t, 2.. features, -1 rul), each None where it does not apply."""
+
+    def __init__(self, message: str, row: Optional[int] = None, column: Optional[int] = None):
+        super().__init__(message)
+        self.row, self.column = row, column
 
 
 @dataclass(frozen=True)
@@ -71,7 +77,8 @@ class NormalizationStats:
 
 @dataclass(frozen=True)
 class UnitSeries:
-    """One unit's run-to-failure history."""
+    """One unit's run-to-failure history. The time index ``t`` holds whole
+    numbers, strictly increasing; rul never increases and ends nonnegative."""
 
     unit_id: str
     time: np.ndarray
@@ -81,7 +88,7 @@ class UnitSeries:
     def __post_init__(self):
         if not isinstance(self.unit_id, str) or not _ID_PATTERN.fullmatch(self.unit_id):
             raise DataFormatError(
-                f"unit_id must match {_ID_PATTERN.pattern!r}, got {self.unit_id!r}"
+                f"unit_id must match {_ID_PATTERN.pattern!r}, got {self.unit_id!r}", 0, 0
             )
         time = np.asarray(self.time, dtype=np.float64)
         features = np.asarray(self.features, dtype=np.float64)
@@ -89,25 +96,34 @@ class UnitSeries:
         object.__setattr__(self, "time", time)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "rul", rul)
-        uid = self.unit_id
+
+        def refuse(rule: str, row: Optional[int] = None, column: Optional[int] = None):
+            raise DataFormatError(f"{rule} (unit {self.unit_id})", row, column)
+
         if time.ndim != 1 or rul.ndim != 1 or features.ndim != 2:
-            raise DataFormatError(f"unit {uid}: time/rul must be 1-D, features 2-D")
+            refuse("time/rul must be 1-D, features 2-D")
         n = time.size
         if features.shape[0] != n or rul.size != n:
-            raise DataFormatError(f"unit {uid}: time, features, rul lengths disagree")
+            refuse("time, features, rul lengths disagree")
         if n < 2:
-            raise DataFormatError(f"unit {uid}: needs at least 2 rows, got {n}")
-        for name, arr in (("time", time), ("features", features), ("rul", rul)):
-            if not np.all(np.isfinite(arr)):
-                raise DataFormatError(f"unit {uid}: non-finite value in {name}")
+            refuse(f"needs at least 2 rows, got {n}", 0)
+        for name, arr, col0 in (("time", time, 1), ("features", features, 2), ("rul", rul, -1)):
+            finite = np.isfinite(arr)
+            if not finite.all():
+                row, col = np.argwhere(~finite.reshape(n, -1))[0]
+                refuse(f"non-finite value in {name}", int(row), col0 + int(col))
+        whole = time == np.floor(time)
+        if not whole.all():
+            row = int(np.argmin(whole))
+            refuse(f"time {float(time[row])!r} at row {row} is not a whole number", row, 1)
         if np.any(np.diff(time) <= 0.0):
             row = int(np.argmax(np.diff(time) <= 0.0)) + 1
-            raise DataFormatError(f"unit {uid}: time not increasing at row {row}")
+            refuse(f"time not increasing at row {row}", row)
         if np.any(np.diff(rul) > 0.0):
             row = int(np.argmax(np.diff(rul) > 0.0)) + 1
-            raise DataFormatError(f"unit {uid}: rul increases at row {row}")
+            refuse(f"rul increases at row {row}", row)
         if rul[-1] < 0.0:
-            raise DataFormatError(f"unit {uid}: final rul is negative ({rul[-1]})")
+            refuse(f"final rul is negative ({rul[-1]})", n - 1, -1)
 
     @property
     def num_rows(self) -> int:
@@ -212,24 +228,27 @@ def _parse_cell(text: str, path: Path, lineno: int, column: str) -> float:
 
 def _load_unit_file(path: Path, expect_header: Optional[list]):
     """The unit a csv table holds and its header cells; a header other than
-    ``expect_header`` (when given) is refused."""
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    ``expect_header`` (when given) is refused. Each refusal names the file,
+    and the line and column it found at fault where there is one."""
+    lines = [(no, ln) for no, ln in enumerate(path.read_text().splitlines(), start=1)
+             if ln.strip()]
     if not lines:
         raise DataFormatError(f"{path.name}: empty file")
-    header = [c.strip() for c in lines[0].split(",")]
+    header_line, text = lines[0]
+    header = [c.strip() for c in text.split(",")]
     if len(header) < 4 or header[0] != "unit_id" or header[1] != "t" or header[-1] != "rul":
         raise DataFormatError(
-            f"{path.name} line 1: header must be unit_id,t,<features...>,rul, "
-            f"got {','.join(header)}"
+            f"{path.name} line {header_line}: header must be unit_id,t,<features...>,rul, "
+            f"got {','.join(header)!r}"
         )
     if expect_header is not None and header != expect_header:
         raise DataFormatError(
-            f"{path.name}: header ({len(header) - 3} features) does not match "
-            f"the fleet's first file ({len(expect_header) - 3} features)"
+            f"{path.name} line {header_line}: header ({len(header) - 3} features) does not "
+            f"match the fleet's first file ({len(expect_header) - 3} features)"
         )
     unit_id = None
     time, rows, rul = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(header):
             raise DataFormatError(
@@ -250,12 +269,13 @@ def _load_unit_file(path: Path, expect_header: Optional[list]):
         rul.append(_parse_cell(cells[-1], path, lineno, "rul"))
     if unit_id is None:
         raise DataFormatError(f"{path.name}: no data rows")
-    r = np.asarray(rul)
-    if np.any(np.diff(r) > 0.0):
-        # report in file coordinates: +1 for header, +1 for the offending row
-        row = int(np.argmax(np.diff(r) > 0.0)) + 1
-        raise DataFormatError(f"{path.name} line {row + 2}: rul increases at row {row}")
-    return UnitSeries(unit_id, np.asarray(time), np.asarray(rows), r), header
+    try:
+        unit = UnitSeries(unit_id, np.asarray(time), np.asarray(rows), np.asarray(rul))
+    except DataFormatError as exc:
+        where = path.name if exc.row is None else f"{path.name} line {lines[1 + exc.row][0]}"
+        cell = "" if exc.column is None else f", column {header[exc.column]!r}"
+        raise DataFormatError(f"{where}{cell}: {exc}") from None
+    return unit, header
 
 
 def load_fleet(path) -> FleetDataset:

@@ -129,10 +129,6 @@ class DeepGPModel(SVGPModel):
         sites replace it."""
         n, dim, width = X.shape[0], X.shape[1], self.width
         mult = self._multiplier(view, eps)
-        if mult.ndim != 3 or mult.shape[1] not in (1, n) or mult.shape[2] != self.depth * width:
-            raise ValueError(
-                f"multipliers have shape {mult.shape}, expected (T, {n}, {self.depth * width})"
-            )
         num_comp = mult.shape[0]
         x = ad.constant(X)
         # the first hidden layer reads x once for every component

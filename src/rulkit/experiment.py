@@ -470,7 +470,6 @@ def run_experiment(
     if prepared is None:
         prepared = prepare_split(data, split)
     config = _with_split(config, prepared.split)
-    stats, val = prepared.stats, prepared.val
     X_tr, y_tr = prepared.train
     if config.rul_cap is not None:
         y_tr = np.minimum(y_tr, config.rul_cap)
@@ -506,17 +505,14 @@ def run_experiment(
             batch_losses.append(loss)
         epoch_objectives.append(float(np.mean(batch_losses)))
 
-    val_report, val_records = None, None
-    if val is not None:
-        X_v, y_v, uid_v, t_v = val
-        preds = model.predictive(X_v, rng=rng.derive(3))
-        val_records = _records(preds, y_v, uid_v, t_v, config.rul_cap)
-        val_report = compute_report(val_records, config.alpha)
+    def score(rows: tuple, stream: int):
+        # the report and records of prepared rows, drawing from substream ``stream``
+        X, y, uid, t = rows
+        records = _records(model.predictive(X, rng=rng.derive(stream)), y, uid, t, config.rul_cap)
+        return compute_report(records, config.alpha), records
 
-    X_te, y_te, uid_te, t_te = prepared.test
-    preds = model.predictive(X_te, rng=rng.derive(4))
-    test_records = _records(preds, y_te, uid_te, t_te, config.rul_cap)
-    test_report = compute_report(test_records, config.alpha)
+    val_report, val_records = (None, None) if prepared.val is None else score(prepared.val, 3)
+    test_report, test_records = score(prepared.test, 4)
 
     result = ExperimentResult(
         config, val_report, test_report, epoch_objectives, val_records, test_records
@@ -525,7 +521,7 @@ def run_experiment(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         result.checkpoint_path = str(out / "checkpoint.npz")
-        save_checkpoint(result.checkpoint_path, model, config, stats)
+        save_checkpoint(result.checkpoint_path, model, config, prepared.stats)
         config.save(out / "config.json")
         report = {
             "validation": val_report.to_dict() if val_report else None,
@@ -657,13 +653,8 @@ def checkpoint_records(
         model.predictive(stats.apply(u.features), rng=RngStream(config.seed).derive(9, i))
         for i, u in enumerate(units)
     ]
-    return _records(
-        Predictions.concat(preds),
-        np.concatenate([u.rul for u in units]),
-        np.repeat(ids, [u.num_rows for u in units]),
-        np.concatenate([u.time for u in units]),
-        config.rul_cap,
-    )
+    _, y, uid, t = stack_rows(data, ids)
+    return _records(Predictions.concat(preds), y, uid, t, config.rul_cap)
 
 
 def write_predictions(path, records: Records):
@@ -766,12 +757,14 @@ def _child_seed(master_seed: int, index: int) -> int:
 
 def grid_cells(grid: dict, kind: str) -> list[dict]:
     """The overrides of every cell of ``grid`` on a base config of ``kind``,
-    in run order: keys sorted, values in the given order. Refuses, by key, a
-    grid that names no or an unknown hyperparameter, ``kind`` or ``seed``, a
-    value that is not a non-empty list, a split field (a search takes its
-    split from its ``split`` argument) or a field ``kind`` does not read."""
-    if not grid:
-        raise ValueError("grid must name at least one hyperparameter")
+    in run order: keys sorted, values in the given order. Refuses a grid that
+    is not a dict naming at least one hyperparameter and, by key, one that
+    names an unknown hyperparameter, ``kind`` or ``seed``, a value that is not
+    a non-empty list, a split field (a search takes its split from its
+    ``split`` argument) or a field ``kind`` does not read."""
+    if not isinstance(grid, dict) or not grid:
+        raise ValueError(f"grid must map at least one hyperparameter to a list of values, "
+                         f"got {grid!r}")
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = sorted(set(grid) - known)
     if unknown:

@@ -24,10 +24,11 @@ With p = 1 the mask is a no-op and the epistemic part collapses to zero. The
 same class doubles as the deterministic FFNN baseline: train with dropout,
 predict with the maskless pass and no noise model.
 
-The T passes run in contiguous blocks on one thread per usable CPU
-(``parallel.run_indexed``; numpy's matmuls, ufuncs and uniform draws release
-the GIL) once a call draws at least ``PARALLEL_MIN_UNIFORMS`` mask uniforms;
-smaller calls run on the calling thread, where thread start-up and hand-offs
+Training and prediction draw every mask with ``draw_masks``. The T passes
+run in contiguous blocks on one thread per usable CPU (``run_indexed``;
+numpy's matmuls, ufuncs and uniform draws release the GIL) once a call draws
+at least ``PARALLEL_MIN_UNIFORMS`` mask uniforms; a smaller call is one
+block, run on the calling thread, where thread start-up and hand-offs
 would cost more than they save. Inside a grid cell, usable CPUs means the
 cell's share of them, so a grid that already runs a cell per CPU leaves its
 cells' passes on one thread.
@@ -38,8 +39,8 @@ pass therefore sees the masks, and the prediction the bytes, of a one-thread
 loop, whatever the thread count. The first hidden layer's activations come
 before its mask, so a prediction computes them once and each pass masks a
 copy; each block of passes refills its own buffers, so passes allocate
-nothing. With p = 1 every mask keeps every unit, and one maskless pass stands
-for all T.
+nothing. The point baseline predicts with the maskless pass; with p = 1
+every mask keeps every unit, and that one pass stands for all T.
 """
 
 from __future__ import annotations
@@ -64,19 +65,11 @@ NOISE_FLOOR = 1e-8
 PARALLEL_MIN_UNIFORMS = 10_000_000
 
 
-def sample_mask(keep_prob: float, hidden_sizes, n: int, rng: RngStream) -> list:
-    """Fresh keep masks for every hidden unit of an n-row batch, one boolean
-    (n, h) array per hidden layer: True where a Bernoulli(keep_prob) draw
-    keeps the unit."""
-    keeps = [np.empty((n, h), dtype=bool) for h in hidden_sizes]
-    return draw_masks(keep_prob, keeps, rng, np.empty(max(k.size for k in keeps)))
-
-
 def draw_masks(keep_prob: float, keeps: list, rng: RngStream, uniforms: np.ndarray) -> list:
     """Overwrite each boolean array of ``keeps`` in turn with ``u < keep_prob``
     for fresh uniforms u from ``rng``, drawn into the flat float64 scratch
     ``uniforms`` (at least as long as the largest mask), and return the list:
-    the masks ``sample_mask`` would draw."""
+    True where a Bernoulli(keep_prob) draw keeps the unit."""
     for keep in keeps:
         u = uniforms[: keep.size].reshape(keep.shape)
         rng.random(out=u)
@@ -187,8 +180,11 @@ class MCDModel:
         n = len(self._shapes())
         return [view.get(f"w{i}") for i in range(n)], [view.get(f"b{i}") for i in range(n)]
 
-    def _masks(self, n: int, rng: RngStream):
-        return sample_mask(self.keep_prob, [self.hidden_units] * self.hidden_layers, n, rng)
+    def _masks(self, n: int, rng: RngStream) -> list:
+        """Fresh keep masks for an n-row batch from ``rng``: one boolean
+        (n, hidden_units) array per hidden layer."""
+        keeps = [np.empty((n, self.hidden_units), dtype=bool) for _ in range(self.hidden_layers)]
+        return draw_masks(self.keep_prob, keeps, rng, np.empty(n * self.hidden_units))
 
     def _build(self, view: ParamView, X, y, keeps) -> Tensor:
         wts, bts = self._layers(view)
@@ -251,15 +247,15 @@ class MCDModel:
             else:
                 taus[k] = self.noise_variance
 
-        if self.point_baseline:
-            run_pass(0, None, *new_buffers())
-            return Predictions.point(draws[0] * s + self.target_shift)
         if rng is None:
             rng = RngStream(0)
         per_pass = n * h * self.hidden_layers  # uniforms one pass's masks take
-        if self.keep_prob == 1.0:
-            # every mask keeps every unit, so all T passes equal the maskless one
+        if self.point_baseline or self.keep_prob == 1.0:
+            # the point baseline's one pass; with p = 1 every mask keeps
+            # every unit, so all T passes equal the maskless one
             run_pass(0, None, *new_buffers())
+            if self.point_baseline:
+                return Predictions.point(draws[0] * s + self.target_shift)
             draws[1:] = draws[0]
             taus[1:] = taus[0]
         else:

@@ -23,7 +23,7 @@ reduces the same per-row terms over each unit's rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -121,8 +121,9 @@ class Predictions:
 
 @dataclass
 class Records:
-    """Scored rows as columns: unit id, time index and true RUL of each row,
-    with the predictive batch of the same rows."""
+    """Scored rows as columns: unit id, whole-number time index and true RUL
+    of each row, with the predictive batch of the same rows. A time with a
+    fractional part is refused, not truncated."""
 
     unit: np.ndarray  # (n,) str
     time: np.ndarray  # (n,) int
@@ -131,7 +132,10 @@ class Records:
 
     def __post_init__(self):
         self.unit = np.asarray(self.unit, dtype=str)
-        self.time = np.asarray(self.time, dtype=np.int64)
+        time = np.asarray(self.time)
+        if np.any(time % 1.0 != 0.0):  # nan and inf too
+            raise ValueError(f"time must hold whole numbers, got {time[time % 1.0 != 0.0][0]}")
+        self.time = time.astype(np.int64)
         self.rul = np.asarray(self.rul, dtype=np.float64)
         n = len(self.pred)
         if any(a.shape != (n,) for a in (self.unit, self.time, self.rul)):
@@ -270,29 +274,14 @@ class MetricsReport:
     per_unit: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "nll_convention": "per_sample_mean",
-            "num_records": self.num_records,
-            "excluded_eol": self.excluded_eol,
-            "rmse": self.rmse,
-            "nll": self.nll,
-            "alpha_lambda": self.alpha_lambda,
-            "prob_alpha_lambda": self.prob_alpha_lambda,
-            "per_unit": self.per_unit,
-        }
+        """The fields in order, the NLL convention after ``alpha``."""
+        head = {"alpha": self.alpha, "nll_convention": "per_sample_mean"}
+        return head | {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_text(self) -> str:
-        lines = [
-            f"alpha {self.alpha!r}",
-            "nll_convention per_sample_mean",
-            f"num_records {self.num_records}",
-            f"excluded_eol {self.excluded_eol}",
-            f"rmse {self.rmse!r}",
-            f"nll {_fmt(self.nll)}",
-            f"alpha_lambda {_fmt(self.alpha_lambda)}",
-            f"prob_alpha_lambda {_fmt(self.prob_alpha_lambda)}",
-        ]
+        """``to_dict`` as ``key value`` lines, per_unit one per unit and metric."""
+        d = self.to_dict()
+        lines = [f"{key} {_fmt(value)}" for key, value in d.items() if key != "per_unit"]
         for unit in sorted(self.per_unit):
             for key in ("rmse", "nll", "alpha_lambda", "prob_alpha_lambda"):
                 lines.append(f"per_unit.{unit}.{key} {_fmt(self.per_unit[unit][key])}")
@@ -300,7 +289,7 @@ class MetricsReport:
 
 
 def _fmt(value) -> str:
-    return "-" if value is None else repr(value)
+    return "-" if value is None else value if isinstance(value, str) else repr(value)
 
 
 def compute_report(records: Records, alpha: float = 0.2) -> MetricsReport:

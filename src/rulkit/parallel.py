@@ -1,12 +1,13 @@
 """Independent tasks on every usable CPU.
 
-``run_indexed`` computes tasks 0..n-1 on the calling thread and helper
-threads, each thread taking the next unstarted index. Each task runs in a
-fresh copy of the caller's context: a new thread does not inherit context
-variables, and numpy's ``errstate`` is one. In that copy ``usable_cpus()``
-returns the caller's CPUs divided among the threads, so a task that starts
-threads of its own (mcd prediction inside a grid cell) does not
-oversubscribe the CPUs.
+``run_indexed``, rulkit's one thread scheduler, computes tasks 0..n-1 on
+the calling thread and helper threads, each thread taking the next unstarted
+index. On several threads each task runs in a fresh copy of the caller's
+context: a new thread does not inherit context variables, and numpy's
+``errstate`` is one. In that copy ``usable_cpus()`` returns the caller's CPUs
+divided among the threads, so a task that starts threads of its own (mcd
+prediction inside a grid cell) does not oversubscribe the CPUs. On one
+thread the tasks run in order in the caller's own context, with no set-up.
 
 The helpers are plain threads, one fewer than the workers, because the
 calling thread takes tasks too: each thread that allocates gets its own
@@ -43,16 +44,18 @@ def usable_cpus() -> int:
 def run_indexed(task: Callable[[int], object], n: int, workers: int) -> list:
     """``[task(0), ..., task(n - 1)]``, computed on ``min(workers, n)`` threads.
 
-    The calling thread and ``min(workers, n) - 1`` helper threads each take
-    the next unstarted index until none is left, and every task runs in a
-    fresh copy of the caller's context in which ``usable_cpus()`` is the
-    caller's count divided by the thread count (at least 1). Once a task
-    raises, no thread starts another; the running ones finish, and the
+    On one thread that is the plain loop, in the caller's own context.
+    Otherwise the calling thread and ``min(workers, n) - 1`` helper threads
+    each take the next unstarted index until none is left, and every task
+    runs in a fresh copy of the caller's context in which ``usable_cpus()``
+    is the caller's count divided by the thread count (at least 1). Once a
+    task raises, no thread starts another; the running ones finish, and the
     exception of the lowest failing index is raised. Indices are taken in
-    order, so for deterministic tasks that is the exception a one-thread loop
-    would raise.
+    order, so for deterministic tasks that is the exception the loop raises.
     """
     workers = max(1, min(workers, n))
+    if workers == 1:
+        return [task(i) for i in range(n)]
     base = contextvars.copy_context()
     base.run(_cpu_share.set, max(1, usable_cpus() // workers))
     results: list = [None] * n

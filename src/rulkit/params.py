@@ -32,8 +32,6 @@ class GradientError(RuntimeError):
 
 
 class Identity:
-    name = "identity"
-
     def raw_size(self, shape: tuple) -> int:
         return int(np.prod(shape, dtype=int)) if shape else 1
 
@@ -46,8 +44,6 @@ class Identity:
 
 class Positive:
     """Softplus map to (0, inf); invert is the stable softplus inverse."""
-
-    name = "positive"
 
     def raw_size(self, shape: tuple) -> int:
         return int(np.prod(shape, dtype=int)) if shape else 1
@@ -71,8 +67,6 @@ class CholeskyFactor:
     raw entries are laid out row-major over its lower triangle, so a stack of
     one has the same raw bytes as a single factor.
     """
-
-    name = "tril"
 
     def __init__(self, n: int):
         self.n = int(n)
@@ -245,12 +239,13 @@ def value_and_grad(params: ParamVector, build: Callable[[ParamView], Tensor]) ->
 # -- Adam ----------------------------------------------------------------------
 
 
+# Adam's moment decay rates and the offset of its denominator
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimizerState:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     first_moment: Optional[np.ndarray] = None
     second_moment: Optional[np.ndarray] = None
@@ -266,11 +261,11 @@ def adam_step(state: OptimizerState, params: ParamVector):
         state.first_moment = np.zeros_like(params.values)
         state.second_moment = np.zeros_like(params.values)
     state.step_count += 1
-    state.first_moment = state.beta1 * state.first_moment + (1.0 - state.beta1) * g
-    state.second_moment = state.beta2 * state.second_moment + (1.0 - state.beta2) * g * g
-    m_hat = state.first_moment / (1.0 - state.beta1**state.step_count)
-    v_hat = state.second_moment / (1.0 - state.beta2**state.step_count)
-    step = state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.first_moment = BETA1 * state.first_moment + (1.0 - BETA1) * g
+    state.second_moment = BETA2 * state.second_moment + (1.0 - BETA2) * g * g
+    m_hat = state.first_moment / (1.0 - BETA1**state.step_count)
+    v_hat = state.second_moment / (1.0 - BETA2**state.step_count)
+    step = state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     params.values -= step * params.trainable_mask()
     return params, state
 

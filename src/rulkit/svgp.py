@@ -25,13 +25,13 @@ without the GIL (:func:`rulkit.mathcore.trsm` and friends).
 A layer is one GP or a stack of W independent GPs that read the same input.
 A stack's slices carry a leading axis of length W, and one GP's raw values
 are laid out as a stack of one. The node takes the GPs of a stack one after
-another, and spreads each GP over ``usable_cpus()`` threads
-(``parallel.run_indexed``) once its triangular products reach
-``PARALLEL_MIN_WORK`` multiply-adds. The forward pass then computes the
-kernel matrix, the triangular solve and product and the variances in
-contiguous blocks of rows of x, one block per thread; the VJP overlaps the
-products that do not depend on one another (the gradient of S, S c and
-L^{-1}; then L^{-T} gb and the two-sided L^{-T} product). The Cholesky
+another. Each GP's forward pass computes the kernel matrix, the triangular
+solve and product and the variances in contiguous blocks of rows of x, and
+its VJP has independent products (the gradient of S, S c and L^{-1}; then
+L^{-T} gb and the two-sided L^{-T} product). Both go to
+``parallel.run_indexed``: spread over ``usable_cpus()`` threads once the
+triangular products reach ``PARALLEL_MIN_WORK`` multiply-adds, and in order
+on the calling thread below that (one block of rows). The Cholesky
 factorization stays on the calling thread, every sum over rows stays whole,
 and blocks start at multiples of ``ROW_ALIGN`` rows, so each BLAS call and
 each sum sees the operands of the one-thread computation in the same order:
@@ -332,7 +332,7 @@ def sparse_gp_layer(
             raw[r] = variance - np.einsum("ij,ij->j", br, br) + np.einsum("ij,ij->j", cr, cr)
             packed[r, w] = cross @ md[w]
 
-        _at_once([lambda r=r: rows(r) for r in blocks], workers)
+        run_indexed(lambda k: rows(blocks[k]), len(blocks), workers)
         # only a negative minimum matters; initial=0.0 lets a zero-row batch through
         worst = float(raw.min(initial=0.0))
         if worst < NEG_VARIANCE_TOL:
@@ -400,7 +400,7 @@ def sparse_gp_layer(
                     trtri(linv_t)  # L^{-T}, upper, Fortran-ordered
 
                 products += [b_grad, inverse]
-            _at_once(products, workers)
+            run_indexed(lambda k: products[k](), len(products), workers)
             scaled = outer = None  # free the first round's scratch before the second
             if gs is not None:
                 gs[w] += gkl * sd[w]
@@ -420,7 +420,8 @@ def sparse_gp_layer(
                 trmm(1.0, linv_t, phi, trans=True, right=True)
 
             # then L^{-T} gb and the two-sided product on phi
-            _at_once([lambda: trmm(1.0, linv_t, gb), two_sided], workers)
+            products = [lambda: trmm(1.0, linv_t, gb), two_sided]
+            run_indexed(lambda k: products[k](), len(products), workers)
             gkzx, linv_t = gb, None
             gkmm = (phi + phi.T) / 2.0
             gd_mm, gkv_mm = _se_gram_vjp(gkmm, kmm, kmm_live, variance)
@@ -458,17 +459,6 @@ def _row_blocks(n: int, workers: int) -> list:
     cuts = {ROW_ALIGN * round(n * i / parts / ROW_ALIGN) for i in range(1, parts)}
     bounds = [0] + sorted(c for c in cuts if ROW_ALIGN <= c <= n - ROW_ALIGN) + [n]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _at_once(tasks: list, workers: int):
-    """Run the independent no-argument callables ``tasks`` on up to
-    ``workers`` threads, the calling thread among them; with one worker or
-    one task, in order on the calling thread alone."""
-    if workers == 1 or len(tasks) == 1:
-        for task in tasks:
-            task()
-    else:
-        run_indexed(lambda k: tasks[k](), len(tasks), workers)
 
 
 def _stacked(z: Tensor, kernel_variance: Tensor, lengthscales: Tensor):

@@ -102,6 +102,55 @@ class TestTrain:
         assert rc == 0
         assert "no split given" in capsys.readouterr().err
 
+    def test_stdout_is_the_written_report(self, fleet_dir, mcd_config, tmp_path, capsys):
+        rc = main([
+            "train", "--data", str(fleet_dir), "--out", str(tmp_path / "o"),
+            "--config", str(mcd_config), "--epochs", "1",
+            "--train-units", UNITS, "--test-units", TEST_UNIT,
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out == (tmp_path / "o" / "report.txt").read_text()
+
+    @pytest.mark.parametrize("flag, units, side, rest", [
+        ("--test-units", "u001", "train", ["u002", "u003", "u004"]),
+        ("--train-units", "u001", "test", ["u002", "u003", "u004"]),
+        ("--train-units", "u004,u002", "test", ["u001", "u003"]),
+    ])
+    def test_one_named_side_leaves_every_other_unit_to_the_other(
+        self, flag, units, side, rest, fleet_dir, mcd_config, tmp_path, capsys
+    ):
+        rc = main([
+            "train", "--data", str(fleet_dir), "--out", str(tmp_path / "o"),
+            "--config", str(mcd_config), "--epochs", "1", flag, units,
+        ])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert f"note: no {side} units given; defaulting to {side}={rest}" in err
+        assert "no split given" not in err
+        config = json.loads((tmp_path / "o" / "config.json").read_text())
+        assert config[f"{side}_units"] == rest
+        assert config[flag[2:].replace("-", "_")] == units.split(",")
+
+    def test_a_side_naming_every_unit_is_refused(self, fleet_dir, mcd_config, tmp_path, capsys):
+        rc = main([
+            "train", "--data", str(fleet_dir), "--out", str(tmp_path / "o"),
+            "--config", str(mcd_config), "--epochs", "1",
+            "--train-units", UNITS + "," + TEST_UNIT,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: the train units are every unit; name the test units too")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", ["{\n", "\xff"])
+    def test_a_config_file_that_is_not_json_is_named(self, text, fleet_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text.encode("latin-1"))
+        rc = main(["train", "--data", str(fleet_dir),
+                   "--out", str(tmp_path / "o"), "--config", str(bad)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not a JSON file: ")
+
     def test_missing_data_directory(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "o"), "--kind", "svgp"])
@@ -149,6 +198,14 @@ class TestPredict:
         assert lines[0].startswith("unit_id,t,rul_true,pred_mean,pred_variance")
         assert len(lines) > 2
         assert all(ln.startswith(TEST_UNIT) for ln in lines[1:])
+
+    def test_an_unknown_unit_is_named_without_quotes(self, trained, fleet_dir, tmp_path, capsys):
+        rc = main([
+            "predict", "--checkpoint", str(trained / "checkpoint.npz"),
+            "--data", str(fleet_dir), "--out", str(tmp_path / "p"), "--units", "u009",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: no unit 'u009' in fleet (have [")
 
     def test_missing_checkpoint(self, fleet_dir, tmp_path, capsys):
         rc = main(["predict", "--checkpoint", str(tmp_path / "nope.npz"),
@@ -308,6 +365,33 @@ class TestGridsearch:
         assert capsys.readouterr().err.startswith(
             f"error: grid values for {key} must be a non-empty list, got {grid[key]!r}")
         assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("grid", [[1, 2], "keep_prob", 3, {}])
+    def test_a_grid_that_is_not_an_object_is_refused(
+        self, grid, fleet_dir, mcd_config, tmp_path, capsys
+    ):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        rc = main([
+            "gridsearch", "--data", str(fleet_dir), "--out", str(tmp_path / "g"),
+            "--config", str(mcd_config), "--grid", str(path), "--epochs", "1",
+            "--train-units", UNITS, "--test-units", TEST_UNIT,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: grid must map at least one hyperparameter to a list of values, got ")
+        assert not (tmp_path / "g").exists()
+
+    def test_a_grid_file_that_is_not_json_is_named(self, fleet_dir, mcd_config, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text('{"keep_prob": [0.5,\n')
+        rc = main([
+            "gridsearch", "--data", str(fleet_dir), "--out", str(tmp_path / "g"),
+            "--config", str(mcd_config), "--grid", str(path), "--epochs", "1",
+            "--train-units", UNITS, "--test-units", TEST_UNIT,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: not a JSON file: ")
 
     def test_grid_key_the_family_does_not_read_is_refused(
         self, fleet_dir, mcd_config, tmp_path, capsys

@@ -66,6 +66,11 @@ class TestUnitSeries:
         with pytest.raises(DataFormatError, match="non-finite value in rul"):
             unit(n=3, rul=np.array([2.0, np.nan, 0.0]))
 
+    @pytest.mark.parametrize("time", [[0.0, 0.5, 1.0], [0.0, 1.0, 2.000001]])
+    def test_fractional_time_rejected(self, time):
+        with pytest.raises(DataFormatError, match="is not a whole number"):
+            unit(n=3, time=np.array(time))
+
     def test_length_mismatch(self):
         with pytest.raises(DataFormatError, match="lengths disagree"):
             UnitSeries("u1", np.arange(3.0), np.zeros((4, 2)), np.zeros(3))
@@ -191,6 +196,38 @@ class TestLoadFleet:
         with pytest.raises(DataFormatError, match="line 4: rul increases"):
             load_fleet(tmp_path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("unit_id,t,f_1,rul\nu,0,1.0,2\nu,1,nan,1\n",
+         "u.csv line 3, column 'f_1': non-finite value in features"),
+        ("unit_id,t,f_1,rul\nu,0,1.0,2\nu,1,1.0,inf\n",
+         "u.csv line 3, column 'rul': non-finite value in rul"),
+        ("unit_id,t,f_1,rul\nu,0.5,1.0,2\nu,1.5,1.0,1\n",
+         "u.csv line 2, column 't': time 0.5 at row 0 is not a whole number"),
+        ("unit_id,t,f_1,rul\nu,1,1.0,2\nu,1,1.0,1\n",
+         "u.csv line 3: time not increasing at row 1"),
+        ("unit_id,t,f_1,rul\nu,0,1.0,0\nu,1,1.0,-1\n",
+         "u.csv line 3, column 'rul': final rul is negative (-1.0)"),
+        ("unit_id,t,f_1,rul\nu,0,1.0,1\n",
+         "u.csv line 2: needs at least 2 rows, got 1"),
+        ("unit_id,t,f_1,rul\nu 1,0,1.0,1\nu 1,1,1.0,0\n",
+         "u.csv line 2, column 'unit_id': unit_id must match"),
+        # blank lines count: the rise is on the file's fifth line
+        ("\nunit_id,t,f_1,rul\nu,0,1.0,3\n\nu,1,1.0,4\n",
+         "u.csv line 5: rul increases at row 1"),
+    ])
+    def test_a_unit_rule_names_the_file_line_and_cell(self, tmp_path, text, message):
+        self._write(tmp_path, "u.csv", text)
+        with pytest.raises(DataFormatError) as info:
+            load_fleet(tmp_path)
+        assert str(info.value).startswith(message)
+
+    def test_header_is_shown_with_repr(self, tmp_path):
+        self._write(tmp_path, "u.csv", "\ufeffunit_id,t,f_1,rul\nu,0,1.0,1\nu,1,1.0,0\n")
+        with pytest.raises(DataFormatError) as info:
+            load_fleet(tmp_path)
+        assert str(info.value) == ("u.csv line 1: header must be unit_id,t,<features...>,rul, "
+                                   "got '\\ufeffunit_id,t,f_1,rul'")
+
     def test_second_file_header_must_match(self, tmp_path):
         self._write(tmp_path, "a.csv", "unit_id,t,f_1,rul\na,0,1.0,1\na,1,1.0,0\n")
         self._write(tmp_path, "b.csv", "unit_id,t,f_1,f_2,rul\nb,0,1,2,1\nb,1,1,2,0\n")
@@ -286,7 +323,7 @@ class TestStackRows:
         assert X.shape == (7, 2)
         np.testing.assert_array_equal(y, [3, 2, 1, 0, 5.5, 4.5, 3.5])
         assert list(uid) == ["a"] * 4 + ["b"] * 3
-        np.testing.assert_array_equal(t, [0, 1, 2, 3, 0.5, 1.5, 2.5])
+        np.testing.assert_array_equal(t, [0, 1, 2, 3, 5, 6, 7])
 
     def test_selection_follows_argument_order(self):
         fleet = load_fleet(FIXTURES / "toy_fleet")

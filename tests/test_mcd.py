@@ -18,7 +18,7 @@ from gp_oracle import relu
 import rulkit.autodiff as ad
 from rulkit import mcd, parallel
 from rulkit.experiment import ExperimentConfig, build_model, model_config, model_from_config
-from rulkit.mcd import NOISE_FLOOR, MCDModel, _forward_graph, sample_mask
+from rulkit.mcd import NOISE_FLOOR, MCDModel, _forward_graph
 from rulkit.params import OptimizerState, ParamView, RngStream, adam_step, fd_check, value_and_grad
 
 RNG = np.random.default_rng(900)
@@ -54,7 +54,7 @@ def _forward(model: MCDModel, X, keeps=None):
 
 
 def _masks(model: MCDModel, n: int, rng: RngStream):
-    return sample_mask(model.keep_prob, [model.hidden_units] * model.hidden_layers, n, rng)
+    return model._masks(n, rng)
 
 
 def _loss(model: MCDModel, X, y, weight_decay: float, rng: RngStream) -> float:

@@ -463,6 +463,11 @@ class TestRecordValidation:
         assert Predictions.point([3]).mean[0] == 3.0
         assert Predictions.point([3]).mean.dtype == np.float64
 
+    @pytest.mark.parametrize("time", [0.5, math.nan])
+    def test_fractional_time_rejected(self, time):
+        with pytest.raises(ValueError, match="time must hold whole numbers"):
+            Records(["u1", "u1"], [0.0, time], [1.0, 0.0], Predictions.point([0.0, 1.0]))
+
     def test_columns_must_match_the_batch(self):
         with pytest.raises(ValueError, match="vectors"):
             Records(["u1", "u1"], [0, 1], [1.0], Predictions.point([0.0, 1.0]))
