@@ -63,7 +63,7 @@ from .params import (
     fd_check,
     minibatch_iter,
 )
-from .svgp import ObjectiveSpec, SVGPModel
+from .svgp import SVGPModel
 
 __all__ = [
     "DataFormatError",
@@ -112,7 +112,6 @@ __all__ = [
     "adam_step",
     "fd_check",
     "minibatch_iter",
-    "ObjectiveSpec",
     "SVGPModel",
     "__version__",
 ]

@@ -8,7 +8,6 @@ final reports to stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .experiment import (
     grid_cells,
     grid_search,
     load_checkpoint,
+    read_json,
     run_experiment,
     write_json,
     write_predictions,
@@ -51,19 +51,11 @@ def _named_ids(text, flag: str):
     return ids
 
 
-def _json_file(path):
-    """The JSON value a file holds; a file that is not JSON is refused by name."""
-    try:
-        return json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: not a JSON file: {exc}") from None
-
-
 def _resolve_config(args) -> ExperimentConfig:
     """Overlay: family defaults <- config file <- CLI flags."""
     overrides = {}
     if getattr(args, "config", None):
-        overrides = _json_file(args.config)
+        overrides = read_json(args.config)
         if not isinstance(overrides, dict):
             raise ValueError(f"{args.config}: expected a JSON object of config keys")
     kind = getattr(args, "kind", None) or overrides.get("kind") or "svgp"
@@ -170,7 +162,7 @@ def _cmd_gridsearch(args) -> int:
             args.kind = kind
         cfg = _resolve_config(args)
         split = _resolve_split(args, cfg, data)
-        grid = _json_file(args.grid) if args.grid else default_grid(cfg.kind)
+        grid = read_json(args.grid) if args.grid else default_grid(cfg.kind)
         run_dir = out / cfg.kind if args.all_families else out
         _note(f"{cfg.kind}: {len(grid_cells(grid, cfg.kind))} runs")
         result = grid_search(cfg, grid, data, split, out_dir=run_dir)

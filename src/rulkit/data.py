@@ -230,8 +230,11 @@ def _load_unit_file(path: Path, expect_header: Optional[list]):
     """The unit a csv table holds and its header cells; a header other than
     ``expect_header`` (when given) is refused. Each refusal names the file,
     and the line and column it found at fault where there is one."""
-    lines = [(no, ln) for no, ln in enumerate(path.read_text().splitlines(), start=1)
-             if ln.strip()]
+    try:
+        content = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path.name}: not a UTF-8 text file: {exc}") from None
+    lines = [(no, ln) for no, ln in enumerate(content.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise DataFormatError(f"{path.name}: empty file")
     header_line, text = lines[0]

@@ -8,8 +8,9 @@ weighted by a learnable simplex. The sites are one (S, depth * width) slice,
 ``sites``, that scales the hidden stds as an (S, 1, depth * width) block in
 place of the deep GP's (T, n, depth * width) draws; the weights are the
 softmax of the (S,) slice ``site_logits``, so ``params.decode("site_logits")``
-gives the logits. That block, the log weights and the predictive are all it
-overrides of :class:`rulkit.dgp.DeepGPModel`, whose training path it
+gives the logits. That block, the log weights and the predictive's weights
+(the softmax of the logits) and row chunk (2,048) are all it overrides of
+:class:`rulkit.dgp.DeepGPModel`, whose training and prediction paths it
 inherits. Sites and logits start at the Gauss-Hermite rule of
 :func:`rulkit.mathcore.gauss_hermite` (:func:`init_sigma_points`). Both the
 objective and the predictive distribution are deterministic finite mixtures,
@@ -26,11 +27,8 @@ import numpy as np
 from . import autodiff as ad
 from .dgp import DeepGPModel
 from .mathcore import QuadratureRule, gauss_hermite
-from .metrics import Predictions
 from .params import IDENTITY, ParamView
 from .svgp import DEFAULT_JITTER
-
-_PREDICT_CHUNK = 2048
 
 
 def init_sigma_points(num_sites: int, total_width: int) -> QuadratureRule:
@@ -53,14 +51,15 @@ class DSPPModel(DeepGPModel):
     """Deep GP whose hidden integral runs over trainable sigma points."""
 
     kind = "dspp"
+    _predict_chunk = 2048
 
-    def __init__(self, objective_spec, input_dim, width, depth, num_inducing,
+    def __init__(self, objective, beta_reg, input_dim, width, depth, num_inducing,
                  num_sites: int = 15, skip_connection: bool = True,
                  jitter: float = DEFAULT_JITTER, target_shift: float = 0.0,
                  target_scale: float = 1.0):
         if depth < 1:
             raise ValueError("sigma-point models need at least one hidden layer")
-        super().__init__(objective_spec, input_dim, width, depth, num_inducing, skip_connection,
+        super().__init__(objective, beta_reg, input_dim, width, depth, num_inducing, skip_connection,
                          num_train_samples=num_sites, num_test_samples=num_sites, jitter=jitter,
                          target_shift=target_shift, target_scale=target_scale)
         self.num_sites = int(num_sites)
@@ -85,8 +84,6 @@ class DSPPModel(DeepGPModel):
         logits = view.get("site_logits")
         return logits - ad.logsumexp(logits)
 
-    def predictive(self, X, rng=None) -> Predictions:
-        """Deterministic mixture over sigma points per row of X, in natural
-        target units."""
-        weights = _softmax(self.params.decode("site_logits"))
-        return self._mixture(X, weights, _PREDICT_CHUNK, rng)
+    def _mixture_weights(self) -> np.ndarray:
+        """The sigma points' weights, the softmax of their logits."""
+        return _softmax(self.params.decode("site_logits"))

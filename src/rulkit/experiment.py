@@ -27,7 +27,7 @@ from .mcd import MCDModel
 from .metrics import MetricsReport, Predictions, Records, compute_report
 from .parallel import run_indexed, usable_cpus
 from .params import GradientError, OptimizerState, RngStream, adam_step, minibatch_iter
-from .svgp import ObjectiveSpec, SVGPModel
+from .svgp import SVGPModel
 
 __all__ = [
     "MODEL_KINDS",
@@ -52,6 +52,7 @@ __all__ = [
     "checkpoint_records",
     "write_predictions",
     "write_json",
+    "read_json",
     "family_table",
     "TABLE_FAMILIES",
 ]
@@ -245,12 +246,20 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_json(path))
 
 
 def write_json(path, obj):
     """Write ``obj`` to ``path`` as the indented, key-sorted JSON of every file."""
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def read_json(path):
+    """The JSON value a file holds; a file that is not JSON is refused by name."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: not a JSON file: {exc}") from None
 
 
 def _reads(kind: str, role: Optional[str] = None) -> list[str]:
@@ -570,15 +579,12 @@ def save_checkpoint(path, model, config: ExperimentConfig, stats: NormalizationS
 def model_config(model) -> dict:
     """The model_config a checkpoint stores for ``model``: its kind (``ffnn``
     for the point baseline), input_dim, the target statistics and each key of
-    ``_model_keys(kind)``, read off the model; ``objective`` and ``beta_reg``
-    come from its ``objective_spec``."""
+    ``_model_keys(kind)``, read off the model."""
     kind = "ffnn" if getattr(model, "point_baseline", False) else model.kind
-    keys = _model_keys(kind)
-    cfg = {key: getattr(model, key) for key in keys if key not in ("objective", "beta_reg")}
-    if "objective" in keys:
-        cfg |= {"objective": model.objective_spec.kind, "beta_reg": model.objective_spec.beta_reg}
-    return cfg | {"kind": kind, "input_dim": model.input_dim,
-                  "target_shift": model.target_shift, "target_scale": model.target_scale}
+    return {key: getattr(model, key) for key in _model_keys(kind)} | {
+        "kind": kind, "input_dim": model.input_dim,
+        "target_shift": model.target_shift, "target_scale": model.target_scale,
+    }
 
 
 def model_from_config(config: dict, theta: Optional[np.ndarray] = None):
@@ -599,8 +605,6 @@ def model_from_config(config: dict, theta: Optional[np.ndarray] = None):
         raise ValueError(f"model_config of kind {kind!r} has {' and '.join(parts)}")
     if kind in ("mcd", "ffnn"):
         cfg["point_baseline"] = kind == "ffnn"
-    else:
-        cfg["objective_spec"] = ObjectiveSpec(cfg.pop("objective"), cfg.pop("beta_reg"))
     if kind == "dspp":  # both sample counts are the number of sites
         del cfg["num_train_samples"], cfg["num_test_samples"]
     model = _MODEL_CLASSES[kind](**cfg)
@@ -618,7 +622,8 @@ def model_from_config(config: dict, theta: Optional[np.ndarray] = None):
 
 def load_checkpoint(path):
     """Returns (model, experiment config, normalization stats). A file that is
-    not an npz archive is refused with a ValueError naming it."""
+    not an npz archive, or that lacks a member or holds a malformed one, is
+    refused with a ValueError naming the file (and the member)."""
     try:
         archive = np.load(path, allow_pickle=False)
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
@@ -626,16 +631,36 @@ def load_checkpoint(path):
     if isinstance(archive, np.ndarray):  # a lone .npy array
         raise ValueError(f"{path} is not a checkpoint: expected an npz archive")
     with archive as z:
-        version = int(z["format_version"])
+
+        def member(name: str, read=np.asarray):
+            """``read`` of the member ``name``; a missing member, or one that
+            ``read`` refuses, is refused by file and member."""
+            if name not in z.files:
+                raise ValueError(f"{path} is not a checkpoint: it has no member {name}")
+            try:
+                return read(z[name])
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{path}: checkpoint member {name}: {exc}") from None
+
+        version = member("format_version", lambda a: int(a.item()))
         if version != FORMAT_VERSION:
             raise ValueError(
-                f"unsupported checkpoint format_version {version}; "
+                f"{path}: unsupported checkpoint format_version {version}; "
                 f"this rulkit reads format_version {FORMAT_VERSION}"
             )
-        exp_cfg = ExperimentConfig.from_dict(json.loads(str(z["experiment_config"])))
-        model = model_from_config(json.loads(str(z["model_config"])), z["state_theta"])
-        stats = NormalizationStats(z["norm_mean"], z["norm_std"])
+        exp_cfg = member("experiment_config", lambda a: ExperimentConfig.from_dict(_json_object(a)))
+        theta = member("state_theta")
+        model = member("model_config", lambda a: model_from_config(_json_object(a), theta))
+        mean = member("norm_mean")
+        stats = member("norm_std", lambda std: NormalizationStats(mean, std))
     return model, exp_cfg, stats
+
+
+def _json_object(a: np.ndarray) -> dict:
+    value = json.loads(str(a))
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object, got {type(value).__name__}")
+    return value
 
 
 def checkpoint_records(

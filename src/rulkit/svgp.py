@@ -39,22 +39,25 @@ the values and gradients do not depend on the thread count. The threads
 write only into arrays the calling thread allocated, since each thread that
 allocates keeps its own malloc arena at its high-water mark.
 
-L = chol(Kmm) depends only on a layer's inducing inputs, kernel variance and
-lengthscales, so prediction takes it from the model's :class:`KmmFactors`
-memo and builds and factors Kmm once per value of those parameters. Training
-factors Kmm on every evaluation and never reads the memo.
+Every layer is read through :func:`gp_layer`, which takes its five slices
+from a parameter view. L = chol(Kmm) depends only on a layer's inducing
+inputs, kernel variance and lengthscales, so prediction takes it from the
+model's :class:`KmmFactors` memo and builds and factors Kmm once per value of
+those parameters. Training factors Kmm on every evaluation and never reads
+the memo.
 
 :class:`SVGPModel` is the GP with no hidden layer, and the deep models of
 :mod:`rulkit.dgp` and :mod:`rulkit.dspp` extend it with hidden layers. All of
-them build (T, n) output moments in ``SVGPModel._moments`` and train on the
-one bound :func:`objective_graph`, T = 1 here, so a depth-0 deep GP computes
-the flat model's objective by construction.
+them build (T, n) output moments in ``SVGPModel._moments``, T = 1 here, train
+on the one bound :func:`objective_graph` and predict through the one
+``SVGPModel.predictive``; a deep model sets only how many rows a predictive
+pass takes and how its components are weighted. So a depth-0 deep GP
+computes the flat model's objective and predictive by construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -104,20 +107,6 @@ MAX_BLOCK_ROWS = 2048
 _OUTER_COLUMNS = 128  # columns of the VJP's outer-product scratch
 
 
-@dataclass
-class ObjectiveSpec:
-    """Which bound to optimize: 'elbo' or 'ppgpr', with KL regularization."""
-
-    kind: str = "elbo"
-    beta_reg: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("elbo", "ppgpr"):
-            raise ValueError(f"objective kind must be 'elbo' or 'ppgpr', got {self.kind!r}")
-        if not self.beta_reg > 0.0:
-            raise ValueError(f"beta_reg must be positive, got {self.beta_reg}")
-
-
 # -- inducing-point initialization --------------------------------------------
 
 
@@ -158,21 +147,6 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, iters: int) -> np.ndarray:
 # -- differentiable layer computation ------------------------------------------
 
 
-@dataclass
-class LayerTensors:
-    """Tensors of one GP layer, a single GP or a stack: inducing inputs Z,
-    the whitened posterior q(v) = N(m, S S^T) over v = L^{-1} u, and the
-    kernel hyperparameters; ``factor`` is the (W, M, M) stack of factors
-    L = chol(Kmm) when it is already known (prediction)."""
-
-    inducing: Tensor
-    mean: Tensor
-    cov_factor: Tensor
-    kernel_variance: Tensor
-    lengthscales: Tensor
-    factor: Optional[np.ndarray] = None
-
-
 def register_layer(
     params: ParamVector, prefix: str, num_inducing: int, input_dim: int, batch_shape: tuple = ()
 ):
@@ -187,26 +161,6 @@ def register_layer(
     params.register(f"{prefix}.kernel_variance", b, POSITIVE, init=np.ones(b))
     shape = b + (input_dim,)
     params.register(f"{prefix}.lengthscales", shape, POSITIVE, init=np.ones(shape))
-
-
-def layer_from_view(
-    view: ParamView,
-    prefix: str,
-    factors: Optional["KmmFactors"] = None,
-    jitter: float = DEFAULT_JITTER,
-) -> LayerTensors:
-    """The layer's tensors from a view; with a memo (constant views only) the
-    layer also carries its factors of Kmm."""
-    lt = LayerTensors(
-        inducing=view.get(f"{prefix}.z"),
-        mean=view.get(f"{prefix}.m"),
-        cov_factor=view.get(f"{prefix}.L"),
-        kernel_variance=view.get(f"{prefix}.kernel_variance"),
-        lengthscales=view.get(f"{prefix}.lengthscales"),
-    )
-    if factors is not None:
-        lt.factor = factors.factor(view, prefix, lt, jitter)
-    return lt
 
 
 class KmmFactors:
@@ -224,15 +178,15 @@ class KmmFactors:
     def __init__(self):
         self._entries: dict[str, tuple[float, np.ndarray, np.ndarray]] = {}
 
-    def factor(self, view: ParamView, prefix: str, lt: LayerTensors, jitter: float) -> np.ndarray:
-        """The (W, M, M) factors of the layer ``lt`` read from ``view`` under
+    def factor(self, view: ParamView, prefix: str, jitter: float) -> np.ndarray:
+        """The (W, M, M) factors of the layer read from ``view`` under
         ``prefix`` (W = 1 for a single GP)."""
         names = ("z", "kernel_variance", "lengthscales")
         key = np.concatenate([view.raw[f"{prefix}.{name}"].data for name in names])
         hit = self._entries.get(prefix)
         if hit is not None and hit[0] == jitter and np.array_equal(hit[1], key):
             return hit[2]
-        zss, variances, _ = _stacked(lt.inducing, lt.kernel_variance, lt.lengthscales)
+        zss, variances, _ = _stacked(*(view.get(f"{prefix}.{name}") for name in names))
         chol = np.stack([
             _prior_factor(zs, (zs * zs).sum(axis=1), float(variance), jitter)[2]
             for zs, variance in zip(zss, variances)
@@ -242,13 +196,17 @@ class KmmFactors:
         return chol
 
 
-def latent_graph(lt: LayerTensors, x: Tensor, jitter: float = DEFAULT_JITTER):
-    """Latent moments (mu, s2) at rows of x and the KL of one GP layer, as
-    :func:`sparse_gp_layer` of the layer's tensors."""
-    return sparse_gp_layer(
-        lt.inducing, lt.kernel_variance, lt.lengthscales, lt.mean, lt.cov_factor, x, jitter,
-        lt.factor,
+def gp_layer(view: ParamView, prefix: str, x: Tensor, jitter: float = DEFAULT_JITTER,
+             factors: Optional[KmmFactors] = None):
+    """Latent moments (mu, s2) at rows of x and the KL of the GP layer under
+    ``prefix``: :func:`sparse_gp_layer` of its five slices read from
+    ``view``. With a memo (constant views only) the layer's factors of Kmm
+    come from it."""
+    z, m, s, kernel_variance, lengthscales = (
+        view.get(f"{prefix}.{name}") for name in ("z", "m", "L", "kernel_variance", "lengthscales")
     )
+    factor = None if factors is None else factors.factor(view, prefix, jitter)
+    return sparse_gp_layer(z, kernel_variance, lengthscales, m, s, x, jitter, factor)
 
 
 def sparse_gp_layer(
@@ -517,21 +475,23 @@ def objective_graph(
     var: Tensor,
     kl_total: Tensor,
     obs_variance: Tensor,
-    spec: ObjectiveSpec,
+    objective: str,
+    beta_reg: float,
     y: Tensor,
     scale: float,
     log_weights: Optional[Tensor] = None,
 ) -> Tensor:
     """Negated training bound on a batch from the (T, n) output-layer latent
     moments of its T components (T = 1 without hidden layers) and the summed
-    KL of every inducing set. The evidence bound averages the corrected
-    likelihood over the components; the predictive-variance bound scores the
-    log of their mixture density. ``log_weights`` is None for equal-weight
+    KL of every inducing set. ``objective`` names the bound: 'elbo', the
+    evidence bound, averages the corrected likelihood over the components;
+    'ppgpr', the predictive-variance bound, scores the log of their mixture
+    density and weights the KL by ``beta_reg``. ``log_weights`` is None for equal-weight
     components or a (T,) Tensor of per-component log weights (sigma points),
     which only the predictive-variance bound takes.
     """
     num_comp, n = mu.shape
-    if spec.kind == "elbo":
+    if objective == "elbo":
         if log_weights is not None:
             raise ValueError("weighted components require the ppgpr objective")
         ll = gaussian_loglik_graph(y, mu, obs_variance * ad.constant(np.ones(n)))
@@ -544,7 +504,7 @@ def objective_graph(
     log_mix = ad.logsumexp(ll, axis=0)
     if log_weights is None and num_comp > 1:
         log_mix = log_mix - math.log(num_comp)
-    bound = log_mix.sum() * scale - spec.beta_reg * kl_total
+    bound = log_mix.sum() * scale - beta_reg * kl_total
     return -bound
 
 
@@ -554,7 +514,9 @@ def objective_graph(
 class SVGPModel:
     """Sparse variational GP regressor backed by a flat parameter vector.
 
-    Deep models override the hidden-layer hooks. Targets are standardized
+    ``objective`` is the bound it trains on, 'elbo' or 'ppgpr', and
+    ``beta_reg`` the positive weight of the KL in 'ppgpr'. Deep models
+    override the hidden-layer and prediction hooks. Targets are standardized
     internally (shift/scale recorded with the model) so the zero-mean prior
     is sensible on natural-unit labels; predictions are mapped back before
     they leave the model.
@@ -563,18 +525,18 @@ class SVGPModel:
     kind = "svgp"
     output_prefix = "gp"
     # no hidden draws: one exact component
-    num_train_samples = 1
+    num_train_samples = num_test_samples = 1
+    # rows per predictive pass; None: every row in one pass
+    _predict_chunk: Optional[int] = None
 
-    def __init__(
-        self,
-        objective_spec: ObjectiveSpec,
-        input_dim: int,
-        num_inducing: int,
-        jitter: float = DEFAULT_JITTER,
-        target_shift: float = 0.0,
-        target_scale: float = 1.0,
-    ):
-        self.objective_spec = objective_spec
+    def __init__(self, objective: str, beta_reg: float, input_dim: int, num_inducing: int,
+                 jitter: float = DEFAULT_JITTER, target_shift: float = 0.0,
+                 target_scale: float = 1.0):
+        if objective not in ("elbo", "ppgpr"):
+            raise ValueError(f"objective kind must be 'elbo' or 'ppgpr', got {objective!r}")
+        if not beta_reg > 0.0:
+            raise ValueError(f"beta_reg must be positive, got {beta_reg}")
+        self.objective, self.beta_reg = objective, beta_reg
         self.input_dim = int(input_dim)
         self.num_inducing = int(num_inducing)
         self.jitter = float(jitter)
@@ -610,10 +572,15 @@ class SVGPModel:
         each hidden layer's KL."""
         return ad.constant(X), 1, []
 
-    def _draw_eps(self, n: int, samples: int, rng: Optional[RngStream]):
+    def _draw_eps(self, n: int, samples: int, rng: RngStream):
         return None
 
     def _log_weights(self, view: ParamView):
+        return None
+
+    def _mixture_weights(self) -> Optional[np.ndarray]:
+        """The predictive's (T,) component weights, or None for the Gaussian
+        of the one exact component."""
         return None
 
     def _moments(
@@ -626,8 +593,7 @@ class SVGPModel:
         prediction passes the model's factor memo.
         """
         feats, rows, hidden_kls = self._hidden(view, X, eps, factors)
-        out_lt = layer_from_view(view, self.output_prefix, factors, self.jitter)
-        mu, var, kl_total = latent_graph(out_lt, feats, self.jitter)
+        mu, var, kl_total = gp_layer(view, self.output_prefix, feats, self.jitter, factors)
         for kl in hidden_kls:
             kl_total = kl_total + kl.sum()
         n = X.shape[0]
@@ -642,26 +608,43 @@ class SVGPModel:
     def _build(self, view: ParamView, X: np.ndarray, y: np.ndarray, scale: float, eps) -> Tensor:
         mu, var, kl_total = self._moments(view, X, eps)
         y_std = ad.constant((y - self.target_shift) / self.target_scale)
-        return objective_graph(mu, var, kl_total, view.get("obs_variance"), self.objective_spec,
-                               y_std, scale, self._log_weights(view))
+        return objective_graph(mu, var, kl_total, view.get("obs_variance"), self.objective,
+                               self.beta_reg, y_std, scale, self._log_weights(view))
 
     # -- training and prediction -------------------------------------------
 
     def objective_grad(self, X, y, scale: float = 1.0, rng: Optional[RngStream] = None) -> float:
         """Loss on a batch; leaves the gradient on ``self.params``. Hidden
-        draws, if any, come from ``rng``."""
+        draws, if any, come from ``rng``, by default ``RngStream(0)``."""
         X, y = training_rows(X, y, self.input_dim)
-        eps = self._draw_eps(X.shape[0], self.num_train_samples, rng)
+        eps = self._draw_eps(X.shape[0], self.num_train_samples, rng or RngStream(0))
         return value_and_grad(self.params, lambda view: self._build(view, X, y, scale, eps))
 
-    def predictive(self, X, rng=None) -> Predictions:
-        """Observation-space Gaussian N(mu_f, s2_f + s2_obs) per row of X,
-        in natural target units."""
+    def predictive(self, X, rng: Optional[RngStream] = None) -> Predictions:
+        """Observation-space N(mu_f, s2_f + s2_obs) of each component per row
+        of X, in natural target units: the Gaussian of the one component, or
+        the mixture under ``_mixture_weights``. Rows go ``_predict_chunk`` at
+        a time, and hidden draws, if any, come from ``rng``, by default
+        ``RngStream(0)``."""
         X = input_rows(X, self.input_dim)
-        mu, var = self._component_moments(X)
+        rng = rng or RngStream(0)
         obs = self.params.decode("obs_variance")
         s = self.target_scale
-        return Predictions.gaussian(mu[0] * s + self.target_shift, (var[0] + obs) * s * s)
+        n = X.shape[0]
+        chunk = self._predict_chunk or max(n, 1)
+        means, variances = [], []
+        # one pass even for zero rows, so an empty input gives an empty batch
+        for start in range(0, max(n, 1), chunk):
+            block = X[start : start + chunk]
+            eps = self._draw_eps(block.shape[0], self.num_test_samples, rng)
+            mu, var = self._component_moments(block, eps)
+            means.append((mu * s + self.target_shift).T)
+            variances.append(((var + obs) * s * s).T)
+        mean, var = np.concatenate(means), np.concatenate(variances)
+        weights = self._mixture_weights()
+        if weights is None:
+            return Predictions.gaussian(mean[:, 0], var[:, 0])
+        return Predictions.mixture(weights, mean, var)
 
 
 def input_rows(X, input_dim: int) -> np.ndarray:

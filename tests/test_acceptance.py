@@ -42,7 +42,7 @@ from rulkit.params import (
     fd_check,
     minibatch_iter,
 )
-from rulkit.svgp import latent_graph, layer_from_view
+from rulkit.svgp import gp_layer
 
 
 def _gate(num: int, label: str, passed: bool) -> None:
@@ -193,7 +193,7 @@ def test_degenerate_deep_models_reduce_to_their_shallow_counterparts():
             worst = max(worst, abs(mean - g_mean), abs(var - g_var))
         mus, vars_ = deep._component_moments(X, deep._draw_eps(X.shape[0], 5, RngStream(0)))
         view = ParamView(flat.params, trainable=False)
-        mu_ref, var_ref, _ = latent_graph(layer_from_view(view, "gp"), ad.constant(X), flat.jitter)
+        mu_ref, var_ref, _ = gp_layer(view, "gp", ad.constant(X), flat.jitter)
         mu_ref, var_ref = mu_ref.data, var_ref.data
         worst = max(worst, float(np.max(np.abs(mus[0] - mu_ref))))
         worst = max(worst, float(np.max(np.abs(vars_[0] - var_ref))))

@@ -278,6 +278,19 @@ class TestEvaluate:
         assert report["nll_convention"] == "per_sample_mean"
         assert (tmp_path / "e" / "predictions.csv").exists()
 
+    def test_a_foreign_npz_is_refused_by_file_and_member(self, fleet_dir, tmp_path, capsys):
+        # no checkpoint members at all, and a format_version that is no scalar
+        foreign, bad = tmp_path / "foreign.npz", tmp_path / "bad.npz"
+        np.savez(foreign, x=np.zeros(3))
+        np.savez(bad, format_version=np.arange(3))
+        for path, message in ((foreign, " is not a checkpoint: it has no member format_version"),
+                              (bad, ": checkpoint member format_version: ")):
+            rc = main(["evaluate", "--checkpoint", str(path), "--data", str(fleet_dir),
+                       "--out", str(tmp_path / "e")])
+            assert rc == 1
+            assert capsys.readouterr().err.startswith(f"error: {path}{message}")
+        assert not (tmp_path / "e").exists()
+
     def test_alpha_override(self, trained, fleet_dir, tmp_path, capsys):
         rc = main([
             "evaluate", "--checkpoint", str(trained / "checkpoint.npz"),

@@ -157,6 +157,11 @@ class TestLoadFleet:
         (tmp_path / name).write_text(text)
         return tmp_path
 
+    def test_a_file_that_is_not_utf8_is_refused_by_name(self, tmp_path):
+        (tmp_path / "u.csv").write_bytes(b"unit_id,t,f_1,rul\nu,0,\xff,2\n")
+        with pytest.raises(DataFormatError, match=r"^u\.csv: not a UTF-8 text file: "):
+            load_fleet(tmp_path)
+
     def test_bad_header(self, tmp_path):
         self._write(tmp_path, "u.csv", "id,t,f_1,rul\nu,0,1,2\nu,1,1,1\n")
         with pytest.raises(DataFormatError, match="line 1: header"):

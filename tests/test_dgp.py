@@ -20,7 +20,7 @@ from rulkit.dspp import DSPPModel
 from rulkit.experiment import ExperimentConfig, build_model, model_config, model_from_config
 from rulkit.metrics import Predictions
 from rulkit.params import ParamView, RngStream, fd_check
-from rulkit.svgp import ObjectiveSpec, SVGPModel, latent_graph, layer_from_view
+from rulkit.svgp import SVGPModel, gp_layer
 
 RNG = np.random.default_rng(401)
 
@@ -44,10 +44,10 @@ def _sampled(model, X, rng, samples):
     return model._component_moments(X, model._draw_eps(X.shape[0], samples, rng))
 
 
-def _objective(model, X, y, eps, spec=None) -> float:
+def _objective(model, X, y, eps, objective=None) -> float:
     """Value of the negated deep bound on a batch under the hidden draws eps."""
-    if spec is not None:
-        model.objective_spec = spec
+    if objective is not None:
+        model.objective = objective
     view = ParamView(model.params, trainable=False)
     return float(model._build(view, X, y, 1.0, eps).data)
 
@@ -196,7 +196,7 @@ class TestDepthZeroReduction:
         mus, vars_ = _sampled(deep, X, RngStream(0), 5)
         view = ParamView(flat.params, trainable=False)
         mu_ref, var_ref, _ = (
-            t.data for t in latent_graph(layer_from_view(view, "gp"), ad.constant(X), flat.jitter)
+            t.data for t in gp_layer(view, "gp", ad.constant(X), flat.jitter)
         )
         assert mus.shape[0] == 1  # no hidden noise: one exact component
         np.testing.assert_array_equal(mus[0], mu_ref)
@@ -244,8 +244,8 @@ class TestObjective:
         # ppgpr variants differ once latent variances are nonzero
         model, X, y = _toy_dgp()
         eps = np.zeros((1, X.shape[0], model.depth * model.width))
-        e = _objective(model, X, y, eps, spec=ObjectiveSpec("elbo"))
-        p = _objective(model, X, y, eps, spec=ObjectiveSpec("ppgpr"))
+        e = _objective(model, X, y, eps, objective="elbo")
+        p = _objective(model, X, y, eps, objective="ppgpr")
         assert math.isfinite(e) and math.isfinite(p)
         assert e != pytest.approx(p, abs=1e-6)
 

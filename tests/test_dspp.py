@@ -26,7 +26,6 @@ from rulkit.experiment import (
 )
 from rulkit.mathcore import gaussian_logpdf
 from rulkit.params import ParamView, RngStream, fd_check
-from rulkit.svgp import ObjectiveSpec
 
 RNG = np.random.default_rng(555)
 
@@ -194,7 +193,7 @@ class TestSingleSiteReduction:
 class TestObjective:
     def test_matches_recomputation_from_predictive_moments(self):
         model, X, y = _toy_dspp(num_sites=4, seed=41)
-        beta = model.objective_spec.beta_reg
+        beta = model.beta_reg
         shift, scale = model.target_shift, model.target_scale
 
         logits = model.params.decode("site_logits")
@@ -257,13 +256,13 @@ class TestObjective:
         model, X, y = _toy_dspp(seed=37)
         values = []
         for beta in (1.0, 2.0, 3.0):
-            model.objective_spec = ObjectiveSpec("ppgpr", beta_reg=beta)
+            model.objective, model.beta_reg = "ppgpr", beta
             values.append(_objective(model, X, y))
         assert values[2] - values[1] == pytest.approx(values[1] - values[0], rel=1e-8)
 
     def test_rejects_elbo_kind(self):
         model, X, y = _toy_dspp(seed=43)
-        model.objective_spec = ObjectiveSpec("elbo")
+        model.objective = "elbo"
         with pytest.raises(ValueError):
             model.objective_grad(X, y)
 
@@ -275,7 +274,7 @@ class TestModel:
     def test_needs_a_hidden_layer(self):
         X = RNG.standard_normal((5, 2))
         with pytest.raises(ValueError, match="at least one hidden layer"):
-            DSPPModel(ObjectiveSpec("ppgpr"), X.shape[1], width=2, depth=0, num_inducing=2)
+            DSPPModel("ppgpr", 1.0, X.shape[1], width=2, depth=0, num_inducing=2)
 
     def test_state_round_trip(self):
         model, X, _ = _toy_dspp(seed=47)
@@ -288,4 +287,4 @@ class TestModel:
     def test_default_objective_is_ppgpr(self):
         _, X, y = _toy_dspp(seed=49)
         config = default_config("dspp").replace(num_inducing=3, num_sites=3)
-        assert build_model(config, X, y, RngStream(49)).objective_spec.kind == "ppgpr"
+        assert build_model(config, X, y, RngStream(49)).objective == "ppgpr"

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from rulkit import experiment, mcd, parallel, svgp
@@ -148,6 +148,13 @@ class TestExperimentConfig:
         cfg.save(tmp_path / "cfg.json")
         back = ExperimentConfig.load(tmp_path / "cfg.json")
         assert back == cfg
+
+    @pytest.mark.parametrize("text", [b"{not json", b"\xff"])
+    def test_a_file_that_is_not_json_is_refused_by_name(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not a JSON file: "):
+            ExperimentConfig.load(path)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys: dropout"):
@@ -499,6 +506,49 @@ class TestCheckpoints:
         else:
             path.write_bytes(content)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} is not a checkpoint"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _members(tmp_path) -> dict:
+        run_experiment(tiny_mcd(), small_fleet(), small_split(), out_dir=tmp_path)
+        with np.load(tmp_path / "checkpoint.npz") as z:
+            return dict(z)
+
+    @pytest.mark.parametrize("member", ["format_version", "experiment_config", "model_config",
+                                        "norm_mean", "norm_std", "state_theta"])
+    def test_a_missing_member_is_refused_by_file_and_member(self, tmp_path, member):
+        arrays = self._members(tmp_path)
+        del arrays[member]
+        path = tmp_path / "foreign.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} is not a checkpoint: "
+                                             rf"it has no member {member}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("member, value, message", [
+        ("format_version", np.asarray([3, 3]),
+         "format_version: can only convert an array of size 1"),
+        ("format_version", np.asarray("three"), "format_version: invalid literal for int"),
+        ("experiment_config", np.asarray("{not json"),
+         "experiment_config: Expecting property name"),
+        ("experiment_config", np.asarray("[1, 2]"),
+         "experiment_config: expected a JSON object, got list"),
+        ("experiment_config", np.asarray('{"dropout": 0.5}'),
+         "experiment_config: unknown config keys: dropout"),
+        ("model_config", np.asarray('"mcd"'), "model_config: expected a JSON object, got str"),
+        ("model_config", np.asarray("{}"), "model_config: checkpoint has unknown model kind None"),
+        # the vector's length is checked against the model the config describes
+        ("state_theta", np.zeros(2), "model_config: checkpoint holds 2 raw parameters"),
+        ("norm_std", np.ones(1), "norm_std: mean and std must be 1-D arrays of equal length"),
+    ])
+    def test_a_malformed_member_is_refused_by_file_and_member(self, tmp_path, member, value,
+                                                             message):
+        arrays = self._members(tmp_path)
+        arrays[member] = value
+        path = tmp_path / "bad.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(path))}: checkpoint member {message}"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -1182,6 +1232,76 @@ class TestBuildModel:
             part = model.predictive(X[rows])
             for name in ("weights", "means", "variances", "mean", "var"):
                 assert getattr(part, name).tobytes() == getattr(whole, name)[rows].tobytes(), name
+
+    # Property versions of the two contracts above, over random row counts on
+    # either side of dgp's 512-row and dspp's 2,048-row chunks and random
+    # model shapes: depth 0-2 (1-2 for dspp), width 1-3, skip on and off.
+    ROWS = st.one_of(
+        st.integers(0, 2100),
+        st.builds(lambda edge, step: max(edge + step, 0),
+                  st.sampled_from([0, 512, 1024, 2048]), st.integers(-3, 60)),
+    )
+    SHAPES = dict(n=ROWS, depth=st.integers(0, 2), width=st.integers(1, 3), skip=st.booleans(),
+                  seed=st.integers(0, 2**16))
+    BATCH_KINDS = {"svgp": "gaussian", "ppgpr": "gaussian", "dgp": "mixture",
+                   "dspp": "mixture", "mcd": "gaussian", "ffnn": "point"}
+
+    @staticmethod
+    def _drawn_model(kind, depth, width, skip, seed):
+        rng = np.random.default_rng(seed)
+        X, y = rng.standard_normal((12, 3)), 5.0 * rng.standard_normal(12)
+        cfg = default_config(kind).replace(
+            num_inducing=4, hidden_layers=1, hidden_units=4, num_sites=3, train_samples=2,
+            test_samples=2, depth=max(depth, int(kind == "dspp")), width=width, skip_connection=skip,
+        )
+        model = build_model(cfg, X, y, RngStream(seed))
+        model.params.values += 0.3 * rng.standard_normal(model.params.size)  # off the prior
+        return model, rng
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @given(**SHAPES)
+    @settings(max_examples=15, deadline=None)
+    def test_predictive_batch_has_one_row_per_input_row(self, kind, n, depth, width, skip, seed):
+        model, rng = self._drawn_model(kind, depth, width, skip, seed)
+        pred = model.predictive(rng.standard_normal((n, 3)), rng=RngStream(seed))
+        comps = {"dgp": 2 if depth else 1, "dspp": 3}.get(kind, 1)
+        assert (pred.kind, len(pred)) == (self.BATCH_KINDS[kind], n)
+        for name in ("weights", "means", "variances"):
+            assert getattr(pred, name).shape == (n, comps), name
+        assert pred.mean.shape == pred.var.shape == (n,)
+
+    def _subset_and_whole(self, kind, n, depth, width, skip, seed):
+        """A drawn model's predictive on a random subset of n rows (in random
+        order), its predictive on all n, and the subset's row indices."""
+        model, rng = self._drawn_model(kind, depth, width, skip, seed)
+        X = rng.standard_normal((n, 3))
+        rows = rng.choice(n, size=rng.integers(0, n + 1), replace=False)
+        return model.predictive(X[rows]), model.predictive(X), rows
+
+    @pytest.mark.parametrize("kind", ["svgp", "ppgpr", "dspp", "ffnn"])
+    @given(**SHAPES)
+    @settings(max_examples=15, deadline=None)
+    def test_predictive_on_a_random_row_subset_is_those_rows(self, kind, n, depth, width, skip,
+                                                             seed):
+        part, whole, rows = self._subset_and_whole(kind, n, depth, width, skip, seed)
+        assert part.weights.tobytes() == whole.weights[rows].tobytes()
+        for name in ("means", "variances", "mean", "var"):
+            np.testing.assert_allclose(getattr(part, name), getattr(whole, name)[rows],
+                                       rtol=1e-12, atol=1e-12, err_msg=name)
+
+    # Bit for bit the property fails: BLAS takes other kernels for other row
+    # counts, so a one-row call, and at 8 or more inducing points most calls,
+    # differ in the last bits from the same rows of a larger call. Strict, so
+    # the test fails once the program holds the property.
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a row's bits depend on the other rows of the call")
+    @given(kind=st.sampled_from(["svgp", "ppgpr", "dspp", "ffnn"]), **SHAPES)
+    @settings(max_examples=60, deadline=None, phases=[Phase.generate])
+    def test_predictive_on_a_random_row_subset_is_those_rows_bit_for_bit(self, kind, n, depth,
+                                                                        width, skip, seed):
+        part, whole, rows = self._subset_and_whole(kind, n, depth, width, skip, seed)
+        for name in ("weights", "means", "variances", "mean", "var"):
+            assert getattr(part, name).tobytes() == getattr(whole, name)[rows].tobytes(), name
 
     def test_ffnn_is_a_point_baseline(self):
         rng = np.random.default_rng(0)

@@ -46,11 +46,9 @@ from rulkit.params import (
 )
 from rulkit.svgp import (
     VARIANCE_FLOOR,
-    ObjectiveSpec,
     SVGPModel,
+    gp_layer,
     init_inducing,
-    latent_graph,
-    layer_from_view,
     sparse_gp_layer,
 )
 
@@ -61,7 +59,7 @@ def _model(z, mean, cov_factor, variance, lengthscales, obs_variance=0.25):
     """An SVGPModel in natural target units (shift 0, scale 1) whose layer
     and noise are set through ``params.set_value``."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    model = SVGPModel(ObjectiveSpec(), z.shape[1], z.shape[0])
+    model = SVGPModel("elbo", 1.0, z.shape[1], z.shape[0])
     p = model.params
     p.set_value("gp.z", z)
     p.set_value("gp.m", mean)
@@ -101,13 +99,13 @@ def _random_model(input_dim=2, num_inducing=4, seed=0, obs_variance=0.25):
 def _latent(model: SVGPModel, X):
     """Latent moments (mu_f, s2_f) per row of X from the model's own builder."""
     view = ParamView(model.params, trainable=False)
-    mu, var, _ = latent_graph(layer_from_view(view, "gp"), ad.constant(X), model.jitter)
+    mu, var, _ = gp_layer(view, "gp", ad.constant(X), model.jitter)
     return mu.data, var.data
 
 
-def _objective(model: SVGPModel, spec: ObjectiveSpec, X, y) -> float:
+def _objective(model: SVGPModel, objective: str, X, y, beta_reg=1.0) -> float:
     """Value of the negated training bound on a batch at scale 1."""
-    model.objective_spec = spec
+    model.objective, model.beta_reg = objective, beta_reg
     return model.objective_grad(X, y)
 
 
@@ -183,7 +181,7 @@ class TestWhitening:
             MultivariateNormal(np.zeros(4), np.linalg.cholesky(kernel_eval(layer.kernel, z, z))),
         )
         view = ParamView(model.params, trainable=False)
-        _, _, kl = latent_graph(layer_from_view(view, "gp"), ad.constant(X), model.jitter)
+        _, _, kl = gp_layer(view, "gp", ad.constant(X), model.jitter)
         kl = float(kl.data)
         assert kl == pytest.approx(kl_ref, rel=1e-10)
 
@@ -500,7 +498,7 @@ class TestObjective:
         #   mu_f = 0, sigma_f^2 = 1, KL(N(0,1) || N(0,1)) = 0
         #   elbo = log N(0|0,1) - 1/2 = -ln(2 pi)/2 - 1/2; loss is its negation
         model = _model([[0.0]], [0.0], [[1.0]], 1.0, np.ones(1), obs_variance=1.0)
-        loss = _objective(model, ObjectiveSpec("elbo"), np.array([[0.0]]), np.array([0.0]))
+        loss = _objective(model, "elbo", np.array([[0.0]]), np.array([0.0]))
         assert loss == pytest.approx(0.5 * math.log(2.0 * math.pi) + 0.5, abs=1e-12)
 
     def test_bounds_coincide_when_latent_variance_vanishes(self):
@@ -509,8 +507,8 @@ class TestObjective:
         model = _far_apart_model([0.3, -0.5], np.eye(2) * 1e-6, obs_variance=0.5)
         X = model.params.decode("gp.z")
         y = np.array([0.1, 0.2])
-        e = _objective(model, ObjectiveSpec("elbo"), X, y)
-        p = _objective(model, ObjectiveSpec("ppgpr", beta_reg=1.0), X, y)
+        e = _objective(model, "elbo", X, y)
+        p = _objective(model, "ppgpr", X, y, beta_reg=1.0)
         assert e == pytest.approx(p, abs=1e-8)
 
     @pytest.mark.parametrize("kind", ["elbo", "ppgpr"])
@@ -519,16 +517,15 @@ class TestObjective:
         # so summing singleton objectives overcounts it N-1 times
         model = _far_apart_model([0.3, -0.5, 0.8], np.diag([0.7, 0.4, 1.1]), obs_variance=0.6)
         layer = layer_of(model.params, "gp")
-        spec = ObjectiveSpec(kind)
         X = RNG.standard_normal((6, 1))
         y = RNG.standard_normal(6)
         kl = mvn_kl(
             MultivariateNormal(layer.variational_mean, layer.variational_cov_factor),
             MultivariateNormal(np.zeros(3), np.eye(3)),
         )
-        full = _objective(model, spec, X, y)
+        full = _objective(model, kind, X, y)
         singles = sum(
-            _objective(model, spec, X[i : i + 1], y[i : i + 1]) for i in range(6)
+            _objective(model, kind, X[i : i + 1], y[i : i + 1]) for i in range(6)
         )
         assert full == pytest.approx(singles - 5.0 * kl, abs=1e-10)
 
@@ -538,24 +535,24 @@ class TestObjective:
         X = RNG.standard_normal((10, 2))
         y = RNG.standard_normal(10)
         perm = RNG.permutation(10)
-        a = _objective(model, ObjectiveSpec(kind), X, y)
-        b = _objective(model, ObjectiveSpec(kind), X[perm], y[perm])
+        a = _objective(model, kind, X, y)
+        b = _objective(model, kind, X[perm], y[perm])
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_ppgpr_beta_scales_only_the_kl(self):
         model = _random_model(seed=4, obs_variance=0.3)
         X = RNG.standard_normal((5, 2))
         y = RNG.standard_normal(5)
-        a = _objective(model, ObjectiveSpec("ppgpr", beta_reg=1.0), X, y)
-        b = _objective(model, ObjectiveSpec("ppgpr", beta_reg=2.0), X, y)
-        c = _objective(model, ObjectiveSpec("ppgpr", beta_reg=3.0), X, y)
+        a = _objective(model, "ppgpr", X, y, beta_reg=1.0)
+        b = _objective(model, "ppgpr", X, y, beta_reg=2.0)
+        c = _objective(model, "ppgpr", X, y, beta_reg=3.0)
         assert c - b == pytest.approx(b - a, rel=1e-9)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            ObjectiveSpec("map")
+            SVGPModel("map", 1.0, 1, 2)
         with pytest.raises(ValueError):
-            ObjectiveSpec("elbo", beta_reg=0.0)
+            SVGPModel("elbo", 0.0, 1, 2)
 
 
 # -- inducing-point initialization ---------------------------------------------------
@@ -606,18 +603,18 @@ class TestLayerValidation:
     setting a slice rejects values the layer could not hold."""
 
     def test_mean_shape_mismatch(self):
-        model = SVGPModel(ObjectiveSpec(), 1, 2)
+        model = SVGPModel("elbo", 1.0, 1, 2)
         with pytest.raises(ValueError):
             model.params.set_value("gp.m", np.zeros(3))
 
     def test_nonpositive_factor_diagonal(self):
-        model = SVGPModel(ObjectiveSpec(), 1, 2)
+        model = SVGPModel("elbo", 1.0, 1, 2)
         with pytest.raises(ValueError):
             model.params.set_value("gp.L", np.zeros((2, 2)))
 
     def test_kernel_dimension_mismatch(self):
         # inducing points with 3 columns in a model over 2 input dimensions
-        model = SVGPModel(ObjectiveSpec(), 2, 2)
+        model = SVGPModel("elbo", 1.0, 2, 2)
         with pytest.raises(ValueError):
             model.params.set_value("gp.z", np.zeros((2, 3)))
 
