@@ -3,7 +3,9 @@
 A fleet is a collection of run-to-failure unit histories. Each unit carries a
 time index, a feature matrix (one row per step), and the remaining useful life
 at every step. Files on disk are plain comma-delimited tables, one per unit,
-with header ``unit_id,t,f_1..f_m,rul``.
+with header ``unit_id,t,f_1..f_m,rul``. A fleet always holds raw features:
+normalization is a row transform, :class:`NormalizationStats` from
+:func:`normalize`, applied to the stacked rows a model reads.
 """
 
 from __future__ import annotations
@@ -136,14 +138,9 @@ class UnitSeries:
 
 @dataclass(frozen=True)
 class FleetDataset:
-    """A fleet of units with a shared feature layout.
-
-    ``stats`` records the normalization already applied to the feature
-    columns; None means the features are raw.
-    """
+    """A fleet of units with a shared feature layout; the features are raw."""
 
     units: tuple
-    stats: Optional[NormalizationStats] = None
 
     def __post_init__(self):
         units = tuple(self.units)
@@ -159,8 +156,6 @@ class FleetDataset:
             raise DataFormatError(
                 f"inconsistent feature dimension across units: {sorted(dims)}"
             )
-        if self.stats is not None and self.stats.mean.size != self.feature_dim:
-            raise DataFormatError("normalization stats do not match feature_dim")
 
     @property
     def feature_dim(self) -> int:
@@ -291,6 +286,11 @@ def load_fleet(path) -> FleetDataset:
         raise DataFormatError(f"no *.csv unit files under {root}")
     first, header = _load_unit_file(files[0], None)
     units = [first] + [_load_unit_file(f, header)[0] for f in files[1:]]
+    owner = {}
+    for f, u in zip(files, units):
+        if owner.setdefault(u.unit_id, f) != f:
+            raise DataFormatError(f"{owner[u.unit_id].name} and {f.name} hold the same unit "
+                                  f"id {u.unit_id!r}")
     return FleetDataset(tuple(units))
 
 
@@ -313,25 +313,15 @@ def save_fleet(data: FleetDataset, path):
 # -- normalization ----------------------------------------------------------------
 
 
-def normalize(data: FleetDataset, stats_from: Sequence[str]):
-    """Z-score features with statistics from ``stats_from`` units only.
-
-    Targets stay in natural units. Returns (normalized fleet, stats).
-    """
-    if data.stats is not None:
-        raise ValueError("fleet is already normalized")
+def normalize(data: FleetDataset, stats_from: Sequence[str]) -> NormalizationStats:
+    """The z-scoring statistics of the ``stats_from`` units' features: their
+    pooled mean and std, floored at ``STD_FLOOR``. ``stats.apply`` maps any
+    rows, training or held out, with them; targets stay in natural units."""
     ids = list(stats_from)
     if not ids:
         raise ValueError("stats_from must name at least one unit")
     pooled = np.concatenate([data.unit(i).features for i in ids], axis=0)
-    stats = NormalizationStats(
-        pooled.mean(axis=0), np.maximum(pooled.std(axis=0), STD_FLOOR)
-    )
-    units = tuple(
-        UnitSeries(u.unit_id, u.time, stats.apply(u.features), u.rul)
-        for u in data.units
-    )
-    return FleetDataset(units, stats), stats
+    return NormalizationStats(pooled.mean(axis=0), np.maximum(pooled.std(axis=0), STD_FLOOR))
 
 
 def stack_rows(data: FleetDataset, unit_ids: Optional[Sequence[str]] = None):

@@ -24,8 +24,9 @@ taken 512 rows at a time.
 :class:`DeepGPModel` is :class:`rulkit.svgp.SVGPModel` plus hidden layers:
 it overrides the hidden-layer hooks, the predictive's row chunk and its
 weights, and inherits the moments path, the bound, ``objective_grad`` and
-``predictive``. At depth 0 no hook adds a layer or a draw, so the model is
-the flat GP by construction, under the output prefix ``out``.
+``predictive``. At depth 0 no hook adds a layer and the draws have zero
+width (a zero-size draw leaves the stream where it was), so the model is the
+flat GP by construction, under the output prefix ``out``.
 """
 
 from __future__ import annotations
@@ -129,9 +130,6 @@ class DeepGPModel(SVGPModel):
         return feats, rows, hidden_kls
 
     def _draw_eps(self, n: int, samples: int, rng: RngStream) -> np.ndarray:
-        if self.depth == 0:
-            # no hidden stochasticity: one exact component
-            return np.zeros((1, n, 0))
         return rng.normal(size=(samples, n, self.depth * self.width))
 
     def _mixture_weights(self) -> np.ndarray:

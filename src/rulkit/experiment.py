@@ -1,7 +1,7 @@
 """Experiment orchestration: configs, training runs, grid search, checkpoints.
 
-A run normalizes the fleet with training-unit statistics, carves a
-validation tail off each training unit, trains the configured model with
+A run carves a validation tail off each training unit, z-scores the rows
+with training-unit statistics, trains the configured model with
 minibatch Adam, and reports metrics on the validation and test rows.
 Checkpoints are self-describing npz containers that reload to a model
 producing bitwise-identical predictions.
@@ -73,12 +73,7 @@ KEEP_PROB_GRID = [float(v) for v in np.logspace(-11.0 / 6.0, 0.0, 12)]
 
 
 class TrainingDiverged(RuntimeError):
-    """Objective became non-finite; carries the per-epoch history so far."""
-
-    def __init__(self, message: str, epoch: int, epoch_objectives: list):
-        super().__init__(message)
-        self.epoch = epoch
-        self.epoch_objectives = list(epoch_objectives)
+    """The objective became non-finite, or a training step failed."""
 
 
 class ConfigDataMismatch(ValueError):
@@ -409,16 +404,16 @@ class PreparedSplit:
 
 
 def prepare_split(data: FleetDataset, split: SplitSpec) -> PreparedSplit:
-    """Normalize a raw fleet with its training units' statistics and stack
-    the rows of ``split``; validation is the last ``val_fraction`` (at least
-    one row) of each training unit."""
+    """Stack the raw rows of ``split`` and normalize each stack's features
+    with the training units' statistics; validation is the last
+    ``val_fraction`` (at least one row) of each training unit."""
     split.check_against(data)
     if not split.test_ids:
         raise ValueError("split.test_ids is empty; run_experiment needs at least one test unit")
-    normed, stats = normalize(data, split.train_ids)
+    stats = normalize(data, split.train_ids)
     tr, va = [], []
     for uid in split.train_ids:
-        u = normed.unit(uid)
+        u = data.unit(uid)
         n_val = int(np.floor(split.val_fraction * u.num_rows))
         if split.val_fraction > 0.0 and n_val == 0:
             n_val = 1
@@ -426,9 +421,14 @@ def prepare_split(data: FleetDataset, split: SplitSpec) -> PreparedSplit:
         tr.append((u, slice(0, cut)))
         if n_val:
             va.append((u, slice(cut, u.num_rows)))
-    X_tr, y_tr, _, _ = stack_slices(tr)
-    val = stack_slices(va) if va else None
-    test = stack_rows(normed, list(split.test_ids))
+
+    def normed(rows: tuple) -> tuple:
+        X, *rest = rows
+        return (stats.apply(X), *rest)
+
+    X_tr, y_tr, _, _ = normed(stack_slices(tr))
+    val = normed(stack_slices(va)) if va else None
+    test = normed(stack_rows(data, list(split.test_ids)))
     for a in (X_tr, y_tr, *(val or ()), *test, stats.mean, stats.std):
         a.flags.writeable = False
     return PreparedSplit(split, stats, (X_tr, y_tr), val, test)
@@ -468,12 +468,11 @@ def run_experiment(
     prepared: Optional[PreparedSplit] = None,
 ) -> ExperimentResult:
     """Train one model per ``config`` and evaluate it on validation and test
-    rows. ``data`` must be a raw (unnormalized) fleet; normalization
-    statistics come from the training units alone. ``prepared`` is
-    ``prepare_split(data, split)`` when the caller already holds it (a grid
-    shares one among its cells); None prepares it here. The split decides
-    the rows; the result's config, ``config.json`` and the checkpoint's
-    ``experiment_config`` record it in their split fields.
+    rows, normalized with statistics from the training units alone.
+    ``prepared`` is ``prepare_split(data, split)`` when the caller already
+    holds it (a grid shares one among its cells); None prepares it here. The
+    split decides the rows; the result's config, ``config.json`` and the
+    checkpoint's ``experiment_config`` record it in their split fields.
     """
     config.validate()
     if prepared is None:
@@ -502,15 +501,10 @@ def run_experiment(
                     X_tr[mb.indices], y_tr[mb.indices], mb.scale, rng=draw
                 )
                 if not np.isfinite(loss):
-                    raise TrainingDiverged(
-                        f"objective became non-finite at epoch {epoch}",
-                        epoch, epoch_objectives,
-                    )
+                    raise TrainingDiverged(f"objective became non-finite at epoch {epoch}")
                 adam_step(state, model.params)
             except (GradientError, NumericalError) as exc:
-                raise TrainingDiverged(
-                    f"training failed at epoch {epoch}: {exc}", epoch, epoch_objectives
-                ) from exc
+                raise TrainingDiverged(f"training failed at epoch {epoch}: {exc}") from exc
             batch_losses.append(loss)
         epoch_objectives.append(float(np.mean(batch_losses)))
 
@@ -648,12 +642,20 @@ def load_checkpoint(path):
                 f"{path}: unsupported checkpoint format_version {version}; "
                 f"this rulkit reads format_version {FORMAT_VERSION}"
             )
-        exp_cfg = member("experiment_config", lambda a: ExperimentConfig.from_dict(_json_object(a)))
-        theta = member("state_theta")
+        exp_cfg = member("experiment_config",
+                         lambda a: ExperimentConfig.from_dict(_json_object(a)).validate())
+        theta = member("state_theta", _finite)
         model = member("model_config", lambda a: model_from_config(_json_object(a), theta))
         mean = member("norm_mean")
         stats = member("norm_std", lambda std: NormalizationStats(mean, std))
     return model, exp_cfg, stats
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise ValueError(f"non-finite value at index {bad[0]}")
+    return a
 
 
 def _json_object(a: np.ndarray) -> dict:
@@ -667,9 +669,7 @@ def checkpoint_records(
     model, config: ExperimentConfig, stats: NormalizationStats,
     data: FleetDataset, unit_ids: Optional[Sequence[str]] = None,
 ) -> Records:
-    """Predict every row of the chosen units of a raw fleet."""
-    if data.stats is not None:
-        raise ValueError("expected a raw fleet; this one is already normalized")
+    """Predict every row of the chosen units of a fleet."""
     ids = list(unit_ids) if unit_ids is not None else data.unit_ids
     if not ids:
         raise ValueError("unit_ids is empty; name at least one unit, or pass None for all")
@@ -824,8 +824,8 @@ def grid_search(
     Runs are numbered in deterministic order (sorted keys, given value
     order); run i trains with a seed derived from (base.seed, i). Every cell's
     config is validated before the first run, so an invalid grid value raises
-    before any run directory is written. The fleet is then normalized and
-    split once (:func:`prepare_split`), and every cell reads that one
+    before any run directory is written. The split's rows are then stacked
+    and normalized once (:func:`prepare_split`), and every cell reads that one
     read-only value, whose split every cell's config records (``GridRun``,
     ``grid.json``, ``config.json``).
 

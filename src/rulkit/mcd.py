@@ -91,22 +91,6 @@ def _forward_graph(weights, biases, x: Tensor, keeps, keep_prob: float, heterosc
     return mean, None
 
 
-def _loss_graph(
-    weights, biases, x, y, keeps, keep_prob: float, heteroscedastic: bool, weight_decay: float
-) -> Tensor:
-    mean, noise = _forward_graph(weights, biases, x, keeps, keep_prob, heteroscedastic)
-    if heteroscedastic:
-        fit = -gaussian_loglik_graph(y, mean, noise).mean()
-    else:
-        resid = y - mean
-        fit = (resid * resid).mean()
-    penalty = None
-    for w in weights:
-        term = (w * w).sum()
-        penalty = term if penalty is None else penalty + term
-    return fit + penalty * weight_decay
-
-
 class MCDModel:
     """Trainable dropout network over a flat parameter vector.
 
@@ -188,16 +172,19 @@ class MCDModel:
 
     def _build(self, view: ParamView, X, y, keeps) -> Tensor:
         wts, bts = self._layers(view)
-        return _loss_graph(
-            wts,
-            bts,
-            ad.constant(X),
-            ad.constant((y - self.target_shift) / self.target_scale),
-            keeps,
-            self.keep_prob,
-            self.heteroscedastic,
-            self.weight_decay,
-        )
+        x = ad.constant(X)
+        y = ad.constant((y - self.target_shift) / self.target_scale)
+        mean, noise = _forward_graph(wts, bts, x, keeps, self.keep_prob, self.heteroscedastic)
+        if self.heteroscedastic:
+            fit = -gaussian_loglik_graph(y, mean, noise).mean()
+        else:
+            resid = y - mean
+            fit = (resid * resid).mean()
+        penalty = None
+        for w in wts:
+            term = (w * w).sum()
+            penalty = term if penalty is None else penalty + term
+        return fit + penalty * self.weight_decay
 
     # -- training and prediction -----------------------------------------------------
 

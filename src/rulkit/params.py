@@ -122,7 +122,7 @@ class _Entry:
     size: int
     shape: tuple
     transform: object
-    trainable: bool
+    trainable: bool = True
 
 
 class ParamVector:
@@ -137,7 +137,7 @@ class ParamVector:
     def size(self) -> int:
         return self.values.size
 
-    def register(self, name: str, shape, transform=IDENTITY, init=None, trainable: bool = True):
+    def register(self, name: str, shape, transform=IDENTITY, init=None):
         """Append a named slice; ``init`` is given in constrained space."""
         if name in self._entries:
             raise ValueError(f"parameter {name!r} already registered")
@@ -150,7 +150,7 @@ class ParamVector:
         )
         if raw.shape != (size,):
             raise ValueError(f"init for {name!r} produced raw shape {raw.shape}, expected ({size},)")
-        self._entries[name] = _Entry(self.values.size, size, shape, transform, trainable)
+        self._entries[name] = _Entry(self.values.size, size, shape, transform)
         self.values = np.concatenate([self.values, raw])
         self.grad = np.zeros_like(self.values)
 

@@ -296,9 +296,10 @@ def test_two_sigma_coverage_on_well_specified_fleet():
     )
     ids = fleet.unit_ids
     train_ids, test_ids = ids[:6], ids[6:]
-    normed, _ = normalize(fleet, train_ids)
-    X_tr, y_tr, _, _ = stack_rows(normed, train_ids)
-    X_te, y_te, _, _ = stack_rows(normed, test_ids)
+    stats = normalize(fleet, train_ids)
+    X_tr, y_tr, _, _ = stack_rows(fleet, train_ids)
+    X_te, y_te, _, _ = stack_rows(fleet, test_ids)
+    X_tr, X_te = stats.apply(X_tr), stats.apply(X_te)
 
     # the targets carry known iid Gaussian noise, so the Gaussian likelihood
     # is exactly right and 2-sigma intervals should cover ~95.45%

@@ -279,12 +279,17 @@ class TestEvaluate:
         assert (tmp_path / "e" / "predictions.csv").exists()
 
     def test_a_foreign_npz_is_refused_by_file_and_member(self, fleet_dir, tmp_path, capsys):
-        # no checkpoint members at all, and a format_version that is no scalar
+        # no checkpoint members at all, a format_version that is no scalar,
+        # and a config that parses but is not valid
         foreign, bad = tmp_path / "foreign.npz", tmp_path / "bad.npz"
+        invalid = tmp_path / "invalid.npz"
         np.savez(foreign, x=np.zeros(3))
         np.savez(bad, format_version=np.arange(3))
+        np.savez(invalid, format_version=np.asarray(3), experiment_config='{"alpha": 2.0}')
         for path, message in ((foreign, " is not a checkpoint: it has no member format_version"),
-                              (bad, ": checkpoint member format_version: ")):
+                              (bad, ": checkpoint member format_version: "),
+                              (invalid, ": checkpoint member experiment_config: alpha must be "
+                                        "in (0, 1), got 2.0\n")):
             rc = main(["evaluate", "--checkpoint", str(path), "--data", str(fleet_dir),
                        "--out", str(tmp_path / "e")])
             assert rc == 1

@@ -5,10 +5,13 @@ permutation null rather than a fixed threshold, so it stays valid if the
 generator's internal draws are ever reordered.
 """
 
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulkit.data import (
     DataFormatError,
@@ -153,6 +156,43 @@ class TestLoadFleet:
             np.testing.assert_array_equal(v.features, u.features)
             np.testing.assert_array_equal(v.rul, u.rul)
 
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_is_bit_for_bit(self, data):
+        # any finite floats, -0.0 among them, and ids of every allowed
+        # character, leading dots included, come back with the same bits
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        dim = data.draw(st.integers(1, 4))
+        ids = data.draw(st.lists(st.from_regex(r"[A-Za-z0-9._-]{1,8}", fullmatch=True)
+                                 | st.just(".") | st.just(".a-_9"),
+                                 min_size=1, max_size=3, unique=True))
+        units = []
+        for uid in ids:
+            n = data.draw(st.integers(2, 12))
+            time = data.draw(st.lists(finite.map(np.floor), min_size=n, max_size=n, unique=True))
+            features = data.draw(st.lists(st.lists(finite, min_size=dim, max_size=dim),
+                                          min_size=n, max_size=n))
+            rul = data.draw(st.lists(st.floats(min_value=-0.0, allow_infinity=False),
+                                     min_size=n, max_size=n))
+            units.append(UnitSeries(uid, np.sort(time), np.array(features),
+                                    np.sort(rul)[::-1]))
+        with tempfile.TemporaryDirectory() as tmp:
+            save_fleet(FleetDataset(tuple(units)), tmp)
+            back = load_fleet(tmp)
+        assert sorted(back.unit_ids) == sorted(ids)
+        for u in units:
+            v = back.unit(u.unit_id)
+            for name in ("time", "features", "rul"):
+                a, b = getattr(u, name), getattr(v, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_a_unit_id_in_two_files_is_refused_naming_both(self, tmp_path):
+        self._write(tmp_path, "a.csv", "unit_id,t,f_1,rul\nu001,0,1.0,1\nu001,1,2.0,0\n")
+        self._write(tmp_path, "b.csv", "unit_id,t,f_1,rul\nu001,0,3.0,1\nu001,1,4.0,0\n")
+        with pytest.raises(DataFormatError,
+                           match=r"^a\.csv and b\.csv hold the same unit id 'u001'$"):
+            load_fleet(tmp_path)
+
     def _write(self, tmp_path, name, text):
         (tmp_path / name).write_text(text)
         return tmp_path
@@ -269,43 +309,30 @@ class TestLoadFleet:
 class TestNormalize:
     def test_pooled_moments_after_normalization(self):
         fleet = synth_fleet(5, 30, seed=3)
-        norm, stats = normalize(fleet, fleet.unit_ids)
-        X = np.concatenate([u.features for u in norm.units], axis=0)
+        stats = normalize(fleet, fleet.unit_ids)
+        X = stats.apply(stack_rows(fleet)[0])
         assert np.all(np.abs(X.mean(axis=0)) < 1e-10)
         assert np.all(np.abs(X.std(axis=0) - 1.0) < 1e-6)
-        assert norm.stats is stats
-
-    def test_targets_and_time_untouched(self):
-        fleet = synth_fleet(3, 15, seed=4)
-        norm, _ = normalize(fleet, fleet.unit_ids)
-        for u, v in zip(fleet.units, norm.units):
-            np.testing.assert_array_equal(u.rul, v.rul)
-            np.testing.assert_array_equal(u.time, v.time)
+        assert isinstance(stats, NormalizationStats)
 
     def test_constant_feature_maps_to_zero(self):
         rows = np.column_stack([np.full(4, 2.5), np.arange(4.0)])
         fleet = FleetDataset(
             (UnitSeries("u1", np.arange(4.0), rows, np.array([3.0, 2.0, 1.0, 0.0])),)
         )
-        norm, stats = normalize(fleet, ["u1"])
-        np.testing.assert_array_equal(norm.units[0].features[:, 0], np.zeros(4))
+        stats = normalize(fleet, ["u1"])
+        np.testing.assert_array_equal(stats.apply(fleet.units[0].features)[:, 0], np.zeros(4))
         assert stats.std[0] == 1e-8
 
     def test_stats_come_from_named_units_only(self):
         fleet = load_fleet(FIXTURES / "toy_fleet")
-        norm, stats = normalize(fleet, ["a"])
+        stats = normalize(fleet, ["a"])
         a = fleet.unit("a").features
         np.testing.assert_allclose(stats.mean, a.mean(axis=0), rtol=1e-15)
         np.testing.assert_allclose(stats.std, a.std(axis=0), rtol=1e-15)
         # the held-out unit is transformed with the training stats
         expect = (fleet.unit("b").features - stats.mean) / stats.std
-        np.testing.assert_allclose(norm.unit("b").features, expect, rtol=1e-15)
-
-    def test_double_normalization_rejected(self):
-        fleet = synth_fleet(2, 10, seed=0)
-        norm, _ = normalize(fleet, fleet.unit_ids)
-        with pytest.raises(ValueError, match="already normalized"):
-            normalize(norm, norm.unit_ids)
+        np.testing.assert_allclose(stats.apply(fleet.unit("b").features), expect, rtol=1e-15)
 
     def test_empty_stats_from_rejected(self):
         fleet = synth_fleet(2, 10, seed=0)

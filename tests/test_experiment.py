@@ -18,7 +18,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from rulkit import experiment, mcd, parallel, svgp
-from rulkit.data import FleetDataset, SplitSpec, UnitSeries, load_fleet, normalize, synth_fleet
+from rulkit.data import FleetDataset, SplitSpec, UnitSeries, load_fleet, synth_fleet
 from rulkit.mathcore import NumericalError, cholesky_jittered
 from rulkit.metrics import Predictions, Records, compute_report
 from rulkit.params import RngStream
@@ -423,14 +423,6 @@ class TestCheckpoints:
         for r, s in zip(records.pred.mean, again.pred.mean):
             assert r == s
 
-    def test_checkpoint_records_reject_normalized_fleet(self, tmp_path):
-        data = small_fleet()
-        run_experiment(tiny_mcd(), data, small_split(), out_dir=tmp_path)
-        model, cfg, stats = load_checkpoint(tmp_path / "checkpoint.npz")
-        normed, _ = normalize(data, list(small_split().train_ids))
-        with pytest.raises(ValueError, match="already normalized"):
-            checkpoint_records(model, cfg, stats, normed)
-
     def test_checkpoint_records_reject_an_empty_unit_list(self, tmp_path):
         data = small_fleet()
         run_experiment(tiny_mcd(), data, small_split(), out_dir=tmp_path)
@@ -535,6 +527,11 @@ class TestCheckpoints:
          "experiment_config: expected a JSON object, got list"),
         ("experiment_config", np.asarray('{"dropout": 0.5}'),
          "experiment_config: unknown config keys: dropout"),
+        ("experiment_config", np.asarray('{"alpha": 2.0}'),
+         r"experiment_config: alpha must be in \(0, 1\), got 2\.0$"),
+        ("experiment_config", np.asarray('{"seed": -3}'),
+         "experiment_config: seed must be a non-negative integer, got -3$"),
+        ("state_theta", np.array([0.0, np.inf, 1.0]), "state_theta: non-finite value at index 1$"),
         ("model_config", np.asarray('"mcd"'), "model_config: expected a JSON object, got str"),
         ("model_config", np.asarray("{}"), "model_config: checkpoint has unknown model kind None"),
         # the vector's length is checked against the model the config describes

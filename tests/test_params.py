@@ -257,7 +257,8 @@ class TestAdam:
     def test_frozen_slice_does_not_move(self):
         p = ParamVector()
         p.register("free", (2,), init=[1.0, 1.0])
-        p.register("frozen", (2,), init=[5.0, 5.0], trainable=False)
+        p.register("frozen", (2,), init=[5.0, 5.0])
+        p.set_trainable("frozen", False)
         p.grad[:] = 1.0
         adam_step(OptimizerState(learning_rate=0.1), p)
         np.testing.assert_array_equal(p.decode("frozen"), [5.0, 5.0])
