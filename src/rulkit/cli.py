@@ -126,7 +126,11 @@ def _checkpoint_records(args):
     """The checkpoint's config and its records of the ``--units`` of ``--data``."""
     ids = _named_ids(args.units, "--units")
     model, cfg, stats = load_checkpoint(args.checkpoint)
-    return cfg, checkpoint_records(model, cfg, stats, load_fleet(args.data), ids)
+    data = load_fleet(args.data)
+    if data.feature_dim != model.input_dim:
+        raise ValueError(f"{args.checkpoint}: the checkpoint's model reads {model.input_dim} "
+                         f"features, but the fleet in {args.data} has {data.feature_dim}")
+    return cfg, checkpoint_records(model, cfg, stats, data, ids)
 
 
 def _cmd_predict(args) -> int:

@@ -647,8 +647,17 @@ def load_checkpoint(path):
         theta = member("state_theta", _finite)
         model = member("model_config", lambda a: model_from_config(_json_object(a), theta))
         mean = member("norm_mean")
-        stats = member("norm_std", lambda std: NormalizationStats(mean, std))
+        stats = member("norm_std", lambda std: _model_stats(model, mean, std))
     return model, exp_cfg, stats
+
+
+def _model_stats(model, mean: np.ndarray, std: np.ndarray) -> NormalizationStats:
+    """The statistics of a checkpoint's features, one per model input."""
+    stats = NormalizationStats(mean, std)
+    if stats.mean.size != model.input_dim:
+        raise ValueError(f"statistics of {stats.mean.size} features for a model of "
+                         f"{model.input_dim} inputs")
+    return stats
 
 
 def _finite(a: np.ndarray) -> np.ndarray:

@@ -71,8 +71,10 @@ def cholesky_jittered(A: np.ndarray, base_jitter: float = 1e-6) -> CholeskyResul
     if _asymmetry(A) > 1e-10 * scale:
         raise NumericalError("matrix is not symmetric within 1e-10 relative tolerance")
     jitters = [0.0] + [base_jitter * 10.0**k for k in range(5)]
-    eye = np.eye(A.shape[0])
+    eye = None  # only a retry reads it
     for jitter in jitters:
+        if jitter > 0.0 and eye is None:
+            eye = np.eye(A.shape[0])
         try:
             L = np.linalg.cholesky(A if jitter == 0.0 else A + jitter * eye)
             return CholeskyResult(factor=L, jitter=jitter)

@@ -84,11 +84,11 @@ class CholeskyFactor:
                 f"packed vector must have length {self.raw_size(shape)}, got {t.shape}"
             )
         raw = t.data.reshape(-1, self._flat.size)
-        vals = raw.copy()
-        vals[:, self._diag] = np.logaddexp(0.0, vals[:, self._diag])
-        out = np.zeros((vals.shape[0], self.n * self.n))
-        for row, packed in zip(out, vals):  # 1-d scatters: 2-d ones take twice as long
+        out = np.zeros((raw.shape[0], self.n * self.n))
+        for row, packed in zip(out, raw):  # 1-d scatters: 2-d ones take twice as long
             row[self._flat] = packed
+        # then the diagonal entries, softplus-positive
+        out[:, self._flat[self._diag]] = np.logaddexp(0.0, raw[:, self._diag])
 
         def vjp(g):
             gp = g.reshape(raw.shape[0], -1).take(self._flat, axis=1)
@@ -126,16 +126,46 @@ class _Entry:
 
 
 class ParamVector:
-    """Flat vector of raw parameters with named, transformed slices."""
+    """Flat vector of raw parameters with named, transformed slices.
+
+    ``register`` only queues a slice's raw values: the first read of
+    ``values`` or ``grad`` after it allocates θ and a zeroed gradient once
+    for every queued slice, in registration order.
+    """
 
     def __init__(self):
-        self.values = np.zeros(0)
-        self.grad = np.zeros(0)
+        self._values = np.zeros(0)
+        self._grad = np.zeros(0)
+        self._queued: list[np.ndarray] = []
+        self._size = 0
         self._entries: dict[str, _Entry] = {}
 
     @property
     def size(self) -> int:
-        return self.values.size
+        return self._size
+
+    def _allocate(self):
+        if self._queued:
+            self._values = np.concatenate([self._values, *self._queued])
+            self._grad = np.zeros_like(self._values)
+            self._queued.clear()
+
+    @property
+    def values(self) -> np.ndarray:
+        """θ, the raw values of every slice."""
+        self._allocate()
+        return self._values
+
+    @values.setter
+    def values(self, theta: np.ndarray):  # so that ``params.values += step`` works
+        self._allocate()
+        self._values = theta
+
+    @property
+    def grad(self) -> np.ndarray:
+        """The gradient in raw coordinates, one entry per entry of θ."""
+        self._allocate()
+        return self._grad
 
     def register(self, name: str, shape, transform=IDENTITY, init=None):
         """Append a named slice; ``init`` is given in constrained space."""
@@ -143,16 +173,17 @@ class ParamVector:
             raise ValueError(f"parameter {name!r} already registered")
         shape = tuple(shape) if not isinstance(shape, int) else (shape,)
         size = transform.raw_size(shape)
+        # init is copied: the raw values wait in the queue until θ is allocated
         raw = (
             np.zeros(size)
             if init is None
-            else transform.invert(np.asarray(init, dtype=np.float64), shape)
+            else transform.invert(np.array(init, dtype=np.float64), shape)
         )
         if raw.shape != (size,):
             raise ValueError(f"init for {name!r} produced raw shape {raw.shape}, expected ({size},)")
-        self._entries[name] = _Entry(self.values.size, size, shape, transform)
-        self.values = np.concatenate([self.values, raw])
-        self.grad = np.zeros_like(self.values)
+        self._entries[name] = _Entry(self._size, size, shape, transform)
+        self._queued.append(raw)
+        self._size += size
 
     def entry(self, name: str) -> _Entry:
         try:

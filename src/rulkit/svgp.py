@@ -26,18 +26,31 @@ A layer is one GP or a stack of W independent GPs that read the same input.
 A stack's slices carry a leading axis of length W, and one GP's raw values
 are laid out as a stack of one. The node takes the GPs of a stack one after
 another. Each GP's forward pass computes the kernel matrix, the triangular
-solve and product and the variances in contiguous blocks of rows of x, and
-its VJP has independent products (the gradient of S, S c and L^{-1}; then
-L^{-T} gb and the two-sided L^{-T} product). Both go to
+solve and product and the variances in contiguous blocks of at most about
+``MAX_BLOCK_ROWS`` rows of x, each worker taking a contiguous run of them,
+and its VJP has independent products (the gradient of S, S c and L^{-1};
+then L^{-T} gb and the two-sided L^{-T} product). Both go to
 ``parallel.run_indexed``: spread over ``usable_cpus()`` threads once the
 triangular products reach ``PARALLEL_MIN_WORK`` multiply-adds, and in order
-on the calling thread below that (one block of rows). The Cholesky
-factorization stays on the calling thread, every sum over rows stays whole,
-and blocks start at multiples of ``ROW_ALIGN`` rows, so each BLAS call and
-each sum sees the operands of the one-thread computation in the same order:
-the values and gradients do not depend on the thread count. The threads
-write only into arrays the calling thread allocated, since each thread that
-allocates keeps its own malloc arena at its high-water mark.
+on the calling thread below that. The Cholesky factorization stays on the
+calling thread, every sum over rows stays whole, and blocks start at
+multiples of ``ROW_ALIGN`` rows, so each BLAS call and each sum sees the
+operands of the one-thread computation in the same order: the values and
+gradients do not depend on the thread count or the block length. The
+threads write only into arrays the calling thread allocated, since each
+thread that allocates keeps its own malloc arena at its high-water mark.
+
+The (n, M) buffers of a GP (Kzx, the side of its clamp that passes
+gradients, b = L^{-1} Kzx and c = S^T b) set a layer's memory, and the
+forward keeps them only when a VJP can run, that is when some parent
+requires a gradient. Then they are full-size, and the VJP takes a GP's
+buffers when its backward starts and drops each after its last read: b and
+c after its first round of products, Kmm and Kzx with their masks after
+their kernel gradients; it inverts L in place. Without a VJP (prediction)
+the forward keeps nothing: one row routine computes every block, on one
+worker too, into scratch that the calling thread allocates once per worker
+and each of that worker's blocks refills, so a call holds one block's
+buffers per worker.
 
 Every layer is read through :func:`gp_layer`, which takes its five slices
 from a parameter view. L = chol(Kmm) depends only on a layer's inducing
@@ -99,10 +112,11 @@ PARALLEL_MIN_WORK = 50_000_000
 # 2, 4, 8 and 16. Blocks of at least this many rows also keep numpy from
 # taking its one-row (gemv, dot) paths for a matrix product.
 ROW_ALIGN = 48
-# Longest row block when a layer runs on several threads. Each thread's BLAS
-# call packs its block into scratch that OpenBLAS keeps per concurrent call,
-# so this bounds what a second thread adds to the peak memory (without it, a
-# default dgp's prediction on W1 peaked about 6 MB higher).
+# Longest row block, on any number of threads. Each thread's BLAS call packs
+# its block into scratch that OpenBLAS keeps per concurrent call, so this
+# bounds what a second thread adds to the peak memory (without it, a default
+# dgp's prediction on W1 peaked about 6 MB higher); without a VJP it also
+# bounds each worker's scratch.
 MAX_BLOCK_ROWS = 2048
 _OUTER_COLUMNS = 128  # columns of the VJP's outer-product scratch
 
@@ -242,7 +256,12 @@ def sparse_gp_layer(
 
     From ``PARALLEL_MIN_WORK`` on, each GP runs on ``usable_cpus()`` threads
     (see the module docstring); the values and gradients are the same bits
-    for every thread count.
+    for every thread count. When a parent requires a gradient, the forward
+    keeps each GP's full-size Kzx, its clamp mask, b and c, and the VJP
+    frees each after its last read, so the node can be differentiated
+    once; when none does, nothing is kept, and the rows go in blocks of at
+    most about ``MAX_BLOCK_ROWS`` through scratch that the calling thread
+    allocates once per worker.
     """
     parents = (z, kernel_variance, lengthscales, m, s, x)
     kernel_parents = (z, kernel_variance, lengthscales, x)
@@ -256,15 +275,34 @@ def sparse_gp_layer(
     sd = np.ascontiguousarray(s.data).reshape(width, num, num)
     xd = x.data
     n = xd.shape[0]
+    # a VJP reads the forward's full-size buffers; without one none is kept
+    keep = any(p.requires_grad for p in parents)
     # a thread per usable CPU once one GP's triangular products reach
     # PARALLEL_MIN_WORK multiply-adds, else the calling thread alone
     workers = usable_cpus() if num * num * (n + num) >= PARALLEL_MIN_WORK else 1
     blocks = _row_blocks(n, workers)
+    # each worker takes a contiguous run of blocks
+    tasks = min(workers, len(blocks))
+    groups = [blocks[len(blocks) * k // tasks : len(blocks) * (k + 1) // tasks]
+              for k in range(tasks)]
+
+    def buffers(rows: int):
+        """Kzx and where its clamp passes gradients (rows, M), and b = L^{-1}
+        Kzx and c = S^T b (M, rows), Fortran-ordered so that a block of rows
+        of x is a block of their columns."""
+        return (np.empty((rows, num)), np.empty((rows, num), dtype=bool),
+                np.empty((num, rows), order="F"), np.empty((num, rows), order="F"))
+
+    # without a VJP each worker refills its own scratch, allocated here once
+    # for every GP (threads that allocate keep their malloc arenas' peaks)
+    longest = max(r.stop - r.start for r in blocks)
+    scratch = None if keep else [buffers(longest) for _ in groups]
     # rows: mu (n), clamped s2 (n), kl (1); one column per GP
     packed = np.empty((2 * n + 1, width))
 
     def forward(w: int):
-        """Fill GP w's column of ``packed``; returns what the VJP reuses."""
+        """Fill GP w's column of ``packed``; returns what the VJP reuses, or
+        None without one."""
         zs, xs, variance = zss[w], xd / ells[w], float(variances[w])
         zz, xx = (zs * zs).sum(axis=1), (xs * xs).sum(axis=1)
         if factor is None:
@@ -273,24 +311,30 @@ def sparse_gp_layer(
             kmm = kmm_live = None
             chol = factor.reshape(width, num, num)[w]
         chol = np.ascontiguousarray(chol)
-        # b = L^{-1} Kzx and c = S^T b are (M, n) Fortran-ordered, so a block
-        # of rows of x is a block of their columns
-        kxz, kxz_live = np.empty((n, num)), np.empty((n, num), dtype=bool)
-        b, c, raw = np.empty((num, n), order="F"), np.empty((num, n), order="F"), np.empty(n)
+        full = buffers(n) if keep else None
+        raw = np.empty(n)
 
-        def rows(r: slice):
-            cross = b.T[r]  # the cross product goes into the b block it becomes
+        def rows(r: slice, kr, lr, br, cr):
+            """Rows r of x into Kzx, its live side, b and c blocks ``kr``,
+            ``lr``, ``br``, ``cr``, and into ``raw`` and ``packed``."""
+            cross = br.T  # the cross product goes into the b block it becomes
             np.matmul(xs[r], zs.T, out=cross)
-            _se_gram(cross, xx[r], zz, variance, out=kxz[r], live=kxz_live[r])
-            np.copyto(cross, kxz[r])
-            trsm(1.0, chol.T, b[:, r], trans=True)
-            np.copyto(c[:, r], b[:, r])
-            trmm(1.0, sd[w].T, c[:, r])
-            br, cr = b[:, r], c[:, r]
+            _se_gram(cross, xx[r], zz, variance, out=kr, live=lr)
+            np.copyto(cross, kr)
+            trsm(1.0, chol.T, br, trans=True)
+            np.copyto(cr, br)
+            trmm(1.0, sd[w].T, cr)
             raw[r] = variance - np.einsum("ij,ij->j", br, br) + np.einsum("ij,ij->j", cr, cr)
             packed[r, w] = cross @ md[w]
 
-        run_indexed(lambda k: rows(blocks[k]), len(blocks), workers)
+        def run(k: int):
+            # worker k's blocks, into the kept buffers or the front of its scratch
+            for r in groups[k]:
+                at = r if keep else slice(0, r.stop - r.start)
+                kzx, live, b, c = full if keep else scratch[k]
+                rows(r, kzx[at], live[at], b[:, at], c[:, at])
+
+        run_indexed(run, len(groups), workers)
         # only a negative minimum matters; initial=0.0 lets a zero-row batch through
         worst = float(raw.min(initial=0.0))
         if worst < NEG_VARIANCE_TOL:
@@ -300,7 +344,8 @@ def sparse_gp_layer(
             ((sd[w] * sd[w]).sum() + (md[w] * md[w]).sum() - float(num)) * 0.5
             - np.log(np.diagonal(sd[w])).sum()
         )
-        return xs, kmm, kmm_live, chol, kxz, kxz_live, b, c, raw > VARIANCE_FLOOR
+        if keep:
+            return (xs, kmm, kmm_live, chol, *full, raw > VARIANCE_FLOOR)
 
     state = [forward(w) for w in range(width)]
 
@@ -312,9 +357,14 @@ def sparse_gp_layer(
         if kernel:
             gz, gkv, gell = np.empty(zss.shape), np.empty(width), np.empty(ells.shape)
 
-        def backward(w, xs, kmm, kmm_live, chol, kxz, kxz_live, b, c, var_live):
+        def backward(w: int):
             """GP w's gradients into row w of gz, gkv, gell, gm and gs; returns
-            its x gradient (None unless x needs one)."""
+            its x gradient (None unless x needs one). Takes GP w's forward
+            buffers out of ``state`` and drops each after its last read."""
+            if state[w] is None:
+                raise RuntimeError("a sparse-GP layer is differentiated once")
+            xs, kmm, kmm_live, chol, kxz, kxz_live, b, c, var_live = state[w]
+            state[w] = None
             zs, variance, gmu, gkl = zss[w], float(variances[w]), g[:n, w], g[2 * n, w]
             # the clamp passes no gradient on its floor side
             gvar = g[n : 2 * n, w] * var_live
@@ -325,23 +375,24 @@ def sparse_gp_layer(
             # buffers allocated here. First the S gradient, S c and L^{-1}.
             products = []
             if gs is not None:
-                scaled = np.empty((num, n), order="F")
 
                 def s_grad():
-                    np.multiply(c, gvar2, out=scaled)
-                    np.matmul(b, scaled.T, out=gs[w])
+                    np.multiply(c, gvar2, out=c)
+                    np.matmul(b, c.T, out=gs[w])
 
                 products.append(s_grad)
             if kernel:
-                gb, prod = np.empty((num, n), order="F"), np.empty((num, num))
+                # gb starts as c, copied before s_grad scales c in place
+                gb, prod = c.copy(order="F"), np.empty((num, num))
                 outer = np.empty((num, min(n, _OUTER_COLUMNS)), order="F")
-                linv_t = np.empty((num, num), order="F")
                 below = np.tri(num, k=-1, dtype=bool)
+                # L is this evaluation's own factor (a given one comes only
+                # with constant kernel inputs), so it is inverted in place
+                linv_t = chol.T
 
                 def b_grad():
                     # d/db of mu, -||b||^2 and ||S^T b||^2, with the outer
                     # product m gmu^T added a block of columns at a time
-                    np.copyto(gb, c)
                     trmm(1.0, sd[w].T, gb, trans=True)
                     np.subtract(gb, b, out=gb)
                     np.multiply(gb, gvar2, out=gb)
@@ -354,12 +405,12 @@ def sparse_gp_layer(
                     np.copyto(prod, 0.0, where=below)  # np.triu
 
                 def inverse():
-                    np.copyto(linv_t, chol.T)
                     trtri(linv_t)  # L^{-T}, upper, Fortran-ordered
 
                 products += [b_grad, inverse]
             run_indexed(lambda k: products[k](), len(products), workers)
-            scaled = outer = None  # free the first round's scratch before the second
+            # free the first round's inputs and scratch before the second
+            b = c = outer = None
             if gs is not None:
                 gs[w] += gkl * sd[w]
                 gs[w][np.diag_indices(num)] -= gkl / np.diagonal(sd[w])
@@ -380,10 +431,14 @@ def sparse_gp_layer(
             # then L^{-T} gb and the two-sided product on phi
             products = [lambda: trmm(1.0, linv_t, gb), two_sided]
             run_indexed(lambda k: products[k](), len(products), workers)
-            gkzx, linv_t = gb, None
-            gkmm = (phi + phi.T) / 2.0
+            gkmm = phi + phi.T
+            gkmm /= 2.0
+            phi = prod = linv_t = None
             gd_mm, gkv_mm = _se_gram_vjp(gkmm, kmm, kmm_live, variance)
-            gd_xz, gkv_xz = _se_gram_vjp(gkzx.T, kxz, kxz_live, variance)
+            kmm = kmm_live = None
+            # gb holds the gradient of Kzx (transposed); it becomes gd_xz
+            gd_xz, gkv_xz = _se_gram_vjp(gb.T, kxz, kxz_live, variance)
+            kxz = kxz_live = gb = None
             # d2 = |a|^2 + |b|^2 - 2 a.b per pair; gd_mm is symmetric
             gzs = 4.0 * (zs * gd_mm.sum(axis=1)[:, None] - gd_mm @ zs)
             gzs += 2.0 * (zs * gd_xz.sum(axis=0)[:, None] - gd_xz.T @ xs)
@@ -394,8 +449,8 @@ def sparse_gp_layer(
             gell[w] = -((gzs * zs).sum(axis=0) + (gxs * xs).sum(axis=0)) / ell
             return gxs / ell if x.requires_grad else None
 
-        for w, saved in enumerate(state):
-            gxs = backward(w, *saved)
+        for w in range(width):
+            gxs = backward(w)
             if gxs is not None:
                 gx = gxs if gx is None else gx + gxs
         grads = (gz, gkv, gell, gm, gs, gx)
@@ -408,12 +463,11 @@ def sparse_gp_layer(
 
 
 def _row_blocks(n: int, workers: int) -> list:
-    """Contiguous blocks of the rows 0..n-1 of x for ``workers`` threads:
-    one block for one thread, else at least one per thread and none longer
-    than about ``MAX_BLOCK_ROWS``, as near equal as blocks that start at
-    multiples of ``ROW_ALIGN`` rows can be; none is shorter than that unless
-    it is the only one."""
-    parts = 1 if workers == 1 else max(workers, -(-n // MAX_BLOCK_ROWS))
+    """Contiguous blocks of the rows 0..n-1 of x for ``workers`` threads: at
+    least one per thread and none longer than about ``MAX_BLOCK_ROWS``, as
+    near equal as blocks that start at multiples of ``ROW_ALIGN`` rows can
+    be; none is shorter than that unless it is the only one."""
+    parts = max(workers, -(-n // MAX_BLOCK_ROWS))
     cuts = {ROW_ALIGN * round(n * i / parts / ROW_ALIGN) for i in range(1, parts)}
     bounds = [0] + sorted(c for c in cuts if ROW_ALIGN <= c <= n - ROW_ALIGN) + [n]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -456,12 +510,12 @@ def _se_gram(cross: np.ndarray, aa: np.ndarray, bb: np.ndarray, variance: float,
 
 def _se_gram_vjp(gk: np.ndarray, k: np.ndarray, live: np.ndarray, variance: float):
     """Gradients of a :func:`_se_gram` output with respect to d2 and to the
-    kernel variance."""
-    gkk = gk * k
-    gvariance = gkk.sum() / variance
-    gkk *= -0.5
-    gkk *= live
-    return gkk, gvariance
+    kernel variance, from its gradient ``gk``, which becomes the first."""
+    gk *= k
+    gvariance = gk.sum() / variance
+    gk *= -0.5
+    gk *= live
+    return gk, gvariance
 
 
 def gaussian_loglik_graph(y: Tensor, mu: Tensor, var: Tensor) -> Tensor:

@@ -207,6 +207,23 @@ class TestPredict:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: no unit 'u009' in fleet (have [")
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_a_fleet_of_another_feature_count_names_the_checkpoint_and_both_counts(
+        self, command, trained, tmp_path, capsys
+    ):
+        fleet = tmp_path / "fleet"
+        assert main(["synth", "--out", str(fleet), "--units", "2", "--steps", "15",
+                     "--seed", "3", "--feature-dim", "6"]) == 0
+        capsys.readouterr()
+        checkpoint = trained / "checkpoint.npz"
+        rc = main([command, "--checkpoint", str(checkpoint), "--data", str(fleet),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {checkpoint}: the checkpoint's model reads 4 features, "
+            f"but the fleet in {fleet} has 6\n")
+        assert not (tmp_path / "o").exists()
+
     def test_missing_checkpoint(self, fleet_dir, tmp_path, capsys):
         rc = main(["predict", "--checkpoint", str(tmp_path / "nope.npz"),
                    "--data", str(fleet_dir), "--out", str(tmp_path / "p")])

@@ -548,6 +548,16 @@ class TestCheckpoints:
                            match=rf"^{re.escape(str(path))}: checkpoint member {message}"):
             load_checkpoint(path)
 
+    def test_statistics_of_another_feature_count_are_refused_by_file_and_member(self, tmp_path):
+        arrays = self._members(tmp_path)  # the model reads 4 features
+        arrays["norm_mean"], arrays["norm_std"] = arrays["norm_mean"][:3], arrays["norm_std"][:3]
+        path = tmp_path / "cut.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: checkpoint member "
+                                             r"norm_std: statistics of 3 features for a model "
+                                             r"of 4 inputs$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_model_config_with_an_unknown_or_missing_key_is_refused(self, kind):
         X, y = np.ones((10, 4)), np.arange(10.0)

@@ -119,6 +119,14 @@ class TestCholeskyJittered:
         assert np.max(np.abs(off_diag)) <= 1e-12
         assert np.max(np.abs(np.diag(excess))) <= 1e-4
 
+    def test_a_retry_factors_the_jittered_matrix_and_reports_its_jitter(self):
+        # eigenvalues 3 - 5e-6 and -5e-6 (twice): the second retry succeeds
+        A = np.ones((3, 3)) - 5e-6 * np.eye(3)
+        res = cholesky_jittered(A, base_jitter=1e-6)
+        jitter = 1e-6 * 10.0  # the ladder's second rung, 9.999999999999999e-06
+        assert res.jitter == jitter
+        np.testing.assert_array_equal(res.factor, np.linalg.cholesky(A + jitter * np.eye(3)))
+
     def test_indefinite_matrix_fails_after_retries(self):
         with pytest.raises(NumericalError):
             cholesky_jittered(np.array([[1.0, 2.0], [2.0, 1.0]]), base_jitter=1e-12)

@@ -111,6 +111,21 @@ class TestParamVector:
             cursor += size
         assert cursor == p.size == 11
 
+    def test_registered_slices_share_one_allocation_of_theta_and_grad(self):
+        p = ParamVector()
+        init = np.arange(3.0)
+        p.register("a", (3,), init=init)
+        p.register("b", (), transform=POSITIVE, init=2.0)
+        p.register("c", (2,))
+        init[:] = -1.0  # register keeps a copy
+        theta, grad = p.values, p.grad
+        assert p.values is theta and p.grad is grad
+        np.testing.assert_array_equal(theta, [0.0, 1.0, 2.0, POSITIVE.invert(2.0, ())[0], 0, 0])
+        np.testing.assert_array_equal(grad, np.zeros(6))
+        p.register("d", (1,), init=[5.0])  # a later slice is appended
+        np.testing.assert_array_equal(p.values, np.append(theta, 5.0))
+        assert p.size == p.grad.size == 7
+
     def test_duplicate_name_rejected(self):
         p = ParamVector()
         p.register("a", (2,))

@@ -11,6 +11,7 @@ posterior mapped to u-space.
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -423,36 +424,45 @@ class TestLayerThreads:
     order as on one thread, so the values and gradients are bitwise equal."""
 
     @staticmethod
-    def _run(width, n, kernel_grad):
+    def _run(width, n, grads):
+        """mu, var, kl and every parent's gradient; ``grads`` is 'none' (every
+        parent constant, no VJP), 'local' (m and S only) or 'all'."""
         num, d = 13, 3
         gps = [_layer_inputs(num, n, d, seed=90 + w) for w in range(width)]
         values = [np.stack([gp[i] for gp in gps]) if width > 1 else gps[0][i] for i in range(5)]
         weights = np.random.default_rng(n).standard_normal((2, n, width))
-        leaves = [ad.leaf(v) if kernel_grad or i >= 3 else ad.constant(v)
-                  for i, v in enumerate(values)]
-        x = (ad.leaf if kernel_grad else ad.constant)(gps[0][5])
-        mu, var, kl = sparse_gp_layer(*leaves, x)
-        loss = _stack_loss(ad.reshape(mu, (n, width)), ad.reshape(var, (n, width)),
-                           ad.reshape(kl, (width,)), weights, np.arange(1.0, width + 1.0))
-        loss.backward()
-        return [mu.data, var.data, kl.data] + [t.grad for t in leaves + [x]]
+        trainable = {"none": (), "local": (3, 4), "all": range(6)}[grads]
+        leaves = [(ad.leaf if i in trainable else ad.constant)(v)
+                  for i, v in enumerate(values + [gps[0][5]])]
+        mu, var, kl = sparse_gp_layer(*leaves)
+        if grads != "none":
+            loss = _stack_loss(ad.reshape(mu, (n, width)), ad.reshape(var, (n, width)),
+                               ad.reshape(kl, (width,)), weights, np.arange(1.0, width + 1.0))
+            loss.backward()
+        return [mu.data, var.data, kl.data] + [t.grad for t in leaves]
 
-    @pytest.mark.parametrize("kernel_grad", [False, True])
+    @pytest.mark.parametrize("grads", ["none", "local", "all"])
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 257])
     @pytest.mark.parametrize("width", [1, 3])
-    def test_one_and_two_threads_agree_bitwise(self, width, n, kernel_grad, monkeypatch):
+    def test_one_and_two_threads_agree_bitwise(self, width, n, grads, monkeypatch):
         monkeypatch.setattr(svgp, "PARALLEL_MIN_WORK", 0)
-        calls = []
+        calls, block_counts = [], []
 
         def spy(task, tasks, workers):
             calls.append((tasks, workers))
             return run_indexed(task, tasks, workers)
 
+        def counted_blocks(rows, workers, blocks=svgp._row_blocks):
+            block_counts.append(len(blocks(rows, workers)))
+            return blocks(rows, workers)
+
         monkeypatch.setattr(svgp, "run_indexed", spy)
+        monkeypatch.setattr(svgp, "_row_blocks", counted_blocks)
         results = {}
-        # one thread; two; two with more row blocks than threads; more
-        # threads than this host has cores, handing the GIL over every 1 us
-        configs = [(1, 2048), (2, 2048), (2, 96), (4, 48)]
+        # one thread, with one row block and with several; two; two with
+        # more row blocks than threads; more threads than this host has
+        # cores, handing the GIL over every 1 us
+        configs = [(1, 2048), (1, 96), (2, 2048), (2, 96), (4, 48)]
         interval = sys.getswitchinterval()
         try:
             for workers, max_rows in configs:
@@ -460,13 +470,20 @@ class TestLayerThreads:
                 monkeypatch.setattr(svgp, "MAX_BLOCK_ROWS", max_rows)
                 sys.setswitchinterval(1e-6 if workers == 4 else interval)
                 calls.clear()
-                results[workers, max_rows] = self._run(width, n, kernel_grad)
+                block_counts.clear()
+                results[workers, max_rows] = self._run(width, n, grads)
+                if grads == "none":  # a constant call gives the trainable one's bits
+                    trained = self._run(width, n, "local")[:3]
+                    for got, want in zip(results[workers, max_rows], trained):
+                        np.testing.assert_array_equal(got, want)
                 threaded = {(tasks, w) for tasks, w in calls if tasks > 1 and w > 1}
+                blocks = {2048: 1 if workers == 1 else 2, 96: 3, 48: 5}[max_rows]
                 if workers == 1:
                     assert not threaded
-                elif n == 257:  # the forward's row blocks
-                    assert ({2048: 2, 96: 3, 48: 5}[max_rows], workers) in threaded
-                if workers > 1 and kernel_grad:  # the VJP's overlapped products
+                if n == 257:  # the forward's row blocks, a run of them per thread
+                    assert blocks in block_counts
+                    assert workers == 1 or (min(blocks, workers), workers) in threaded
+                if workers > 1 and grads == "all":  # the VJP's overlapped products
                     assert (3, workers) in threaded
         finally:
             sys.setswitchinterval(interval)
@@ -487,6 +504,56 @@ class TestLayerThreads:
         blocks = svgp._row_blocks(10_000, 2)
         assert len(blocks) == 5 and all(b.start % svgp.ROW_ALIGN == 0 for b in blocks)
         assert blocks[-1].stop == 10_000
+        assert svgp._row_blocks(10_000, 1) == blocks  # one thread takes blocks too
+
+
+class TestLayerMemory:
+    """The layer keeps each (n, M) buffer only until its last read, and a call
+    without a VJP keeps none. tracemalloc counts numpy's buffers exactly, so
+    these traced peaks are deterministic; their unit is one (n, M) float64
+    array."""
+
+    NUM, N, D = 50, 2000, 3
+
+    def _model(self):
+        rng = np.random.default_rng(5)
+        X, y = rng.standard_normal((self.N, self.D)), rng.standard_normal(self.N)
+        model = SVGPModel("elbo", 1.0, self.D, self.NUM)
+        model.init_from_data(X, RngStream(1))
+        return model, X, y
+
+    def _peak(self, run) -> float:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / (self.N * self.NUM * 8)
+        finally:
+            tracemalloc.stop()
+
+    def test_a_training_step_backward_frees_forward_buffers_after_their_last_read(self):
+        model, X, y = self._model()
+
+        def build(view):
+            loss = model._build(view, X, y, 1.0, None)
+            tracemalloc.reset_peak()  # the forward's buffers stay counted
+            return loss
+
+        # Kzx, its mask, b and c from the forward, then gb; b and c go after
+        # the VJP's first round (holding them to its end peaked at 6.2)
+        assert self._peak(lambda: value_and_grad(model.params, build)) < 5.6
+
+    def test_a_layer_graph_is_differentiated_once(self):
+        leaves = [ad.leaf(v) for v in _layer_inputs(4, 7, 2, seed=9)]
+        loss = sparse_gp_layer(*leaves)[2]
+        loss.backward()
+        with pytest.raises(RuntimeError, match="differentiated once"):
+            loss.backward()
+
+    def test_a_constant_call_keeps_only_one_block_of_scratch_per_worker(self, monkeypatch):
+        model, X, _ = self._model()
+        monkeypatch.setattr(svgp, "MAX_BLOCK_ROWS", 96)  # 21 blocks
+        # full-size Kzx, its mask, b and c peaked at 3.5
+        assert self._peak(lambda: model.predictive(X)) < 1.0
 
 
 # -- the training objectives -------------------------------------------------------
