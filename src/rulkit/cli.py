@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .data import SplitSpec, load_fleet, save_fleet, synth_fleet
+from .data import SplitSpec, load_fleet, repeated_ids, save_fleet, synth_fleet
 from .experiment import (
     MODEL_KINDS,
     TABLE_FAMILIES,
@@ -42,12 +42,15 @@ def _note(msg: str):
 
 def _named_ids(text, flag: str):
     """The ids a comma-separated ``flag`` names, or None when it is not given
-    (for ``--units``: every unit)."""
+    (for ``--units``: every unit). An id named twice is refused."""
     if text is None:
         return None
     ids = [s for s in (p.strip() for p in text.split(",")) if s]
     if not ids:
         raise ValueError(f"{flag} {text!r} names no unit ids")
+    repeats = repeated_ids(ids)
+    if repeats:
+        raise ValueError(f"{flag} names {', '.join(repeats)} more than once")
     return ids
 
 

@@ -11,6 +11,7 @@ normalization is a row transform, :class:`NormalizationStats` from
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -176,6 +177,11 @@ class FleetDataset:
         raise KeyError(f"no unit {unit_id!r} in fleet (have {self.unit_ids})")
 
 
+def repeated_ids(ids) -> list:
+    """The ids that ``ids`` names more than once, each once, in order."""
+    return [i for i, count in Counter(ids).items() if count > 1]
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Unit-wise train/test split; validation is a temporal tail of each
@@ -194,18 +200,19 @@ class SplitSpec:
         overlap = set(self.train_ids) & set(self.test_ids)
         if overlap:
             raise ValueError(f"train/test unit ids overlap: {sorted(overlap)}")
-        if len(set(self.train_ids)) != len(self.train_ids):
-            raise ValueError("duplicate ids in train_ids")
-        if len(set(self.test_ids)) != len(self.test_ids):
-            raise ValueError("duplicate ids in test_ids")
+        for side in ("train_ids", "test_ids"):
+            repeats = repeated_ids(getattr(self, side))
+            if repeats:
+                raise ValueError(f"duplicate ids in {side}: {', '.join(map(str, repeats))}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
     def check_against(self, data: FleetDataset):
         known = set(data.unit_ids)
-        missing = [i for i in self.train_ids + self.test_ids if i not in known]
-        if missing:
-            raise ValueError(f"split references unknown units: {missing}")
+        for side, ids in (("train", self.train_ids), ("test", self.test_ids)):
+            missing = [i for i in ids if i not in known]
+            if missing:
+                raise ValueError(f"split references unknown units on its {side} side: {missing}")
 
 
 # -- ingestion -------------------------------------------------------------------

@@ -39,7 +39,7 @@ from . import autodiff as ad
 # unused here, but the benchmark's span timer rebinds this module's name
 from .mathcore import cholesky_jittered  # noqa: F401
 from .params import ParamView, RngStream
-from .svgp import DEFAULT_JITTER, KmmFactors, SVGPModel, gp_layer, init_inducing, register_layer
+from .svgp import DEFAULT_JITTER, SVGPModel, gp_layer, init_inducing, register_layer
 
 MAX_DEPTH = 3
 
@@ -103,7 +103,7 @@ class DeepGPModel(SVGPModel):
         stds: the standard-normal draws ``eps``."""
         return eps
 
-    def _hidden(self, view: ParamView, X: np.ndarray, eps, factors: Optional[KmmFactors]):
+    def _hidden(self, view: ParamView, X: np.ndarray, eps, factors: Optional[dict]):
         """Hidden activations g = mu + e * sigma of every component, each
         layer reading the previous one's (with x concatenated on under the
         skip connection). ``eps`` is the (T, n, depth * width) block of

@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import FleetDataset, NormalizationStats, SplitSpec, normalize, stack_rows, stack_slices
+from .data import (FleetDataset, NormalizationStats, SplitSpec, normalize, repeated_ids,
+                   stack_rows, stack_slices)
 from .dgp import MAX_DEPTH, DeepGPModel
 from .dspp import DSPPModel
 from .mathcore import MAX_QUADRATURE_SITES, NumericalError
@@ -108,6 +109,7 @@ _UNIT_IDS = (
     (lambda v: v is None or isinstance(v, (list, tuple)) and all(isinstance(u, str) for u in v),
      "{name} must be a list of unit ids when set, got {v!r}"),
     (lambda v: v is None or len(v) > 0, "{name} must name at least one unit when set, got {v!r}"),
+    (lambda v: v is None or not repeated_ids(v), "{name} names a unit more than once, got {v!r}"),
 )
 
 
@@ -678,10 +680,13 @@ def checkpoint_records(
     model, config: ExperimentConfig, stats: NormalizationStats,
     data: FleetDataset, unit_ids: Optional[Sequence[str]] = None,
 ) -> Records:
-    """Predict every row of the chosen units of a fleet."""
+    """Predict every row of the chosen units of a fleet, each unit once."""
     ids = list(unit_ids) if unit_ids is not None else data.unit_ids
     if not ids:
         raise ValueError("unit_ids is empty; name at least one unit, or pass None for all")
+    repeats = repeated_ids(ids)
+    if repeats:
+        raise ValueError(f"unit_ids names {', '.join(map(str, repeats))} more than once")
     units = [data.unit(uid) for uid in ids]
     preds = [
         model.predictive(stats.apply(u.features), rng=RngStream(config.seed).derive(9, i))

@@ -53,11 +53,12 @@ and each of that worker's blocks refills, so a call holds one block's
 buffers per worker.
 
 Every layer is read through :func:`gp_layer`, which takes its five slices
-from a parameter view. L = chol(Kmm) depends only on a layer's inducing
-inputs, kernel variance and lengthscales, so prediction takes it from the
-model's :class:`KmmFactors` memo and builds and factors Kmm once per value of
-those parameters. Training factors Kmm on every evaluation and never reads
-the memo.
+from a parameter view. A GP's L = chol(Kmm) depends only on its scaled
+inducing inputs Z / ell, its kernel variance and the jitter, so prediction
+passes the model's memo, a dict of layer prefix to GP to its last factor,
+and the node's forward, the only place that builds and factors Kmm, reuses
+a GP's factor while those values are exactly equal. Training factors Kmm on
+every evaluation and never reads the memo.
 
 :class:`SVGPModel` is the GP with no hidden layer, and the deep models of
 :mod:`rulkit.dgp` and :mod:`rulkit.dspp` extend it with hidden layers. All of
@@ -177,50 +178,17 @@ def register_layer(
     params.register(f"{prefix}.lengthscales", shape, POSITIVE, init=np.ones(shape))
 
 
-class KmmFactors:
-    """A model's memo of its GP layers' factors L = chol(Kmm) for prediction.
-
-    A layer's factors are a function of its raw ``z``, ``kernel_variance``
-    and ``lengthscales`` slices alone, so each layer's entry (one per prefix,
-    covering every GP of a stack) keeps a copy of those values and the jitter,
-    and is reused only while they are exactly equal. Any write to
-    ``params.values`` that touches them, in place or not, makes the next
-    lookup factor the whole layer afresh; a factorization that raises stores
-    nothing.
-    """
-
-    def __init__(self):
-        self._entries: dict[str, tuple[float, np.ndarray, np.ndarray]] = {}
-
-    def factor(self, view: ParamView, prefix: str, jitter: float) -> np.ndarray:
-        """The (W, M, M) factors of the layer read from ``view`` under
-        ``prefix`` (W = 1 for a single GP)."""
-        names = ("z", "kernel_variance", "lengthscales")
-        key = np.concatenate([view.raw[f"{prefix}.{name}"].data for name in names])
-        hit = self._entries.get(prefix)
-        if hit is not None and hit[0] == jitter and np.array_equal(hit[1], key):
-            return hit[2]
-        zss, variances, _ = _stacked(*(view.get(f"{prefix}.{name}") for name in names))
-        chol = np.stack([
-            _prior_factor(zs, (zs * zs).sum(axis=1), float(variance), jitter)[2]
-            for zs, variance in zip(zss, variances)
-        ])
-        chol.flags.writeable = False
-        self._entries[prefix] = (jitter, key, chol)
-        return chol
-
-
 def gp_layer(view: ParamView, prefix: str, x: Tensor, jitter: float = DEFAULT_JITTER,
-             factors: Optional[KmmFactors] = None):
+             factors: Optional[dict] = None):
     """Latent moments (mu, s2) at rows of x and the KL of the GP layer under
     ``prefix``: :func:`sparse_gp_layer` of its five slices read from
-    ``view``. With a memo (constant views only) the layer's factors of Kmm
-    come from it."""
+    ``view``. A model's memo ``factors`` (constant views only) maps each
+    layer prefix to that layer's memo of its GPs' factors of Kmm."""
     z, m, s, kernel_variance, lengthscales = (
         view.get(f"{prefix}.{name}") for name in ("z", "m", "L", "kernel_variance", "lengthscales")
     )
-    factor = None if factors is None else factors.factor(view, prefix, jitter)
-    return sparse_gp_layer(z, kernel_variance, lengthscales, m, s, x, jitter, factor)
+    memo = None if factors is None else factors.setdefault(prefix, {})
+    return sparse_gp_layer(z, kernel_variance, lengthscales, m, s, x, jitter, memo)
 
 
 def sparse_gp_layer(
@@ -231,7 +199,7 @@ def sparse_gp_layer(
     s: Tensor,
     x: Tensor,
     jitter: float = DEFAULT_JITTER,
-    factor: Optional[np.ndarray] = None,
+    memo: Optional[dict] = None,
 ):
     """One whitened sparse-GP layer, a single GP or a stack, as one tape node.
 
@@ -250,9 +218,13 @@ def sparse_gp_layer(
     L^{-1}) (Murray 2016), where Phi keeps the lower triangle and halves the
     diagonal.
 
-    A given ``factor``, the (W, M, M) stack of L, is taken as L, and Kmm is
-    then neither built nor factored; it is for constant z, kernel variance,
-    lengthscales and x only.
+    A ``memo``, for constant z, kernel variance, lengthscales and x only,
+    maps GP w of the stack to ((kernel variance, jitter), Z / ell, L) of its
+    last factorization. GP w reuses that read-only L while its kernel
+    variance, the jitter and its scaled inducing inputs Z / ell are exactly
+    equal to the stored ones, so Kmm is then neither built nor factored;
+    otherwise it factors Kmm and stores the new entry. A factorization that
+    raises stores nothing.
 
     From ``PARALLEL_MIN_WORK`` on, each GP runs on ``usable_cpus()`` threads
     (see the module docstring); the values and gradients are the same bits
@@ -265,10 +237,14 @@ def sparse_gp_layer(
     """
     parents = (z, kernel_variance, lengthscales, m, s, x)
     kernel_parents = (z, kernel_variance, lengthscales, x)
-    if factor is not None and any(p.requires_grad for p in kernel_parents):
-        raise ValueError("a given Kmm factor needs constant kernel inputs")
-    zss, variances, ells = _stacked(z, kernel_variance, lengthscales)
-    width, num = zss.shape[:2]
+    if memo is not None and any(p.requires_grad for p in kernel_parents):
+        raise ValueError("a Kmm factor memo needs constant kernel inputs")
+    # the stack axis explicit, W = 1 for a single GP: the lengthscales (W, d),
+    # the scaled inducing inputs Z / ell (W, M, d) and the kernel variances (W,)
+    num, dim = z.shape[-2:]
+    ells = lengthscales.data.reshape(-1, dim)
+    zss = z.data.reshape(-1, num, dim) / ells[:, None, :]
+    width, variances = len(zss), kernel_variance.data.reshape(-1)
     # C-ordered, so each S.T (and L.T below) is the Fortran-ordered upper
     # triangle the BLAS routines take uncopied
     md = m.data.reshape(width, num)
@@ -305,12 +281,16 @@ def sparse_gp_layer(
         None without one."""
         zs, xs, variance = zss[w], xd / ells[w], float(variances[w])
         zz, xx = (zs * zs).sum(axis=1), (xs * xs).sum(axis=1)
-        if factor is None:
-            kmm, kmm_live, chol = _prior_factor(zs, zz, variance, jitter)
-        else:
+        hit = None if memo is None else memo.get(w)
+        if hit is not None and hit[0] == (variance, jitter) and np.array_equal(hit[1], zs):
             kmm = kmm_live = None
-            chol = factor.reshape(width, num, num)[w]
-        chol = np.ascontiguousarray(chol)
+            chol = hit[2]
+        else:
+            kmm, kmm_live, chol = _prior_factor(zs, zz, variance, jitter)
+            chol = np.ascontiguousarray(chol)
+            if memo is not None:
+                chol.flags.writeable = False
+                memo[w] = ((variance, jitter), zs, chol)
         full = buffers(n) if keep else None
         raw = np.empty(n)
 
@@ -386,8 +366,8 @@ def sparse_gp_layer(
                 gb, prod = c.copy(order="F"), np.empty((num, num))
                 outer = np.empty((num, min(n, _OUTER_COLUMNS)), order="F")
                 below = np.tri(num, k=-1, dtype=bool)
-                # L is this evaluation's own factor (a given one comes only
-                # with constant kernel inputs), so it is inverted in place
+                # L is this evaluation's own factor (a memo comes only with
+                # constant kernel inputs), so it is inverted in place
                 linv_t = chol.T
 
                 def b_grad():
@@ -471,15 +451,6 @@ def _row_blocks(n: int, workers: int) -> list:
     cuts = {ROW_ALIGN * round(n * i / parts / ROW_ALIGN) for i in range(1, parts)}
     bounds = [0] + sorted(c for c in cuts if ROW_ALIGN <= c <= n - ROW_ALIGN) + [n]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _stacked(z: Tensor, kernel_variance: Tensor, lengthscales: Tensor):
-    """A layer's kernel inputs with the stack axis explicit, W = 1 for a
-    single GP: the scaled inducing inputs Z / ell (W, M, d), the kernel
-    variances (W,) and the lengthscales (W, d)."""
-    num, dim = z.shape[-2:]
-    ells = lengthscales.data.reshape(-1, dim)
-    return z.data.reshape(-1, num, dim) / ells[:, None, :], kernel_variance.data.reshape(-1), ells
 
 
 def _prior_factor(zs: np.ndarray, zz: np.ndarray, variance: float, jitter: float):
@@ -600,7 +571,8 @@ class SVGPModel:
         dim = self._register_hidden()
         register_layer(self.params, self.output_prefix, self.num_inducing, dim)
         self.params.register("obs_variance", (), POSITIVE, init=0.25)
-        self._factors = KmmFactors()
+        # prediction's memo of L = chol(Kmm): layer prefix -> GP -> entry
+        self._factors: dict = {}
 
     def init_from_data(
         self,
@@ -621,7 +593,7 @@ class SVGPModel:
         """Register hidden-layer slices; returns the output GP's input dim."""
         return self.input_dim
 
-    def _hidden(self, view: ParamView, X: np.ndarray, eps, factors: Optional[KmmFactors]):
+    def _hidden(self, view: ParamView, X: np.ndarray, eps, factors: Optional[dict]):
         """The output GP's input rows (T n, d), the component count T and
         each hidden layer's KL."""
         return ad.constant(X), 1, []
@@ -638,7 +610,7 @@ class SVGPModel:
         return None
 
     def _moments(
-        self, view: ParamView, X: np.ndarray, eps, factors: Optional[KmmFactors] = None
+        self, view: ParamView, X: np.ndarray, eps, factors: Optional[dict] = None
     ):
         """Output-layer latent moments of every component, each (T, n) in
         standardized target space, and the summed KL of every inducing set.

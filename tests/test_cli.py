@@ -260,6 +260,71 @@ class TestUnitsFlag:
         assert capsys.readouterr().err.startswith(f"error: {flag} ',' names no unit ids")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_a_unit_listed_twice_is_refused_by_flag(
+        self, command, trained, fleet_dir, tmp_path, capsys
+    ):
+        rc = main([
+            command, "--checkpoint", str(trained / "checkpoint.npz"),
+            "--data", str(fleet_dir), "--out", str(tmp_path / "o"),
+            "--units", f"{TEST_UNIT},u001,{TEST_UNIT}",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: --units names {TEST_UNIT} more than once")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["--train-units", "--test-units"])
+    @pytest.mark.parametrize("command", ["train", "gridsearch"])
+    def test_a_split_flag_listing_a_unit_twice_is_refused(
+        self, command, flag, fleet_dir, mcd_config, tmp_path, capsys
+    ):
+        units = {"--train-units": UNITS, "--test-units": TEST_UNIT}
+        twice = units[flag].split(",")[0]
+        units[flag] += f",{twice}"
+        rc = main([
+            command, "--data", str(fleet_dir), "--out", str(tmp_path / "o"),
+            "--config", str(mcd_config), "--epochs", "1",
+            "--train-units", units["--train-units"], "--test-units", units["--test-units"],
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} names {twice} more than once")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field", ["train_units", "test_units"])
+    @pytest.mark.parametrize("command", ["train", "gridsearch"])
+    def test_a_unit_listed_twice_in_a_config_file_is_refused_by_field(
+        self, command, field, fleet_dir, tmp_path, capsys
+    ):
+        ids = {"train_units": UNITS.split(","), "test_units": [TEST_UNIT]}
+        ids[field] = ids[field] + ids[field][:1]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "kind": "mcd", "hidden_layers": 1, "hidden_units": 4, "test_samples": 4, **ids,
+        }))
+        rc = main([
+            command, "--data", str(fleet_dir), "--out", str(tmp_path / "o"),
+            "--config", str(cfg), "--epochs", "1",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} names a unit more than once")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["--train-units", "--test-units"])
+    def test_an_unknown_unit_is_refused_by_side(self, flag, fleet_dir, mcd_config, tmp_path,
+                                                capsys):
+        units = {"--train-units": UNITS, "--test-units": TEST_UNIT}
+        units[flag] += ",u099"
+        rc = main([
+            "train", "--data", str(fleet_dir), "--out", str(tmp_path / "o"),
+            "--config", str(mcd_config), "--epochs", "1",
+            "--train-units", units["--train-units"], "--test-units", units["--test-units"],
+        ])
+        assert rc == 1
+        side = flag[2:].split("-")[0]
+        assert capsys.readouterr().err.startswith(
+            f"error: split references unknown units on its {side} side: ['u099']")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("field", ["train_units", "test_units"])
     @pytest.mark.parametrize("command", ["train", "gridsearch"])
     def test_an_empty_unit_list_in_a_config_file_is_refused(

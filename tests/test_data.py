@@ -125,6 +125,18 @@ class TestSplitSpec:
         with pytest.raises(ValueError, match="val_fraction"):
             SplitSpec(("u1",), (), val_fraction=frac)
 
+    def test_duplicates_are_named_by_side_and_id(self):
+        with pytest.raises(ValueError, match="duplicate ids in test_ids: u2$"):
+            SplitSpec(("u1",), ("u2", "u3", "u2"))
+
+    @pytest.mark.parametrize("side", ["train", "test"])
+    def test_check_against_names_the_side_of_an_unknown_unit(self, side):
+        fleet = FleetDataset((unit("u1"), unit("u2")))
+        ids = {"train": ("u1",), "test": ("u2",)}
+        ids[side] += ("u3",)
+        with pytest.raises(ValueError, match=rf"unknown units on its {side} side: \['u3'\]"):
+            SplitSpec(ids["train"], ids["test"]).check_against(fleet)
+
     def test_check_against_unknown_unit(self):
         fleet = FleetDataset((unit("u1"), unit("u2")))
         SplitSpec(("u1",), ("u2",)).check_against(fleet)

@@ -9,6 +9,7 @@ fleet where it must beat a constant predictor by a wide margin.
 import json
 import os
 import re
+import tempfile
 import threading
 from pathlib import Path
 
@@ -18,7 +19,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from rulkit import experiment, mcd, parallel, svgp
-from rulkit.data import FleetDataset, SplitSpec, UnitSeries, load_fleet, synth_fleet
+from rulkit.data import (FleetDataset, SplitSpec, UnitSeries, load_fleet, normalize, stack_rows,
+                         synth_fleet)
 from rulkit.mathcore import NumericalError, cholesky_jittered
 from rulkit.metrics import Predictions, Records, compute_report
 from rulkit.params import RngStream
@@ -43,6 +45,7 @@ from rulkit.experiment import (
     model_from_config,
     prepare_split,
     run_experiment,
+    save_checkpoint,
     selection_metric_for,
     write_predictions,
 )
@@ -435,6 +438,18 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="unit_ids is empty"):
             checkpoint_records(model, cfg, stats, data, [])
 
+    def test_checkpoint_records_reject_a_unit_listed_twice(self, tmp_path):
+        data = small_fleet()
+        run_experiment(tiny_mcd(), data, small_split(), out_dir=tmp_path)
+        model, cfg, stats = load_checkpoint(tmp_path / "checkpoint.npz")
+
+        def refuse(X, rng=None):
+            raise AssertionError("predictive ran")
+
+        model.predictive = refuse
+        with pytest.raises(ValueError, match="unit_ids names u002 more than once"):
+            checkpoint_records(model, cfg, stats, data, ["u002", "u001", "u002"])
+
     def test_svgp_scoring_factors_kmm_once(self, tmp_path, monkeypatch):
         data = small_fleet()
         run_experiment(tiny_config("svgp"), data, small_split(), out_dir=tmp_path)
@@ -601,6 +616,50 @@ class TestCheckpoints:
         a, b = model.predictive(X, rng=RngStream(1)), clone.predictive(X, rng=RngStream(1))
         for name in ("weights", "means", "variances", "mean", "var"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @given(depth=st.integers(1, 2), width=st.integers(1, 2), flag=st.booleans(),
+           seed=st.integers(0, 2**16), at=st.floats(0.0, 1.0, exclude_max=True),
+           step=st.sampled_from([-0.3, 0.2]))
+    @settings(max_examples=25, deadline=None)
+    def test_a_checkpoint_file_round_trip_keeps_every_predictive_bit(self, kind, depth, width,
+                                                                    flag, seed, at, step):
+        # an untrained model of a tiny fleet, saved and loaded: the loaded
+        # model predicts the original's bits, again on a second call (a memo
+        # hit for the GP kinds), and after a write to one raw parameter the
+        # bits of a model built afresh from the new vector
+        data = synth_fleet(3, 12, seed=seed, feature_dim=4)
+        ids = data.unit_ids
+        stats = normalize(data, ids)
+        X_raw, y, _, _ = stack_rows(data, ids)
+        X = stats.apply(X_raw)
+        config = default_config(kind).replace(
+            num_inducing=4, depth=depth if kind == "dspp" else depth - 1, width=width,
+            num_sites=3, train_samples=2, test_samples=3, hidden_layers=depth,
+            hidden_units=3, skip_connection=flag, seed=seed,
+        )
+        model = build_model(config, X, y, RngStream(seed))
+        # off the prior, where Kmm would not show in the output
+        rng = np.random.default_rng(seed)
+        model.params.values += 0.1 * rng.standard_normal(model.params.size)
+
+        def bits(m):
+            p = m.predictive(X, rng=RngStream(1))
+            return [getattr(p, name).tobytes()
+                    for name in ("weights", "means", "variances", "mean", "var")]
+
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "checkpoint.npz"
+            save_checkpoint(path, model, config, stats)
+            loaded, loaded_config, loaded_stats = load_checkpoint(path)
+        assert loaded_config == config
+        assert loaded_stats.mean.tobytes() == stats.mean.tobytes()
+        assert loaded_stats.std.tobytes() == stats.std.tobytes()
+        assert bits(loaded) == bits(model)
+        assert bits(loaded) == bits(model)
+        loaded.params.values[int(at * loaded.params.size)] += step
+        fresh = model_from_config(model_config(loaded), loaded.params.values.copy())
+        assert bits(loaded) == bits(fresh)
 
     # Each kind's checkpoint strings for ``tiny_config(kind)`` on the small
     # fleet: the model_config that build_model maps the run's config to, then

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gp_oracle import (
-    Kernel,
     MultivariateNormal,
     kernel_eval,
     layer_of,
@@ -867,7 +866,7 @@ class TestKmmFactorMemo:
         assert len(used) == 2 * layers
 
     @pytest.mark.parametrize("kind", ["dgp", "dspp"])
-    def test_a_write_to_one_gp_of_a_stack_misses_that_layer_only(self, kind, monkeypatch):
+    def test_a_write_to_one_gp_of_a_stack_misses_that_gp_only(self, kind, monkeypatch):
         model, X, _, prefix = _memo_models()[kind]
         before = _prediction_bytes(model, X)
         used = _recording_factorizations(monkeypatch)
@@ -875,7 +874,7 @@ class TestKmmFactorMemo:
         e = model.params.entry(f"{prefix}.z")
         model.params.values[e.offset + e.size - 1] += 0.5
         after = _prediction_bytes(model, X)
-        assert len(used) == model.width  # every GP of that stack, no other layer
+        assert len(used) == 1  # that GP alone, no other GP of its stack or layer
         assert after != before
         assert after == _fresh_bytes(model, X)
 
@@ -920,8 +919,22 @@ class TestKmmFactorMemo:
         assert len(used) == factored
         assert first == _fresh_bytes(model, X)
 
-    def test_a_given_factor_needs_constant_kernel_inputs(self):
+    def test_a_memo_needs_constant_kernel_inputs(self):
         z, variance, ell, m, s, x = _layer_inputs(4, 6, 2, seed=5)
-        chol = cholesky_jittered(kernel_eval(Kernel(float(variance), ell), z, z)).factor
         with pytest.raises(ValueError, match="constant kernel inputs"):
-            sparse_gp_layer(ad.leaf(z), *map(ad.constant, (variance, ell, m, s, x)), factor=chol)
+            sparse_gp_layer(ad.leaf(z), *map(ad.constant, (variance, ell, m, s, x)), memo={})
+
+    @pytest.mark.parametrize("kind", ["svgp", "dgp", "dspp"])
+    def test_a_changed_jitter_refactors_every_layer(self, kind, monkeypatch):
+        model, X, _, _ = _memo_models()[kind]
+        gps = 1 + model.depth * model.width if kind != "svgp" else 1
+        used = _recording_factorizations(monkeypatch)
+        before = _prediction_bytes(model, X)
+        assert len(used) == gps
+        jitter = model.jitter
+        model.jitter = 100.0 * jitter
+        _prediction_bytes(model, X)
+        assert len(used) == 2 * gps
+        model.jitter = jitter
+        assert _prediction_bytes(model, X) == before
+        assert len(used) == 3 * gps
