@@ -292,12 +292,25 @@ def adam_step(state: OptimizerState, params: ParamVector):
         state.first_moment = np.zeros_like(params.values)
         state.second_moment = np.zeros_like(params.values)
     state.step_count += 1
-    state.first_moment = BETA1 * state.first_moment + (1.0 - BETA1) * g
-    state.second_moment = BETA2 * state.second_moment + (1.0 - BETA2) * g * g
-    m_hat = state.first_moment / (1.0 - BETA1**state.step_count)
-    v_hat = state.second_moment / (1.0 - BETA2**state.step_count)
-    step = state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    params.values -= step * params.trainable_mask()
+    # in place, by the operations of m = b1 m + (1 - b1) g, v = b2 v + (1 -
+    # b2) g g and lr m_hat / (sqrt(v_hat) + eps) in their order, so the bits
+    # are those of the formulas
+    m, v = state.first_moment, state.second_moment
+    step = np.multiply(g, 1.0 - BETA1)
+    m *= BETA1
+    m += step
+    np.multiply(g, 1.0 - BETA2, out=step)
+    step *= g
+    v *= BETA2
+    v += step
+    np.divide(m, 1.0 - BETA1**state.step_count, out=step)
+    step *= state.learning_rate
+    v_hat = np.divide(v, 1.0 - BETA2**state.step_count)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += ADAM_EPS
+    step /= v_hat
+    step *= params.trainable_mask()
+    params.values -= step
     return params, state
 
 

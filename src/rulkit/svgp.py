@@ -26,31 +26,34 @@ A layer is one GP or a stack of W independent GPs that read the same input.
 A stack's slices carry a leading axis of length W, and one GP's raw values
 are laid out as a stack of one. The node takes the GPs of a stack one after
 another. Each GP's forward pass computes the kernel matrix, the triangular
-solve and product and the variances in contiguous blocks of at most about
-``MAX_BLOCK_ROWS`` rows of x, each worker taking a contiguous run of them,
-and its VJP has independent products (the gradient of S, S c and L^{-1};
-then L^{-T} gb and the two-sided L^{-T} product). Both go to
-``parallel.run_indexed``: spread over ``usable_cpus()`` threads once the
-triangular products reach ``PARALLEL_MIN_WORK`` multiply-adds, and in order
-on the calling thread below that. The Cholesky factorization stays on the
-calling thread, every sum over rows stays whole, and blocks start at
-multiples of ``ROW_ALIGN`` rows, so each BLAS call and each sum sees the
-operands of the one-thread computation in the same order: the values and
-gradients do not depend on the thread count or the block length. The
-threads write only into arrays the calling thread allocated, since each
-thread that allocates keeps its own malloc arena at its high-water mark.
+solve and product and the variances in contiguous blocks of rows of x, each
+worker taking a contiguous run of them, and its VJP has independent
+products (the gradient of S, S c and L^{-1}; then L^{-T} gb and the
+two-sided L^{-T} product). Both go to ``parallel.run_indexed``: spread over
+``usable_cpus()`` threads once the triangular products reach
+``PARALLEL_MIN_WORK`` multiply-adds, and in order on the calling thread
+below that. The Cholesky factorization stays on the calling thread, every
+sum over rows stays whole, and blocks start at multiples of ``ROW_ALIGN``
+rows, so each BLAS call and each sum sees the operands of the one-thread
+computation in the same order: the values and gradients do not depend on
+the thread count or the block length. The threads write only into arrays
+the calling thread allocated, since each thread that allocates keeps its
+own malloc arena at its high-water mark.
 
 The (n, M) buffers of a GP (Kzx, the side of its clamp that passes
-gradients, b = L^{-1} Kzx and c = S^T b) set a layer's memory, and the
-forward keeps them only when a VJP can run, that is when some parent
-requires a gradient. Then they are full-size, and the VJP takes a GP's
-buffers when its backward starts and drops each after its last read: b and
-c after its first round of products, Kmm and Kzx with their masks after
-their kernel gradients; it inverts L in place. Without a VJP (prediction)
-the forward keeps nothing: one row routine computes every block, on one
-worker too, into scratch that the calling thread allocates once per worker
-and each of that worker's blocks refills, so a call holds one block's
-buffers per worker.
+gradients, b = L^{-1} Kzx and c = S^T b) set a layer's memory. Each worker
+computes its blocks of Kzx and its mask into scratch that the calling
+thread allocates once per worker and each of the worker's blocks refills,
+about ``BLOCK_BYTES`` of it, and Kmm goes once it is factored. When some
+parent requires a gradient, the forward keeps b and c full-size with L, the
+variance clamp mask and the GP's small vectors; without one (prediction), b
+and c are block scratch too, so a call holds one block's buffers per worker.
+The VJP takes a GP's buffers when its backward starts, drops b and c after
+its first round of products and inverts L in place. Only after its second
+round, and only when a kernel input requires a gradient, does it rebuild
+Kmm and then Kzx with their masks, on the calling thread, over the
+forward's row blocks and by the forward's operations, so with the forward's
+bits; each goes after its kernel gradient.
 
 Every layer is read through :func:`gp_layer`, which takes its five slices
 from a parameter view. A GP's L = chol(Kmm) depends only on its scaled
@@ -116,9 +119,13 @@ ROW_ALIGN = 48
 # Longest row block, on any number of threads. Each thread's BLAS call packs
 # its block into scratch that OpenBLAS keeps per concurrent call, so this
 # bounds what a second thread adds to the peak memory (without it, a default
-# dgp's prediction on W1 peaked about 6 MB higher); without a VJP it also
-# bounds each worker's scratch.
+# dgp's prediction on W1 peaked about 6 MB higher).
 MAX_BLOCK_ROWS = 2048
+# Bytes of row-block scratch per worker: a block row of Kzx, its mask, b and
+# c takes 25 M bytes, so blocks are at most about BLOCK_BYTES / (25 M) rows
+# long (384 at M = 800). On one thread at M = 800, dtrsm and dtrmm ran at
+# about the same rate on 192 columns as on 1,033.
+BLOCK_BYTES = 8 << 20
 _OUTER_COLUMNS = 128  # columns of the VJP's outer-product scratch
 
 
@@ -228,12 +235,13 @@ def sparse_gp_layer(
 
     From ``PARALLEL_MIN_WORK`` on, each GP runs on ``usable_cpus()`` threads
     (see the module docstring); the values and gradients are the same bits
-    for every thread count. When a parent requires a gradient, the forward
-    keeps each GP's full-size Kzx, its clamp mask, b and c, and the VJP
-    frees each after its last read, so the node can be differentiated
-    once; when none does, nothing is kept, and the rows go in blocks of at
-    most about ``MAX_BLOCK_ROWS`` through scratch that the calling thread
-    allocates once per worker.
+    for every thread count. Rows go in blocks whose scratch (Kzx and its
+    mask, and b and c without a VJP) keeps within ``BLOCK_BYTES`` per
+    worker. When a parent requires a gradient, the forward keeps each GP's
+    full-size b and c, and the VJP frees each after its last read and, for
+    a kernel input's gradient, rebuilds Kmm and Kzx with the forward's bits,
+    so the node can be differentiated once; when none does, nothing
+    full-size is kept.
     """
     parents = (z, kernel_variance, lengthscales, m, s, x)
     kernel_parents = (z, kernel_variance, lengthscales, x)
@@ -251,28 +259,32 @@ def sparse_gp_layer(
     sd = np.ascontiguousarray(s.data).reshape(width, num, num)
     xd = x.data
     n = xd.shape[0]
-    # a VJP reads the forward's full-size buffers; without one none is kept
+    # a VJP reads the forward's b and c; without one they are block scratch too
     keep = any(p.requires_grad for p in parents)
     # a thread per usable CPU once one GP's triangular products reach
     # PARALLEL_MIN_WORK multiply-adds, else the calling thread alone
     workers = usable_cpus() if num * num * (n + num) >= PARALLEL_MIN_WORK else 1
-    blocks = _row_blocks(n, workers)
+    # as many blocks for each worker as keep its scratch within BLOCK_BYTES
+    blocks = _row_blocks(n, workers * max(1, -(-n // (workers * _budget_rows(num)))))
     # each worker takes a contiguous run of blocks
     tasks = min(workers, len(blocks))
     groups = [blocks[len(blocks) * k // tasks : len(blocks) * (k + 1) // tasks]
               for k in range(tasks)]
-
-    def buffers(rows: int):
-        """Kzx and where its clamp passes gradients (rows, M), and b = L^{-1}
-        Kzx and c = S^T b (M, rows), Fortran-ordered so that a block of rows
-        of x is a block of their columns."""
-        return (np.empty((rows, num)), np.empty((rows, num), dtype=bool),
-                np.empty((num, rows), order="F"), np.empty((num, rows), order="F"))
-
-    # without a VJP each worker refills its own scratch, allocated here once
-    # for every GP (threads that allocate keep their malloc arenas' peaks)
     longest = max(r.stop - r.start for r in blocks)
-    scratch = None if keep else [buffers(longest) for _ in groups]
+
+    def kernel_block(rows: int):
+        """Kzx and where its clamp passes gradients (rows, M)."""
+        return np.empty((rows, num)), np.empty((rows, num), dtype=bool)
+
+    def solves(rows: int):
+        """b = L^{-1} Kzx and c = S^T b (M, rows), Fortran-ordered so that a
+        block of rows of x is a block of their columns."""
+        return np.empty((num, rows), order="F"), np.empty((num, rows), order="F")
+
+    # each worker refills its own scratch, allocated here once for every GP
+    # (threads that allocate keep their malloc arenas' peaks): Kzx and its
+    # mask, and b and c too without a VJP
+    scratch = [kernel_block(longest) + (() if keep else solves(longest)) for _ in groups]
     # rows: mu (n), clamped s2 (n), kl (1); one column per GP
     packed = np.empty((2 * n + 1, width))
 
@@ -283,15 +295,14 @@ def sparse_gp_layer(
         zz, xx = (zs * zs).sum(axis=1), (xs * xs).sum(axis=1)
         hit = None if memo is None else memo.get(w)
         if hit is not None and hit[0] == (variance, jitter) and np.array_equal(hit[1], zs):
-            kmm = kmm_live = None
             chol = hit[2]
         else:
-            kmm, kmm_live, chol = _prior_factor(zs, zz, variance, jitter)
-            chol = np.ascontiguousarray(chol)
+            # Kmm goes once it is factored; a VJP rebuilds it
+            chol = np.ascontiguousarray(_prior_factor(zs, zz, variance, jitter)[2])
             if memo is not None:
                 chol.flags.writeable = False
                 memo[w] = ((variance, jitter), zs, chol)
-        full = buffers(n) if keep else None
+        full = solves(n) if keep else None
         raw = np.empty(n)
 
         def rows(r: slice, kr, lr, br, cr):
@@ -308,11 +319,14 @@ def sparse_gp_layer(
             packed[r, w] = cross @ md[w]
 
         def run(k: int):
-            # worker k's blocks, into the kept buffers or the front of its scratch
+            # worker k's blocks: Kzx and its mask into the front of its
+            # scratch, b and c into the kept buffers or its scratch too
+            kzx, live, *own = scratch[k]
+            b, c = full if keep else own
             for r in groups[k]:
-                at = r if keep else slice(0, r.stop - r.start)
-                kzx, live, b, c = full if keep else scratch[k]
-                rows(r, kzx[at], live[at], b[:, at], c[:, at])
+                at = slice(0, r.stop - r.start)
+                cols = r if keep else at
+                rows(r, kzx[at], live[at], b[:, cols], c[:, cols])
 
         run_indexed(run, len(groups), workers)
         # only a negative minimum matters; initial=0.0 lets a zero-row batch through
@@ -325,7 +339,7 @@ def sparse_gp_layer(
             - np.log(np.diagonal(sd[w])).sum()
         )
         if keep:
-            return (xs, kmm, kmm_live, chol, *full, raw > VARIANCE_FLOOR)
+            return (xs, xx, zz, chol, *full, raw > VARIANCE_FLOOR)
 
     state = [forward(w) for w in range(width)]
 
@@ -343,7 +357,7 @@ def sparse_gp_layer(
             buffers out of ``state`` and drops each after its last read."""
             if state[w] is None:
                 raise RuntimeError("a sparse-GP layer is differentiated once")
-            xs, kmm, kmm_live, chol, kxz, kxz_live, b, c, var_live = state[w]
+            xs, xx, zz, chol, b, c, var_live = state[w]
             state[w] = None
             zs, variance, gmu, gkl = zss[w], float(variances[w]), g[:n, w], g[2 * n, w]
             # the clamp passes no gradient on its floor side
@@ -414,8 +428,16 @@ def sparse_gp_layer(
             gkmm = phi + phi.T
             gkmm /= 2.0
             phi = prod = linv_t = None
-            gd_mm, gkv_mm = _se_gram_vjp(gkmm, kmm, kmm_live, variance)
-            kmm = kmm_live = None
+            # Kmm, then Kzx over the forward's row blocks, rebuilt here by the
+            # forward's own operations, so with the forward's bits
+            gd_mm, gkv_mm = _se_gram_vjp(gkmm, *_prior_gram(zs, zz, variance), variance)
+            kxz, kxz_live = kernel_block(n)
+            cross = np.empty((longest, num))
+            for r in blocks:
+                part = cross[: r.stop - r.start]
+                np.matmul(xs[r], zs.T, out=part)
+                _se_gram(part, xx[r], zz, variance, out=kxz[r], live=kxz_live[r])
+            cross = part = None
             # gb holds the gradient of Kzx (transposed); it becomes gd_xz
             gd_xz, gkv_xz = _se_gram_vjp(gb.T, kxz, kxz_live, variance)
             kxz = kxz_live = gb = None
@@ -442,22 +464,33 @@ def sparse_gp_layer(
     return node[:n], node[n : 2 * n], node[2 * n]
 
 
-def _row_blocks(n: int, workers: int) -> list:
-    """Contiguous blocks of the rows 0..n-1 of x for ``workers`` threads: at
-    least one per thread and none longer than about ``MAX_BLOCK_ROWS``, as
-    near equal as blocks that start at multiples of ``ROW_ALIGN`` rows can
-    be; none is shorter than that unless it is the only one."""
-    parts = max(workers, -(-n // MAX_BLOCK_ROWS))
+def _row_blocks(n: int, least: int) -> list:
+    """Contiguous blocks of the rows 0..n-1 of x: at least ``least`` of them
+    and none longer than about ``MAX_BLOCK_ROWS``, as near equal as blocks
+    that start at multiples of ``ROW_ALIGN`` rows can be; none is shorter
+    than that unless it is the only one."""
+    parts = max(least, -(-n // MAX_BLOCK_ROWS))
     cuts = {ROW_ALIGN * round(n * i / parts / ROW_ALIGN) for i in range(1, parts)}
     bounds = [0] + sorted(c for c in cuts if ROW_ALIGN <= c <= n - ROW_ALIGN) + [n]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _prior_factor(zs: np.ndarray, zz: np.ndarray, variance: float, jitter: float):
+def _budget_rows(num: int) -> int:
+    """The most rows of a block whose scratch at M = ``num`` fits in
+    ``BLOCK_BYTES``, a multiple of ``ROW_ALIGN`` and at least that."""
+    return max(ROW_ALIGN, BLOCK_BYTES // (25 * num) // ROW_ALIGN * ROW_ALIGN)
+
+
+def _prior_gram(zs: np.ndarray, zz: np.ndarray, variance: float):
     """Kmm = k(Z, Z) from the scaled inducing inputs and their squared norms,
-    the side of its clamp that passes gradients, and L = chol(Kmm)."""
+    and the side of its clamp that passes gradients."""
     # zs @ zs.T is one symmetric product, so Kmm is exactly symmetric
-    kmm, live = _se_gram(zs @ zs.T, zz, zz, variance)
+    return _se_gram(zs @ zs.T, zz, zz, variance)
+
+
+def _prior_factor(zs: np.ndarray, zz: np.ndarray, variance: float, jitter: float):
+    """Kmm and its clamp's live side from :func:`_prior_gram`, and L = chol(Kmm)."""
+    kmm, live = _prior_gram(zs, zz, variance)
     return kmm, live, cholesky_jittered(kmm, base_jitter=jitter).factor
 
 

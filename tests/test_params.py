@@ -10,10 +10,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulkit import autodiff as ad
 from rulkit.mathcore import NumericalError
 from rulkit.params import (
+    ADAM_EPS,
+    BETA1,
+    BETA2,
     IDENTITY,
     POSITIVE,
     CholeskyFactor,
@@ -292,6 +297,35 @@ class TestAdam:
             return p.values.copy()
 
         np.testing.assert_array_equal(run(), run())
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40),
+           steps=st.integers(1, 6), scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e150]))
+    def test_updates_its_moments_in_place_with_the_formulas_bits(self, seed, size, steps, scale):
+        rng = np.random.default_rng(seed)
+        p = ParamVector()
+        p.register("free", (size,), init=rng.standard_normal(size))
+        p.register("frozen", (2,), init=rng.standard_normal(2))
+        p.set_trainable("frozen", False)
+        state = OptimizerState(learning_rate=float(rng.uniform(1e-4, 0.5)))
+        values, m, v = p.values.copy(), np.zeros(p.size), np.zeros(p.size)
+        mask = p.trainable_mask()
+        for t in range(1, steps + 1):
+            g = scale * rng.standard_normal(p.size)
+            p.grad[:] = g
+            moments = state.first_moment, state.second_moment
+            adam_step(state, p)
+            if t > 1:
+                assert state.first_moment is moments[0] and state.second_moment is moments[1]
+            # the update as the formulas read
+            m = BETA1 * m + (1.0 - BETA1) * g
+            v = BETA2 * v + (1.0 - BETA2) * g * g
+            m_hat = m / (1.0 - BETA1**t)
+            v_hat = v / (1.0 - BETA2**t)
+            values -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS) * mask
+            for got, want in ((state.first_moment, m), (state.second_moment, v),
+                              (p.values, values)):
+                assert got.tobytes() == want.tobytes()
 
     def test_converges_on_a_quadratic(self):
         p = ParamVector()

@@ -34,6 +34,7 @@ from rulkit.experiment import ExperimentConfig, build_model, model_config, model
 from rulkit.mathcore import NumericalError, cholesky_jittered
 from rulkit.parallel import run_indexed
 from rulkit.params import (
+    IDENTITY,
     POSITIVE,
     CholeskyFactor,
     OptimizerState,
@@ -416,6 +417,77 @@ class TestSparseGPLayer:
             sparse_gp_layer(*map(ad.constant, inputs))
 
 
+class TestLayerGradientProperty:
+    """The layer's VJP against central differences at random small shapes,
+    for one GP and stacks of 1-3, with no parent, only m and S, or every
+    parent requiring a gradient; the forward's bits do not depend on which."""
+
+    @staticmethod
+    def _central_differences(p, build, step=1e-5):
+        """The analytic gradient of ``build`` at p's values and its central
+        differences, h = step * max(1, |theta_k|), in every coordinate."""
+        loss = lambda: value_and_grad(p, build)
+        loss()
+        analytic, fd = p.grad.copy(), np.empty(p.size)
+        for k in range(p.size):
+            theta = p.values[k]
+            h = step * max(1.0, abs(theta))
+            p.values[k] = theta + h
+            up = loss()
+            p.values[k] = theta - h
+            fd[k] = (up - loss()) / (2.0 * h)
+            p.values[k] = theta
+        return analytic, fd
+
+    @settings(max_examples=60, deadline=None)
+    @given(num=st.integers(1, 5), n=st.integers(1, 6), d=st.integers(1, 3),
+           width=st.sampled_from([None, 1, 2, 3]), grads=st.sampled_from(["none", "local", "all"]),
+           seed=st.integers(0, 2**16))
+    def test_the_vjp_matches_central_differences(self, num, n, d, width, grads, seed):
+        rng = np.random.default_rng(seed)
+        gps = [_layer_inputs(num, n, d, seed=seed + w) for w in range(width or 1)]
+        for gp in gps:
+            # inducing inputs on a line about 2 apart (at most 2.3 lengthscales)
+            # keep Kmm far from singular, where an fd step is inaccurate
+            line = rng.standard_normal(d)
+            gp[0] = 2.0 * np.arange(num)[:, None] * (line / np.linalg.norm(line)) + 0.1 * gp[0]
+        names = ("z", "kernel_variance", "lengthscales", "m", "s", "x")
+        values = [np.stack([gp[i] for gp in gps]) if width else gps[0][i] for i in range(5)]
+        values.append(gps[0][5])
+        trainable = {"none": (), "local": ("m", "s"), "all": names}[grads]
+        weights = rng.standard_normal((2, n, width or 1))
+        kl_weights = rng.standard_normal(width or 1)
+        p = ParamVector()
+        for name, v in zip(names, values):
+            if name in trainable:
+                transform = {"kernel_variance": POSITIVE, "lengthscales": POSITIVE,
+                             "s": CholeskyFactor(num)}.get(name, IDENTITY)
+                p.register(name, v.shape, transform, init=v)
+        outputs = []
+
+        def build(view):
+            leaves = [view.get(name) if name in trainable else ad.constant(v)
+                      for name, v in zip(names, values)]
+            mu, var, kl = sparse_gp_layer(*leaves)
+            if not outputs:  # the first evaluation and its inputs' values
+                outputs.append(([t.data for t in leaves], (mu, var, kl)))
+            w = width or 1
+            return _stack_loss(ad.reshape(mu, (n, w)), ad.reshape(var, (n, w)),
+                               ad.reshape(kl, (w,)), weights, kl_weights)
+
+        if grads == "none":
+            assert not build(None).requires_grad
+        else:
+            analytic, fd = self._central_differences(p, build)
+            # a gradient entry far below the largest is held to that scale:
+            # its fd value carries the rounding of the whole loss
+            np.testing.assert_allclose(analytic, fd, rtol=1e-5,
+                                       atol=1e-7 * max(1.0, np.abs(fd).max()))
+        inputs, trained = outputs[0]
+        for got, want in zip(trained, sparse_gp_layer(*map(ad.constant, inputs))):
+            assert got.data.tobytes() == want.data.tobytes()
+
+
 class TestLayerThreads:
     """Above ``PARALLEL_MIN_WORK`` a layer spreads each GP over the usable
     CPUs: the forward in row blocks of x, the VJP's independent products at
@@ -507,10 +579,12 @@ class TestLayerThreads:
 
 
 class TestLayerMemory:
-    """The layer keeps each (n, M) buffer only until its last read, and a call
-    without a VJP keeps none. tracemalloc counts numpy's buffers exactly, so
+    """Between forward and VJP the layer keeps only b and c of its (n, M)
+    buffers, each until its last read, and the VJP rebuilds Kmm and Kzx
+    when it needs them; a call without a VJP keeps none, and its row blocks
+    keep to a byte budget. tracemalloc counts numpy's buffers exactly, so
     these traced peaks are deterministic; their unit is one (n, M) float64
-    array."""
+    array unless a test says otherwise."""
 
     NUM, N, D = 50, 2000, 3
 
@@ -537,9 +611,48 @@ class TestLayerMemory:
             tracemalloc.reset_peak()  # the forward's buffers stay counted
             return loss
 
-        # Kzx, its mask, b and c from the forward, then gb; b and c go after
-        # the VJP's first round (holding them to its end peaked at 6.2)
-        assert self._peak(lambda: value_and_grad(model.params, build)) < 5.6
+        # b and c from the forward, then gb; b and c go after the VJP's first
+        # round, and Kmm and Kzx with their masks are rebuilt only after its
+        # second (keeping the forward's to the VJP's end peaked at 5.15)
+        assert self._peak(lambda: value_and_grad(model.params, build)) < 4.5
+
+    def test_a_whole_training_step_keeps_within_the_backward_bound(self):
+        model, X, y = self._model()
+        # the forward holds b, c and one block of Kzx and its mask per worker
+        # (keeping the forward's Kzx, its mask and Kmm peaked at 5.15)
+        step = lambda: value_and_grad(model.params, lambda view: model._build(view, X, y, 1.0, None))
+        assert self._peak(step) < 4.5
+
+    @pytest.mark.parametrize("width", [None, 2])
+    @pytest.mark.parametrize("grads", ["local", "all"])
+    def test_only_a_kernel_gradient_rebuilds_kmm_and_kzx_with_the_forwards_bits(
+            self, grads, width, monkeypatch):
+        monkeypatch.setattr(svgp, "MAX_BLOCK_ROWS", 48)  # 4 row blocks
+        gps = [_layer_inputs(6, 192, 2, seed=20 + w) for w in range(width or 1)]
+        values = [np.stack([gp[i] for gp in gps]) if width else gps[0][i] for i in range(5)]
+        trainable = {"local": (3, 4), "all": range(6)}[grads]
+        leaves = [(ad.leaf if i in trainable else ad.constant)(v)
+                  for i, v in enumerate(values + [gps[0][5]])]
+        grams, gram = [], svgp._se_gram
+
+        def recording(*args, **kwargs):
+            k, live = gram(*args, **kwargs)
+            grams.append((k.copy(), live.copy()))
+            return k, live
+
+        monkeypatch.setattr(svgp, "_se_gram", recording)
+        mu, var, kl = sparse_gp_layer(*leaves)
+        forward = list(grams)
+        assert len(forward) == (width or 1) * 5  # per GP Kmm and 4 blocks of Kzx
+        (mu.sum() + var.sum() + kl.sum()).backward()
+        rebuilt = grams[len(forward):]
+        if grads == "local":  # the kernel inputs are constant: nothing is rebuilt
+            assert rebuilt == []
+            return
+        # per GP Kmm and then each block of Kzx, with the forward's bits
+        assert len(rebuilt) == len(forward)
+        for (k, live), (k0, live0) in zip(rebuilt, forward):
+            assert k.tobytes() == k0.tobytes() and np.array_equal(live, live0)
 
     def test_a_layer_graph_is_differentiated_once(self):
         leaves = [ad.leaf(v) for v in _layer_inputs(4, 7, 2, seed=9)]
@@ -553,6 +666,26 @@ class TestLayerMemory:
         monkeypatch.setattr(svgp, "MAX_BLOCK_ROWS", 96)  # 21 blocks
         # full-size Kzx, its mask, b and c peaked at 3.5
         assert self._peak(lambda: model.predictive(X)) < 1.0
+
+    def test_a_constant_call_at_a_large_m_keeps_to_the_byte_budget_per_worker(self, monkeypatch):
+        monkeypatch.setattr(svgp, "usable_cpus", lambda: 2)
+        num, n, d = 800, 3000, 4
+        rng = np.random.default_rng(8)
+        s = np.tril(rng.standard_normal((num, num))) * 0.01 + np.eye(num)
+        values = [rng.standard_normal((num, d)), np.array(1.0), np.full(d, 2.0),
+                  rng.standard_normal(num), s, rng.standard_normal((n, d))]
+        leaves = [ad.constant(v) for v in values]
+        tracemalloc.start()
+        try:
+            sparse_gp_layer(*leaves)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # per worker one block's scratch, 25 M bytes a row within BLOCK_BYTES,
+        # and the build and factor of Kmm (M = 800: 0.6 budgets an array);
+        # blocks of 1,500 rows, as long as MAX_BLOCK_ROWS alone lets
+        # through, peaked at 9.1 budgets
+        assert peak < 4 * svgp.BLOCK_BYTES
 
 
 # -- the training objectives -------------------------------------------------------
