@@ -390,8 +390,9 @@ def logsumexp(a: Tensor, axis=None) -> Tensor:
 
 
 # -- structured linear algebra ---------------------------------------------
-# No model builds these two any more (the sparse-GP layer is one node in
-# rulkit.svgp); the benchmark's span timer still wraps them by name.
+# No model builds these two (the sparse-GP layer is one node in rulkit.svgp):
+# the benchmark's span timer wraps them by name, and tests/test_svgp.py's
+# composed layer, the oracle of that node, is built from them.
 
 
 def cholesky(a: Tensor, base_jitter: float = 1e-6) -> Tensor:

@@ -125,6 +125,14 @@ class _Entry:
     trainable: bool = True
 
 
+def _exact(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` copied as a float array of exactly slice ``name``'s shape."""
+    value = np.array(value, dtype=np.float64)
+    if value.shape != shape:
+        raise ValueError(f"parameter {name!r} has shape {shape}, got a value of shape {value.shape}")
+    return value
+
+
 class ParamVector:
     """Flat vector of raw parameters with named, transformed slices.
 
@@ -174,13 +182,7 @@ class ParamVector:
         shape = tuple(shape) if not isinstance(shape, int) else (shape,)
         size = transform.raw_size(shape)
         # init is copied: the raw values wait in the queue until θ is allocated
-        raw = (
-            np.zeros(size)
-            if init is None
-            else transform.invert(np.array(init, dtype=np.float64), shape)
-        )
-        if raw.shape != (size,):
-            raise ValueError(f"init for {name!r} produced raw shape {raw.shape}, expected ({size},)")
+        raw = np.zeros(size) if init is None else transform.invert(_exact(name, init, shape), shape)
         self._entries[name] = _Entry(self._size, size, shape, transform)
         self._queued.append(raw)
         self._size += size
@@ -203,7 +205,7 @@ class ParamVector:
         """Overwrite a slice from a constrained-space value."""
         e = self.entry(name)
         self.values[e.offset : e.offset + e.size] = e.transform.invert(
-            np.asarray(value, dtype=np.float64), e.shape
+            _exact(name, value, e.shape), e.shape
         )
 
     def set_trainable(self, name: str, flag: bool):

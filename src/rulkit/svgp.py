@@ -44,16 +44,17 @@ The (n, M) buffers of a GP (Kzx, the side of its clamp that passes
 gradients, b = L^{-1} Kzx and c = S^T b) set a layer's memory. Each worker
 computes its blocks of Kzx and its mask into scratch that the calling
 thread allocates once per worker and each of the worker's blocks refills,
-about ``BLOCK_BYTES`` of it, and Kmm goes once it is factored. When some
-parent requires a gradient, the forward keeps b and c full-size with L, the
-variance clamp mask and the GP's small vectors; without one (prediction), b
-and c are block scratch too, so a call holds one block's buffers per worker.
-The VJP takes a GP's buffers when its backward starts, drops b and c after
-its first round of products and inverts L in place. Only after its second
-round, and only when a kernel input requires a gradient, does it rebuild
-Kmm and then Kzx with their masks, on the calling thread, over the
-forward's row blocks and by the forward's operations, so with the forward's
-bits; each goes after its kernel gradient.
+at most ``BLOCK_BYTES`` of it up to M = 3,495 (that budget alone sets a
+block's length, see ``_row_blocks``), and Kmm goes once it is factored.
+When some parent requires a gradient, the forward keeps b and c full-size
+with L, the variance clamp mask and the GP's small vectors; without one
+(prediction), b and c are block scratch too, so a call holds one block's
+buffers per worker. The VJP takes a GP's buffers when its backward starts,
+drops b and c after its first round of products and inverts L in place.
+Only after its second round, and only when a kernel input requires a
+gradient, does it rebuild Kmm and then Kzx with their masks, on the calling
+thread, over the forward's row blocks and by the forward's operations, so
+with the forward's bits; each goes after its kernel gradient.
 
 Every layer is read through :func:`gp_layer`, which takes its five slices
 from a parameter view. A GP's L = chol(Kmm) depends only on its scaled
@@ -116,14 +117,9 @@ PARALLEL_MIN_WORK = 50_000_000
 # 2, 4, 8 and 16. Blocks of at least this many rows also keep numpy from
 # taking its one-row (gemv, dot) paths for a matrix product.
 ROW_ALIGN = 48
-# Longest row block, on any number of threads. Each thread's BLAS call packs
-# its block into scratch that OpenBLAS keeps per concurrent call, so this
-# bounds what a second thread adds to the peak memory (without it, a default
-# dgp's prediction on W1 peaked about 6 MB higher).
-MAX_BLOCK_ROWS = 2048
-# Bytes of row-block scratch per worker: a block row of Kzx, its mask, b and
-# c takes 25 M bytes, so blocks are at most about BLOCK_BYTES / (25 M) rows
-# long (384 at M = 800). On one thread at M = 800, dtrsm and dtrmm ran at
+# Bytes of row-block scratch per worker, the one bound on a block's length:
+# a block row of Kzx, its mask, b and c takes 25 M bytes (see _row_blocks;
+# 384 rows at M = 800). On one thread at M = 800, dtrsm and dtrmm ran at
 # about the same rate on 192 columns as on 1,033.
 BLOCK_BYTES = 8 << 20
 _OUTER_COLUMNS = 128  # columns of the VJP's outer-product scratch
@@ -235,13 +231,13 @@ def sparse_gp_layer(
 
     From ``PARALLEL_MIN_WORK`` on, each GP runs on ``usable_cpus()`` threads
     (see the module docstring); the values and gradients are the same bits
-    for every thread count. Rows go in blocks whose scratch (Kzx and its
-    mask, and b and c without a VJP) keeps within ``BLOCK_BYTES`` per
-    worker. When a parent requires a gradient, the forward keeps each GP's
-    full-size b and c, and the VJP frees each after its last read and, for
-    a kernel input's gradient, rebuilds Kmm and Kzx with the forward's bits,
-    so the node can be differentiated once; when none does, nothing
-    full-size is kept.
+    for every thread count. Each worker takes a run of row blocks, sized by
+    ``BLOCK_BYTES`` alone, whose scratch (Kzx and its mask, and b and c
+    without a VJP) keeps within that budget up to M = 3,495. When a parent
+    requires a gradient, the forward keeps each GP's full-size b and c, and
+    the VJP frees each after its last read and, for a kernel input's
+    gradient, rebuilds Kmm and Kzx with the forward's bits, so the node can
+    be differentiated once; when none does, nothing full-size is kept.
     """
     parents = (z, kernel_variance, lengthscales, m, s, x)
     kernel_parents = (z, kernel_variance, lengthscales, x)
@@ -264,12 +260,9 @@ def sparse_gp_layer(
     # a thread per usable CPU once one GP's triangular products reach
     # PARALLEL_MIN_WORK multiply-adds, else the calling thread alone
     workers = usable_cpus() if num * num * (n + num) >= PARALLEL_MIN_WORK else 1
-    # as many blocks for each worker as keep its scratch within BLOCK_BYTES
-    blocks = _row_blocks(n, workers * max(1, -(-n // (workers * _budget_rows(num)))))
-    # each worker takes a contiguous run of blocks
-    tasks = min(workers, len(blocks))
-    groups = [blocks[len(blocks) * k // tasks : len(blocks) * (k + 1) // tasks]
-              for k in range(tasks)]
+    # each worker's run of row blocks, each block's scratch within BLOCK_BYTES
+    runs = _row_blocks(n, num, workers)
+    blocks = [r for run in runs for r in run]
     longest = max(r.stop - r.start for r in blocks)
 
     def kernel_block(rows: int):
@@ -284,7 +277,7 @@ def sparse_gp_layer(
     # each worker refills its own scratch, allocated here once for every GP
     # (threads that allocate keep their malloc arenas' peaks): Kzx and its
     # mask, and b and c too without a VJP
-    scratch = [kernel_block(longest) + (() if keep else solves(longest)) for _ in groups]
+    scratch = [kernel_block(longest) + (() if keep else solves(longest)) for _ in runs]
     # rows: mu (n), clamped s2 (n), kl (1); one column per GP
     packed = np.empty((2 * n + 1, width))
 
@@ -298,7 +291,7 @@ def sparse_gp_layer(
             chol = hit[2]
         else:
             # Kmm goes once it is factored; a VJP rebuilds it
-            chol = np.ascontiguousarray(_prior_factor(zs, zz, variance, jitter)[2])
+            chol = np.ascontiguousarray(_prior_factor(zs, zz, variance, jitter))
             if memo is not None:
                 chol.flags.writeable = False
                 memo[w] = ((variance, jitter), zs, chol)
@@ -323,12 +316,12 @@ def sparse_gp_layer(
             # scratch, b and c into the kept buffers or its scratch too
             kzx, live, *own = scratch[k]
             b, c = full if keep else own
-            for r in groups[k]:
+            for r in runs[k]:
                 at = slice(0, r.stop - r.start)
                 cols = r if keep else at
                 rows(r, kzx[at], live[at], b[:, cols], c[:, cols])
 
-        run_indexed(run, len(groups), workers)
+        run_indexed(run, len(runs), workers)
         # only a negative minimum matters; initial=0.0 lets a zero-row batch through
         worst = float(raw.min(initial=0.0))
         if worst < NEG_VARIANCE_TOL:
@@ -464,21 +457,25 @@ def sparse_gp_layer(
     return node[:n], node[n : 2 * n], node[2 * n]
 
 
-def _row_blocks(n: int, least: int) -> list:
-    """Contiguous blocks of the rows 0..n-1 of x: at least ``least`` of them
-    and none longer than about ``MAX_BLOCK_ROWS``, as near equal as blocks
-    that start at multiples of ``ROW_ALIGN`` rows can be; none is shorter
-    than that unless it is the only one."""
-    parts = max(least, -(-n // MAX_BLOCK_ROWS))
-    cuts = {ROW_ALIGN * round(n * i / parts / ROW_ALIGN) for i in range(1, parts)}
-    bounds = [0] + sorted(c for c in cuts if ROW_ALIGN <= c <= n - ROW_ALIGN) + [n]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _budget_rows(num: int) -> int:
-    """The most rows of a block whose scratch at M = ``num`` fits in
-    ``BLOCK_BYTES``, a multiple of ``ROW_ALIGN`` and at least that."""
-    return max(ROW_ALIGN, BLOCK_BYTES // (25 * num) // ROW_ALIGN * ROW_ALIGN)
+def _row_blocks(n: int, num: int, workers: int) -> list:
+    """Each worker's contiguous run of blocks of the n rows of x for a GP of
+    ``num`` inducing points: at most ``workers`` runs that tile the rows in
+    order. A block row's scratch takes 25 ``num`` bytes, so each worker takes
+    as many blocks as keep each within ``rows`` = BLOCK_BYTES // (25 num),
+    rounded down to a multiple of ``ROW_ALIGN`` (at least one). Blocks start
+    at multiples of ``ROW_ALIGN`` and, unless one takes every row, have at
+    least that many rows, so none is longer than max(rows, ROW_ALIGN + n mod
+    ROW_ALIGN): within the budget up to M = 3,495."""
+    rows = max(ROW_ALIGN, BLOCK_BYTES // (25 * num) // ROW_ALIGN * ROW_ALIGN)
+    parts = workers * max(1, -(-n // (workers * rows)))
+    # cut i after ceil(units i / parts) whole ROW_ALIGN units; the last block
+    # takes the rest, which a cut after the last whole unit would leave short
+    units = n // ROW_ALIGN
+    cuts = {ROW_ALIGN * -(-units * i // parts) for i in range(1, parts)} - {0, ROW_ALIGN * units}
+    bounds = [0, *sorted(cuts), n]
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    tasks = min(workers, len(blocks))
+    return [blocks[len(blocks) * k // tasks : len(blocks) * (k + 1) // tasks] for k in range(tasks)]
 
 
 def _prior_gram(zs: np.ndarray, zz: np.ndarray, variance: float):
@@ -488,10 +485,9 @@ def _prior_gram(zs: np.ndarray, zz: np.ndarray, variance: float):
     return _se_gram(zs @ zs.T, zz, zz, variance)
 
 
-def _prior_factor(zs: np.ndarray, zz: np.ndarray, variance: float, jitter: float):
-    """Kmm and its clamp's live side from :func:`_prior_gram`, and L = chol(Kmm)."""
-    kmm, live = _prior_gram(zs, zz, variance)
-    return kmm, live, cholesky_jittered(kmm, base_jitter=jitter).factor
+def _prior_factor(zs: np.ndarray, zz: np.ndarray, variance: float, jitter: float) -> np.ndarray:
+    """L = chol(Kmm), Kmm from :func:`_prior_gram`."""
+    return cholesky_jittered(_prior_gram(zs, zz, variance)[0], base_jitter=jitter).factor
 
 
 def _se_gram(cross: np.ndarray, aa: np.ndarray, bb: np.ndarray, variance: float,

@@ -30,7 +30,8 @@ def test_benchmark_instrumentation_points_exist():
     # looking only in the class's own namespace. The deep GP models inherit
     # the flat model's training step, so its wrapper times theirs as well.
     # autodiff.cholesky and autodiff.solve_triangular are timed by name though
-    # no model calls them.
+    # no model calls them; test_svgp.py's composed layer also builds them, as
+    # the oracle of the fused sparse-GP node.
     bound_in = {
         "run_experiment": [experiment],
         "grid_search": [experiment],

@@ -7,6 +7,7 @@ fast but wide enough to touch every parameter group.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from rulkit.params import (
     value_and_grad,
 )
 from rulkit.experiment import ExperimentConfig, build_model
+from rulkit.svgp import SVGPModel
 
 RNG = np.random.default_rng(77)
 
@@ -150,6 +152,31 @@ class TestParamVector:
         p.set_value("m", target)
         np.testing.assert_array_equal(p.decode("m"), target)
         assert p.decode("v") == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("transform", [IDENTITY, POSITIVE])
+    @pytest.mark.parametrize("shape, value_shape", [((2, 2), (4, 1)), ((2,), (2, 1)),
+                                                    ((2,), (1, 2)), ((), (1,)), ((1,), ())])
+    def test_a_value_of_another_shape_is_refused_naming_the_slice(self, transform, shape,
+                                                                  value_shape):
+        # the sizes match, so a reshape would take it
+        value = np.ones(value_shape)
+        shapes = f"{re.escape(str(shape))}.*{re.escape(str(value_shape))}"
+        p = ParamVector()
+        with pytest.raises(ValueError, match=rf"'a'.*{shapes}"):
+            p.register("a", shape, transform, init=value)
+        p.register("b", shape, transform, init=np.ones(shape))
+        before = p.values.copy()
+        with pytest.raises(ValueError, match=rf"'b'.*{shapes}"):
+            p.set_value("b", value)
+        np.testing.assert_array_equal(p.values, before)
+        assert p.size == before.size  # the refused slice was not registered
+
+    def test_a_model_slice_refuses_a_value_of_another_shape(self):
+        params = SVGPModel("elbo", 1.0, 2, 2).params
+        with pytest.raises(ValueError, match=r"'gp.z'.*\(2, 2\).*\(4, 1\)"):
+            params.set_value("gp.z", np.zeros((4, 1)))
+        with pytest.raises(ValueError, match=r"'gp.lengthscales'.*\(2,\).*\(2, 1\)"):
+            params.set_value("gp.lengthscales", np.ones((2, 1)))
 
     def test_writing_into_a_decoded_slice_leaves_the_parameters(self):
         p = ParamVector()

@@ -523,22 +523,24 @@ class TestLayerThreads:
             calls.append((tasks, workers))
             return run_indexed(task, tasks, workers)
 
-        def counted_blocks(rows, workers, blocks=svgp._row_blocks):
-            block_counts.append(len(blocks(rows, workers)))
-            return blocks(rows, workers)
+        def counted_blocks(rows, num, workers, plan=svgp._row_blocks):
+            runs = plan(rows, num, workers)
+            block_counts.append(sum(map(len, runs)))
+            return runs
 
         monkeypatch.setattr(svgp, "run_indexed", spy)
         monkeypatch.setattr(svgp, "_row_blocks", counted_blocks)
         results = {}
         # one thread, with one row block and with several; two; two with
         # more row blocks than threads; more threads than this host has
-        # cores, handing the GIL over every 1 us
+        # cores, handing the GIL over every 1 us. Blocks take at most
+        # max_rows rows, from a budget of 25 M bytes a row at M = 13
         configs = [(1, 2048), (1, 96), (2, 2048), (2, 96), (4, 48)]
         interval = sys.getswitchinterval()
         try:
             for workers, max_rows in configs:
                 monkeypatch.setattr(svgp, "usable_cpus", lambda w=workers: w)
-                monkeypatch.setattr(svgp, "MAX_BLOCK_ROWS", max_rows)
+                monkeypatch.setattr(svgp, "BLOCK_BYTES", 25 * 13 * max_rows)
                 sys.setswitchinterval(1e-6 if workers == 4 else interval)
                 calls.clear()
                 block_counts.clear()
@@ -548,7 +550,10 @@ class TestLayerThreads:
                     for got, want in zip(results[workers, max_rows], trained):
                         np.testing.assert_array_equal(got, want)
                 threaded = {(tasks, w) for tasks, w in calls if tasks > 1 and w > 1}
-                blocks = {2048: 1 if workers == 1 else 2, 96: 3, 48: 5}[max_rows]
+                # each worker takes as many blocks as the budget needs, so
+                # two workers take four blocks of 96 rows where one takes three
+                blocks = {2048: 1 if workers == 1 else 2, 96: 3 if workers == 1 else 4,
+                          48: 5}[max_rows]
                 if workers == 1:
                     assert not threaded
                 if n == 257:  # the forward's row blocks, a run of them per thread
@@ -567,15 +572,37 @@ class TestLayerThreads:
                     np.testing.assert_array_equal(got, want)
 
     def test_row_blocks(self):
-        assert svgp._row_blocks(1033, 1) == [slice(0, 1033)]
-        assert svgp._row_blocks(1033, 2) == [slice(0, 528), slice(528, 1033)]
+        # at M = 100 a block may take 3,312 rows, at M = 800 384
+        assert svgp._row_blocks(1033, 100, 1) == [[slice(0, 1033)]]
+        assert svgp._row_blocks(1033, 100, 2) == [[slice(0, 528)], [slice(528, 1033)]]
         # a block shorter than ROW_ALIGN rows is never split off
-        assert svgp._row_blocks(95, 2) == [slice(0, 95)]
-        assert svgp._row_blocks(0, 2) == [slice(0, 0)]
-        blocks = svgp._row_blocks(10_000, 2)
-        assert len(blocks) == 5 and all(b.start % svgp.ROW_ALIGN == 0 for b in blocks)
-        assert blocks[-1].stop == 10_000
-        assert svgp._row_blocks(10_000, 1) == blocks  # one thread takes blocks too
+        assert svgp._row_blocks(95, 100, 2) == [[slice(0, 95)]]
+        assert svgp._row_blocks(0, 100, 2) == [[slice(0, 0)]]
+        assert svgp._row_blocks(1033, 800, 2) == [[slice(0, 288), slice(288, 528)],
+                                                  [slice(528, 768), slice(768, 1033)]]
+        # one worker takes blocks too
+        assert svgp._row_blocks(1033, 800, 1) == [[slice(0, 336), slice(336, 672),
+                                                   slice(672, 1033)]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 20_000), num=st.integers(1, 1000), workers=st.integers(1, 4))
+    def test_row_blocks_tile_the_rows_within_the_byte_budget(self, n, num, workers):
+        align, runs = svgp.ROW_ALIGN, svgp._row_blocks(n, num, workers)
+        assert 1 <= len(runs) <= workers and all(runs)
+        blocks = [r for run in runs for r in run]
+        # the runs tile 0..n in order, in blocks that start at multiples of
+        # ROW_ALIGN and, unless one block takes every row, are that long
+        assert [r.start for r in blocks] + [n] == [0] + [r.stop for r in blocks]
+        assert all(r.start % align == 0 for r in blocks)
+        assert len(blocks) == 1 or all(r.stop - r.start >= align for r in blocks)
+        # the plan's bound: no block is longer than the budget's rows,
+        # rounded down to a multiple of ROW_ALIGN (at least one), or than
+        # ROW_ALIGN + n mod ROW_ALIGN rows; the first is the larger here
+        # (M <= 1,000), so each block's 25 M bytes a row fit in BLOCK_BYTES
+        rows = max(align, svgp.BLOCK_BYTES // (25 * num) // align * align)
+        longest = max(r.stop - r.start for r in blocks)
+        assert longest <= max(rows, align + n % align)
+        assert 25 * num * longest <= svgp.BLOCK_BYTES
 
 
 class TestLayerMemory:
@@ -627,7 +654,7 @@ class TestLayerMemory:
     @pytest.mark.parametrize("grads", ["local", "all"])
     def test_only_a_kernel_gradient_rebuilds_kmm_and_kzx_with_the_forwards_bits(
             self, grads, width, monkeypatch):
-        monkeypatch.setattr(svgp, "MAX_BLOCK_ROWS", 48)  # 4 row blocks
+        monkeypatch.setattr(svgp, "BLOCK_BYTES", 25 * 6 * 48)  # 4 row blocks of 48
         gps = [_layer_inputs(6, 192, 2, seed=20 + w) for w in range(width or 1)]
         values = [np.stack([gp[i] for gp in gps]) if width else gps[0][i] for i in range(5)]
         trainable = {"local": (3, 4), "all": range(6)}[grads]
@@ -663,7 +690,7 @@ class TestLayerMemory:
 
     def test_a_constant_call_keeps_only_one_block_of_scratch_per_worker(self, monkeypatch):
         model, X, _ = self._model()
-        monkeypatch.setattr(svgp, "MAX_BLOCK_ROWS", 96)  # 21 blocks
+        monkeypatch.setattr(svgp, "BLOCK_BYTES", 25 * self.NUM * 96)  # 21 blocks of 96 at most
         # full-size Kzx, its mask, b and c peaked at 3.5
         assert self._peak(lambda: model.predictive(X)) < 1.0
 
@@ -683,8 +710,8 @@ class TestLayerMemory:
             tracemalloc.stop()
         # per worker one block's scratch, 25 M bytes a row within BLOCK_BYTES,
         # and the build and factor of Kmm (M = 800: 0.6 budgets an array);
-        # blocks of 1,500 rows, as long as MAX_BLOCK_ROWS alone lets
-        # through, peaked at 9.1 budgets
+        # one block of 1,500 rows per worker, as before the byte budget
+        # sized blocks, peaked at 9.1 budgets
         assert peak < 4 * svgp.BLOCK_BYTES
 
 
