@@ -8,6 +8,7 @@ generator and a training/evaluation pipeline with a CLI.
 
 __version__ = "0.1.0"
 
+from . import parallel
 from .data import (
     DataFormatError,
     FleetDataset,
@@ -115,3 +116,5 @@ __all__ = [
     "SVGPModel",
     "__version__",
 ]
+
+parallel.pin_blas_threads()

@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .data import SplitSpec, load_fleet, repeated_ids, save_fleet, synth_fleet
+from .data import SplitSpec, disjoint_units, load_fleet, save_fleet, synth_fleet, unit_list
 from .experiment import (
     MODEL_KINDS,
     TABLE_FAMILIES,
@@ -40,18 +40,9 @@ def _note(msg: str):
     print(msg, file=sys.stderr)
 
 
-def _named_ids(text, flag: str):
-    """The ids a comma-separated ``flag`` names, or None when it is not given
-    (for ``--units``: every unit). An id named twice is refused."""
-    if text is None:
-        return None
-    ids = [s for s in (p.strip() for p in text.split(",")) if s]
-    if not ids:
-        raise ValueError(f"{flag} {text!r} names no unit ids")
-    repeats = repeated_ids(ids)
-    if repeats:
-        raise ValueError(f"{flag} names {', '.join(repeats)} more than once")
-    return ids
+def _named_ids(text: str) -> list:
+    """The ids a comma-separated flag value names; blanks name none."""
+    return [s for s in (p.strip() for p in text.split(",")) if s]
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -73,11 +64,19 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def _resolve_split(args, cfg: ExperimentConfig, data) -> SplitSpec:
-    """Each side of the split from its flag, else from the config. A side
-    that neither names is every unit the other side leaves; with neither side
-    named, the first 70 % of the sorted unit ids train and the rest test."""
-    train = _named_ids(args.train_units, "--train-units") or cfg.train_units
-    test = _named_ids(args.test_units, "--test-units") or cfg.test_units
+    """Each side of the split from its flag, else from the config, refused by
+    that flag or field unless it is a unit list of ``data`` that shares no
+    unit with the other side. A side that neither names is every unit the
+    other side leaves; with neither side named, the first 70 % of the sorted
+    unit ids train and the rest test."""
+    sides = []
+    for flag, field in (("--train-units", "train_units"), ("--test-units", "test_units")):
+        text = getattr(args, field)
+        name, named = (field, getattr(cfg, field)) if text is None else (flag, _named_ids(text))
+        if named is not None:
+            unit_list(named, name, data)
+        sides.append((name, named))
+    (train_name, train), (test_name, test) = sides
     ids = sorted(data.unit_ids)
     if train is None and test is None:
         if len(ids) < 2:
@@ -86,13 +85,15 @@ def _resolve_split(args, cfg: ExperimentConfig, data) -> SplitSpec:
         train, test = ids[:cut], ids[cut:]
         _note(f"note: no split given; defaulting to train={train} test={test}")
     elif train is None or test is None:
-        side, other = ("train", "test") if train is None else ("test", "train")
+        side, given = ("train", test_name) if train is None else ("test", train_name)
         rest = [i for i in ids if i not in set(train or test)]
         if not rest:
-            raise ValueError(f"the {other} units are every unit; name the {side} units too")
+            raise ValueError(f"{given} names every unit; name the {side} units too")
         _note(f"note: no {side} units given; defaulting to {side}={rest}")
         train, test = train or rest, test or rest
-    return SplitSpec(tuple(train), tuple(test), cfg.val_fraction)
+    else:
+        disjoint_units(train, test, train_name, test_name)
+    return SplitSpec(train, test, cfg.val_fraction)
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -127,9 +128,9 @@ def _cmd_train(args) -> int:
 
 def _checkpoint_records(args):
     """The checkpoint's config and its records of the ``--units`` of ``--data``."""
-    ids = _named_ids(args.units, "--units")
     model, cfg, stats = load_checkpoint(args.checkpoint)
     data = load_fleet(args.data)
+    ids = None if args.units is None else unit_list(_named_ids(args.units), "--units", data)
     if data.feature_dim != model.input_dim:
         raise ValueError(f"{args.checkpoint}: the checkpoint's model reads {model.input_dim} "
                          f"features, but the fleet in {args.data} has {data.feature_dim}")
@@ -279,10 +280,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NumericalError, GradientError, TrainingDiverged, ValueError, KeyError, OSError) as exc:
-        # a KeyError's str() is the repr of its message
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
+    except (NumericalError, GradientError, TrainingDiverged, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -26,6 +26,8 @@ __all__ = [
     "UnitSeries",
     "FleetDataset",
     "SplitSpec",
+    "unit_list",
+    "disjoint_units",
     "load_fleet",
     "save_fleet",
     "normalize",
@@ -177,42 +179,56 @@ class FleetDataset:
         raise KeyError(f"no unit {unit_id!r} in fleet (have {self.unit_ids})")
 
 
-def repeated_ids(ids) -> list:
-    """The ids that ``ids`` names more than once, each once, in order."""
-    return [i for i, count in Counter(ids).items() if count > 1]
+def unit_list(ids, name: str, fleet: Optional[FleetDataset] = None) -> tuple:
+    """``ids`` as a tuple, when it is a list or tuple of str that names at
+    least one unit, each once, and (given ``fleet``) only units of that
+    fleet; otherwise a ValueError whose message starts with ``name``, the
+    flag, field or argument that gave the list."""
+    if not isinstance(ids, (list, tuple)) or not all(isinstance(i, str) for i in ids):
+        raise ValueError(f"{name} must be a list of unit ids, got {ids!r}")
+    if not ids:
+        raise ValueError(f"{name} must name at least one unit, got {ids!r}")
+    repeats = [i for i, count in Counter(ids).items() if count > 1]
+    if repeats:
+        raise ValueError(f"{name} names {', '.join(repeats)} more than once")
+    if fleet is not None:
+        known = set(fleet.unit_ids)
+        missing = [i for i in ids if i not in known]
+        if missing:
+            raise ValueError(f"{name} names units not in the fleet: {', '.join(missing)}")
+    return tuple(ids)
+
+
+def disjoint_units(train, test, train_name: str, test_name: str):
+    """Refuse unit lists ``train`` and ``test`` that share a unit, naming both."""
+    test = set(test)
+    shared = [i for i in train if i in test]
+    if shared:
+        raise ValueError(f"{train_name} and {test_name} both name {', '.join(shared)}")
 
 
 @dataclass(frozen=True)
 class SplitSpec:
     """Unit-wise train/test split; validation is a temporal tail of each
     training unit, never a random row subset (random rows leak trajectory
-    shape between train and validation)."""
+    shape between train and validation). Each side is a :func:`unit_list`,
+    and no unit is on both sides."""
 
     train_ids: tuple
     test_ids: tuple
     val_fraction: float = 0.1
 
     def __post_init__(self):
-        object.__setattr__(self, "train_ids", tuple(self.train_ids))
-        object.__setattr__(self, "test_ids", tuple(self.test_ids))
-        if not self.train_ids:
-            raise ValueError("train_ids must be nonempty")
-        overlap = set(self.train_ids) & set(self.test_ids)
-        if overlap:
-            raise ValueError(f"train/test unit ids overlap: {sorted(overlap)}")
-        for side in ("train_ids", "test_ids"):
-            repeats = repeated_ids(getattr(self, side))
-            if repeats:
-                raise ValueError(f"duplicate ids in {side}: {', '.join(map(str, repeats))}")
+        object.__setattr__(self, "train_ids", unit_list(self.train_ids, "train_ids"))
+        object.__setattr__(self, "test_ids", unit_list(self.test_ids, "test_ids"))
+        disjoint_units(self.train_ids, self.test_ids, "train_ids", "test_ids")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
     def check_against(self, data: FleetDataset):
-        known = set(data.unit_ids)
-        for side, ids in (("train", self.train_ids), ("test", self.test_ids)):
-            missing = [i for i in ids if i not in known]
-            if missing:
-                raise ValueError(f"split references unknown units on its {side} side: {missing}")
+        """Refuse a split that names a unit ``data`` lacks, by side."""
+        for side in ("train_ids", "test_ids"):
+            unit_list(getattr(self, side), side, data)
 
 
 # -- ingestion -------------------------------------------------------------------
@@ -324,16 +340,16 @@ def normalize(data: FleetDataset, stats_from: Sequence[str]) -> NormalizationSta
     """The z-scoring statistics of the ``stats_from`` units' features: their
     pooled mean and std, floored at ``STD_FLOOR``. ``stats.apply`` maps any
     rows, training or held out, with them; targets stay in natural units."""
-    ids = list(stats_from)
-    if not ids:
-        raise ValueError("stats_from must name at least one unit")
+    ids = unit_list(stats_from, "stats_from", data)
     pooled = np.concatenate([data.unit(i).features for i in ids], axis=0)
     return NormalizationStats(pooled.mean(axis=0), np.maximum(pooled.std(axis=0), STD_FLOOR))
 
 
 def stack_rows(data: FleetDataset, unit_ids: Optional[Sequence[str]] = None):
-    """Flatten units to row arrays: (X, y, unit_id per row, t per row)."""
-    units = data.units if unit_ids is None else [data.unit(i) for i in unit_ids]
+    """Flatten units to row arrays: (X, y, unit_id per row, t per row), of
+    every unit, or of the :func:`unit_list` ``unit_ids`` in its order."""
+    units = data.units if unit_ids is None else [
+        data.unit(i) for i in unit_list(unit_ids, "unit_ids", data)]
     return stack_slices([(u, slice(None)) for u in units])
 
 

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import (FleetDataset, NormalizationStats, SplitSpec, normalize, repeated_ids,
-                   stack_rows, stack_slices)
+from .data import (FleetDataset, NormalizationStats, SplitSpec, disjoint_units, normalize,
+                   stack_rows, stack_slices, unit_list)
 from .dgp import MAX_DEPTH, DeepGPModel
 from .dspp import DSPPModel
 from .mathcore import MAX_QUADRATURE_SITES, NumericalError
@@ -105,12 +105,6 @@ _POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "{name} must be a positive int
 _NON_NEGATIVE_INT = (lambda v: _is_int(v) and v >= 0,
                      "{name} must be a non-negative integer, got {v!r}")
 _FLAG = (lambda v: isinstance(v, bool), "{name} must be true or false, got {v!r}")
-_UNIT_IDS = (
-    (lambda v: v is None or isinstance(v, (list, tuple)) and all(isinstance(u, str) for u in v),
-     "{name} must be a list of unit ids when set, got {v!r}"),
-    (lambda v: v is None or len(v) > 0, "{name} must name at least one unit when set, got {v!r}"),
-    (lambda v: v is None or not repeated_ids(v), "{name} names a unit more than once, got {v!r}"),
-)
 
 
 def _field(default, role: str, *checks, kinds: Optional[tuple] = None):
@@ -200,9 +194,9 @@ class ExperimentConfig:
                                  kinds=_NN_KINDS)
     noise_variance: float = _field(1.0, "model", _NUMBER, _POSITIVE, kinds=_NN_KINDS)
     heteroscedastic: bool = _field(True, "model", _FLAG, kinds=("mcd",))
-    # optional pinned split
-    train_units: Optional[list] = _field(None, "split", *_UNIT_IDS)
-    test_units: Optional[list] = _field(None, "split", *_UNIT_IDS)
+    # optional pinned split; validate checks each as a data.unit_list, the two disjoint
+    train_units: Optional[list] = _field(None, "split")
+    test_units: Optional[list] = _field(None, "split")
 
     def validate(self):
         for f in dataclasses.fields(self):
@@ -210,6 +204,11 @@ class ExperimentConfig:
             for test, message in f.metadata["checks"]:
                 if not test(v):
                     raise ValueError(message.format(name=f.name, v=v))
+        for name in ("train_units", "test_units"):
+            if getattr(self, name) is not None:
+                unit_list(getattr(self, name), name)
+        if self.train_units is not None and self.test_units is not None:
+            disjoint_units(self.train_units, self.test_units, "train_units", "test_units")
         if self.kind == "ppgpr" and self.objective != "ppgpr":
             raise ValueError("kind=ppgpr requires objective=ppgpr")
         if self.kind == "dspp" and self.objective != "ppgpr":
@@ -408,10 +407,10 @@ class PreparedSplit:
 def prepare_split(data: FleetDataset, split: SplitSpec) -> PreparedSplit:
     """Stack the raw rows of ``split`` and normalize each stack's features
     with the training units' statistics; validation is the last
-    ``val_fraction`` (at least one row) of each training unit."""
+    ``val_fraction`` (at least one row) of each training unit. A split that
+    names a unit ``data`` lacks is refused by side (``train_ids`` or
+    ``test_ids``), before any row is stacked."""
     split.check_against(data)
-    if not split.test_ids:
-        raise ValueError("split.test_ids is empty; run_experiment needs at least one test unit")
     stats = normalize(data, split.train_ids)
     tr, va = [], []
     for uid in split.train_ids:
@@ -430,7 +429,7 @@ def prepare_split(data: FleetDataset, split: SplitSpec) -> PreparedSplit:
 
     X_tr, y_tr, _, _ = normed(stack_slices(tr))
     val = normed(stack_slices(va)) if va else None
-    test = normed(stack_rows(data, list(split.test_ids)))
+    test = normed(stack_rows(data, split.test_ids))
     for a in (X_tr, y_tr, *(val or ()), *test, stats.mean, stats.std):
         a.flags.writeable = False
     return PreparedSplit(split, stats, (X_tr, y_tr), val, test)
@@ -680,13 +679,11 @@ def checkpoint_records(
     model, config: ExperimentConfig, stats: NormalizationStats,
     data: FleetDataset, unit_ids: Optional[Sequence[str]] = None,
 ) -> Records:
-    """Predict every row of the chosen units of a fleet, each unit once."""
-    ids = list(unit_ids) if unit_ids is not None else data.unit_ids
-    if not ids:
-        raise ValueError("unit_ids is empty; name at least one unit, or pass None for all")
-    repeats = repeated_ids(ids)
-    if repeats:
-        raise ValueError(f"unit_ids names {', '.join(map(str, repeats))} more than once")
+    """Predict every row of the units ``unit_ids`` names, in its order, or of
+    every unit of ``data`` when it is None. ``unit_ids`` is a
+    :func:`~rulkit.data.unit_list` of ``data``'s units, refused by that name
+    before any prediction otherwise."""
+    ids = data.unit_ids if unit_ids is None else unit_list(unit_ids, "unit_ids", data)
     units = [data.unit(uid) for uid in ids]
     preds = [
         model.predictive(stats.apply(u.features), rng=RngStream(config.seed).derive(9, i))

@@ -12,11 +12,15 @@ thread the tasks run in order in the caller's own context, with no set-up.
 The helpers are plain threads, one fewer than the workers, because the
 calling thread takes tasks too: each thread that allocates gets its own
 malloc arena, and an arena keeps its high-water mark after its thread ends.
+
+BLAS adds no threads of its own: ``import rulkit`` runs ``pin_blas_threads``,
+which sets every loaded OpenBLAS to one thread for the whole process.
 """
 
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import itertools
 import os
 from threading import Event, Lock, Thread
@@ -88,3 +92,28 @@ def run_indexed(task: Callable[[int], object], n: int, workers: int) -> list:
     if errors:
         raise errors[min(errors)]
     return results
+
+
+def pin_blas_threads():
+    """Set every OpenBLAS this process has loaded (numpy's and scipy's) to
+    one thread, so that ``run_indexed`` is the only source of parallelism.
+    Nothing changes when ``OPENBLAS_NUM_THREADS`` is set, which then wins, or
+    where ``/proc/self/maps`` or a known thread-count symbol is missing."""
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping whose file is gone
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break

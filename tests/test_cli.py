@@ -139,7 +139,7 @@ class TestTrain:
         ])
         assert rc == 1
         assert capsys.readouterr().err.startswith(
-            "error: the train units are every unit; name the test units too")
+            "error: --train-units names every unit; name the test units too")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text", ["{\n", "\xff"])
@@ -199,13 +199,16 @@ class TestPredict:
         assert len(lines) > 2
         assert all(ln.startswith(TEST_UNIT) for ln in lines[1:])
 
-    def test_an_unknown_unit_is_named_without_quotes(self, trained, fleet_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_an_unknown_unit_is_refused_by_flag(self, command, trained, fleet_dir, tmp_path,
+                                                capsys):
         rc = main([
-            "predict", "--checkpoint", str(trained / "checkpoint.npz"),
+            command, "--checkpoint", str(trained / "checkpoint.npz"),
             "--data", str(fleet_dir), "--out", str(tmp_path / "p"), "--units", "u009",
         ])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: no unit 'u009' in fleet (have [")
+        assert capsys.readouterr().err == "error: --units names units not in the fleet: u009\n"
+        assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_a_fleet_of_another_feature_count_names_the_checkpoint_and_both_counts(
@@ -242,7 +245,8 @@ class TestUnitsFlag:
             "--data", str(fleet_dir), "--out", str(tmp_path / "o"), "--units", units,
         ])
         assert rc == 1
-        assert capsys.readouterr().err.startswith(f"error: --units {units!r} names no unit ids")
+        assert capsys.readouterr().err.startswith("error: --units must name at least one unit, "
+                                                  "got []")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag", ["--train-units", "--test-units"])
@@ -257,7 +261,8 @@ class TestUnitsFlag:
             "--train-units", units["--train-units"], "--test-units", units["--test-units"],
         ])
         assert rc == 1
-        assert capsys.readouterr().err.startswith(f"error: {flag} ',' names no unit ids")
+        assert capsys.readouterr().err.startswith(f"error: {flag} must name at least one unit, "
+                                                  "got []")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
@@ -306,11 +311,12 @@ class TestUnitsFlag:
             "--config", str(cfg), "--epochs", "1",
         ])
         assert rc == 1
-        assert capsys.readouterr().err.startswith(f"error: {field} names a unit more than once")
+        twice = ids[field][0]
+        assert capsys.readouterr().err.startswith(f"error: {field} names {twice} more than once")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag", ["--train-units", "--test-units"])
-    def test_an_unknown_unit_is_refused_by_side(self, flag, fleet_dir, mcd_config, tmp_path,
+    def test_an_unknown_unit_is_refused_by_flag(self, flag, fleet_dir, mcd_config, tmp_path,
                                                 capsys):
         units = {"--train-units": UNITS, "--test-units": TEST_UNIT}
         units[flag] += ",u099"
@@ -320,9 +326,7 @@ class TestUnitsFlag:
             "--train-units", units["--train-units"], "--test-units", units["--test-units"],
         ])
         assert rc == 1
-        side = flag[2:].split("-")[0]
-        assert capsys.readouterr().err.startswith(
-            f"error: split references unknown units on its {side} side: ['u099']")
+        assert capsys.readouterr().err == f"error: {flag} names units not in the fleet: u099\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("field", ["train_units", "test_units"])
@@ -341,8 +345,33 @@ class TestUnitsFlag:
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {field} must name at least one unit when set, got []")
+        assert err.startswith(f"error: {field} must name at least one unit, got []")
         assert "no split given" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("train_from, test_from", [
+        ("--train-units", "--test-units"), ("train_units", "test_units"),
+        ("--train-units", "test_units"),
+    ])
+    def test_overlapping_sides_are_refused_by_flag_or_field(
+        self, train_from, test_from, fleet_dir, tmp_path, capsys
+    ):
+        ids = {train_from: ["u001", "u002"], test_from: ["u002"]}
+        config = {"kind": "mcd", "hidden_layers": 1, "hidden_units": 4, "test_samples": 4}
+        flags = []
+        for name, named in ids.items():
+            if name.startswith("--"):
+                flags += [name, ",".join(named)]
+            else:
+                config[name] = named
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        rc = main([
+            "train", "--data", str(fleet_dir), "--out", str(tmp_path / "o"),
+            "--config", str(cfg), "--epochs", "1", *flags,
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {train_from} and {test_from} both name u002\n"
         assert not (tmp_path / "o").exists()
 
 

@@ -109,38 +109,54 @@ class TestFleetDataset:
 
 class TestSplitSpec:
     def test_overlap_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
+        with pytest.raises(ValueError, match="^train_ids and test_ids both name u2$"):
             SplitSpec(("u1", "u2"), ("u2",))
 
     def test_duplicates_rejected(self):
-        with pytest.raises(ValueError, match="duplicate ids"):
+        with pytest.raises(ValueError, match="train_ids names u1 more than once"):
             SplitSpec(("u1", "u1"), ("u2",))
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError, match="train_ids"):
             SplitSpec((), ("u1",))
 
+    def test_empty_test_rejected(self):
+        with pytest.raises(ValueError, match=r"^test_ids must name at least one unit, got \(\)$"):
+            SplitSpec(("u1",), ())
+
     @pytest.mark.parametrize("frac", [-0.1, 1.0])
     def test_val_fraction_range(self, frac):
         with pytest.raises(ValueError, match="val_fraction"):
-            SplitSpec(("u1",), (), val_fraction=frac)
+            SplitSpec(("u1",), ("u2",), val_fraction=frac)
 
     def test_duplicates_are_named_by_side_and_id(self):
-        with pytest.raises(ValueError, match="duplicate ids in test_ids: u2$"):
+        with pytest.raises(ValueError, match="test_ids names u2 more than once$"):
             SplitSpec(("u1",), ("u2", "u3", "u2"))
+
+    def test_a_bare_string_is_refused_not_split_into_characters(self):
+        with pytest.raises(ValueError, match="^train_ids must be a list of unit ids, got 'u001'$"):
+            SplitSpec("u001", ("u002",))
+
+    def test_ids_that_are_not_strings_are_refused(self):
+        with pytest.raises(ValueError, match=r"^train_ids must be a list of unit ids, got \(1, 2\)$"):
+            SplitSpec((1, 2), (3,))
+
+    def test_lists_are_taken_and_kept_as_tuples(self):
+        split = SplitSpec(["u1", "u2"], ["u3"])
+        assert split.train_ids == ("u1", "u2") and split.test_ids == ("u3",)
 
     @pytest.mark.parametrize("side", ["train", "test"])
     def test_check_against_names_the_side_of_an_unknown_unit(self, side):
         fleet = FleetDataset((unit("u1"), unit("u2")))
         ids = {"train": ("u1",), "test": ("u2",)}
         ids[side] += ("u3",)
-        with pytest.raises(ValueError, match=rf"unknown units on its {side} side: \['u3'\]"):
+        with pytest.raises(ValueError, match=rf"^{side}_ids names units not in the fleet: u3$"):
             SplitSpec(ids["train"], ids["test"]).check_against(fleet)
 
     def test_check_against_unknown_unit(self):
         fleet = FleetDataset((unit("u1"), unit("u2")))
         SplitSpec(("u1",), ("u2",)).check_against(fleet)
-        with pytest.raises(ValueError, match="unknown units"):
+        with pytest.raises(ValueError, match="test_ids names units not in the fleet"):
             SplitSpec(("u1",), ("u3",)).check_against(fleet)
 
 
@@ -374,6 +390,14 @@ class TestStackRows:
         _, y, uid, _ = stack_rows(fleet, ["b", "a"])
         assert list(uid) == ["b"] * 3 + ["a"] * 4
         assert y[0] == 5.5
+
+    @pytest.mark.parametrize("ids, msg", [
+        ("a", "^unit_ids must be a list of unit ids, got 'a'$"),
+        (["a", "c"], "^unit_ids names units not in the fleet: c$"),
+    ])
+    def test_a_malformed_selection_is_refused_by_argument(self, ids, msg):
+        with pytest.raises(ValueError, match=msg):
+            stack_rows(load_fleet(FIXTURES / "toy_fleet"), ids)
 
 
 def pairwise_mean_dist(A, B):

@@ -217,8 +217,8 @@ class TestExperimentConfig:
             (dict(noise_variance=float("nan")), "noise_variance must be positive, got nan"),
             (dict(weight_decay=float("nan")), "weight_decay must be >= 0, got nan"),
             (dict(rul_cap=float("nan")), "rul_cap must be positive when set, got nan"),
-            (dict(train_units=[]), r"train_units must name at least one unit when set, got \[\]"),
-            (dict(test_units=[]), r"test_units must name at least one unit when set, got \[\]"),
+            (dict(train_units=[]), r"train_units must name at least one unit, got \[\]"),
+            (dict(test_units=[]), r"test_units must name at least one unit, got \[\]"),
             (dict(kind="dgp", depth=1.5), "depth must be a non-negative integer, got 1.5"),
             (dict(kind="dgp", depth=True), "depth must be a non-negative integer, got True"),
             (dict(kind="dgp", depth=-1), "depth must be a non-negative integer, got -1"),
@@ -241,9 +241,11 @@ class TestExperimentConfig:
             (dict(weight_decay=None), "weight_decay must be a number, got None"),
             (dict(noise_variance=False), "noise_variance must be a number, got False"),
             (dict(train_units="u001"),
-             "train_units must be a list of unit ids when set, got 'u001'"),
+             "train_units must be a list of unit ids, got 'u001'"),
             (dict(test_units=["u004", 4]),
-             r"test_units must be a list of unit ids when set, got \['u004', 4\]"),
+             r"test_units must be a list of unit ids, got \['u004', 4\]"),
+            (dict(train_units=["u001"], test_units=["u001"]),
+             "^train_units and test_units both name u001$"),
         ],
     )
     def test_validation(self, overrides, msg):
@@ -297,8 +299,8 @@ class TestTrainValRows:
         assert prepared.train[0].shape == (20, 2)
 
     def test_unknown_unit_rejected(self):
-        with pytest.raises(ValueError, match="unknown units"):
-            prepare_split(self._fleet(), SplitSpec(("u9",), ()))
+        with pytest.raises(ValueError, match="train_ids names units not in the fleet: u9"):
+            prepare_split(self._fleet(), SplitSpec(("u9",), ("u1",)))
 
 
 class TestRunExperiment:
@@ -339,8 +341,8 @@ class TestRunExperiment:
             raise AssertionError("training started")
 
         monkeypatch.setattr(experiment, "build_model", never)
-        split = SplitSpec(("u001", "u002", "u003"), ())
-        with pytest.raises(ValueError, match="test_ids is empty"):
+        with pytest.raises(ValueError, match="test_ids must name at least one unit"):
+            split = SplitSpec(("u001", "u002", "u003"), ())
             run_experiment(tiny_mcd(), small_fleet(), split, out_dir=tmp_path / "o")
         assert not (tmp_path / "o").exists()
 
@@ -435,7 +437,7 @@ class TestCheckpoints:
             raise AssertionError("predictive ran")
 
         model.predictive = refuse
-        with pytest.raises(ValueError, match="unit_ids is empty"):
+        with pytest.raises(ValueError, match=r"unit_ids must name at least one unit, got \[\]"):
             checkpoint_records(model, cfg, stats, data, [])
 
     def test_checkpoint_records_reject_a_unit_listed_twice(self, tmp_path):
@@ -449,6 +451,13 @@ class TestCheckpoints:
         model.predictive = refuse
         with pytest.raises(ValueError, match="unit_ids names u002 more than once"):
             checkpoint_records(model, cfg, stats, data, ["u002", "u001", "u002"])
+
+    def test_checkpoint_records_refuse_a_bare_string(self, tmp_path):
+        data = small_fleet()
+        run_experiment(tiny_mcd(), data, small_split(), out_dir=tmp_path)
+        model, cfg, stats = load_checkpoint(tmp_path / "checkpoint.npz")
+        with pytest.raises(ValueError, match="^unit_ids must be a list of unit ids, got 'u001'$"):
+            checkpoint_records(model, cfg, stats, data, "u001")
 
     def test_svgp_scoring_factors_kmm_once(self, tmp_path, monkeypatch):
         data = small_fleet()
