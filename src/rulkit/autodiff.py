@@ -113,7 +113,7 @@ class Tensor:
         return total(self, axis=axis, keepdims=keepdims)
 
     def mean(self):
-        return average(self)
+        return total(self) / self.data.size
 
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
@@ -293,15 +293,6 @@ def total(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (_expand_reduced(g, a.data.shape, axis, keepdims),)
 
     return make_node(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
-
-
-def average(a: Tensor) -> Tensor:
-    count = a.data.size
-
-    def vjp(g):
-        return (_expand_reduced(g, a.data.shape, None, False) / count,)
-
-    return make_node(a.data.mean(), (a,), vjp)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:

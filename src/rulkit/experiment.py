@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -105,6 +106,15 @@ _POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "{name} must be a positive int
 _NON_NEGATIVE_INT = (lambda v: _is_int(v) and v >= 0,
                      "{name} must be a non-negative integer, got {v!r}")
 _FLAG = (lambda v: isinstance(v, bool), "{name} must be true or false, got {v!r}")
+_FINITE = (math.isfinite, "{name} must be finite, got {v}")
+
+
+def _check(name: str, v, checks: tuple):
+    """Refuse ``v`` with the message of the first of ``checks`` it fails,
+    formatted with ``name``."""
+    for test, message in checks:
+        if not test(v):
+            raise ValueError(message.format(name=name, v=v))
 
 
 def _field(default, role: str, *checks, kinds: Optional[tuple] = None):
@@ -200,10 +210,7 @@ class ExperimentConfig:
 
     def validate(self):
         for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            for test, message in f.metadata["checks"]:
-                if not test(v):
-                    raise ValueError(message.format(name=f.name, v=v))
+            _check(f.name, getattr(self, f.name), f.metadata["checks"])
         for name in ("train_units", "test_units"):
             if getattr(self, name) is not None:
                 unit_list(getattr(self, name), name)
@@ -341,6 +348,14 @@ _CHECKPOINT_KEYS = {
     "dspp": {"num_sites": "num_sites", "num_train_samples": "num_sites",
              "num_test_samples": "num_sites"},
     "ffnn": {"heteroscedastic": "heteroscedastic", "test_samples": "test_samples"},
+}
+
+
+# The checks of the model_config keys that no config field gives.
+_STAT_CHECKS = {
+    "input_dim": (_POSITIVE_INT,),
+    "target_shift": (_NUMBER, _FINITE),
+    "target_scale": (_NUMBER, _FINITE, _POSITIVE),
 }
 
 
@@ -587,17 +602,21 @@ def model_from_config(config: dict, theta: Optional[np.ndarray] = None):
     vector ``theta``, or its registered starting values without one: the one
     path that constructs a model, fresh (:func:`build_model`) or saved. A
     config with keys its kind does not take, or without ones it needs, is
-    refused with a ValueError naming them."""
+    refused with a ValueError naming them, and so is a value that fails the
+    checks of the config field its key is read from, or of ``_STAT_CHECKS``."""
     cfg = dict(config)
     kind = cfg.pop("kind", None)
     if kind not in _MODEL_CLASSES:
         raise ValueError(f"checkpoint has unknown model kind {kind!r}")
-    expected = set(_model_keys(kind)) | {"input_dim", "target_shift", "target_scale"}
-    unknown, missing = sorted(cfg.keys() - expected), sorted(expected - cfg.keys())
+    fields = {f.name: f.metadata["checks"] for f in dataclasses.fields(ExperimentConfig)}
+    checks = {key: fields[name] for key, name in _model_keys(kind).items()} | _STAT_CHECKS
+    unknown, missing = sorted(cfg.keys() - checks.keys()), sorted(checks.keys() - cfg.keys())
     if unknown or missing:
         parts = [f"{what} {', '.join(keys)}"
                  for what, keys in (("unknown keys", unknown), ("missing keys", missing)) if keys]
         raise ValueError(f"model_config of kind {kind!r} has {' and '.join(parts)}")
+    for key, key_checks in checks.items():
+        _check(key, cfg[key], key_checks)
     if kind in ("mcd", "ffnn"):
         cfg["point_baseline"] = kind == "ffnn"
     if kind == "dspp":  # both sample counts are the number of sites
@@ -647,7 +666,7 @@ def load_checkpoint(path):
                          lambda a: ExperimentConfig.from_dict(_json_object(a)).validate())
         theta = member("state_theta", _finite)
         model = member("model_config", lambda a: model_from_config(_json_object(a), theta))
-        mean = member("norm_mean")
+        mean = member("norm_mean", _finite)
         stats = member("norm_std", lambda std: _model_stats(model, mean, std))
     return model, exp_cfg, stats
 
@@ -689,7 +708,7 @@ def checkpoint_records(
         model.predictive(stats.apply(u.features), rng=RngStream(config.seed).derive(9, i))
         for i, u in enumerate(units)
     ]
-    _, y, uid, t = stack_rows(data, ids)
+    _, y, uid, t = stack_slices([(u, slice(None)) for u in units])
     return _records(Predictions.concat(preds), y, uid, t, config.rul_cap)
 
 

@@ -39,8 +39,10 @@ pass therefore sees the masks, and the prediction the bytes, of a one-thread
 loop, whatever the thread count. The first hidden layer's activations come
 before its mask, so a prediction computes them once and each pass masks a
 copy; each block of passes refills its own buffers, so passes allocate
-nothing. The point baseline predicts with the maskless pass; with p = 1
-every mask keeps every unit, and that one pass stands for all T.
+nothing. The point baseline and p = 1 run the same loop over one pass
+instead of T, with no masks: that maskless pass is the point baseline's
+prediction, and with p = 1, where every mask keeps every unit, it stands
+for all T.
 """
 
 from __future__ import annotations
@@ -210,61 +212,55 @@ class MCDModel:
         t = 1 if self.point_baseline else self.test_samples
         draws = np.empty((t, n))
         taus = np.empty((t, n))
-
-        def new_buffers():
-            # one pass's scratch: two (n, h) activation arrays the hidden
-            # layers alternate between, and the output layer's (n, 1 or 2)
-            return [np.empty((n, h)), np.empty((n, h))], np.empty((n, len(bts[-1])))
-
-        def run_pass(k, keeps, acts, head):
-            # pass k from h0 and its keep masks (None: the maskless pass),
-            # into row k of draws and taus; allocates nothing
-            x = h0
-            if keeps is not None:
-                x = ad.inverted_dropout(h0, keeps[0], self.keep_prob, out=acts[0])
-            for i in range(1, len(wts) - 1):
-                keep = None if keeps is None else keeps[i]
-                x = ad.dense_relu_forward(x, wts[i], bts[i], keep, self.keep_prob, out=acts[i % 2])
-            np.matmul(x, wts[-1], out=head)
-            head += bts[-1]
-            draws[k] = head[:, 0]
-            if self.heteroscedastic:
-                np.exp(head[:, 1], out=taus[k])
-                np.maximum(taus[k], NOISE_FLOOR, out=taus[k])
-            else:
-                taus[k] = self.noise_variance
-
         if rng is None:
             rng = RngStream(0)
         per_pass = n * h * self.hidden_layers  # uniforms one pass's masks take
-        if self.point_baseline or self.keep_prob == 1.0:
-            # the point baseline's one pass; with p = 1 every mask keeps
-            # every unit, so all T passes equal the maskless one
-            run_pass(0, None, *new_buffers())
-            if self.point_baseline:
-                return Predictions.point(draws[0] * s + self.target_shift)
-            draws[1:] = draws[0]
-            taus[1:] = taus[0]
-        else:
-            def run(passes: range, buffers):
-                # pass k draws its masks from where the sequential loop would
-                keeps, uniforms, acts, head = buffers
-                stream = rng.ahead(passes.start * per_pass)
-                for k in passes:
-                    draw_masks(self.keep_prob, keeps, stream, uniforms)
-                    run_pass(k, keeps, acts, head)
+        # the point baseline, and p = 1, whose masks keep every unit, take one
+        # maskless pass, which p = 1 copies to all T rows
+        masked = self.keep_prob < 1.0 and not self.point_baseline
+        passes = t if masked else 1
+        workers = max(1, min(passes, usable_cpus())) if t * per_pass >= PARALLEL_MIN_UNIFORMS else 1
+        blocks = [range(passes * w // workers, passes * (w + 1) // workers) for w in range(workers)]
+        # Each block's buffers are allocated here and refilled every pass, so
+        # the passes allocate nothing (helper threads' malloc arenas keep
+        # their high-water marks; see rulkit.parallel): its keep masks and
+        # uniforms, if any, two (n, h) activation arrays the hidden layers
+        # alternate between, and the output layer's (n, 1 or 2)
+        buffers = [
+            ([np.empty((n, h), dtype=bool) for _ in range(self.hidden_layers)] if masked else None,
+             np.empty(n * h) if masked else None,
+             [np.empty((n, h)), np.empty((n, h))], np.empty((n, len(bts[-1]))))
+            for _ in blocks
+        ]
 
-            workers = max(1, min(t, usable_cpus())) if t * per_pass >= PARALLEL_MIN_UNIFORMS else 1
-            blocks = [range(t * w // workers, t * (w + 1) // workers) for w in range(workers)]
-            # Each block's buffers are allocated here and refilled every pass,
-            # so the passes allocate nothing (helper threads' malloc arenas
-            # keep their high-water marks; see rulkit.parallel).
-            buffers = [
-                ([np.empty((n, h), dtype=bool) for _ in range(self.hidden_layers)],
-                 np.empty(n * h), *new_buffers())
-                for _ in blocks
-            ]
-            run_indexed(lambda k: run(blocks[k], buffers[k]), workers, workers)
+        def run(k: int):
+            # block k of passes into rows of draws and taus; pass j draws its
+            # masks from where the sequential loop would
+            keeps, uniforms, acts, head = buffers[k]
+            stream = rng.ahead(blocks[k].start * per_pass) if masked else None
+            for j in blocks[k]:
+                x = h0
+                if masked:
+                    draw_masks(self.keep_prob, keeps, stream, uniforms)
+                    x = ad.inverted_dropout(h0, keeps[0], self.keep_prob, out=acts[0])
+                for i in range(1, len(wts) - 1):
+                    keep = keeps[i] if masked else None
+                    x = ad.dense_relu_forward(x, wts[i], bts[i], keep, self.keep_prob,
+                                              out=acts[i % 2])
+                np.matmul(x, wts[-1], out=head)
+                head += bts[-1]
+                draws[j] = head[:, 0]
+                if self.heteroscedastic:
+                    np.exp(head[:, 1], out=taus[j])
+                    np.maximum(taus[j], NOISE_FLOOR, out=taus[j])
+                else:
+                    taus[j] = self.noise_variance
+
+        run_indexed(run, workers, workers)
+        if self.point_baseline:
+            return Predictions.point(draws[0] * s + self.target_shift)
+        draws[passes:] = draws[0]
+        taus[passes:] = taus[0]
         rng.skip(t * per_pass)
         mean = draws.mean(axis=0)
         var = taus.mean(axis=0) + np.mean((draws - mean) ** 2, axis=0)

@@ -53,8 +53,10 @@ buffers per worker. The VJP takes a GP's buffers when its backward starts,
 drops b and c after its first round of products and inverts L in place.
 Only after its second round, and only when a kernel input requires a
 gradient, does it rebuild Kmm and then Kzx with their masks, on the calling
-thread, over the forward's row blocks and by the forward's operations, so
-with the forward's bits; each goes after its kernel gradient.
+thread, over the forward's row blocks. One routine, ``_se_gram``, forms
+every Kmm and Kzx block, cross product included, in the forward and in the
+rebuild, so the rebuild has the forward's bits; each goes after its kernel
+gradient.
 
 Every layer is read through :func:`gp_layer`, which takes its five slices
 from a parameter view. A GP's L = chol(Kmm) depends only on its scaled
@@ -291,7 +293,8 @@ def sparse_gp_layer(
             chol = hit[2]
         else:
             # Kmm goes once it is factored; a VJP rebuilds it
-            chol = np.ascontiguousarray(_prior_factor(zs, zz, variance, jitter))
+            chol = cholesky_jittered(_se_gram(zs, zs, zz, zz, variance)[0], base_jitter=jitter)
+            chol = np.ascontiguousarray(chol.factor)
             if memo is not None:
                 chol.flags.writeable = False
                 memo[w] = ((variance, jitter), zs, chol)
@@ -302,8 +305,7 @@ def sparse_gp_layer(
             """Rows r of x into Kzx, its live side, b and c blocks ``kr``,
             ``lr``, ``br``, ``cr``, and into ``raw`` and ``packed``."""
             cross = br.T  # the cross product goes into the b block it becomes
-            np.matmul(xs[r], zs.T, out=cross)
-            _se_gram(cross, xx[r], zz, variance, out=kr, live=lr)
+            _se_gram(xs[r], zs, xx[r], zz, variance, out=kr, live=lr, cross=cross)
             np.copyto(cross, kr)
             trsm(1.0, chol.T, br, trans=True)
             np.copyto(cr, br)
@@ -422,15 +424,14 @@ def sparse_gp_layer(
             gkmm /= 2.0
             phi = prod = linv_t = None
             # Kmm, then Kzx over the forward's row blocks, rebuilt here by the
-            # forward's own operations, so with the forward's bits
-            gd_mm, gkv_mm = _se_gram_vjp(gkmm, *_prior_gram(zs, zz, variance), variance)
+            # forward's own _se_gram calls, so with the forward's bits
+            gd_mm, gkv_mm = _se_gram_vjp(gkmm, *_se_gram(zs, zs, zz, zz, variance), variance)
             kxz, kxz_live = kernel_block(n)
             cross = np.empty((longest, num))
             for r in blocks:
-                part = cross[: r.stop - r.start]
-                np.matmul(xs[r], zs.T, out=part)
-                _se_gram(part, xx[r], zz, variance, out=kxz[r], live=kxz_live[r])
-            cross = part = None
+                _se_gram(xs[r], zs, xx[r], zz, variance, out=kxz[r], live=kxz_live[r],
+                         cross=cross[: r.stop - r.start])
+            cross = None
             # gb holds the gradient of Kzx (transposed); it becomes gd_xz
             gd_xz, gkv_xz = _se_gram_vjp(gb.T, kxz, kxz_live, variance)
             kxz = kxz_live = gb = None
@@ -478,25 +479,18 @@ def _row_blocks(n: int, num: int, workers: int) -> list:
     return [blocks[len(blocks) * k // tasks : len(blocks) * (k + 1) // tasks] for k in range(tasks)]
 
 
-def _prior_gram(zs: np.ndarray, zz: np.ndarray, variance: float):
-    """Kmm = k(Z, Z) from the scaled inducing inputs and their squared norms,
-    and the side of its clamp that passes gradients."""
-    # zs @ zs.T is one symmetric product, so Kmm is exactly symmetric
-    return _se_gram(zs @ zs.T, zz, zz, variance)
-
-
-def _prior_factor(zs: np.ndarray, zz: np.ndarray, variance: float, jitter: float) -> np.ndarray:
-    """L = chol(Kmm), Kmm from :func:`_prior_gram`."""
-    return cholesky_jittered(_prior_gram(zs, zz, variance)[0], base_jitter=jitter).factor
-
-
-def _se_gram(cross: np.ndarray, aa: np.ndarray, bb: np.ndarray, variance: float,
-              out: Optional[np.ndarray] = None, live: Optional[np.ndarray] = None):
-    """Squared-exponential Gram matrix variance * exp(-d2 / 2) from the scaled
-    cross products a b^T and squared row norms, with d2 = |a|^2 + |b|^2 - 2 a.b
-    clamped at 0. Overwrites ``cross``; also returns where d2 > 0, the side on
-    which the clamp passes gradients. Both results go into ``out`` and
-    ``live`` when given."""
+def _se_gram(a: np.ndarray, b: np.ndarray, aa: np.ndarray, bb: np.ndarray, variance: float,
+             out: Optional[np.ndarray] = None, live: Optional[np.ndarray] = None,
+             cross: Optional[np.ndarray] = None):
+    """Squared-exponential Gram matrix variance * exp(-d2 / 2) between the
+    scaled rows ``a`` and ``b``, from their squared norms ``aa`` and ``bb``,
+    with d2 = |a|^2 + |b|^2 - 2 a.b clamped at 0; the one routine that forms
+    every Kmm and Kzx block. The cross product a b^T goes into ``cross``
+    when given and is overwritten; with ``b`` the same array as ``a`` it is
+    one symmetric product, so Kmm is exactly symmetric. Also returns where
+    d2 > 0, the side on which the clamp passes gradients. Both results go
+    into ``out`` and ``live`` when given."""
+    cross = np.matmul(a, b.T, out=cross)
     d2 = np.add(aa[:, None], bb, out=out)
     cross *= -2.0
     d2 += cross

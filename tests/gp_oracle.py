@@ -33,7 +33,6 @@ from rulkit.svgp import (
     DEFAULT_JITTER,
     NEG_VARIANCE_TOL,
     VARIANCE_FLOOR,
-    _prior_gram,
     _se_gram,
     _se_gram_vjp,
 )
@@ -285,9 +284,9 @@ def single_gp_layer(
     num, n = zd.shape[0], xd.shape[0]
     zs, xs = zd / ell, xd / ell
     zz, xx = (zs * zs).sum(axis=1), (xs * xs).sum(axis=1)
-    kmm, kmm_live = _prior_gram(zs, zz, variance)
+    kmm, kmm_live = _se_gram(zs, zs, zz, zz, variance)
     chol = cholesky_jittered(kmm, base_jitter=jitter).factor if factor is None else factor
-    kxz, kxz_live = _se_gram(xs @ zs.T, xx, zz, variance)
+    kxz, kxz_live = _se_gram(xs, zs, xx, zz, variance)
     # chol.T is the Fortran-ordered upper view of L that BLAS takes uncopied;
     # b and c are (M, n) Fortran-ordered like kxz.T
     b = dtrsm(1.0, chol.T, kxz.T, lower=0, trans_a=1)

@@ -227,6 +227,22 @@ class TestPredict:
             f"but the fleet in {fleet} has 6\n")
         assert not (tmp_path / "o").exists()
 
+    def test_a_malformed_model_config_value_is_refused_by_key(self, trained, fleet_dir,
+                                                              tmp_path, capsys):
+        with np.load(trained / "checkpoint.npz") as z:
+            arrays = dict(z)
+        stored = json.loads(str(arrays["model_config"]))
+        arrays["model_config"] = np.asarray(json.dumps(stored | {"test_samples": 0}))
+        checkpoint = tmp_path / "edited.npz"
+        np.savez(checkpoint, **arrays)
+        rc = main(["predict", "--checkpoint", str(checkpoint), "--data", str(fleet_dir),
+                   "--out", str(tmp_path / "p")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {checkpoint}: checkpoint member model_config: "
+            "test_samples must be a positive integer, got 0\n")
+        assert not (tmp_path / "p").exists()
+
     def test_missing_checkpoint(self, fleet_dir, tmp_path, capsys):
         rc = main(["predict", "--checkpoint", str(tmp_path / "nope.npz"),
                    "--data", str(fleet_dir), "--out", str(tmp_path / "p")])

@@ -561,6 +561,8 @@ class TestCheckpoints:
         # the vector's length is checked against the model the config describes
         ("state_theta", np.zeros(2), "model_config: checkpoint holds 2 raw parameters"),
         ("norm_std", np.ones(1), "norm_std: mean and std must be 1-D arrays of equal length"),
+        # the mean is checked in its own member, not blamed on norm_std
+        ("norm_mean", np.array([0.0, 0.0, np.nan, 0.0]), "norm_mean: non-finite value at index 2$"),
     ])
     def test_a_malformed_member_is_refused_by_file_and_member(self, tmp_path, member, value,
                                                              message):
@@ -580,6 +582,33 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: checkpoint member "
                                              r"norm_std: statistics of 3 features for a model "
                                              r"of 4 inputs$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        # dgp's predictive divided by zero draws
+        ("num_test_samples", 0, "num_test_samples must be a positive integer, got 0"),
+        # these four loaded and predicted: 8.7 as 8 inducing points, "no" as true
+        ("jitter", -1.0, "jitter must be positive, got -1.0"),
+        ("num_inducing", 8.7, "num_inducing must be a positive integer, got 8.7"),
+        ("skip_connection", "no", "skip_connection must be true or false, got 'no'"),
+        ("input_dim", 4.0, "input_dim must be a positive integer, got 4.0"),
+        # these were refused only at prediction, by no key, or not at all
+        ("target_scale", 0, "target_scale must be positive, got 0"),
+        ("target_scale", float("nan"), "target_scale must be finite, got nan"),
+        ("target_shift", float("inf"), "target_shift must be finite, got inf"),
+    ])
+    def test_a_model_config_value_is_held_to_its_fields_rules(self, tmp_path, key, value,
+                                                               message):
+        run_experiment(tiny_config("dgp"), small_fleet(), small_split(), out_dir=tmp_path)
+        with np.load(tmp_path / "checkpoint.npz") as z:
+            arrays = dict(z)
+        stored = json.loads(str(arrays["model_config"]))
+        assert key in stored
+        arrays["model_config"] = np.asarray(json.dumps(stored | {key: value}))
+        path = tmp_path / "edited.npz"
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: checkpoint member "
+                                             rf"model_config: {re.escape(message)}$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -828,17 +857,19 @@ class TestCheckpoints:
 
 
 class TestPinnedCheckpoints:
-    """FORMAT_VERSION 3 checkpoints of every sparse-GP kind written by an
-    earlier rulkit (``fixtures/checkpoints/generate.py``) still load and give
-    the predictions they gave then: slice names, the order of the raw
-    parameter vector and the model_config keys are unchanged."""
+    """FORMAT_VERSION 3 checkpoints of every sparse-GP kind and of the
+    dropout nets (mcd at keep_prob 0.8 and 1, ffnn) written by an earlier
+    rulkit (``fixtures/checkpoints/generate.py``) still load and give the
+    predictions they gave then: slice names, the order of the raw parameter
+    vector, the model_config keys and the nets' passes are unchanged."""
 
     HERE = Path(__file__).parent / "fixtures" / "checkpoints"
 
-    @pytest.mark.parametrize("kind", ["svgp", "ppgpr", "dgp", "dspp"])
+    @pytest.mark.parametrize("kind", ["svgp", "ppgpr", "dgp", "dspp", "mcd", "mcd_p1", "ffnn"])
     def test_pinned_checkpoint_reproduces_its_predictions(self, kind):
         model, _, _ = load_checkpoint(self.HERE / f"{kind}.npz")
-        with np.load(self.HERE / "expected.npz") as expected:
+        pinned = "expected.npz" if kind in ("svgp", "ppgpr", "dgp", "dspp") else "expected_nn.npz"
+        with np.load(self.HERE / pinned) as expected:
             preds = model.predictive(expected["X"])
             for name in ("weights", "means", "variances"):
                 np.testing.assert_allclose(
