@@ -23,8 +23,8 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular as _solve_tri
-from scipy.special import expit as _expit
+
+from .mathcore import expit
 
 Array = np.ndarray
 
@@ -354,7 +354,7 @@ def sqrt(a: Tensor) -> Tensor:
 
 def softplus(a: Tensor) -> Tensor:
     def vjp(g):
-        return (g * _expit(a.data),)
+        return (g * expit(a.data),)
 
     return make_node(np.logaddexp(0.0, a.data), (a,), vjp)
 
@@ -383,7 +383,8 @@ def logsumexp(a: Tensor, axis=None) -> Tensor:
 # -- structured linear algebra ---------------------------------------------
 # No model builds these two (the sparse-GP layer is one node in rulkit.svgp):
 # the benchmark's span timer wraps them by name, and tests/test_svgp.py's
-# composed layer, the oracle of that node, is built from them.
+# composed layer, the oracle of that node, is built from them. They import
+# scipy.linalg when called, so that no run path loads it.
 
 
 def cholesky(a: Tensor, base_jitter: float = 1e-6) -> Tensor:
@@ -392,6 +393,8 @@ def cholesky(a: Tensor, base_jitter: float = 1e-6) -> Tensor:
     The forward pass delegates to the shared jitter ladder so graph and
     plain-numpy code paths stabilize matrices identically.
     """
+    from scipy.linalg import solve_triangular as _solve_tri
+
     from . import mathcore
 
     L = mathcore.cholesky_jittered(a.data, base_jitter=base_jitter).factor
@@ -410,6 +413,8 @@ def cholesky(a: Tensor, base_jitter: float = 1e-6) -> Tensor:
 
 def solve_triangular(l: Tensor, b: Tensor, trans: bool = False) -> Tensor:
     """Solve L x = b (or L^T x = b when ``trans``) for lower-triangular L."""
+    from scipy.linalg import solve_triangular as _solve_tri
+
     b1d = b.data.ndim == 1
     bd = b.data[:, None] if b1d else b.data
     x = _solve_tri(l.data, bd, lower=True, trans="T" if trans else "N", check_finite=False)

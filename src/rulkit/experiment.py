@@ -99,14 +99,20 @@ def _is_real(v) -> bool:
 
 
 # Checks of a field value: (test, message) pairs, the message formatted with
-# the field's name and value.
-_NUMBER = (_is_real, "{name} must be a number, got {v!r}")
+# the field's name and value. A number is a finite real: its two checks (an
+# int of any size is finite; math.isfinite cannot take the largest).
+_NUMBER = ((_is_real, "{name} must be a number, got {v!r}"),
+           (lambda v: _is_int(v) or math.isfinite(v), "{name} must be finite, got {v}"))
 _POSITIVE = (lambda v: v > 0.0, "{name} must be positive, got {v}")
 _POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "{name} must be a positive integer, got {v!r}")
 _NON_NEGATIVE_INT = (lambda v: _is_int(v) and v >= 0,
                      "{name} must be a non-negative integer, got {v!r}")
 _FLAG = (lambda v: isinstance(v, bool), "{name} must be true or false, got {v!r}")
-_FINITE = (math.isfinite, "{name} must be finite, got {v}")
+
+
+def _unless_none(*checks) -> tuple:
+    """``checks`` for a field that may be None, which passes them all."""
+    return tuple((lambda v, test=test: v is None or test(v), message) for test, message in checks)
 
 
 def _check(name: str, v, checks: tuple):
@@ -166,20 +172,18 @@ class ExperimentConfig:
     objective: str = _field("elbo", "model", (lambda v: v in ("elbo", "ppgpr"),
                                               "{name} must be elbo or ppgpr, got {v!r}"),
                             kinds=_GP_KINDS)
-    beta_reg: float = _field(1.0, "model", _NUMBER, _POSITIVE, kinds=_GP_KINDS)
+    beta_reg: float = _field(1.0, "model", *_NUMBER, _POSITIVE, kinds=_GP_KINDS)
     epochs: int = _field(100, "run", _POSITIVE_INT)
     batch_size: int = _field(2000, "run", _POSITIVE_INT)
-    learning_rate: float = _field(1e-3, "run", _NUMBER, _POSITIVE)
+    learning_rate: float = _field(1e-3, "run", *_NUMBER, _POSITIVE)
     seed: int = _field(0, "run", _NON_NEGATIVE_INT)
-    alpha: float = _field(0.2, "run", _NUMBER,
+    alpha: float = _field(0.2, "run", *_NUMBER,
                           (lambda v: 0.0 < v < 1.0, "{name} must be in (0, 1), got {v}"))
-    val_fraction: float = _field(0.1, "split", _NUMBER,
+    val_fraction: float = _field(0.1, "split", *_NUMBER,
                                  (lambda v: 0.0 <= v < 1.0, "{name} must be in [0, 1), got {v}"))
     standardize_targets: bool = _field(True, "run", _FLAG)
-    rul_cap: Optional[float] = _field(
-        None, "run", (lambda v: v is None or _is_real(v), "{name} must be a number, got {v!r}"),
-        (lambda v: v is None or v > 0.0, "{name} must be positive when set, got {v}"))
-    jitter: float = _field(1e-6, "model", _NUMBER, _POSITIVE, kinds=_GP_KINDS)
+    rul_cap: Optional[float] = _field(None, "run", *_unless_none(*_NUMBER, _POSITIVE))
+    jitter: float = _field(1e-6, "model", *_NUMBER, _POSITIVE, kinds=_GP_KINDS)
     # sparse GP and deep GP families
     num_inducing: int = _field(800, "model", _POSITIVE_INT, kinds=_GP_KINDS)
     inducing_init: str = _field(
@@ -196,13 +200,13 @@ class ExperimentConfig:
     # neural families
     hidden_layers: int = _field(5, "model", _POSITIVE_INT, kinds=_NN_KINDS)
     hidden_units: int = _field(200, "model", _POSITIVE_INT, kinds=_NN_KINDS)
-    keep_prob: float = _field(0.4642, "model", _NUMBER,
+    keep_prob: float = _field(0.4642, "model", *_NUMBER,
                               (lambda v: 0.0 < v <= 1.0, "{name} must be in (0, 1], got {v}"),
                               kinds=_NN_KINDS)
-    weight_decay: float = _field(1e-6, "model", _NUMBER,
+    weight_decay: float = _field(1e-6, "model", *_NUMBER,
                                  (lambda v: v >= 0.0, "{name} must be >= 0, got {v}"),
                                  kinds=_NN_KINDS)
-    noise_variance: float = _field(1.0, "model", _NUMBER, _POSITIVE, kinds=_NN_KINDS)
+    noise_variance: float = _field(1.0, "model", *_NUMBER, _POSITIVE, kinds=_NN_KINDS)
     heteroscedastic: bool = _field(True, "model", _FLAG, kinds=("mcd",))
     # optional pinned split; validate checks each as a data.unit_list, the two disjoint
     train_units: Optional[list] = _field(None, "split")
@@ -354,8 +358,8 @@ _CHECKPOINT_KEYS = {
 # The checks of the model_config keys that no config field gives.
 _STAT_CHECKS = {
     "input_dim": (_POSITIVE_INT,),
-    "target_shift": (_NUMBER, _FINITE),
-    "target_scale": (_NUMBER, _FINITE, _POSITIVE),
+    "target_shift": _NUMBER,
+    "target_scale": (*_NUMBER, _POSITIVE),
 }
 
 

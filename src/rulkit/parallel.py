@@ -95,8 +95,9 @@ def run_indexed(task: Callable[[int], object], n: int, workers: int) -> list:
 
 
 def pin_blas_threads():
-    """Set every OpenBLAS this process has loaded (numpy's and scipy's) to
-    one thread, so that ``run_indexed`` is the only source of parallelism.
+    """Set every OpenBLAS this process has loaded to one thread, so that
+    ``run_indexed`` is the only source of parallelism: numpy's, whose
+    routines rulkit calls, and scipy's when scipy was imported first.
     Nothing changes when ``OPENBLAS_NUM_THREADS`` is set, which then wins, or
     where ``/proc/self/maps`` or a known thread-count symbol is missing."""
     if "OPENBLAS_NUM_THREADS" in os.environ:

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
-from scipy.special import expit as _expit
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .mathcore import NumericalError
+from .mathcore import NumericalError, expit
 
 
 class GradientError(RuntimeError):
@@ -92,7 +91,7 @@ class CholeskyFactor:
 
         def vjp(g):
             gp = g.reshape(raw.shape[0], -1).take(self._flat, axis=1)
-            gp[:, self._diag] *= _expit(raw[:, self._diag])
+            gp[:, self._diag] *= expit(raw[:, self._diag])
             return (gp.reshape(-1),)
 
         return ad.make_node(out.reshape(shape), (t,), vjp)

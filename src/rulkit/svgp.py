@@ -17,10 +17,11 @@ The differentiable graph builders here are the model's only representation:
 training evaluates them on trainable views of the flat parameter vector and
 prediction on constant ones. A layer is one tape node, ``sparse_gp_layer``,
 whose forward pass and vector-Jacobian product are written by hand in
-numpy/scipy: per GP, one Cholesky factor, one triangular solve and one
+numpy: per GP, one Cholesky factor, one triangular solve and one
 triangular product forward, and one triangular inverse reused for every
-L^{-T} product backward. The triangular routines are scipy's own, called
-without the GIL (:func:`rulkit.mathcore.trsm` and friends).
+L^{-T} product backward. The triangular routines are those of numpy's
+OpenBLAS, called without the GIL (:func:`rulkit.mathcore.trsm` and
+friends).
 
 A layer is one GP or a stack of W independent GPs that read the same input.
 A stack's slices carry a leading axis of length W, and one GP's raw values

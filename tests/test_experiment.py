@@ -212,11 +212,18 @@ class TestExperimentConfig:
             (dict(kind="dgp", depth=4), "depth must be at most 3 for kind dgp"),
             (dict(kind="dspp", objective="ppgpr", depth=4), "depth must be at most 3"),
             (dict(kind="dspp", objective="ppgpr", num_sites=51), "num_sites must be at most 50"),
-            (dict(learning_rate=float("nan")), "learning_rate must be positive, got nan"),
-            (dict(jitter=float("nan")), "jitter must be positive, got nan"),
-            (dict(noise_variance=float("nan")), "noise_variance must be positive, got nan"),
-            (dict(weight_decay=float("nan")), "weight_decay must be >= 0, got nan"),
-            (dict(rul_cap=float("nan")), "rul_cap must be positive when set, got nan"),
+            (dict(learning_rate=float("nan")), "learning_rate must be finite, got nan"),
+            (dict(jitter=float("nan")), "jitter must be finite, got nan"),
+            (dict(noise_variance=float("nan")), "noise_variance must be finite, got nan"),
+            (dict(weight_decay=float("nan")), "weight_decay must be finite, got nan"),
+            (dict(rul_cap=float("nan")), "rul_cap must be finite, got nan"),
+            # a number is finite: these passed validate as inf
+            (dict(jitter=float("inf")), "jitter must be finite, got inf"),
+            (dict(beta_reg=float("inf")), "beta_reg must be finite, got inf"),
+            (dict(learning_rate=np.float64("inf")), "learning_rate must be finite, got inf"),
+            (dict(noise_variance=float("inf")), "noise_variance must be finite, got inf"),
+            (dict(weight_decay=float("inf")), "weight_decay must be finite, got inf"),
+            (dict(rul_cap=float("inf")), "rul_cap must be finite, got inf"),
             (dict(train_units=[]), r"train_units must name at least one unit, got \[\]"),
             (dict(test_units=[]), r"test_units must name at least one unit, got \[\]"),
             (dict(kind="dgp", depth=1.5), "depth must be a non-negative integer, got 1.5"),
@@ -596,6 +603,9 @@ class TestCheckpoints:
         ("target_scale", 0, "target_scale must be positive, got 0"),
         ("target_scale", float("nan"), "target_scale must be finite, got nan"),
         ("target_shift", float("inf"), "target_shift must be finite, got inf"),
+        # these two loaded: an infinite jitter is never read by a first factor that succeeds
+        ("jitter", float("inf"), "jitter must be finite, got inf"),
+        ("beta_reg", float("inf"), "beta_reg must be finite, got inf"),
     ])
     def test_a_model_config_value_is_held_to_its_fields_rules(self, tmp_path, key, value,
                                                                message):
@@ -623,6 +633,13 @@ class TestCheckpoints:
             model_from_config(dropped)
         with pytest.raises(ValueError, match="has unknown keys extra and missing keys input_dim"):
             model_from_config(dropped | {"extra": 1})
+
+    @pytest.mark.parametrize("key", ["noise_variance", "weight_decay"])
+    def test_an_infinite_model_config_number_is_refused_by_key(self, key):
+        config = model_config(build_model(tiny_config("mcd"), np.ones((10, 4)), np.arange(10.0),
+                                          RngStream(0)))
+        with pytest.raises(ValueError, match=rf"^{key} must be finite, got inf$"):
+            model_from_config(config | {key: float("inf")})
 
     @given(
         kind=st.sampled_from(MODEL_KINDS),

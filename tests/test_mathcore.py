@@ -9,6 +9,7 @@ closed forms, mpmath's arbitrary-precision erf, and the double-factorial
 moment formula for standard-normal monomials.
 """
 
+import itertools
 import math
 import sys
 import threading
@@ -20,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.blas import dtrmm, dtrsm
 from scipy.linalg.lapack import dtrtri
+from scipy.special import erf as scipy_erf
+from scipy.special import expit as scipy_expit
 
 from gp_oracle import (
     GaussianDist,
@@ -31,10 +34,13 @@ from gp_oracle import (
     kernel_eval,
     mvn_kl,
 )
+from rulkit import mathcore, parallel
 from rulkit.mathcore import (
     DimensionError,
     NumericalError,
     cholesky_jittered,
+    erf,
+    expit,
     gauss_hermite,
     gaussian_cdf,
     gaussian_logpdf,
@@ -175,9 +181,10 @@ _OURS = {"trsm": trsm, "trmm": trmm}
 
 
 class TestTriangularBlas:
-    """``trsm``, ``trmm`` and ``trtri`` are scipy's own dtrsm, dtrmm and
-    dtrtri called without the GIL, so they must equal scipy's f2py wrappers
-    bit for bit."""
+    """``trsm``, ``trmm`` and ``trtri`` are the dtrsm, dtrmm and dtrtri of
+    numpy's OpenBLAS called without the GIL. scipy's f2py wrappers of its own
+    OpenBLAS, the routines rulkit called before, are the oracle: at one
+    thread count the two builds give the same bits."""
 
     @pytest.mark.parametrize("routine", ["trsm", "trmm"])
     @pytest.mark.parametrize("right", [False, True])
@@ -193,6 +200,22 @@ class TestTriangularBlas:
         got = _OURS[routine](-0.7, a, out, trans=trans, right=right)
         assert got is out
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [1, 4, 8, 50, 64, 100, 200, 400, 800])
+    def test_equals_scipy_at_the_layer_sizes(self, k):
+        # k spans the sparse-GP layer's inducing counts and cols its row
+        # blocks. The bits can depend on the thread count, and scipy's
+        # OpenBLAS may have loaded after import rulkit pinned numpy's: pin
+        # again, so that both run at one thread count.
+        parallel.pin_blas_threads()
+        a = _operand(k, True, seed=k)
+        for cols in (1, 5, 47, 48, 100, 384, 1033, 3312):
+            for routine, right, trans in itertools.product(_OURS, (False, True), (False, True)):
+                shape = (cols, k) if right else (k, cols)
+                b = np.asfortranarray(np.random.default_rng(cols).standard_normal(shape))
+                want = _SCIPY[routine](-0.7, a, b, side=int(right), lower=0, trans_a=int(trans))
+                got = _OURS[routine](-0.7, a, b.copy(order="F"), trans=trans, right=right)
+                assert np.array_equal(got, want), (routine, right, trans, cols)
 
     @pytest.mark.parametrize("routine", ["trsm", "trmm"])
     @pytest.mark.parametrize("trans", [False, True])
@@ -216,7 +239,7 @@ class TestTriangularBlas:
         np.testing.assert_array_equal(trsm(1.0, c_ordered.T, b.copy(order="F"), trans=True), want)
 
     @pytest.mark.parametrize("from_lower", [False, True])
-    @pytest.mark.parametrize("k", [1, 2, 7, 64, 150])
+    @pytest.mark.parametrize("k", [1, 2, 4, 7, 8, 50, 64, 100, 150, 200, 400, 800])
     def test_trtri_equals_scipy(self, from_lower, k):
         a = _operand(k, from_lower, seed=k)
         want, info = dtrtri(a, lower=0)
@@ -224,6 +247,10 @@ class TestTriangularBlas:
         out = a.copy(order="F")  # with from_lower, L^T copied as svgp inverts it
         assert trtri(out) is out
         np.testing.assert_array_equal(out, want)
+
+    def test_a_routine_numpy_lacks_is_an_import_error_naming_it(self):
+        with pytest.raises(ImportError, match="does not export scipy_dnothing_64_$"):
+            mathcore._numpy_blas("scipy_dnothing_64_")
 
     def test_trtri_of_nothing_is_nothing(self):
         assert trtri(np.zeros((0, 0), order="F")).shape == (0, 0)
@@ -472,6 +499,60 @@ class TestGaussianCdf:
     def test_nonpositive_std_rejected(self):
         with pytest.raises(ValueError):
             gaussian_cdf(0.0, std=0.0)
+
+
+_MAXLOG = 7.09782712893383996843e2
+# the branch points of cephes' erf and erfc, where expit's exp overflows,
+# where erfc and the logistic function underflow, and subnormals
+_EDGES = [0.0, 1.0, 8.0, 27.0, math.sqrt(_MAXLOG), _MAXLOG, 709.78, 745.2, 800.0,
+          5e-324, 2.2250738585072014e-308, math.inf, math.nan]
+_EDGES += [math.nextafter(v, w) for v in _EDGES[1:6] for w in (0.0, math.inf)]
+_EDGES += [-v for v in _EDGES]
+
+
+def _bits(x) -> list:
+    return np.asarray(x, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestScipyBits:
+    """``erf`` and ``expit`` are cephes' erf and scipy's expit ported to
+    numpy, and scipy.special is the oracle: every output bit, NaN included,
+    and no floating-point warning for any input."""
+
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(_EDGES)), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_erf_and_expit_are_scipys(self, values):
+        x = np.array(values, dtype=np.float64)
+        with np.errstate(all="raise"):
+            ours_erf, ours_expit = erf(x), expit(x)
+        assert _bits(ours_erf) == _bits(scipy_erf(x))
+        assert _bits(ours_expit) == _bits(scipy_expit(x))
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+           st.floats(-1e3, 1e3), st.floats(1e-3, 1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_gaussian_cdf_is_scipys(self, values, mean, std):
+        x = np.array(values)
+        z = (x - mean) / (std * math.sqrt(2.0))
+        assert _bits(gaussian_cdf(x, mean, std)) == _bits(0.5 * (1.0 + scipy_erf(z)))
+
+    def test_every_edge_value(self):
+        x = np.array(_EDGES)
+        with np.errstate(all="raise"):
+            assert _bits(erf(x)) == _bits(scipy_erf(x))
+            assert _bits(expit(x)) == _bits(scipy_expit(x))
+
+    def test_a_dense_sweep_of_each_branch(self):
+        rng = np.random.default_rng(35)
+        x = np.concatenate([rng.uniform(-1.0, 1.0, 20000), rng.uniform(1.0, 8.0, 20000),
+                            rng.uniform(8.0, 27.0, 20000), rng.uniform(-800.0, 800.0, 20000)])
+        assert _bits(erf(x)) == _bits(scipy_erf(x))
+        assert _bits(expit(x)) == _bits(scipy_expit(x))
+
+    def test_a_scalar_gives_a_scalar(self):
+        assert type(erf(0.5)) is type(scipy_erf(0.5))
+        assert type(expit(0.5)) is type(scipy_expit(0.5))
+        assert erf(np.zeros((2, 0, 3))).shape == (2, 0, 3)
 
 
 # -- dense GP reference -------------------------------------------------------
